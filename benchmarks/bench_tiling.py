@@ -4,14 +4,13 @@ Two studies over synthetic weight grids:
 
 * **scaling** — one grid colored through the tiler at several tile counts
   (plus the monolithic kernel as the 1-tile baseline), verifying bit-
-  identity at every point and reporting seam/interior split, throughput,
-  and peak RSS.  The seam pass is sequential, so its share bounds the
-  parallel speedup available to the interior pass (Amdahl).
+  identity at every point and reporting the band-pass time, total time,
+  and throughput.
 * **out-of-core headline** — a grid far beyond the monolithic kernel's
   memory appetite (default 16384², ~268 M cells, >12 GB of working arrays
   monolithically) colored in digest-only mode (``assemble=False``), whose
-  peak memory is independent of grid size.  Reported: wall time, combined
-  digest, maxcolor, peak RSS.
+  peak memory is independent of grid size.  Reported: band-pass and total
+  wall time, combined digest, maxcolor, peak RSS.
 
 Run standalone (writes the repo-root ``BENCH_tiling.json``)::
 
@@ -38,7 +37,7 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _scaling_study(side: int, tile_sides, jobs: int, seed: int) -> dict:
+def _scaling_study(side: int, tile_sides, seed: int) -> dict:
     from repro.core.algorithms.registry import color_with
     from repro.core.problem import IVCInstance
     from repro.data import SyntheticWeightSource
@@ -54,7 +53,7 @@ def _scaling_study(side: int, tile_sides, jobs: int, seed: int) -> dict:
     points = []
     for tile_side in tile_sides:
         t0 = perf_counter()
-        tiled = color_tiled(source, tile_shape=(tile_side, tile_side), jobs=jobs)
+        tiled = color_tiled(source, tile_shape=(tile_side, tile_side))
         elapsed = perf_counter() - t0
         identical = tiled.maxcolor == mono.maxcolor and np.array_equal(
             np.asarray(tiled.starts).ravel(), mono_starts
@@ -62,10 +61,8 @@ def _scaling_study(side: int, tile_sides, jobs: int, seed: int) -> dict:
         points.append({
             "tile_side": tile_side,
             "tiles": len(tiled.plan.tiles),
-            "seconds": elapsed,
-            "seam_seconds": tiled.seam_elapsed,
-            "interior_seconds": tiled.elapsed,
-            "seam_fraction": tiled.seam_elapsed / elapsed if elapsed else None,
+            "total_seconds": elapsed,
+            "band_seconds": tiled.seam_elapsed,
             "cells_per_sec": side * side / elapsed if elapsed else None,
             "vs_monolithic": elapsed / mono_seconds if mono_seconds else None,
             "identical": bool(identical),
@@ -73,7 +70,6 @@ def _scaling_study(side: int, tile_sides, jobs: int, seed: int) -> dict:
     return {
         "side": side,
         "cells": side * side,
-        "jobs": jobs,
         "monolithic_seconds": mono_seconds,
         "maxcolor": int(mono.maxcolor),
         "points": points,
@@ -81,24 +77,21 @@ def _scaling_study(side: int, tile_sides, jobs: int, seed: int) -> dict:
     }
 
 
-def _out_of_core_study(side: int, tile_side: int, jobs: int, seed: int) -> dict:
+def _out_of_core_study(side: int, tile_side: int, seed: int) -> dict:
     from repro.data import SyntheticWeightSource
     from repro.tiling import color_tiled
 
     source = SyntheticWeightSource((side, side), seed=seed)
     t0 = perf_counter()
-    tiled = color_tiled(
-        source, tile_shape=(side, tile_side), jobs=jobs, assemble=False
-    )
+    tiled = color_tiled(source, tile_shape=(side, tile_side), assemble=False)
     elapsed = perf_counter() - t0
     return {
         "side": side,
         "cells": side * side,
         "tile_shape": list(tiled.plan.tile_shape),
         "tiles": len(tiled.plan.tiles),
-        "jobs": jobs,
-        "seconds": elapsed,
-        "seam_seconds": tiled.seam_elapsed,
+        "total_seconds": elapsed,
+        "band_seconds": tiled.seam_elapsed,
         "cells_per_sec": side * side / elapsed if elapsed else None,
         "maxcolor": int(tiled.maxcolor),
         "digest": tiled.digest,
@@ -109,11 +102,11 @@ def _out_of_core_study(side: int, tile_side: int, jobs: int, seed: int) -> dict:
 
 def run_tiling_benchmark(*, quick: bool = False, seed: int = 0) -> dict:
     if quick:
-        scaling = _scaling_study(512, (512, 256, 128, 64), jobs=2, seed=seed)
-        headline = _out_of_core_study(4096, 256, jobs=2, seed=seed)
+        scaling = _scaling_study(512, (512, 256, 128, 64), seed=seed)
+        headline = _out_of_core_study(4096, 256, seed=seed)
     else:
-        scaling = _scaling_study(2048, (2048, 1024, 512, 256), jobs=4, seed=seed)
-        headline = _out_of_core_study(16384, 512, jobs=4, seed=seed)
+        scaling = _scaling_study(2048, (2048, 1024, 512, 256), seed=seed)
+        headline = _out_of_core_study(16384, 512, seed=seed)
     return {
         "meta": {
             "tool": "benchmarks/bench_tiling.py",
@@ -139,15 +132,15 @@ def main(argv=None) -> int:
 
     report = run_tiling_benchmark(quick=args.quick, seed=args.seed)
     scaling = report["scaling"]
-    print(f"scaling {scaling['side']}x{scaling['side']} (jobs={scaling['jobs']}, "
-          f"monolithic {scaling['monolithic_seconds']:.2f}s):")
+    print(f"scaling {scaling['side']}x{scaling['side']} "
+          f"(monolithic {scaling['monolithic_seconds']:.2f}s):")
     for p in scaling["points"]:
-        print(f"  {p['tiles']:>4} tiles: {p['seconds']:7.2f}s  "
-              f"seam {p['seam_fraction']:.0%}  "
+        print(f"  {p['tiles']:>4} tiles: {p['total_seconds']:7.2f}s  "
+              f"bands {p['band_seconds']:.2f}s  "
               f"{p['cells_per_sec'] / 1e6:6.2f} Mcells/s  "
               f"identical={p['identical']}")
     ooc = report["out_of_core"]
-    print(f"out-of-core {ooc['side']}x{ooc['side']}: {ooc['seconds']:.1f}s, "
+    print(f"out-of-core {ooc['side']}x{ooc['side']}: {ooc['total_seconds']:.1f}s, "
           f"{ooc['cells_per_sec'] / 1e6:.2f} Mcells/s, "
           f"peak RSS {ooc['peak_rss_mb']} MB "
           f"(monolithic working set ~{ooc['monolithic_working_set_gb']} GB), "

@@ -134,9 +134,11 @@ def color(
         * an :class:`ExecutionContext` — run under exactly that context.
     validate:
         Check the coloring for conflicts before returning (monolithic
-        runtimes; the tiler's seam cross-check stands in for it there).
+        runtimes only).
     tile_shape / jobs:
-        Tiler overrides, ignored by monolithic runtimes.
+        Tiler overrides, ignored by monolithic runtimes.  ``jobs`` is
+        accepted and ignored by the tiler too (its band pass is
+        sequential).
 
     Returns
     -------
@@ -188,7 +190,6 @@ def color(
         tiled = color_tiled(
             source if source is not None else grid,
             tile_shape=tile_shape,
-            jobs=jobs,
             context=ctx,
         )
         provenance = {

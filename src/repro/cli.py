@@ -18,8 +18,8 @@ Subcommands
 ``bench-kernels``  Time the vectorized kernels against the reference loops
                 and write ``BENCH_kernels.json`` (exits nonzero if any
                 kernel coloring diverges from the reference).
-``tile``        Color a large grid out-of-core: halo-stitched tiles, a
-                sequential seam pass, parallel tile interiors, bit-identical
+``tile``        Color a large grid out-of-core: one streaming pass over
+                outer-axis bands, digested per tile, bit-identical
                 to the monolithic GLL kernel.
 ``serve``       Run the online coloring service: an asyncio TCP server with
                 shape-batched dispatch, a content-addressed result cache,
@@ -447,7 +447,6 @@ def cmd_tile(args: argparse.Namespace) -> int:
     tiling = TilingConfig(
         mode="on",
         tile_shape=tuple(args.tile) if args.tile else None,
-        jobs=args.jobs,
         memory_budget_mb=args.budget_mb,
     )
     # Assembling the full starts array costs 8 bytes/cell of resident
@@ -478,12 +477,9 @@ def cmd_tile(args: argparse.Namespace) -> int:
         "digest": tiled.digest,
         "seam_bands": tiled.seam_bands,
         "seam_cells": tiled.seam_cells,
-        "seam_seconds": tiled.seam_elapsed,
-        "tile_seconds": tiled.elapsed,
+        "band_seconds": tiled.seam_elapsed,
         "total_seconds": elapsed,
         "resumed_tiles": tiled.resumed_tiles,
-        "pool_restarts": tiled.pool_restarts,
-        "tiles_retried": tiled.tiles_retried,
         "peak_rss_mb": round(peak_rss_mb, 1),
     }
     if args.out:
@@ -1233,13 +1229,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "tile",
         help="color a large grid out-of-core through the tiler",
-        description="Partition a weight grid into halo-stitched tiles, color "
-                    "the tile interiors in parallel after a sequential seam "
-                    "pass, and print a JSON summary (maxcolor, combined "
-                    "digest, per-phase timings, peak RSS).  The result is "
-                    "bit-identical to the monolithic GLL kernel.",
+        description="Color a weight grid in one streaming pass over "
+                    "outer-axis bands of tiles, digesting every tile, and "
+                    "print a JSON summary (maxcolor, combined digest, "
+                    "timings, peak RSS).  The result is bit-identical to "
+                    "the monolithic GLL kernel.",
         epilog="Example: stencil-ivc tile --shape 4096x4096 --tile 1024x1024 "
-               "--jobs 4 --log tiles.jsonl",
+               "--log tiles.jsonl",
     )
     p.add_argument("--input", default="",
                    help=".npy weight grid, read through a memory map")
@@ -1257,16 +1253,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "when --tile is not given (0 = unbudgeted)")
     p.add_argument("--out", default="",
                    help="write the assembled starts grid to this .npy file "
-                        "(streamed per tile through a memory map)")
+                        "(streamed per band through a memory map)")
     p.add_argument("--log", default="", metavar="PATH",
-                   help="append one JSONL record per finished tile to PATH")
+                   help="write one JSONL record per finished tile to PATH, "
+                        "and each finished band's carry to PATH.carry.npy")
     p.add_argument("--resume", action="store_true",
-                   help="adopt completed tiles from an existing --log and "
-                        "color only the missing ones")
+                   help="adopt the completed bands of an existing --log and "
+                        "color only the bands after them")
     p.add_argument("--verify", action="store_true",
                    help="also run the monolithic GLL kernel and fail unless "
                         "the colorings are identical (loads the full grid)")
-    _add_jobs_option(p)
     p.set_defaults(func=cmd_tile)
 
     p = sub.add_parser(

@@ -1,10 +1,9 @@
 """Region-addressable weight sources for out-of-core tiled coloring.
 
-The tiler (:mod:`repro.tiling`) never materializes a full weight grid: the
-seam pass streams outer-axis bands and the interior pass fetches one padded
-tile at a time.  Both go through a :class:`WeightSource` — an object that
-knows the grid ``shape`` and can produce any rectangular ``region`` of it as
-a C-contiguous ``int64`` array.
+The tiler (:mod:`repro.tiling`) never materializes a full weight grid: its
+band pass streams one outer-axis band at a time through a
+:class:`WeightSource` — an object that knows the grid ``shape`` and can
+produce any rectangular ``region`` of it as a C-contiguous ``int64`` array.
 
 Three backends cover the use cases:
 

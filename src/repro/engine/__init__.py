@@ -9,8 +9,7 @@ Contents:
   of an interrupted run log; serial execution is ``jobs=1`` of the same
   code path.  Results come back as a :class:`GridResult` (a ``list`` of
   records plus supervision counters).  The supervision machinery itself is
-  exposed as :func:`run_supervised`, generic over the chunked workload —
-  :mod:`repro.tiling` fans tile interiors through it.
+  exposed as :func:`run_supervised`, generic over the chunked workload.
 * :mod:`~repro.engine.records` — :class:`RunRecord`, the structured outcome
   of one cell (maxcolor, lower bound, elapsed, worker, status).
 * :mod:`~repro.engine.runlog` — JSONL streaming of records

@@ -426,10 +426,10 @@ def run_supervised(
 ) -> None:
     """Run chunks on a supervised pool, restarting it after worker deaths.
 
-    Generic over the work being executed — the engine's grid cells and the
-    tiler's tiles (:mod:`repro.tiling.stitch`) both run through here, so
-    journal-based blame isolation, bounded per-cell retries, and chunk
-    splitting come for free to any chunked workload.  The contract:
+    Generic over the work being executed — :func:`run_grid`'s cells run
+    through here, and any other chunked workload gets journal-based blame
+    isolation, bounded per-cell retries, and chunk splitting for free.
+    The contract:
 
     * a *cell* is any tuple whose first element is its unique integer
       position (matching the start/done journal marks the ``task`` writes)

@@ -2,8 +2,8 @@
 
 :func:`color_region` first-fit colors a rectangular sub-grid of a 9-pt or
 27-pt stencil in the paper's GLL order, with some cells *preset* to starts
-already known from outside the region (tile halos recorded by the seam
-pass, or the carry column/plane of the previous streamed band).
+already known from outside the region (in the tiler, the carry
+column/plane of the previous streamed band).
 
 Correctness hinges on *when* a preset value becomes visible.  Under GLL the
 predecessors of a cell are exactly its neighbors with a smaller analytic
@@ -13,11 +13,10 @@ wavefront level (``i + 2j``, ``i + 2j + 4k`` — see
 a constant.  So preset cells are not written up front: they are scheduled
 into the wavefront like everyone else and their known value is stored when
 their batch runs.  A later-level preset (e.g. the *zipper* row below a
-tile, whose cells follow some interior cells in the global scan and precede
-others) therefore constrains exactly the cells it precedes globally and is
-invisible to the cells it follows — which is what makes tiled colorings
-bit-identical to the monolithic scan (``docs/tiling.md`` has the full
-invariant).
+sub-grid, whose cells follow some of its cells in the global scan and
+precede others) therefore constrains exactly the cells it precedes globally
+and is invisible to the cells it follows, so presetting any cell at its
+global start reproduces the monolithic scan exactly (``docs/tiling.md``).
 
 Neighborhoods are gathered analytically by offset arithmetic — eight
 (twenty-six) shifted index computations per batch with bounds masking —

@@ -37,7 +37,6 @@ variable                        field                     values
 ``REPRO_TILE_SHAPE``            ``tiling.tile_shape``     ``512x512`` style
 ``REPRO_TILE_CELLS``            ``tiling.tile_cells``     int (cells per tile)
 ``REPRO_TILING_MIN_CELLS``      ``tiling.min_cells``      int (auto threshold)
-``REPRO_TILING_JOBS``           ``tiling.jobs``           int (0 = all cores)
 ``REPRO_TILING_BUDGET_MB``      ``tiling.memory_budget_mb``  int (0 = none)
 ``REPRO_INCR_CONE_FRACTION``    ``incremental.max_cone_fraction``  float in (0, 1]
 ``REPRO_INCR_VALIDATE``         ``incremental.validate``  bool
@@ -126,8 +125,7 @@ def _parse_tile_shape(raw: str) -> Optional[tuple[int, ...]]:
 class TilingConfig:
     """How (and whether) grids are decomposed into tiles for coloring.
 
-    Frozen and picklable, like its owner :class:`RuntimeConfig`, so the tiler
-    can ship it to worker processes.
+    Frozen and picklable, like its owner :class:`RuntimeConfig`.
 
     Attributes
     ----------
@@ -142,9 +140,6 @@ class TilingConfig:
         Target cells per tile when ``tile_shape`` is unset.
     min_cells:
         Grid size (in cells) from which ``"auto"`` mode engages the tiler.
-    jobs:
-        Worker processes for the tile-interior pass (``0`` = all cores,
-        ``1`` = in-process serial — the same code path, like the engine).
     memory_budget_mb:
         Soft cap on the tiler's working-set, used to derive ``tile_shape``
         when one is not given (``0`` = unbudgeted).  See ``docs/tiling.md``
@@ -155,7 +150,6 @@ class TilingConfig:
     tile_shape: Optional[tuple[int, ...]] = None
     tile_cells: int = 1 << 20
     min_cells: int = 1 << 24
-    jobs: int = 1
     memory_budget_mb: int = 0
 
     def __post_init__(self) -> None:
@@ -168,7 +162,7 @@ class TilingConfig:
             object.__setattr__(self, "tile_shape", shape)
         if self.tile_cells < 1:
             raise ValueError("tile_cells must be positive")
-        for name in ("min_cells", "jobs", "memory_budget_mb"):
+        for name in ("min_cells", "memory_budget_mb"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -180,7 +174,6 @@ class TilingConfig:
             "tile_shape": _parse_tile_shape(env_str("REPRO_TILE_SHAPE", "")),
             "tile_cells": env_int("REPRO_TILE_CELLS", 1 << 20),
             "min_cells": env_int("REPRO_TILING_MIN_CELLS", 1 << 24),
-            "jobs": env_int("REPRO_TILING_JOBS", 1),
             "memory_budget_mb": env_int("REPRO_TILING_BUDGET_MB", 0),
         }
         for name, value in overrides.items():

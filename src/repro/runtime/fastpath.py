@@ -8,10 +8,10 @@ from three layers (highest wins):
 1. an explicit per-call ``fast=True``/``False`` argument — always honoured
    (benchmarks and differential tests rely on ``fast=True`` exercising the
    kernels even on degenerate grids);
-2. the legacy process-wide switch — :func:`set_fast_paths` and the scoped
-   :func:`fast_paths` context manager (used by
+2. the scoped :func:`fast_paths` context manager (used by
    :func:`~repro.core.algorithms.registry.color_with` so a resolved decision
-   reaches every primitive underneath the algorithm);
+   reaches every primitive underneath the algorithm), then the legacy
+   process-wide switch :func:`set_fast_paths`;
 3. the current :class:`~repro.runtime.config.RuntimeConfig` ``fast_paths``
    mode: ``"off"`` disables, ``"on"`` forces, ``"auto"`` engages from
    ``fast_paths_min_size`` vertices up (batched NumPy dispatch has fixed
@@ -29,6 +29,7 @@ bound lazily by the registry).
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator, Optional
 
 from repro.runtime.config import RuntimeConfig
@@ -53,11 +54,23 @@ MIN_AUTO_SIZE: int = RuntimeConfig.from_env().fast_paths_min_size
 # set_fast_paths being visible process-wide, threads included.
 _override: Optional[bool] = None
 
+# The scoped override of fast_paths(), which beats the process switch.  A
+# ContextVar, because the service runs colorings on executor threads: each
+# thread (and asyncio task) sees only the blocks it entered itself, so
+# overlapping calls can neither see nor leak each other's decision.
+_scoped: ContextVar[Optional[bool]] = ContextVar("repro_fast_paths", default=None)
+
+
+def _active_override() -> Optional[bool]:
+    scoped = _scoped.get()
+    return scoped if scoped is not None else _override
+
 
 def fast_paths_enabled(context: Optional[ExecutionContext] = None) -> bool:
     """Whether the vectorized kernels are currently enabled (size aside)."""
-    if _override is not None:
-        return _override
+    override = _active_override()
+    if override is not None:
+        return override
     ctx = context if context is not None else get_context()
     return ctx.config.fast_paths != "off"
 
@@ -89,16 +102,17 @@ def resolve_fast_for(
     """Per-call fast decision with the auto-mode size threshold applied.
 
     Explicit ``True``/``False`` win unconditionally.  ``None`` consults the
-    process switch if set (``True`` behaving like auto mode), else the
-    context's config mode: ``"off"`` → False, ``"on"`` → True, ``"auto"`` →
-    ``num_vertices >= config.fast_paths_min_size``.
+    scoped or process switch if set (``True`` behaving like auto mode),
+    else the context's config mode: ``"off"`` → False, ``"on"`` → True,
+    ``"auto"`` → ``num_vertices >= config.fast_paths_min_size``.
     """
     if fast is not None:
         return bool(fast)
     ctx = context if context is not None else get_context()
     min_size = ctx.config.fast_paths_min_size
-    if _override is not None:
-        return _override and num_vertices >= min_size
+    override = _active_override()
+    if override is not None:
+        return override and num_vertices >= min_size
     mode = ctx.config.fast_paths
     if mode == "off":
         return False
@@ -109,15 +123,15 @@ def resolve_fast_for(
 
 @contextmanager
 def fast_paths(enabled: bool) -> Iterator[None]:
-    """Scoped override of the fast-path switch (restores the previous state).
+    """Scoped override of the fast-path switch for the current thread/task.
 
-    Restores to *no override* if none was active before, so a scoped block
-    does not permanently detach the process from its config mode.
+    The override lives in a ContextVar, so it is visible only inside the
+    block on the thread (or asyncio task) that entered it, and leaving the
+    block restores whatever was in effect there before — never the process
+    switch, which the block does not touch.
     """
-    global _override
-    previous = _override
-    _override = bool(enabled)
+    token = _scoped.set(bool(enabled))
     try:
         yield
     finally:
-        _override = previous
+        _scoped.reset(token)

@@ -433,7 +433,7 @@ class MicroBatcher:
     def _compute_tiled(self, request: ColorRequest, batch_size: int) -> ServedResult:
         """One tiler run for an ``api: 1`` request carrying a ``tiles`` hint.
 
-        Bit-identical to the monolithic path by the tiler's seam invariant,
+        Bit-identical to the monolithic path (the band pass is the GLL scan),
         so the result lands in the same content-addressed cache entry a
         monolithic request for this grid would produce or consume.
         """

@@ -1,24 +1,22 @@
-"""Tiled out-of-core coloring with halo stitching.
+"""Tiled out-of-core coloring as one streaming band pass.
 
 Colors grids far larger than memory — **bit-identically** to the monolithic
-GLL kernels — by cutting them into tiles, streaming one sequential *seam
-pass* over outer-axis bands that records each tile's halo strips at their
-exact global values, then coloring every tile interior independently (and
-in parallel, under the engine's crash supervision) against those preset
-halos.  ``docs/tiling.md`` derives the decomposition and the seam-ordering
-invariant that makes the stitched result exact.
+GLL kernels — by scanning them in outer-axis bands with a one-band working
+set: each band is colored exactly once against the previous band's carry,
+its starts are written to the output (an ``.npy`` memmap, the in-memory
+assembly, or nowhere), and every tile of the band is digested into a
+:class:`TileRecord`.  With a log, completed bands and a verified carry
+checkpoint make a killed run resumable at band granularity.
+``docs/tiling.md`` derives the decomposition and the memory model.
 
 Contents:
 
-* :mod:`~repro.tiling.plan` — tile decomposition and exact GLL halo
-  geometry (:func:`plan_tiles`, :func:`derive_tile_shape`,
-  :func:`halo_boxes`).
-* :mod:`~repro.tiling.seams` — the streamed seam pass
-  (:func:`seam_pass`).
-* :mod:`~repro.tiling.pool` / :mod:`~repro.tiling.stitch` — per-tile
-  workers and the orchestrator (:func:`color_tiled`), with memmap output,
-  digest-only verification, and resumable tile logs.
-* :mod:`~repro.tiling.runlog` — the JSONL tile log
+* :mod:`~repro.tiling.plan` — tile decomposition (:func:`plan_tiles`,
+  :func:`derive_tile_shape`, :func:`padded_box`).
+* :mod:`~repro.tiling.seams` — the band pass (:func:`seam_pass`).
+* :mod:`~repro.tiling.stitch` — the orchestrator (:func:`color_tiled`):
+  output modes, resume, the combined digest.
+* :mod:`~repro.tiling.runlog` — the JSONL tile log and carry checkpoint
   (:class:`TileLogWriter`, :func:`read_tile_log`).
 """
 
@@ -27,13 +25,12 @@ from repro.tiling.plan import (
     Tile,
     TilePlan,
     derive_tile_shape,
-    halo_boxes,
     padded_box,
     plan_tiles,
 )
 from repro.tiling.runlog import TileLogWriter, TileRecord, read_tile_log
 from repro.tiling.seams import SeamResult, seam_pass
-from repro.tiling.stitch import TiledColoring, TilingError, color_tile, color_tiled
+from repro.tiling.stitch import TiledColoring, TilingError, color_tiled
 
 __all__ = [
     "Box",
@@ -44,10 +41,8 @@ __all__ = [
     "TileRecord",
     "TiledColoring",
     "TilingError",
-    "color_tile",
     "color_tiled",
     "derive_tile_shape",
-    "halo_boxes",
     "padded_box",
     "plan_tiles",
     "read_tile_log",

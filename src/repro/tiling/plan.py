@@ -1,35 +1,15 @@
-"""Tile decomposition of a stencil grid, with exact GLL halo geometry.
+"""Tile decomposition of a stencil grid.
 
-A :class:`TilePlan` cuts an ``(X, Y[, Z])`` grid into axis-aligned tiles and
-knows, for each tile, the *halo* — the set of outside cells whose colors the
-tile's interior scan can observe under the paper's GLL order.  The 9-pt /
-27-pt stencil footprint is one cell, but the halo is **not** a symmetric
-one-cell ring: GLL's predecessor cone is one-sided, and it reaches *forward*
-across the tile's trailing inner-axis edge (the "zipper" — cell
-``(i+1, j-1)`` precedes ``(i, j)``), so the strips below are what the seam
-pass records and the interior pass presets.
+A :class:`TilePlan` cuts an ``(X, Y[, Z])`` grid into axis-aligned tiles,
+numbered in scan order and grouped into outer-axis *bands* — the units the
+band pass (:mod:`repro.tiling.seams`) colors, logs and resumes by.  Tiles
+are the units of the per-tile digests and records.
 
 With axes ordered ``(i, j[, k])`` and GLL scanning ``i`` innermost and the
-last axis outermost, a tile ``[a0, a1) × [b0, b1) (× [d0, d1))`` needs:
-
-2D (grid ``X × Y``)
-    * the previous column ``j = b0 - 1``, rows ``[a0-1, a1]`` (clamped);
-    * the line ``i = a0 - 1``, columns ``[b0, b1)``;
-    * the zipper line ``i = a1``, columns ``[b0, b1)``.
-
-3D (grid ``X × Y × Z``)
-    * the previous plane ``k = d0 - 1``, padded to ``[a0-1, a1] × [b0-1, b1]``;
-    * the slab ``j = b0 - 1`` and the zipper slab ``j = b1``, rows
-      ``[a0-1, a1]``, for ``k ∈ [d0, d1)``;
-    * the line ``i = a0 - 1`` and the zipper line ``i = a1``, for
-      ``j ∈ [b0, b1)``, ``k ∈ [d0, d1)``.
-
-Every strip cell either precedes some interior cell in the global scan (and
-must carry its exact global start) or follows all of them (in which case
-presetting it is harmless, because the halo kernel activates presets at
-their wavefront level — see :mod:`repro.kernels.halo`).  The union of the
-interior and these strips is exactly the tile's *padded box*, so no filler
-cells are ever needed.
+last axis outermost, the cells a tile's GLL starts depend on from outside
+it lie in its :func:`padded_box`: one cell before and the *zipper* cell
+after on the inner axes (cell ``(i+1, j-1)`` precedes ``(i, j)``), one
+column/plane before on the outer axis.
 """
 
 from __future__ import annotations
@@ -46,9 +26,7 @@ __all__ = [
     "TilePlan",
     "plan_tiles",
     "derive_tile_shape",
-    "halo_boxes",
     "padded_box",
-    "box_shape",
     "local_slices",
 ]
 
@@ -59,11 +37,6 @@ Box = tuple[tuple[int, int], ...]
 #: schedule verts, level scratch, preset mask+values) — the constant in the
 #: tiler's memory model (``docs/tiling.md``).
 WORKING_ARRAYS = 6
-
-
-def box_shape(box: Box) -> tuple[int, ...]:
-    """The per-axis extent of a box."""
-    return tuple(hi - lo for lo, hi in box)
 
 
 def box_cells(box: Box) -> int:
@@ -106,7 +79,7 @@ class TilePlan:
         """Tiles grouped by outer-axis (last-axis) band, in scan order.
 
         Band ``b`` holds every tile whose last-axis range is the ``b``-th
-        tile-edge interval; the seam pass streams these bands sequentially
+        tile-edge interval; the band pass streams these bands sequentially
         (bands depend only on the previous band's trailing column/plane).
         """
         out: list[list[Tile]] = [[] for _ in range(self.counts[-1])]
@@ -190,7 +163,7 @@ def derive_tile_shape(shape, config: TilingConfig) -> tuple[int, ...]:
 
 
 def padded_box(box: Box, shape: tuple[int, ...]) -> Box:
-    """The tile box extended by its halo strips (clamped to the grid).
+    """The tile box extended by the cells its starts depend on (clamped).
 
     One cell before and the zipper cell after on the inner axes, one
     column/plane *before only* on the outer axis — GLL never looks forward
@@ -206,39 +179,3 @@ def padded_box(box: Box, shape: tuple[int, ...]) -> Box:
     (c0, c1) = rest[0]
     out.append((max(c0 - 1, 0), c1))
     return tuple(out)
-
-
-def halo_boxes(box: Box, shape: tuple[int, ...]) -> list[Box]:
-    """The halo strips of a tile, as global boxes (see the module docstring).
-
-    Strips at the grid boundary are clamped away; a single-tile plan has no
-    strips at all.  Their union with the interior is exactly
-    :func:`padded_box`.
-    """
-    strips: list[Box] = []
-    if len(shape) == 2:
-        (a0, a1), (b0, b1) = box
-        X, _ = shape
-        ipad = (max(a0 - 1, 0), min(a1 + 1, X))
-        if b0 > 0:
-            strips.append((ipad, (b0 - 1, b0)))
-        if a0 > 0:
-            strips.append(((a0 - 1, a0), (b0, b1)))
-        if a1 < X:
-            strips.append(((a1, a1 + 1), (b0, b1)))
-        return strips
-    (a0, a1), (b0, b1), (d0, d1) = box
-    X, Y, _ = shape
-    ipad = (max(a0 - 1, 0), min(a1 + 1, X))
-    jpad = (max(b0 - 1, 0), min(b1 + 1, Y))
-    if d0 > 0:
-        strips.append((ipad, jpad, (d0 - 1, d0)))
-    if b0 > 0:
-        strips.append((ipad, (b0 - 1, b0), (d0, d1)))
-    if b1 < Y:
-        strips.append((ipad, (b1, b1 + 1), (d0, d1)))
-    if a0 > 0:
-        strips.append(((a0 - 1, a0), (b0, b1), (d0, d1)))
-    if a1 < X:
-        strips.append(((a1, a1 + 1), (b0, b1), (d0, d1)))
-    return strips

@@ -1,23 +1,39 @@
-"""JSONL tile run log: per-tile completion records, resumable.
+"""JSONL tile run log and the band-carry checkpoint behind resume.
 
-Mirrors the engine's run log (:mod:`repro.engine.runlog`) at tile
-granularity.  The first line is a *header* naming the plan and the weight
-source (by fingerprint); :func:`read_tile_log` refuses to adopt records
-whose header does not match the current run, so a stale log against a
-different grid, tile shape, or weight content is ignored wholesale rather
-than corrupting a resume.
+The first line is a *header* naming the plan and the weight source (by
+fingerprint); :func:`read_tile_log` refuses to adopt records whose header
+does not match the current run, so a stale log against a different grid,
+tile shape, or weight content is ignored wholesale rather than corrupting a
+resume.
+
+After the header come one :class:`TileRecord` per tile and, as each
+outer-axis band completes, one *band record* holding the blake2b digest of
+the band's carry (its last column/plane).  The carry itself is checkpointed
+next to the log as ``<log>.carry.npy``: written to a temp file, read back
+and checked against the band record's digest, then published with
+``os.replace`` — so the checkpoint on disk is always a whole, verified
+carry of some logged band.  :func:`read_band_resume` adopts the longest
+prefix of completed bands whose recorded digest matches that checkpoint.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as np
+
+from repro.tiling.plan import TilePlan
+
 __all__ = [
     "TileRecord",
     "TileLogWriter",
+    "carry_path",
+    "read_band_resume",
     "read_tile_log",
     "STATUS_OK",
     "STATUS_ERROR",
@@ -27,11 +43,12 @@ STATUS_OK = "ok"
 STATUS_ERROR = "error"
 
 _HEADER_KIND = "tiling-header"
+_BAND_KIND = "tiling-band"
 
 
 @dataclass
 class TileRecord:
-    """The outcome of one tile's interior coloring."""
+    """The outcome of one tile: its maxcolor and the digest of its starts."""
 
     pos: int
     index: tuple[int, ...]
@@ -55,6 +72,26 @@ class TileRecord:
         kwargs = {k: v for k, v in payload.items() if k in known}
         kwargs["index"] = tuple(kwargs.get("index", ()))
         return cls(**kwargs)
+
+
+def carry_path(log_path: Union[str, Path]) -> Path:
+    """Where the carry checkpoint of the log at ``log_path`` lives."""
+    return Path(f"{log_path}.carry.npy")
+
+
+def _carry_digest(carry: np.ndarray) -> str:
+    h = hashlib.blake2b(digest_size=16)
+    h.update(f"{carry.dtype.str}|{'x'.join(map(str, carry.shape))}|".encode())
+    h.update(np.ascontiguousarray(carry).tobytes())
+    return h.hexdigest()
+
+
+def _load_carry(path: Path) -> Optional[np.ndarray]:
+    """The carry stored at ``path``, or ``None`` if missing or unreadable."""
+    try:
+        return np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
 
 
 class TileLogWriter:
@@ -81,8 +118,72 @@ class TileLogWriter:
     def write(self, record: TileRecord) -> None:
         self._fh.write(record.to_json() + "\n")
 
+    def commit_band(self, band: int, carry: np.ndarray) -> None:
+        """Log band ``band`` as complete and checkpoint its carry.
+
+        The band record (with the carry's digest) is written first; the
+        carry then goes to a temp file that is read back and checked
+        against that digest before it replaces the checkpoint.  If the
+        check fails, the previous checkpoint stays, and a resume falls back
+        to the band it belongs to.
+        """
+        digest = _carry_digest(carry)
+        line = {"kind": _BAND_KIND, "band": int(band), "carry": digest}
+        self._fh.write(json.dumps(line, sort_keys=True) + "\n")
+        final = carry_path(self.path)
+        tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
+        try:
+            with tmp.open("wb") as fh:
+                np.save(fh, np.ascontiguousarray(carry))
+            stored = _load_carry(tmp)
+            if stored is not None and _carry_digest(stored) == digest:
+                os.replace(tmp, final)
+        finally:
+            tmp.unlink(missing_ok=True)
+
     def close(self) -> None:
         self._fh.close()
+
+
+def _read_log(
+    path: Union[str, Path], plan_fingerprint: str, source_fingerprint: str
+) -> tuple[dict[int, TileRecord], dict[int, str]]:
+    """Completed tiles and band carry digests of a matching log."""
+    try:
+        text = Path(path).read_text()
+    except OSError:
+        return {}, {}
+    adopted: dict[int, TileRecord] = {}
+    carries: dict[int, str] = {}
+    for lineno, line in enumerate(text.splitlines()):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if lineno == 0:
+            if not (
+                payload.get("kind") == _HEADER_KIND
+                and payload.get("plan") == plan_fingerprint
+                and payload.get("source") == source_fingerprint
+            ):
+                return {}, {}
+            continue
+        if payload.get("kind") == _BAND_KIND:
+            band, carry = payload.get("band"), payload.get("carry")
+            if isinstance(band, int) and isinstance(carry, str):
+                carries[band] = carry
+            continue
+        try:
+            record = TileRecord.from_dict(payload)
+        except (TypeError, KeyError):
+            continue
+        if record.status == STATUS_OK and record.digest is not None:
+            record.resumed = True
+            adopted[record.pos] = record
+    return adopted, carries
 
 
 def read_tile_log(
@@ -97,36 +198,38 @@ def read_tile_log(
     different plan/source fingerprint.  Torn trailing lines (a run killed
     mid-write) are skipped; later duplicates win, matching append order.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        return {}
-    adopted: dict[int, TileRecord] = {}
-    header_ok = False
-    for lineno, line in enumerate(text.splitlines()):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if lineno == 0:
-            header_ok = (
-                payload.get("kind") == _HEADER_KIND
-                and payload.get("plan") == plan_fingerprint
-                and payload.get("source") == source_fingerprint
-            )
-            if not header_ok:
-                return {}
-            continue
-        if not header_ok:
-            return {}
-        try:
-            record = TileRecord.from_dict(payload)
-        except (TypeError, KeyError):
-            continue
-        if record.status == STATUS_OK and record.digest is not None:
-            record.resumed = True
-            adopted[record.pos] = record
-    return adopted
+    return _read_log(path, plan_fingerprint, source_fingerprint)[0]
+
+
+def read_band_resume(
+    path: Union[str, Path],
+    plan: TilePlan,
+    *,
+    source_fingerprint: str,
+) -> tuple[int, Optional[np.ndarray], dict[int, TileRecord]]:
+    """Where a run over ``plan`` resumes from the log at ``path``.
+
+    Returns ``(next_band, carry, adopted)``: the band to color next, the
+    carry it starts from, and the records of every tile in the bands before
+    it.  The adopted bands are the longest prefix of completed bands (every
+    tile logged ``ok``) whose last band's logged carry digest matches the
+    checkpoint at :func:`carry_path`; with no such prefix — no log, a
+    mismatched header, a missing, truncated or corrupted checkpoint — the
+    result is ``(0, None, {})``.
+    """
+    adopted, carries = _read_log(path, plan.fingerprint(), source_fingerprint)
+    carry = _load_carry(carry_path(path)) if carries else None
+    if carry is None or carry.shape != plan.shape[:-1] or carry.dtype != np.int64:
+        return 0, None, {}
+    digest = _carry_digest(carry)
+    bands = plan.bands()
+    last = -1
+    for b, band in enumerate(bands):
+        if any(tile.pos not in adopted for tile in band):
+            break
+        if carries.get(b) == digest:
+            last = b
+    if last < 0:
+        return 0, None, {}
+    keep = {tile.pos for band in bands[: last + 1] for tile in band}
+    return last + 1, carry, {pos: r for pos, r in adopted.items() if pos in keep}

@@ -1,25 +1,21 @@
-"""The tiled coloring orchestrator: seam pass, interior fan-out, stitch.
+"""The tiled coloring orchestrator: plan, resume, band pass, digest.
 
 :func:`color_tiled` is the tiler's entry point (reached through
 ``repro.api.color(..., runtime="tiled")`` or the ``stencil-ivc tile`` CLI).
 It colors grids too large for the monolithic kernels — bit-identically to
-them — in three steps:
+them — in two steps:
 
 1. **Plan** — cut the grid into tiles (:func:`repro.tiling.plan.plan_tiles`),
    with the tile shape taken from an explicit argument, the
    :class:`~repro.runtime.config.TilingConfig`, or derived from its
    ``tile_cells`` / ``memory_budget_mb``.
-2. **Seam pass** — one sequential streamed scan of outer-axis bands
-   (:func:`repro.tiling.seams.seam_pass`) that retains only each tile's
-   halo strips and the global maxcolor.  Peak memory: one band.
-3. **Interior pass** — every tile colored independently against its preset
-   halo (:func:`repro.tiling.pool.run_tile`), serially or fanned across the
-   engine's crash-supervised pool (:func:`repro.engine.run_supervised`) with
-   per-tile blame isolation and a resumable JSONL tile log.  Peak memory
-   per worker: one padded tile.
+2. **Band pass** — one sequential streamed scan of outer-axis bands
+   (:func:`repro.tiling.seams.seam_pass`) that colors every cell once,
+   writes each band's starts out, and records a digest per tile.  Peak
+   memory: one band.
 
-Output modes: ``out=`` streams interiors into an ``.npy`` memmap (bounded
-parent memory); the default assembles the full starts array in memory; and
+Output modes: ``out=`` streams starts into an ``.npy`` memmap (bounded
+memory); the default assembles the full starts array in memory; and
 ``assemble=False`` keeps only per-tile digests plus the combined digest —
 how grids that fit on disk but not in RAM (or neither) are verified.
 """
@@ -27,43 +23,26 @@ how grids that fit on disk but not in RAM (or neither) are verified.
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 from typing import Optional, Union
 
 import numpy as np
 
-from repro.data.weights import WeightSource, as_weight_source
+from repro.data.weights import as_weight_source
 from repro.runtime.config import TilingConfig
 from repro.runtime.context import ExecutionContext, get_context
-from repro.tiling.plan import (
-    Box,
-    TilePlan,
-    derive_tile_shape,
-    local_slices,
-    padded_box,
-    plan_tiles,
-)
-from repro.tiling.pool import (
-    _init_tile_worker,
-    _run_tile_chunk,
-    _tile_crash_record,
-    _TileWorkerState,
-    run_tile,
-    TileCell,
-)
+from repro.tiling.plan import TilePlan, derive_tile_shape, plan_tiles
 from repro.tiling.runlog import (
     STATUS_OK,
     TileLogWriter,
     TileRecord,
-    read_tile_log,
+    read_band_resume,
 )
-from repro.tiling.seams import HaloBlocks, seam_pass
-from repro.kernels.halo import color_region
+from repro.tiling.seams import seam_pass
 
-__all__ = ["TiledColoring", "TilingError", "color_tile", "color_tiled"]
+__all__ = ["TiledColoring", "TilingError", "color_tiled"]
 
 
 class TilingError(RuntimeError):
@@ -75,20 +54,15 @@ class TilingError(RuntimeError):
 
 
 @dataclass
-class _SupervisionCounters:
-    pool_restarts: int = 0
-    cells_retried: int = 0
-
-
-@dataclass
 class TiledColoring:
     """The outcome of a tiled run.
 
     ``starts`` is the full assembled array (in memory, or a read-only view
     of the ``out=`` memmap); ``None`` in digest-only mode.  ``digest`` is
-    the combined per-tile digest — two runs (tiled or resumed, any
-    ``jobs``) over the same grid agree on it iff their colorings are
-    byte-identical, which is how grids too large to assemble are compared.
+    the combined per-tile digest — two runs (tiled or resumed) over the
+    same grid agree on it iff their colorings are byte-identical, which is
+    how grids too large to assemble are compared.  ``seam_cells`` counts
+    the cells the band pass colored, carries included.
     """
 
     plan: TilePlan
@@ -102,35 +76,6 @@ class TiledColoring:
     seam_elapsed: float = 0.0
     elapsed: float = 0.0
     resumed_tiles: int = 0
-    pool_restarts: int = 0
-    tiles_retried: int = 0
-    metrics: Optional[dict] = field(default=None, repr=False)
-
-
-def color_tile(
-    source: WeightSource,
-    box: Box,
-    blocks: HaloBlocks,
-    shape: tuple[int, ...],
-) -> np.ndarray:
-    """One tile's interior starts, given its seam-recorded halo strips.
-
-    The pure per-tile computation :func:`repro.tiling.pool.run_tile` wraps
-    with supervision bookkeeping — exposed for tests and one-off checks.
-    """
-    padded = padded_box(box, shape)
-    weights = source.region(padded)
-    mask = None
-    preset = None
-    if blocks:
-        mask = np.zeros(weights.shape, dtype=bool)
-        preset = np.zeros(weights.shape, dtype=np.int64)
-        for strip, values in blocks:
-            sl = local_slices(strip, padded)
-            mask[sl] = True
-            preset[sl] = values
-    starts = color_region(weights, mask, preset)
-    return np.ascontiguousarray(starts[local_slices(box, padded)])
 
 
 def _combined_digest(records: list[TileRecord]) -> str:
@@ -151,7 +96,6 @@ def color_tiled(
     assemble: bool = True,
     log_path: Optional[Union[str, Path]] = None,
     resume_from: Optional[Union[str, Path]] = None,
-    max_tile_retries: int = 2,
     context: Optional[ExecutionContext] = None,
 ) -> TiledColoring:
     """Color a 2D/3D grid through the tiler, bit-identically to monolithic.
@@ -165,31 +109,33 @@ def color_tiled(
         that never materialize).
     tiling:
         Tiling configuration; defaults to the context's
-        ``config.tiling``.  ``tile_shape`` / ``jobs`` override its fields.
+        ``config.tiling``.  ``tile_shape`` overrides its field.
+    jobs:
+        Accepted and ignored: the band pass is sequential, and it has
+        colored every cell before any per-tile work could start.
     out:
-        Path of an ``.npy`` memmap to stream interior starts into; the
-        parent never holds the full grid.  With ``out`` set, ``starts`` on
-        the result is a read-only memmap view.
+        Path of an ``.npy`` memmap to stream starts into; the full grid is
+        never held in memory.  With ``out`` set, ``starts`` on the result
+        is a read-only memmap view.
     assemble:
         With no ``out``, whether to assemble the full starts array in
         memory (default).  ``False`` keeps only digests — the only mode
         whose peak memory is independent of grid size.
     log_path / resume_from:
-        JSONL tile log to write / a previous log to resume from.  Resumed
-        tiles are skipped (their recorded digests join the combined
-        digest); a log whose plan or weight fingerprint mismatches is
-        ignored wholesale.  Resuming into assembled in-memory output would
-        silently drop the resumed tiles' starts, so it requires ``out=``
-        (whose memmap still holds them) or ``assemble=False``.
-    max_tile_retries:
-        Crash-retry budget per tile under the supervised pool (parallel
-        runs only), as in :func:`repro.engine.run_grid`.
+        JSONL tile log to write (plus its ``<log>.carry.npy`` band-carry
+        checkpoint) / a previous log to resume from.  Resume adopts the
+        longest prefix of completed bands whose carry checkpoint verifies
+        and colors only the bands after it; a log whose plan or weight
+        fingerprint mismatches, or whose checkpoint is missing or damaged,
+        is ignored wholesale.  Resuming into assembled in-memory output
+        would silently drop the resumed tiles' starts, so it requires
+        ``out=`` (whose memmap still holds them) or ``assemble=False``.
 
     Returns
     -------
     TiledColoring
         Starts (per the output mode), global maxcolor, per-tile records,
-        combined digest, and seam/supervision statistics.
+        combined digest, and band-pass statistics.
     """
     ctx = context if context is not None else get_context()
     source = as_weight_source(weights_or_source)
@@ -198,17 +144,13 @@ def color_tiled(
     if tile_shape is not None:
         cfg = cfg.with_overrides(tile_shape=tuple(int(t) for t in tile_shape))
     plan = plan_tiles(shape, derive_tile_shape(shape, cfg))
-    jobs = cfg.jobs if jobs is None else int(jobs)
     t0 = perf_counter()
-    metrics = ctx.metrics
-    metrics.counter("tiling.runs").inc()
+    ctx.metrics.counter("tiling.runs").inc()
 
-    adopted: dict[int, TileRecord] = {}
+    start_band, carry, adopted = 0, None, {}
     if resume_from is not None:
-        adopted = read_tile_log(
-            resume_from,
-            plan_fingerprint=plan.fingerprint(),
-            source_fingerprint=source.fingerprint(),
+        start_band, carry, adopted = read_band_resume(
+            resume_from, plan, source_fingerprint=source.fingerprint()
         )
         if adopted and out is None and assemble:
             raise ValueError(
@@ -218,31 +160,23 @@ def color_tiled(
             )
 
     out_path = str(out) if out is not None else None
+    target: Optional[np.ndarray] = None
     if out_path is not None:
-        existing = Path(out_path).exists()
-        if adopted and existing:
-            mm = np.lib.format.open_memmap(out_path, mode="r+")
-            if mm.shape != shape or mm.dtype != np.int64:
+        if adopted and Path(out_path).exists():
+            target = np.lib.format.open_memmap(out_path, mode="r+")
+            if target.shape != shape or target.dtype != np.int64:
                 raise ValueError(
-                    f"out= memmap {out_path} is {mm.dtype}{mm.shape}, "
+                    f"out= memmap {out_path} is {target.dtype}{target.shape}, "
                     f"expected int64{shape}"
                 )
         else:
-            mm = np.lib.format.open_memmap(
+            target = np.lib.format.open_memmap(
                 out_path, mode="w+", dtype=np.int64, shape=shape
             )
-            adopted = {}  # no prior data to pair resumed records with
-        mm.flush()
-        del mm  # workers open their own views; keep no handle across fork
-
-    seam = seam_pass(source, plan, context=ctx)
-
-    cells: list[TileCell] = [
-        (tile.pos, tile.index, tile.box, seam.halos.get(tile.pos, []), 0)
-        for tile in plan.tiles
-        if tile.pos not in adopted
-    ]
-    return_starts = out_path is None and assemble
+            # No prior data to pair resumed records with.
+            start_band, carry, adopted = 0, None, {}
+    elif assemble:
+        target = np.empty(shape, dtype=np.int64)
 
     writer = (
         TileLogWriter(
@@ -253,115 +187,41 @@ def color_tiled(
         if log_path is not None
         else None
     )
-    records: list[Optional[TileRecord]] = [None] * plan.num_tiles
-    starts_by_pos: dict[int, np.ndarray] = {}
-    worker_snaps: dict[int, tuple[int, dict]] = {}  # pid -> (seq, snapshot)
-    counters = _SupervisionCounters()
-    for pos, record in adopted.items():
-        records[pos] = record
-        if writer is not None:
-            writer.write(record)
-
-    def store(payload) -> None:
-        if isinstance(payload, dict):  # a chunk payload from _run_tile_chunk
-            if payload["metrics"] is not None:
-                held = worker_snaps.get(payload["pid"])
-                if held is None or payload["seq"] > held[0]:
-                    worker_snaps[payload["pid"]] = (
-                        payload["seq"],
-                        payload["metrics"],
-                    )
-            pairs = payload["pairs"]
-            if return_starts:
-                starts_by_pos.update(payload["starts"])
-        else:  # bare pairs (crash records synthesized by the supervisor)
-            pairs = payload
-        for pos, record in pairs:
-            records[pos] = record
-            if writer is not None:
-                writer.write(record)
-
     try:
-        if not cells:
-            pass  # fully resumed
-        elif jobs <= 1 or len(cells) == 1:
-            state = _TileWorkerState(
-                source=source,
-                shape=shape,
-                out_path=out_path,
-                return_starts=return_starts,
-                context=ctx,
-            )
-            for pos, index, box, blocks, attempt in cells:
-                record, interior = run_tile(state, pos, index, box, blocks, attempt)
-                store([(pos, record)])
-                if interior is not None:
-                    starts_by_pos[pos] = interior
-            if state.out is not None:
-                state.out.flush()
-        else:
-            from repro.engine import resolve_jobs, run_supervised
-
-            jobs = min(resolve_jobs(jobs), len(cells))
-            chunk_size = max(1, math.ceil(len(cells) / (jobs * 4)))
-            chunks = [
-                cells[i : i + chunk_size] for i in range(0, len(cells), chunk_size)
-            ]
-            run_supervised(
-                chunks,
-                task=_run_tile_chunk,
-                initializer=_init_tile_worker,
-                initargs=(ctx.config, source, shape, out_path, return_starts),
-                jobs=jobs,
-                max_cell_retries=max(0, int(max_tile_retries)),
-                store=store,
-                crash_record=_tile_crash_record,
-                counters=counters,
-            )
+        if writer is not None and adopted:
+            for pos in sorted(adopted):
+                writer.write(adopted[pos])
+            writer.commit_band(start_band - 1, carry)
+        seam = seam_pass(
+            source, plan, out=target, log=writer,
+            start_band=start_band, carry=carry, context=ctx,
+        )
     finally:
         if writer is not None:
             writer.close()
+        if isinstance(target, np.memmap):
+            target.flush()
 
-    assert all(r is not None for r in records)
+    records = [adopted.get(t.pos) or seam.records[t.pos] for t in plan.tiles]
     failed = [r for r in records if r.status != STATUS_OK]
     if failed:
-        where = f"; completed tiles are in {log_path}" if log_path else ""
+        where = f"; completed bands are in {log_path}" if log_path else ""
         raise TilingError(
             f"{len(failed)}/{plan.num_tiles} tiles failed "
             f"(first: tile {failed[0].pos}: {failed[0].error}){where}",
-            records=list(records),
+            records=records,
         )
 
-    tile_max = max(r.maxcolor for r in records)
-    if tile_max != seam.maxcolor:
-        raise AssertionError(
-            f"seam/interior maxcolor mismatch ({seam.maxcolor} vs {tile_max}) "
-            "— tiling invariant broken"
-        )
-
-    starts: Optional[np.ndarray] = None
+    starts = target
     if out_path is not None:
         starts = np.lib.format.open_memmap(out_path, mode="r")
-    elif return_starts:
-        starts = np.empty(shape, dtype=np.int64)
-        for tile in plan.tiles:
-            starts[tuple(slice(lo, hi) for lo, hi in tile.box)] = starts_by_pos[
-                tile.pos
-            ]
 
-    if worker_snaps:
-        from repro.obs.metrics import merge_snapshots
-
-        merged = merge_snapshots(snap for _, snap in worker_snaps.values())
-    else:
-        merged = None
-
-    metrics.counter("tiling.tiles_total").inc(plan.num_tiles)
+    ctx.metrics.counter("tiling.tiles_total").inc(plan.num_tiles)
     return TiledColoring(
         plan=plan,
-        maxcolor=seam.maxcolor,
+        maxcolor=max(r.maxcolor for r in records),
         digest=_combined_digest(records),
-        records=list(records),
+        records=records,
         starts=starts,
         out_path=out_path,
         seam_bands=seam.bands,
@@ -369,7 +229,4 @@ def color_tiled(
         seam_elapsed=seam.elapsed,
         elapsed=perf_counter() - t0,
         resumed_tiles=len(adopted),
-        pool_restarts=counters.pool_restarts,
-        tiles_retried=counters.cells_retried,
-        metrics=merged,
     )

@@ -70,6 +70,74 @@ class TestLegacySwitch:
         assert fastpath._override is True
 
 
+class TestThreadedOverride:
+    def test_overlapping_blocks_on_two_threads_stay_private(self):
+        """Interleave A-enter, B-enter, A-exit, B-exit across two threads:
+        each sees only its own block, and nothing is left set afterwards."""
+        import threading
+
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def thread_a():
+            with fast_paths(True):
+                a_in.set()
+                b_in.wait(5)
+                seen["a"] = fast_paths_enabled(_ctx("off"))
+            a_out.set()
+            seen["a_after"] = fast_paths_enabled(_ctx("off"))
+
+        def thread_b():
+            a_in.wait(5)
+            with fast_paths(False):
+                b_in.set()
+                a_out.wait(5)
+                seen["b"] = fast_paths_enabled(_ctx("on"))
+            seen["b_after"] = fast_paths_enabled(_ctx("on"))
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+            assert not t.is_alive()
+        assert seen == {"a": True, "a_after": False, "b": False, "b_after": True}
+        assert fastpath._override is None
+        assert fast_paths_enabled(_ctx("off")) is False
+        assert fast_paths_enabled(_ctx("on")) is True
+
+    def test_many_threads_churning_blocks_never_cross(self):
+        import sys
+        import threading
+
+        off, on = _ctx("off"), _ctx("on")
+        crossed = []
+
+        def churn(value):
+            for _ in range(300):
+                with fast_paths(value):
+                    # The opposite config mode, so only the block decides.
+                    if fast_paths_enabled(on if not value else off) is not value:
+                        crossed.append(value)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=churn, args=(i % 2 == 0,)) for i in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert crossed == []
+        assert fast_paths_enabled(off) is False
+        assert fast_paths_enabled(on) is True
+
+
 class TestConfigMode:
     def test_off_on_auto(self):
         assert resolve_fast_for(None, 10**6, context=_ctx("off")) is False

@@ -287,7 +287,7 @@ class TestTile:
         import json
 
         rc = main(["tile", "--shape", "40x30", "--tile", "16x16",
-                   "--jobs", "1", "--verify"])
+                   "--verify"])
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["verify"]["identical"] is True
@@ -303,7 +303,7 @@ class TestTile:
         np.save(src, weights)
         out = tmp_path / "starts.npy"
         rc = main(["tile", "--input", str(src), "--tile", "8x8",
-                   "--jobs", "1", "--out", str(out), "--verify"])
+                   "--out", str(out), "--verify"])
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["verify"]["identical"] is True
@@ -314,11 +314,11 @@ class TestTile:
 
         log = tmp_path / "tiles.jsonl"
         rc = main(["tile", "--shape", "30x20", "--tile", "10x10",
-                   "--jobs", "1", "--log", str(log)])
+                   "--log", str(log)])
         assert rc == 0
         first = json.loads(capsys.readouterr().out)
         rc = main(["tile", "--shape", "30x20", "--tile", "10x10",
-                   "--jobs", "1", "--log", str(log), "--resume"])
+                   "--log", str(log), "--resume"])
         assert rc == 0
         resumed = json.loads(capsys.readouterr().out)
         assert resumed["resumed_tiles"] == first["tiles"]

@@ -1,10 +1,12 @@
-"""Tile-plan geometry: exact covers, halo boxes, derived shapes."""
+"""Tile-plan geometry: exact covers, padded boxes, derived shapes."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from repro.runtime.config import TilingConfig
-from repro.tiling import derive_tile_shape, halo_boxes, padded_box, plan_tiles
+from repro.tiling import derive_tile_shape, padded_box, plan_tiles
 
 
 def _cells(box):
@@ -87,22 +89,20 @@ class TestHaloGeometry:
             (((0, 3), (0, 3), (0, 3)), (6, 6, 6)),
         ],
     )
-    def test_interior_plus_halos_tile_the_padded_box(self, box, shape):
-        padded = padded_box(box, shape)
-        covered = _cells(box)
-        for strip in halo_boxes(box, shape):
-            cells = _cells(strip)
-            assert cells, f"empty halo strip {strip}"
-            assert not (cells & covered), f"halo strip {strip} overlaps"
-            covered |= cells
-        assert covered == _cells(padded)
-
-    def test_interior_tile_has_no_halos_on_far_borders(self):
-        # A tile flush against the high corner needs no trailing strips.
-        strips = halo_boxes(((8, 10), (8, 10)), (10, 10))
-        for strip in strips:
-            for (lo, hi), d in zip(strip, (10, 10)):
-                assert hi <= d
+    def test_padded_box_holds_every_outside_predecessor(self, box, shape):
+        # Every stencil neighbour outside the tile that precedes one of its
+        # cells in the GLL scan (last axis outermost) lies in the padded box.
+        padded = _cells(padded_box(box, shape))
+        inside = _cells(box)
+        steps = itertools.product((-1, 0, 1), repeat=len(shape))
+        offsets = [d for d in steps if any(d)]
+        for cell in inside:
+            for d in offsets:
+                nbr = tuple(c + o for c, o in zip(cell, d))
+                if not all(0 <= v < n for v, n in zip(nbr, shape)) or nbr in inside:
+                    continue
+                if nbr[::-1] < cell[::-1]:
+                    assert nbr in padded, f"predecessor {nbr} of {cell} missing"
 
 
 class TestDeriveTileShape:

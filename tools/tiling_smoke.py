@@ -4,12 +4,13 @@
 Colors a synthetic grid (default 2048x2048) through :func:`repro.tiling.
 color_tiled` with the process address space soft-capped (``RLIMIT_AS``),
 streaming the starts into an ``.npy`` memmap so peak memory tracks one
-tile band, not the grid.  The cap is then restored and the same grid is
-colored monolithically; any difference in the starts or maxcolor fails
-the run.
+tile band, not the grid.  The band pass must color each cell once (plus
+one carry column per band after the first).  The cap is then restored and
+the same grid is colored monolithically; any difference in the starts or
+maxcolor fails the run.
 
-Exit status 0 = bit-identical under the cap, 1 = divergence or a tiled
-failure, 2 = usage.  Run from the repo root::
+Exit status 0 = bit-identical under the cap, 1 = divergence, a second
+coloring, or a tiled failure, 2 = usage.  Run from the repo root::
 
     PYTHONPATH=src python tools/tiling_smoke.py --side 2048 --limit-mb 768
 """
@@ -22,6 +23,7 @@ import resource
 import sys
 import tempfile
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -38,7 +40,7 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv[1:])
 
     from repro.data import SyntheticWeightSource
-    from repro.tiling import color_tiled
+    from repro.tiling import TilingError, color_tiled
 
     source = SyntheticWeightSource((args.side, args.side), seed=args.seed)
     workdir = Path(tempfile.mkdtemp(prefix="tiling-smoke-"))
@@ -56,15 +58,17 @@ def main(argv: list[str]) -> int:
         return 2
     soft, hard = resource.getrlimit(resource.RLIMIT_AS)
     resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    t0 = perf_counter()
     try:
         tiled = color_tiled(source, tile_shape=(args.tile, args.tile),
-                            jobs=1, out=out, assemble=True)
-    except MemoryError:
-        print(f"error: tiler blew the {args.limit_mb} MB address-space cap",
-              file=sys.stderr)
+                            out=out, assemble=True)
+    except (MemoryError, TilingError) as exc:
+        print(f"error: tiled run failed under the {args.limit_mb} MB "
+              f"address-space cap: {exc!r}", file=sys.stderr)
         return 1
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    total = perf_counter() - t0
 
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps({
@@ -75,9 +79,17 @@ def main(argv: list[str]) -> int:
         "digest": tiled.digest,
         "limit_mb": args.limit_mb,
         "peak_rss_mb": round(peak_mb, 1),
-        "seam_seconds": round(tiled.seam_elapsed, 3),
-        "tile_seconds": round(tiled.elapsed, 3),
+        "seam_cells": tiled.seam_cells,
+        "band_seconds": round(tiled.seam_elapsed, 3),
+        "total_seconds": round(total, 3),
     }, indent=2))
+
+    # One coloring: the grid plus one carry column per band after the first.
+    once = args.side * args.side + (tiled.seam_bands - 1) * args.side
+    if tiled.seam_cells != once:
+        print(f"error: the tiler colored {tiled.seam_cells} cells, expected "
+              f"{once} for a single band pass", file=sys.stderr)
+        return 1
 
     # Uncapped monolithic reference run over the same weights.
     from repro.core.algorithms.registry import color_with
