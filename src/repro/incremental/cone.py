@@ -98,9 +98,11 @@ def propagate_cone(
         smaller level means predecessor; with ``True`` adjacent same-level
         cells are ordered by flat index (stable-sort orders).
     gather:
-        Maps a flat index array ``(b,)`` to its neighbor table ``(b, d)``
-        of *extended* ids in ``[0, n]`` — ``n`` is the pad slot for
-        out-of-grid neighbors.
+        Maps a flat index array ``(b,)`` to its ``(b, d)`` neighbour ids,
+        *extended* to ``[0, n]`` — ``n`` is the pad slot for out-of-grid
+        neighbours.  Stencil callers pass
+        :meth:`~repro.kernels.substrate.StencilLayout.neighbors`, which
+        reads ``unpad[interior[cells][:, None] + deltas]``.
     old_starts:
         ``(n,)`` starts of the coloring being patched (not modified).
     new_weights:

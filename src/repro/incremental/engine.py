@@ -6,9 +6,11 @@ decides *which* orders it may be applied to and when to give up:
 Supported algorithms
 --------------------
 ``GLL``
-    Analytic levels ``i + 2j (+ 4k)`` and the offset-arithmetic neighbor
-    gather — no substrate, no materialized adjacency.  Seeds are the dirty
-    cells: the scan order is weight-independent.
+    Analytic levels ``i + 2j (+ 4k)`` and the padded-offset neighbour
+    gather of the shape's cached
+    :class:`~repro.kernels.substrate.StencilLayout` — no schedule, no
+    materialized adjacency.  Seeds are the dirty cells: the scan order is
+    weight-independent.
 ``GZO``
     Kahn batch indices of the Morton order via the shared substrate.  The
     order is weight-independent, so the schedule is cached across deltas
@@ -19,7 +21,7 @@ Supported algorithms
     lexicographic order ``(weight desc, flat index asc)`` — so its level
     function is analytic too: ``level = -new_weight``, with the flat index
     breaking ties between adjacent equal-weight cells
-    (``index_tiebreak=True`` in the cone walk).  No substrate, no argsort,
+    (``index_tiebreak=True`` in the cone walk).  No schedule, no argsort,
     no Kahn rebuild per delta.  A weight delta can only move dirty cells
     relative to their neighbors — two clean cells never swap — so seeds
     are the dirty cells **plus their neighbors** (whose predecessor sets
@@ -46,8 +48,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.incremental.cone import ConeResult, propagate_cone
-from repro.kernels.halo import gather_neighbors_2d, gather_neighbors_3d
-from repro.kernels.substrate import analytic_levels, get_substrate
+from repro.kernels.substrate import (
+    StencilLayout,
+    analytic_levels,
+    get_substrate,
+    shared_geometry_2d,
+    shared_geometry_3d,
+)
 
 __all__ = [
     "SUPPORTED_ALGORITHMS",
@@ -131,13 +138,12 @@ def _normalize_dirty(
     return idx
 
 
-def _offset_gather(shape: tuple[int, ...]):
-    """Offset-arithmetic neighbor gather closure for ``shape`` (pad = n)."""
-    n = int(np.prod(shape))
-    pad = np.int64(n)
-    if len(shape) == 2:
-        return lambda cand: gather_neighbors_2d(cand, shape, pad)
-    return lambda cand: gather_neighbors_3d(cand, shape, pad)
+def _layout(shape: tuple[int, ...], context) -> StencilLayout:
+    """The shape's layout, built once per shape in the context's substrate."""
+    geometry = (shared_geometry_2d if len(shape) == 2 else shared_geometry_3d)(
+        *shape, context=context
+    )
+    return get_substrate(geometry, context=context).layout
 
 
 def _levels_and_seeds(
@@ -150,10 +156,11 @@ def _levels_and_seeds(
     shape = weights.shape
     n = weights.size
     if algorithm == "GLL":
-        return analytic_levels(shape), _offset_gather(shape), dirty_idx, False
+        gather = _layout(shape, context).neighbors
+        return analytic_levels(shape), gather, dirty_idx, False
 
     if algorithm == "GLF":
-        gather = _offset_gather(shape)
+        gather = _layout(shape, context).neighbors
         # A dirty cell may have moved across its neighbors in the weight
         # order, changing *their* predecessor sets without any start moving
         # yet — seed the neighbors too.  (Stable argsort: clean pairs never
@@ -173,8 +180,7 @@ def _levels_and_seeds(
     levels[verts] = np.repeat(
         np.arange(len(ptr) - 1, dtype=np.int64), np.diff(ptr)
     )
-    gather = lambda cand: substrate.nbr_table[cand]  # noqa: E731
-    return levels, gather, dirty_idx, False
+    return levels, substrate.layout.neighbors, dirty_idx, False
 
 
 def recolor_grid(

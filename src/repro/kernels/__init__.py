@@ -3,10 +3,13 @@
 Three layers, all differentially tested to be bit-identical to the reference
 Python loops in :mod:`repro.core`:
 
-* :mod:`repro.kernels.substrate` — per-shape LRU caches of geometry, CSR
-  adjacency, padded neighbor tables, and wavefront schedules;
+* :mod:`repro.kernels.substrate` — per-shape LRU caches of geometry, the
+  padded-offset :class:`StencilLayout` every neighbourhood read goes
+  through (``p + deltas``: no adjacency table, no bounds mask), and
+  wavefront schedules;
 * :mod:`repro.kernels.wavefront` — wavefront-batched first-fit coloring and
-  recoloring (the ``O(E log E)`` primitive, without the per-vertex loop);
+  recoloring (the ``O(E log E)`` primitive, without the per-vertex loop),
+  in one batch loop that :mod:`repro.kernels.halo`'s region kernel shares;
 * :mod:`repro.kernels.chains` — vectorized Bipartite Decomposition chain
   assembly and the clique-guided recolor order.
 
@@ -26,6 +29,7 @@ from repro.kernels.config import (
     set_fast_paths,
 )
 from repro.kernels.substrate import (
+    StencilLayout,
     Substrate,
     analytic_levels,
     cache_sizes,
@@ -38,6 +42,7 @@ from repro.kernels.wavefront import wavefront_greedy_color, wavefront_recolor_pa
 
 __all__ = [
     "MIN_AUTO_SIZE",
+    "StencilLayout",
     "Substrate",
     "analytic_levels",
     "cache_sizes",

@@ -18,12 +18,12 @@ precede others) therefore constrains exactly the cells it precedes globally
 and is invisible to the cells it follows, so presetting any cell at its
 global start reproduces the monolithic scan exactly (``docs/tiling.md``).
 
-Neighborhoods are gathered analytically by offset arithmetic — eight
-(twenty-six) shifted index computations per batch with bounds masking —
-instead of through the substrate's dense neighbor table.  A materialized
-table costs ``cells × degree × 8`` bytes (half a gigabyte for one streamed
-16384-wide band), which would defeat the tiler's memory bound; the gather
-costs only the batch itself.
+The region runs the same batch loop as the monolithic kernels
+(:func:`repro.kernels.wavefront.first_fit_wavefronts`) over a padded-offset
+:class:`~repro.kernels.substrate.StencilLayout` built on demand for the
+region's shape: ``O(cells)`` of index arrays, never the ``cells × degree``
+table a materialized adjacency would cost (half a gigabyte for one
+streamed 16384-wide band).
 """
 
 from __future__ import annotations
@@ -32,48 +32,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels.substrate import analytic_wavefront
-from repro.kernels.wavefront import UNCOLORED, first_fit_intervals
-from repro.stencil.grid2d import OFFSETS_9PT
-from repro.stencil.grid3d import OFFSETS_27PT
+from repro.kernels.substrate import StencilLayout, analytic_wavefront
+from repro.kernels.wavefront import first_fit_wavefronts
 
-__all__ = ["color_region", "gather_neighbors_2d", "gather_neighbors_3d"]
-
-_OFF_2D = np.asarray(OFFSETS_9PT, dtype=np.int64)  # (8, 2)
-_OFF_3D = np.asarray(OFFSETS_27PT, dtype=np.int64)  # (26, 3)
-
-
-def _gather_neighbors_2d(
-    batch: np.ndarray, shape: tuple[int, int], pad: np.int64
-) -> np.ndarray:
-    """Flat neighbor ids ``(b, 8)`` of ``batch``; out-of-region slots → pad."""
-    X, Y = shape
-    i, j = batch // Y, batch % Y
-    ni = i[:, None] + _OFF_2D[:, 0][None, :]
-    nj = j[:, None] + _OFF_2D[:, 1][None, :]
-    ok = (ni >= 0) & (ni < X) & (nj >= 0) & (nj < Y)
-    return np.where(ok, ni * Y + nj, pad)
-
-
-def _gather_neighbors_3d(
-    batch: np.ndarray, shape: tuple[int, int, int], pad: np.int64
-) -> np.ndarray:
-    """Flat neighbor ids ``(b, 26)`` of ``batch``; out-of-region slots → pad."""
-    X, Y, Z = shape
-    k = batch % Z
-    rest = batch // Z
-    i, j = rest // Y, rest % Y
-    ni = i[:, None] + _OFF_3D[:, 0][None, :]
-    nj = j[:, None] + _OFF_3D[:, 1][None, :]
-    nk = k[:, None] + _OFF_3D[:, 2][None, :]
-    ok = (ni >= 0) & (ni < X) & (nj >= 0) & (nj < Y) & (nk >= 0) & (nk < Z)
-    return np.where(ok, (ni * Y + nj) * Z + nk, pad)
-
-
-# Public aliases: the incremental recolor engine (repro/incremental) walks
-# dependency cones with the same analytic offset gather the tiler uses.
-gather_neighbors_2d = _gather_neighbors_2d
-gather_neighbors_3d = _gather_neighbors_3d
+__all__ = ["color_region"]
 
 
 def color_region(
@@ -106,15 +68,6 @@ def color_region(
     if weights.ndim not in (2, 3):
         raise ValueError(f"weights must be 2D or 3D, got {weights.ndim}D")
     n = weights.size
-    pad = np.int64(n)
-    gather = _gather_neighbors_2d if weights.ndim == 2 else _gather_neighbors_3d
-
-    verts, ptr = analytic_wavefront(shape)
-    starts_ext = np.full(n + 1, UNCOLORED, dtype=np.int64)
-    weights_ext = np.empty(n + 1, dtype=np.int64)
-    weights_ext[:-1] = weights.ravel()
-    weights_ext[-1] = 0
-
     flat_mask = None
     flat_pre = None
     if preset_mask is not None:
@@ -125,18 +78,9 @@ def color_region(
         if flat_mask.size != n or flat_pre.size != n:
             raise ValueError("preset arrays must match the region shape")
 
-    for b in range(len(ptr) - 1):
-        batch = verts[ptr[b] : ptr[b + 1]]
-        if flat_mask is None:
-            free, pre = batch, None
-        else:
-            m = flat_mask[batch]
-            free, pre = batch[~m], batch[m]
-        if free.size:
-            rows = gather(free, shape, pad)
-            starts_ext[free] = first_fit_intervals(
-                starts_ext[rows], weights_ext[rows], weights_ext[free]
-            )
-        if pre is not None and pre.size:
-            starts_ext[pre] = flat_pre[pre]
-    return starts_ext[:-1].reshape(shape)
+    verts, ptr = analytic_wavefront(shape)
+    starts = first_fit_wavefronts(
+        StencilLayout.of(shape), weights.ravel(), verts, ptr,
+        preset_mask=flat_mask, preset_starts=flat_pre,
+    )
+    return starts.reshape(shape)

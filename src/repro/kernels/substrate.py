@@ -1,19 +1,27 @@
-"""Shared per-shape substrate: cached geometry, adjacency, and offset tables.
+"""Shared per-shape substrate: cached geometry, stencil layout, and schedules.
 
 Stencil instances of the same shape share everything except their weights:
-the CSR adjacency, the padded neighbor-offset table the vectorized kernels
-gather through, the :math:`K_4`/:math:`K_8` block tables, and the geometric
-wavefront schedules.  Benchmark suites construct hundreds of instances over a
-handful of shapes, and the batch engine replays the same shapes in every
-worker process — so this module memoizes all of it behind two small LRU
-caches, keyed by ``(stencil type, grid shape)``:
+the padded-offset :class:`StencilLayout` every kernel gathers neighbours
+through, the :math:`K_4`/:math:`K_8` block tables, and the wavefront
+schedules.  Benchmark suites construct hundreds of instances over a handful
+of shapes, and the batch engine replays the same shapes in every worker
+process — so this module memoizes all of it behind two small LRU caches,
+keyed by ``(stencil type, grid shape)``:
 
 * :func:`shared_geometry` — one :class:`~repro.stencil.grid2d.StencilGrid2D` /
   :class:`~repro.stencil.grid3d.StencilGrid3D` per shape, so the
   ``cached_property`` CSR and block tables are built once and shared by every
   instance of that shape (``IVCInstance.from_grid_2d/3d`` call this);
 * :func:`get_substrate` — the kernel-facing :class:`Substrate` bundling the
-  padded neighbor table and a per-order wavefront-schedule cache.
+  shape's :class:`StencilLayout` and a per-order wavefront-schedule cache.
+
+A 9-pt (27-pt) stencil gives every cell the same 8 (26) offset neighbours,
+clipped at the grid border.  The layout embeds the grid in one with a
+one-cell border, so a cell's neighbours are ``p + deltas`` in padded ids —
+one add, no bounds mask and no ``cells × degree`` table — and border cells
+hold values that no kernel ever reads as a real neighbour (``UNCOLORED``
+starts, zero weights, never-ready indegrees).  The layout costs ``O(cells)``
+to build, so region calls build it on demand and the substrate caches it.
 
 The caches live on the :class:`~repro.runtime.context.ExecutionContext`
 (under the ``"kernels.substrate"`` scoped key), sized by its
@@ -38,42 +46,63 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.context import ExecutionContext, get_context
 from repro.runtime.fingerprint import array_digest
-from repro.stencil.generic import CSRGraph
-from repro.stencil.grid2d import StencilGrid2D
-from repro.stencil.grid3d import StencilGrid3D
+from repro.stencil.grid2d import OFFSETS_9PT, StencilGrid2D
+from repro.stencil.grid3d import OFFSETS_27PT, StencilGrid3D
 
 Geometry = Union[StencilGrid2D, StencilGrid3D]
-
-# Default capacities under the environment-derived config, kept as module
-# constants for compatibility; context-aware code reads its RuntimeConfig.
-_DEFAULT_CONFIG = RuntimeConfig.from_env()
-#: Shapes kept per LRU cache (geometries and substrates separately).
-CACHE_SIZE = _DEFAULT_CONFIG.substrate_cache_size
-#: Wavefront schedules kept per substrate (one per distinct vertex order).
-WAVEFRONT_CACHE_SIZE = _DEFAULT_CONFIG.wavefront_cache_size
 
 #: A wavefront schedule: ``verts[ptr[b]:ptr[b + 1]]`` is batch ``b``.
 Wavefront = tuple[np.ndarray, np.ndarray]
 
 
-def _build_neighbor_table(csr: CSRGraph) -> np.ndarray:
-    """CSR adjacency as a dense ``(n, max_degree)`` table padded with ``n``.
+@dataclass(frozen=True)
+class StencilLayout:
+    """A grid shape embedded in a padded grid with a one-cell border.
 
-    The pad value ``n`` points one past the last vertex, so kernels index
-    extended (length ``n + 1``) state arrays and padding rows behave like
-    colored-with-nothing neighbors.
+    Attributes
+    ----------
+    padded:
+        The grid shape plus two along every axis.
+    deltas:
+        The 8 (2D) or 26 (3D) stencil offsets as flat offsets of the padded
+        grid: the neighbours of padded id ``p`` are ``p + deltas``.
+    interior:
+        ``(n,)`` padded id of every flat C-order cell id (increasing).
+    unpad:
+        Padded id back to its flat id, or ``n`` for border cells.
     """
-    n = csr.num_vertices
-    degrees = csr.degrees()
-    width = int(degrees.max(initial=0))
-    table = np.full((n, width), n, dtype=np.int64)
-    if len(csr.indices):
-        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        cols = np.arange(len(csr.indices), dtype=np.int64) - np.repeat(
-            csr.indptr[:-1], degrees
-        )
-        table[rows, cols] = csr.indices
-    return table
+
+    padded: tuple[int, ...]
+    deltas: np.ndarray
+    interior: np.ndarray
+    unpad: np.ndarray
+
+    @classmethod
+    def of(cls, shape: tuple[int, ...]) -> "StencilLayout":
+        """The layout of a 2D or 3D grid shape, in ``O(cells)``."""
+        shape = tuple(int(d) for d in shape)
+        if len(shape) not in (2, 3):
+            raise ValueError(f"stencil shapes are 2D or 3D, got {shape}")
+        padded = tuple(d + 2 for d in shape)
+        strides = np.cumprod((1,) + padded[:0:-1])[::-1]
+        offsets = OFFSETS_9PT if len(shape) == 2 else OFFSETS_27PT
+        deltas = np.asarray(offsets, dtype=np.int64) @ strides.astype(np.int64)
+        size = int(np.prod(padded))
+        inner = (slice(1, -1),) * len(shape)
+        interior = np.arange(size, dtype=np.int64).reshape(padded)[inner].ravel()
+        unpad = np.full(size, len(interior), dtype=np.int64)
+        unpad[interior] = np.arange(len(interior), dtype=np.int64)
+        return cls(padded, deltas, interior, unpad)
+
+    def pad(self, values, fill: int) -> np.ndarray:
+        """Flat per-cell ``values`` as padded ``int64``, ``fill`` on the border."""
+        out = np.full(len(self.unpad), fill, dtype=np.int64)
+        out[self.interior] = values
+        return out
+
+    def neighbors(self, cells: np.ndarray) -> np.ndarray:
+        """``(b, degree)`` flat neighbour ids of ``cells``; ``n`` off the grid."""
+        return self.unpad[self.interior[cells][:, None] + self.deltas]
 
 
 def _line_by_line_levels(shape: tuple[int, ...]) -> np.ndarray:
@@ -133,7 +162,7 @@ def _levels_to_wavefront(levels: np.ndarray) -> Wavefront:
     return verts, ptr
 
 
-def _kahn_wavefront(nbr_table: np.ndarray, rank: np.ndarray) -> Wavefront:
+def _kahn_wavefront(layout: StencilLayout, rank: np.ndarray) -> Wavefront:
     """Wavefront schedule for an arbitrary order, by vectorized Kahn rounds.
 
     Directed edges point from earlier-rank to later-rank endpoints; batch
@@ -143,25 +172,33 @@ def _kahn_wavefront(nbr_table: np.ndarray, rank: np.ndarray) -> Wavefront:
     two adjacent vertices never share a frontier.  Total work is ``O(E)``
     spread over one numpy round per DAG level — cheap for geometric and
     weight orders, whose level counts grow like the grid diameter, not ``n``.
+
+    The rounds run in padded ids (sorted like flat ids): border cells rank
+    after everything and hold an indegree that never reaches 0.
     """
     n = len(rank)
-    rank_ext = np.append(rank, np.int64(n))  # pad slot: later than everything
-    indeg = (rank_ext[nbr_table] < rank[:, None]).sum(axis=1, dtype=np.int64)
-    indeg_ext = np.append(indeg, np.int64(1) << 40)  # pad slot never reaches 0
-    frontier = np.flatnonzero(indeg == 0).astype(np.int64)
+    rank_pad = layout.pad(rank, n)
+    # Indegree = earlier neighbours, one contiguous shifted compare per delta
+    # over the span of interior ids.
+    lo, hi = int(layout.interior[0]), int(layout.interior[-1]) + 1
+    own = rank_pad[lo:hi]
+    earlier = np.zeros(hi - lo, dtype=np.int64)
+    for d in layout.deltas.tolist():
+        earlier += rank_pad[lo + d : hi + d] < own
+    indeg_pad = np.full(len(rank_pad), np.int64(1) << 40)
+    indeg_pad[layout.interior] = earlier[layout.interior - lo]
+    frontier = layout.interior[indeg_pad[layout.interior] == 0]
     batches: list[np.ndarray] = []
     while frontier.size:
         batches.append(frontier)
-        rows = nbr_table[frontier]
-        later = rank_ext[rows] > rank[frontier][:, None]
-        targets = rows[later]
-        np.subtract.at(indeg_ext, targets, 1)
-        candidates = np.unique(targets)
-        frontier = candidates[indeg_ext[candidates] == 0]
-    verts = np.concatenate(batches) if batches else np.empty(0, dtype=np.int64)
+        rows = frontier[:, None] + layout.deltas
+        targets = rows[rank_pad[rows] > rank_pad[frontier][:, None]]
+        candidates, hits = np.unique(targets, return_counts=True)
+        indeg_pad[candidates] -= hits
+        frontier = candidates[indeg_pad[candidates] == 0]
+    verts = layout.unpad[np.concatenate(batches)]
     ptr = np.zeros(len(batches) + 1, dtype=np.int64)
-    if batches:
-        np.cumsum([len(b) for b in batches], out=ptr[1:])
+    np.cumsum([len(b) for b in batches], out=ptr[1:])
     return verts, ptr
 
 
@@ -173,26 +210,22 @@ class Substrate:
     ----------
     geometry:
         The (shared) stencil geometry.
-    nbr_table:
-        ``(n, max_degree)`` neighbor ids, padded with ``n``.
+    layout:
+        The shape's padded-offset :class:`StencilLayout`.
     wavefront_cache_size:
         Schedules kept in the per-order LRU (from the building context's
         :class:`~repro.runtime.config.RuntimeConfig`).
     """
 
     geometry: Geometry
-    nbr_table: np.ndarray
-    wavefront_cache_size: int = WAVEFRONT_CACHE_SIZE
+    layout: StencilLayout
+    wavefront_cache_size: int
     _wavefronts: OrderedDict = field(default_factory=OrderedDict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def num_vertices(self) -> int:
         return self.geometry.num_vertices
-
-    @property
-    def max_degree(self) -> int:
-        return self.nbr_table.shape[1]
 
     @property
     def blocks(self) -> np.ndarray:
@@ -208,6 +241,7 @@ class Substrate:
         permutation goes through the Kahn construction.  Schedules are cached
         by an order digest, so shape-only orders (GLL, GZO) are computed once
         per shape and weight orders (GLF, GSL) once per weight vector.
+        Vertex ids are flat C-order ids.
         """
         digest = array_digest(order)
         with self._lock:
@@ -220,7 +254,7 @@ class Substrate:
         else:
             rank = np.empty(len(order), dtype=np.int64)
             rank[order] = np.arange(len(order), dtype=np.int64)
-            wavefront = _kahn_wavefront(self.nbr_table, rank)
+            wavefront = _kahn_wavefront(self.layout, rank)
         with self._lock:
             self._wavefronts[digest] = wavefront
             while len(self._wavefronts) > self.wavefront_cache_size:
@@ -349,8 +383,8 @@ def get_substrate(
     """The shared :class:`Substrate` for a stencil geometry.
 
     Two geometries of equal type and shape map to the same substrate, so the
-    neighbor table and wavefront schedules are built once per shape no matter
-    how many instances (or benchmark cells) run over it.
+    layout and wavefront schedules are built once per shape no matter how
+    many instances (or benchmark cells) run over it.
     """
     state = _state(context)
     kind = "2d" if isinstance(geometry, StencilGrid2D) else "3d"
@@ -363,7 +397,7 @@ def get_substrate(
         )
         return Substrate(
             geometry=shared,
-            nbr_table=_build_neighbor_table(shared.csr),
+            layout=StencilLayout.of(shared.shape),
             wavefront_cache_size=state.wavefront_cache_size,
         )
 

@@ -7,8 +7,9 @@ strided batches: partition the visit order into *wavefronts* — batches whose
 members are pairwise non-adjacent and respect the order's dependency DAG (see
 :meth:`~repro.kernels.substrate.Substrate.wavefront_for`) — and, per batch,
 
-1. gather all neighbor starts/ends with one fancy-indexed read over the
-   substrate's padded neighbor table,
+1. gather all neighbor starts/ends with one fancy-indexed read at
+   ``p + deltas`` in the shape's padded
+   :class:`~repro.kernels.substrate.StencilLayout` (no table, no mask),
 2. ``np.argsort`` the intervals along ``axis=1`` (the paper's sort step, for
    the whole batch at once),
 3. replace the paper's sequential scan with its closed form: the frontier
@@ -22,6 +23,10 @@ order — colored — and none that follow it, the result is *bit-identical* to
 the sequential reference for every permutation, which the differential tests
 assert.  Empty (zero-weight) intervals always land at 0, also matching the
 reference.
+
+:func:`first_fit_wavefronts` is the one batch loop: the greedy and recolor
+kernels here and the tiler's region kernel (:mod:`repro.kernels.halo`) all
+run it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels.substrate import Substrate, get_substrate
+from repro.kernels.substrate import StencilLayout, Substrate, get_substrate
 
 #: Mirrors :data:`repro.core.greedy_engine.UNCOLORED` (kept literal to avoid
 #: an import cycle; asserted equal in the tests).
@@ -41,23 +46,6 @@ UNCOLORED = -1
 #: the scan terminates on the first padding column exactly like the reference
 #: scan terminates at the end of its neighbor list.
 _BIG = np.int64(1) << 62
-
-
-def _first_fit_batch(
-    batch: np.ndarray,
-    nbr_table: np.ndarray,
-    starts_ext: np.ndarray,
-    weights_ext: np.ndarray,
-) -> np.ndarray:
-    """First-fit starts for a batch of pairwise non-adjacent vertices.
-
-    Gathers each vertex's neighbor intervals through the substrate's padded
-    neighbor table and hands them to :func:`first_fit_intervals`.
-    """
-    rows = nbr_table[batch]  # (b, max_degree) neighbor ids, padded
-    if rows.shape[1] == 0:
-        return np.zeros(len(batch), dtype=np.int64)
-    return first_fit_intervals(starts_ext[rows], weights_ext[rows], weights_ext[batch])
 
 
 def first_fit_intervals(
@@ -80,10 +68,8 @@ def first_fit_intervals(
     list: its gap is unbounded, so rows with spare padding always "fit" there
     at exactly the frontier the reference would return.
 
-    Exposed (beyond :func:`_first_fit_batch`'s table gather) for callers
-    that compute neighborhoods analytically — the halo kernel
-    (:mod:`repro.kernels.halo`) gathers stencil neighbors by offset
-    arithmetic instead of materializing an adjacency table.
+    Exposed for the incremental cone walk, which masks non-predecessor
+    neighbours before the fit.
     """
     if s.shape[1] == 0:
         return np.zeros(len(s), dtype=np.int64)
@@ -109,22 +95,39 @@ def first_fit_intervals(
     return out
 
 
-def _run_wavefronts(
-    substrate: Substrate,
+def first_fit_wavefronts(
+    layout: StencilLayout,
     weights: np.ndarray,
     verts: np.ndarray,
     ptr: np.ndarray,
-    starts_ext: np.ndarray,
+    starts: Optional[np.ndarray] = None,
+    preset_mask: Optional[np.ndarray] = None,
+    preset_starts: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Color every batch of a wavefront schedule, updating ``starts_ext``."""
-    weights_ext = np.empty(len(weights) + 1, dtype=np.int64)
-    weights_ext[:-1] = weights
-    weights_ext[-1] = 0
-    nbr_table = substrate.nbr_table
+    """Color every batch of a ``(verts, ptr)`` schedule; flat starts.
+
+    ``weights``, ``starts`` (initial values, default all ``UNCOLORED``) and
+    the optional presets are flat per-cell arrays of ``layout``'s grid.
+    Cells under ``preset_mask`` are not colored: their ``preset_starts``
+    value is written when their batch runs, so it is visible to exactly
+    the cells scheduled after it.
+    """
+    deltas = layout.deltas
+    starts_pad = layout.pad(UNCOLORED if starts is None else starts, UNCOLORED)
+    weights_pad = layout.pad(weights, 0)
+    padded = layout.interior[verts]
     for b in range(len(ptr) - 1):
-        batch = verts[ptr[b] : ptr[b + 1]]
-        starts_ext[batch] = _first_fit_batch(batch, nbr_table, starts_ext, weights_ext)
-    return starts_ext[:-1]
+        batch = padded[ptr[b] : ptr[b + 1]]
+        if preset_mask is not None:
+            flat = verts[ptr[b] : ptr[b + 1]]
+            m = preset_mask[flat]
+            starts_pad[batch[m]] = preset_starts[flat[m]]
+            batch = batch[~m]
+        rows = batch[:, None] + deltas
+        starts_pad[batch] = first_fit_intervals(
+            starts_pad[rows], weights_pad[rows], weights_pad[batch]
+        )
+    return starts_pad[layout.interior]
 
 
 def wavefront_greedy_color(
@@ -139,8 +142,7 @@ def wavefront_greedy_color(
     if substrate is None:
         substrate = get_substrate(instance.geometry)
     verts, ptr = substrate.wavefront_for(np.asarray(order, dtype=np.int64))
-    starts_ext = np.full(instance.num_vertices + 1, UNCOLORED, dtype=np.int64)
-    return _run_wavefronts(substrate, instance.weights, verts, ptr, starts_ext)
+    return first_fit_wavefronts(substrate.layout, instance.weights, verts, ptr)
 
 
 def wavefront_recolor_pass(
@@ -159,7 +161,4 @@ def wavefront_recolor_pass(
     if substrate is None:
         substrate = get_substrate(instance.geometry)
     verts, ptr = substrate.wavefront_for(np.asarray(order, dtype=np.int64))
-    starts_ext = np.empty(instance.num_vertices + 1, dtype=np.int64)
-    starts_ext[:-1] = starts
-    starts_ext[-1] = UNCOLORED
-    return _run_wavefronts(substrate, instance.weights, verts, ptr, starts_ext)
+    return first_fit_wavefronts(substrate.layout, instance.weights, verts, ptr, starts)

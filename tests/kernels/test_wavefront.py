@@ -122,11 +122,10 @@ def _assert_valid_wavefront(substrate, order):
     batch_of = np.empty(n, dtype=np.int64)
     for b in range(len(ptr) - 1):
         batch_of[verts[ptr[b] : ptr[b + 1]]] = b
+    csr = substrate.geometry.csr
     for v in range(n):
-        for u in substrate.nbr_table[v]:
+        for u in csr.neighbors(v):
             u = int(u)
-            if u == n:
-                continue
             assert batch_of[u] != batch_of[v]
             if rank[u] < rank[v]:
                 assert batch_of[u] < batch_of[v]
@@ -141,6 +140,43 @@ def test_wavefront_batches_valid(shape, order_name):
     substrate = get_substrate(inst.geometry)
     order = np.asarray(ORDERINGS[order_name](inst), dtype=np.int64)
     _assert_valid_wavefront(substrate, order)
+
+
+def _reference_kahn(csr, order):
+    """Kahn frontiers over the CSR graph, one vertex at a time.
+
+    A vertex's batch is one past the latest batch of its earlier-order
+    neighbours (the longest DAG path ending at it); each batch lists its
+    vertices in increasing id order.
+    """
+    n = csr.num_vertices
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64)
+    batch_of = np.zeros(n, dtype=np.int64)
+    for v in order:
+        v = int(v)
+        earlier = [int(batch_of[u]) + 1 for u in csr.neighbors(v) if rank[u] < rank[v]]
+        batch_of[v] = max(earlier, default=0)
+    verts = np.lexsort((np.arange(n), batch_of)).astype(np.int64)
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(batch_of)))).astype(np.int64)
+    return verts, ptr
+
+
+@pytest.mark.parametrize("order_name", ["largest_first", "zorder", "random"])
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 6), (6, 1), (7, 5), (1, 1, 5), (3, 1, 2), (4, 3, 3)]
+)
+def test_kahn_schedule_pinned_to_reference(shape, order_name):
+    # The GLF, GZO and random-order schedules must be exactly the reference
+    # Kahn frontiers over geometry.csr: the batch count is a traced metric.
+    inst = _instance(shape, seed=6)
+    substrate = get_substrate(inst.geometry)
+    order = np.asarray(ORDERINGS[order_name](inst), dtype=np.int64)
+    verts, ptr = substrate.wavefront_for(order)
+    ref_verts, ref_ptr = _reference_kahn(inst.geometry.csr, order)
+    assert np.array_equal(verts, ref_verts)
+    assert np.array_equal(ptr, ref_ptr)
+    assert verts.dtype == ptr.dtype == np.int64
 
 
 def test_wavefront_schedule_cached_per_order():
