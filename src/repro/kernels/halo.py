@@ -23,7 +23,15 @@ The region runs the same batch loop as the monolithic kernels
 :class:`~repro.kernels.substrate.StencilLayout` built on demand for the
 region's shape: ``O(cells)`` of index arrays, never the ``cells × degree``
 table a materialized adjacency would cost (half a gigabyte for one
-streamed 16384-wide band).
+streamed 16384-wide band).  Two things keep its per-batch cost low:
+
+* the preset cells are split out of the schedule once, up front, so a
+  batch with presets pays one slice assignment for them and a batch
+  without pays nothing;
+* the pass starts uncolored and runs the GLL level schedule, so each cell
+  gathers only the earlier half of its stencil
+  (``StencilLayout.earlier_deltas``): its later-level neighbours, presets
+  included, are still ``UNCOLORED`` when it is placed.
 """
 
 from __future__ import annotations
@@ -79,8 +87,10 @@ def color_region(
             raise ValueError("preset arrays must match the region shape")
 
     verts, ptr = analytic_wavefront(shape)
+    layout = StencilLayout.of(shape)
     starts = first_fit_wavefronts(
-        StencilLayout.of(shape), weights.ravel(), verts, ptr,
+        layout, weights.ravel(), verts, ptr,
         preset_mask=flat_mask, preset_starts=flat_pre,
+        deltas=layout.earlier_deltas,
     )
     return starts.reshape(shape)

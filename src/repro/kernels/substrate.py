@@ -70,12 +70,22 @@ class StencilLayout:
         ``(n,)`` padded id of every flat C-order cell id (increasing).
     unpad:
         Padded id back to its flat id, or ``n`` for border cells.
+    earlier_deltas:
+        The half of ``deltas`` whose offset lowers the GLL level
+        ``i + 2j (+ 4k)`` (4 of 8, 13 of 26): a cell's predecessors in the
+        line-by-line order.  Derived from the offsets, not settable.
     """
 
     padded: tuple[int, ...]
     deltas: np.ndarray
     interior: np.ndarray
     unpad: np.ndarray
+    earlier_deltas: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        offsets = np.asarray(OFFSETS_9PT if len(self.padded) == 2 else OFFSETS_27PT)
+        steps = offsets @ np.array([1, 2, 4])[: len(self.padded)]
+        object.__setattr__(self, "earlier_deltas", self.deltas[steps < 0])
 
     @classmethod
     def of(cls, shape: tuple[int, ...]) -> "StencilLayout":

@@ -7,16 +7,21 @@ strided batches: partition the visit order into *wavefronts* — batches whose
 members are pairwise non-adjacent and respect the order's dependency DAG (see
 :meth:`~repro.kernels.substrate.Substrate.wavefront_for`) — and, per batch,
 
-1. gather all neighbor starts/ends with one fancy-indexed read at
-   ``p + deltas`` in the shape's padded
+1. gather all neighbor starts/weights with one fancy-indexed read at
+   ``deltas + p`` in the shape's padded
    :class:`~repro.kernels.substrate.StencilLayout` (no table, no mask),
-2. ``np.argsort`` the intervals along ``axis=1`` (the paper's sort step, for
-   the whole batch at once),
+   laid out column-major — one row per stencil offset — so every later
+   step is a handful of vector ops over the whole batch,
+2. ``np.argsort`` the intervals along the offset axis (the paper's sort
+   step, for the whole batch at once) and reorder them with one flat
+   ``take`` each,
 3. replace the paper's sequential scan with its closed form: the frontier
    before the ``c``-th sorted interval is the prefix maximum of the earlier
-   interval ends, so the first fit is the frontier at the first position
-   whose gap is wide enough — one ``np.maximum.accumulate`` and one
-   ``argmax`` per batch instead of one Python iteration per interval.
+   interval ends, and it never decreases, so the first fit is the smallest
+   frontier over the positions whose gap is wide enough, capped by the
+   largest end — one ``np.maximum.accumulate`` and one masked ``min`` per
+   batch instead of one Python iteration per interval.  Ignored slots
+   (``UNCOLORED`` or zero-weight) get end 0; no sentinel padding is needed.
 
 Because every vertex still sees exactly the neighbors that precede it in the
 order — colored — and none that follow it, the result is *bit-identical* to
@@ -26,7 +31,11 @@ reference.
 
 :func:`first_fit_wavefronts` is the one batch loop: the greedy and recolor
 kernels here and the tiler's region kernel (:mod:`repro.kernels.halo`) all
-run it.
+run it.  A *fresh* GLL pass gathers only the earlier half of the stencil
+(``StencilLayout.earlier_deltas``: 4 of 8, 13 of 26): under the level
+schedule every later-level neighbour is still ``UNCOLORED`` when a cell is
+placed.  Recolor passes and Kahn schedules always gather the full stencil,
+since there a later neighbour can hold an old start.
 """
 
 from __future__ import annotations
@@ -41,12 +50,6 @@ from repro.kernels.substrate import StencilLayout, Substrate, get_substrate
 #: an import cycle; asserted equal in the tests).
 UNCOLORED = -1
 
-#: Sentinel start pushing invalid neighbor slots past every real interval in
-#: the per-batch sort; large enough that ``_BIG - cur >= w`` always holds, so
-#: the scan terminates on the first padding column exactly like the reference
-#: scan terminates at the end of its neighbor list.
-_BIG = np.int64(1) << 62
-
 
 def first_fit_intervals(
     s: np.ndarray, wn: np.ndarray, w: np.ndarray
@@ -60,39 +63,38 @@ def first_fit_intervals(
 
     The reference scan keeps a running frontier ``cur`` (the maximum end seen
     so far, starting at 0) and returns ``cur`` at the first sorted interval
-    whose lower end leaves a gap of at least ``w``.  Equivalently: with
-    ``frontier[c]`` the prefix maximum of ends *before* sorted position
-    ``c``, the answer is ``frontier[c*]`` for the first ``c*`` with
-    ``lo[c*] - frontier[c*] >= w``, or the total maximum end if no interval
-    leaves a gap.  The ``_BIG`` padding behaves like the end of the neighbor
-    list: its gap is unbounded, so rows with spare padding always "fit" there
-    at exactly the frontier the reference would return.
+    whose lower end leaves a gap of at least ``w``, or the maximum end if no
+    interval does.  With ``frontier[c]`` the prefix maximum of ends *before*
+    sorted position ``c``, that is ``frontier`` at the first fitting
+    position — and since the frontier never decreases, the *smallest*
+    frontier over fitting positions — capped by ``max(hi)`` for rows with no
+    gap.  Ignored slots get ``hi = 0``, so they never raise the frontier,
+    and keep their raw lower end: one that fits (an ``UNCOLORED`` ``-1``
+    never does) sees the same frontier as the next real interval, whose
+    lower end is no smaller, or as the end of the list.
 
     Exposed for the incremental cone walk, which masks non-predecessor
     neighbours before the fit.
     """
-    if s.shape[1] == 0:
-        return np.zeros(len(s), dtype=np.int64)
-    valid = (s != UNCOLORED) & (wn > 0)
-    lo = np.where(valid, s, _BIG)
-    hi = np.where(valid, s + wn, _BIG)
+    b, d = s.shape
+    if d == 0:
+        return np.zeros(b, dtype=np.int64)
+    # Work column-major, ``(d, b)``, so the scan below runs as ``d`` vector
+    # ops over the batch (a no-op for the batch loop, which gathers so).
+    s = np.ascontiguousarray(s.T)
+    hi = np.where((s != UNCOLORED) & (wn.T > 0), s + wn.T, 0)
     # Sort neighbor intervals by lower end.  Ties need no secondary key: the
     # scan's outcome at a tied lower end is independent of the tie order.
-    cols = np.argsort(lo, axis=1, kind="stable")
-    lo = np.take_along_axis(lo, cols, axis=1)
-    hi = np.take_along_axis(hi, cols, axis=1)
-    frontier = np.empty_like(hi)
-    frontier[:, 0] = 0
-    np.maximum.accumulate(hi[:, :-1], axis=1, out=frontier[:, 1:])
-    fits = (lo - frontier) >= np.asarray(w)[:, None]
-    first = np.argmax(fits, axis=1)
-    out = np.take_along_axis(frontier, first[:, None], axis=1)[:, 0]
-    # Fully valid rows may have no gap at all: the fit is past the last
-    # interval, at the running maximum of every end.
-    no_gap = ~np.take_along_axis(fits, first[:, None], axis=1)[:, 0]
-    if no_gap.any():
-        out[no_gap] = np.maximum(frontier[no_gap, -1], hi[no_gap, -1])
-    return out
+    flat = np.argsort(s, axis=0)
+    flat *= b
+    flat += np.arange(b)
+    lo = s.ravel().take(flat)
+    hi = hi.ravel().take(flat)
+    ends = np.empty((d + 1, b), dtype=np.int64)
+    ends[0] = 0
+    np.maximum.accumulate(hi, axis=0, out=ends[1:])
+    frontier = ends[:-1]
+    return np.where(lo - frontier >= w, frontier, ends[-1]).min(axis=0)
 
 
 def first_fit_wavefronts(
@@ -103,6 +105,7 @@ def first_fit_wavefronts(
     starts: Optional[np.ndarray] = None,
     preset_mask: Optional[np.ndarray] = None,
     preset_starts: Optional[np.ndarray] = None,
+    deltas: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Color every batch of a ``(verts, ptr)`` schedule; flat starts.
 
@@ -110,24 +113,49 @@ def first_fit_wavefronts(
     the optional presets are flat per-cell arrays of ``layout``'s grid.
     Cells under ``preset_mask`` are not colored: their ``preset_starts``
     value is written when their batch runs, so it is visible to exactly
-    the cells scheduled after it.
+    the cells scheduled after it.  They are split out of the schedule
+    once, so a batch pays one slice assignment for its presets, if any.
+
+    ``deltas`` (default ``layout.deltas``) are the offsets gathered per
+    cell.  Passing ``layout.earlier_deltas`` is exact only for the GLL
+    level schedule run from all-``UNCOLORED`` starts, where every
+    later-level neighbour — preset or not — is still uncolored when a cell
+    is placed.
     """
-    deltas = layout.deltas
+    deltas = (layout.deltas if deltas is None else deltas)[:, None]
     starts_pad = layout.pad(UNCOLORED if starts is None else starts, UNCOLORED)
     weights_pad = layout.pad(weights, 0)
     padded = layout.interior[verts]
+    pre_ptr: list[int] = []
+    if preset_mask is not None:
+        at = np.flatnonzero(preset_mask[verts])  # schedule positions
+        split = np.searchsorted(at, ptr)  # presets before each batch bound
+        pre_cells, pre_values = padded[at], preset_starts[verts[at]]
+        padded, ptr = np.delete(padded, at), ptr - split
+        pre_ptr = split.tolist()
+    ptr = ptr.tolist()
     for b in range(len(ptr) - 1):
+        if pre_ptr and pre_ptr[b] < pre_ptr[b + 1]:
+            presets = slice(pre_ptr[b], pre_ptr[b + 1])
+            starts_pad[pre_cells[presets]] = pre_values[presets]
+        if ptr[b] == ptr[b + 1]:
+            continue
         batch = padded[ptr[b] : ptr[b + 1]]
-        if preset_mask is not None:
-            flat = verts[ptr[b] : ptr[b + 1]]
-            m = preset_mask[flat]
-            starts_pad[batch[m]] = preset_starts[flat[m]]
-            batch = batch[~m]
-        rows = batch[:, None] + deltas
+        rows = deltas + batch
         starts_pad[batch] = first_fit_intervals(
-            starts_pad[rows], weights_pad[rows], weights_pad[batch]
+            starts_pad[rows].T, weights_pad[rows].T, weights_pad[batch]
         )
     return starts_pad[layout.interior]
+
+
+def _is_line_by_line(order: np.ndarray, shape: tuple[int, ...]) -> bool:
+    """Whether ``order`` is the line-by-line (GLL) scan of ``shape``.
+
+    The scan runs axis 0 fastest over C-order flat ids, so reshaped to the
+    reversed shape and transposed it reads ``0, 1, 2, ...`` in C order.
+    """
+    ids = np.arange(order.size, dtype=np.int64).reshape(shape)
+    return np.array_equal(order.reshape(shape[::-1]).T, ids)
 
 
 def wavefront_greedy_color(
@@ -137,12 +165,17 @@ def wavefront_greedy_color(
 
     Bit-identical to the reference ``greedy_color`` loop for any permutation;
     requires a stencil geometry (callers fall back to the reference on
-    generic graphs).
+    generic graphs).  The line-by-line order gathers only the earlier half
+    of the stencil.
     """
     if substrate is None:
         substrate = get_substrate(instance.geometry)
-    verts, ptr = substrate.wavefront_for(np.asarray(order, dtype=np.int64))
-    return first_fit_wavefronts(substrate.layout, instance.weights, verts, ptr)
+    order = np.asarray(order, dtype=np.int64)
+    verts, ptr = substrate.wavefront_for(order)
+    layout = substrate.layout
+    fresh_gll = _is_line_by_line(order, substrate.geometry.shape)
+    deltas = layout.earlier_deltas if fresh_gll else None
+    return first_fit_wavefronts(layout, instance.weights, verts, ptr, deltas=deltas)
 
 
 def wavefront_recolor_pass(

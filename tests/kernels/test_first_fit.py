@@ -1,0 +1,320 @@
+"""The batched first fit, directly and at the hazards of its batch loop.
+
+``first_fit_intervals`` is checked against a test-local copy of the
+sequential sort-and-scan, slot by slot.  The loop tests diff the cases the
+loop treats specially against the reference loops or monolithic GLL:
+recolor passes whose zero-weight cells enter with stale or ``UNCOLORED``
+starts, region presets (several per batch, zero-weight, later-level), and
+the half-stencil gather of fresh GLL passes on 1-wide and 3D grids.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.algorithms.registry import color_with
+from repro.core.greedy_engine import first_fit_start, greedy_color, greedy_recolor_pass
+from repro.core.orderings import line_by_line_order, random_order, zorder_order
+from repro.core.problem import IVCInstance
+from repro.kernels import wavefront
+from repro.kernels.halo import color_region
+from repro.kernels.substrate import StencilLayout, analytic_levels, analytic_wavefront
+from repro.kernels.wavefront import (
+    UNCOLORED,
+    first_fit_intervals,
+    wavefront_greedy_color,
+    wavefront_recolor_pass,
+)
+
+
+def _scan(starts, weights, w):
+    """The paper's sequential sort-and-scan over one neighbourhood."""
+    if w == 0:
+        return 0
+    pairs = sorted(
+        (s, s + wn) for s, wn in zip(starts, weights) if s != UNCOLORED and wn > 0
+    )
+    cur = 0
+    for lo, hi in pairs:
+        if lo - cur >= w:
+            return cur
+        cur = max(cur, hi)
+    return cur
+
+
+# Small starts and widths so tied lower ends and gapless rows are common.
+_slot = st.tuples(st.one_of(st.just(UNCOLORED), st.integers(0, 24)), st.integers(0, 6))
+
+
+@st.composite
+def _batches(draw):
+    d = draw(st.sampled_from([0, 1, 4, 8, 13, 26]))
+    b = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_slot, min_size=d, max_size=d), min_size=b, max_size=b))
+    s = np.array([[a for a, _ in row] for row in rows], dtype=np.int64).reshape(b, d)
+    wn = np.array([[c for _, c in row] for row in rows], dtype=np.int64).reshape(b, d)
+    w = np.array(draw(st.lists(st.integers(0, 10), min_size=b, max_size=b)), dtype=np.int64)
+    return s, wn, w
+
+
+@st.composite
+def _gapless(draw):
+    """Rows of packed, fully valid intervals: no gap until the last end."""
+    d = draw(st.sampled_from([1, 8, 26]))
+    b = draw(st.integers(1, 4))
+    s = np.empty((b, d), dtype=np.int64)
+    wn = np.empty((b, d), dtype=np.int64)
+    for r in range(b):
+        widths = np.array(draw(st.lists(st.integers(1, 5), min_size=d, max_size=d)))
+        perm = np.array(draw(st.permutations(range(d))))
+        s[r] = (np.cumsum(widths) - widths)[perm]
+        wn[r] = widths[perm]
+    w = np.array(draw(st.lists(st.integers(1, 10), min_size=b, max_size=b)), dtype=np.int64)
+    return s, wn, w
+
+
+def _check(s, wn, w):
+    want = [_scan(s[r], wn[r], int(w[r])) for r in range(len(w))]
+    got = first_fit_intervals(s, wn, w)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+    # The batch loop hands in column-major views; same answers.
+    cols = first_fit_intervals(np.ascontiguousarray(s.T).T, np.ascontiguousarray(wn.T).T, w)
+    assert cols.tolist() == want
+
+
+@given(_batches())
+@settings(max_examples=300, deadline=None)
+@example((np.zeros((3, 0), np.int64), np.zeros((3, 0), np.int64), np.array([0, 1, 5])))
+@example((np.array([[4, 4, 4, 0]]), np.array([[2, 3, 0, 4]]), np.array([0])))
+@example((np.array([[UNCOLORED] * 8]), np.array([[5] * 8]), np.array([3])))
+def test_first_fit_intervals_matches_sequential_scan(batch):
+    _check(*batch)
+
+
+@given(_gapless())
+@settings(max_examples=100, deadline=None)
+@example((np.array([[3, 0, 5]]), np.array([[2, 3, 4]]), np.array([1])))
+def test_first_fit_intervals_without_a_gap_lands_past_the_last_end(batch):
+    s, wn, w = batch
+    _check(s, wn, w)
+    assert first_fit_intervals(s, wn, w).tolist() == (s + wn).max(axis=1).tolist()
+
+
+def test_zero_weight_neighbour_does_not_raise_the_frontier():
+    # A zero-weight slot at 5 sits in the gap [2, 6); counted as an end it
+    # would push the width-4 fit past [6, 10).
+    s = np.array([[0, 5, 6]])
+    wn = np.array([[2, 0, 4]])
+    assert first_fit_intervals(s, wn, np.array([4])).tolist() == [2]
+
+
+# -- recolor passes ---------------------------------------------------------
+
+
+def _instance(weights):
+    if weights.ndim == 2:
+        return IVCInstance.from_grid_2d(weights)
+    return IVCInstance.from_grid_3d(weights)
+
+
+def _reference_pass(inst, starts, order, preset=None, values=None):
+    """The sequential first-fit loop over ``order``, from any ``starts``.
+
+    Unlike ``greedy_recolor_pass`` it accepts ``UNCOLORED`` entries.  A cell
+    under the optional ``preset`` mask takes its ``values`` entry at its
+    turn instead of a first fit.
+    """
+    out = np.asarray(starts, dtype=np.int64).copy()
+    indptr, indices, weights = inst.graph.indptr, inst.graph.indices, inst.weights
+    for v in order:
+        v = int(v)
+        if preset is not None and preset[v]:
+            out[v] = values[v]
+            continue
+        nbs = indices[indptr[v] : indptr[v + 1]]
+        live = [u for u in nbs if out[u] != UNCOLORED and weights[u] > 0]
+        out[v] = first_fit_start(
+            [out[u] for u in live], [out[u] + weights[u] for u in live], int(weights[v])
+        )
+    return out
+
+
+RECOLOR_SHAPES = [(1, 6), (6, 1), (5, 7), (1, 1, 6), (3, 4, 3)]
+
+
+@pytest.mark.parametrize("entry", ["stale", "uncolored"])
+@pytest.mark.parametrize("order_name", ["line_by_line", "random"])
+@pytest.mark.parametrize("shape", RECOLOR_SHAPES)
+def test_recolor_pass_with_stale_zero_weight_starts(shape, order_name, entry):
+    # Zero-weight cells hold a nonzero (or no) start when the pass begins;
+    # the later-order neighbours keep their old values until their batch
+    # runs, so even the line-by-line order must gather the full stencil.
+    rng = np.random.default_rng(sum(shape) * 7 + len(order_name))
+    weights = rng.integers(1, 20, size=shape)
+    weights[rng.random(size=shape) < 0.3] = 0
+    inst = _instance(weights)
+    base = greedy_color(inst, random_order(inst, seed=3), fast=False).starts.copy()
+    zero = inst.weights == 0
+    base[zero] = UNCOLORED if entry == "uncolored" else rng.integers(1, 50, zero.sum())
+    if order_name == "line_by_line":
+        order = np.asarray(line_by_line_order(inst), dtype=np.int64)
+    else:
+        order = rng.permutation(inst.num_vertices).astype(np.int64)
+    want = _reference_pass(inst, base, order)
+    assert np.array_equal(wavefront_recolor_pass(inst, base, order), want)
+    if entry == "stale":
+        assert np.array_equal(greedy_recolor_pass(inst, base, order, fast=False), want)
+
+
+# -- region presets ---------------------------------------------------------
+
+
+def _gll(weights):
+    starts = color_with(_instance(weights), "GLL", fast=False).starts
+    return np.asarray(starts, dtype=np.int64).reshape(weights.shape)
+
+
+def _scan_with_presets(weights, mask, values):
+    """Sequential GLL that sets each preset cell to its value at its turn."""
+    inst = _instance(weights)
+    fresh = np.full(inst.num_vertices, UNCOLORED, dtype=np.int64)
+    order = line_by_line_order(inst)
+    out = _reference_pass(inst, fresh, order, mask.ravel(), values.ravel())
+    return out.reshape(weights.shape)
+
+
+@given(
+    shape=st.one_of(
+        st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+    ),
+    seed=st.integers(0, 10_000),
+    density=st.sampled_from([0.1, 0.4, 0.9]),
+)
+@settings(max_examples=60, deadline=None)
+def test_region_with_scattered_presets_matches_sequential_scan(shape, seed, density):
+    # Random masks put several presets in one level batch, preset zero-weight
+    # cells, and preset cells at a later level than some of their neighbours.
+    # Arbitrary values make a preset's timing visible; its monolithic start
+    # reproduces the monolithic coloring.
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(1, 30, size=shape)
+    weights[rng.random(size=shape) < 0.3] = 0
+    mask = rng.random(size=shape) < density
+    values = rng.integers(0, 60, size=shape)
+    want = _scan_with_presets(weights, mask, values)
+    assert np.array_equal(color_region(weights, mask, values), want)
+    truth = _gll(weights)
+    assert np.array_equal(color_region(weights, mask, np.where(mask, truth, -7)), truth)
+
+
+def test_region_batch_with_several_presets_and_zero_weight_presets():
+    rng = np.random.default_rng(1)
+    weights = rng.integers(1, 30, size=(8, 6))
+    weights[::3, 1::2] = 0
+    levels = analytic_levels(weights.shape).reshape(weights.shape)
+    mask = (levels == 7) | (levels == 8) | (weights == 0)
+    assert (mask & (levels == 7)).sum() >= 2
+    values = rng.integers(1, 60, size=weights.shape)
+    got = color_region(weights, mask, values)
+    assert np.array_equal(got, _scan_with_presets(weights, mask, values))
+    assert np.array_equal(got[mask], values[mask])
+
+
+@pytest.mark.parametrize("shape", [(6, 7), (3, 4, 3)])
+def test_presets_are_written_when_their_batch_runs(shape):
+    # With the full stencil gathered, a preset written early would be seen
+    # by the earlier-level neighbours it must stay invisible to.
+    rng = np.random.default_rng(9)
+    weights = rng.integers(1, 30, size=shape)
+    mask = rng.random(size=shape) < 0.4
+    values = rng.integers(0, 60, size=shape)
+    layout = StencilLayout.of(shape)
+    verts, ptr = analytic_wavefront(shape)
+    got = wavefront.first_fit_wavefronts(
+        layout, weights.ravel(), verts, ptr,
+        preset_mask=mask.ravel(), preset_starts=values.ravel(),
+    )
+    assert np.array_equal(got.reshape(shape), _scan_with_presets(weights, mask, values))
+
+
+@pytest.mark.parametrize("shape", [(7, 6), (4, 3, 5)])
+def test_region_with_a_zipper_preset_matches_monolithic(shape):
+    # The region stops one row (plane) short of the grid; that last row is
+    # preset.  Its cells follow some region cells in the global scan, so
+    # they must be invisible to those and visible only to the cells after.
+    rng = np.random.default_rng(5)
+    weights = rng.integers(1, 30, size=shape)
+    weights[rng.random(size=shape) < 0.2] = 0
+    truth = _gll(weights)
+    mask = np.zeros(shape, dtype=bool)
+    mask[..., -1] = True
+    mask[..., -2] = rng.random(size=shape[:-1]) < 0.5
+    assert np.array_equal(color_region(weights, mask, np.where(mask, truth, 0)), truth)
+    values = rng.integers(0, 60, size=shape)
+    want = _scan_with_presets(weights, mask, values)
+    assert np.array_equal(color_region(weights, mask, values), want)
+
+
+# -- the half-stencil gather ------------------------------------------------
+
+
+HALF_SHAPES = [
+    (1, 9), (9, 1), (1, 1), (1, 1, 8), (8, 1, 1), (1, 5, 1), (4, 5, 3), (6, 6, 6),
+]
+
+
+@pytest.mark.parametrize("shape", HALF_SHAPES)
+def test_gll_half_gather_matches_reference(shape, monkeypatch):
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    weights = rng.integers(1, 25, size=shape)
+    weights[rng.random(size=shape) < 0.25] = 0
+    inst = _instance(weights)
+    order = np.asarray(line_by_line_order(inst), dtype=np.int64)
+    gathered = []
+    loop = wavefront.first_fit_wavefronts
+
+    def spy(layout, *args, **kwargs):
+        deltas = kwargs.get("deltas")
+        gathered.append(len(layout.deltas if deltas is None else deltas))
+        return loop(layout, *args, **kwargs)
+
+    monkeypatch.setattr(wavefront, "first_fit_wavefronts", spy)
+    got = wavefront_greedy_color(inst, order)
+    assert gathered == [4 if len(shape) == 2 else 13]
+    assert np.array_equal(got, greedy_color(inst, order, fast=False).starts)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 7), (7, 1), (4, 6), (1, 1, 5), (5, 1, 1), (3, 4, 2)]
+)
+def test_line_by_line_detection(shape):
+    inst = _instance(np.ones(shape, dtype=np.int64))
+    lbl = np.asarray(line_by_line_order(inst), dtype=np.int64)
+    assert wavefront._is_line_by_line(lbl, shape)
+    for other in (zorder_order(inst), random_order(inst, seed=1)):
+        other = np.asarray(other, dtype=np.int64)
+        assert wavefront._is_line_by_line(other, shape) == np.array_equal(other, lbl)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)])
+def test_earlier_deltas_are_the_gll_predecessors(shape):
+    layout = StencilLayout.of(shape)
+    earlier = layout.earlier_deltas
+    assert len(earlier) * 2 == len(layout.deltas)
+    assert sorted((-earlier).tolist() + earlier.tolist()) == sorted(layout.deltas.tolist())
+    # For every cell, the earlier half reaches exactly its lower-level
+    # neighbours on the grid.
+    levels = layout.pad(analytic_levels(shape), -1)
+    for p in layout.interior:
+        on_grid = [q for q in (p + layout.deltas) if levels[q] >= 0]
+        lower = {q for q in on_grid if levels[q] < levels[p]}
+        assert lower == {q for q in (p + earlier) if levels[q] >= 0}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layout.earlier_deltas = layout.deltas
+    with pytest.raises(TypeError):
+        StencilLayout(layout.padded, layout.deltas, layout.interior, layout.unpad, earlier)
