@@ -151,7 +151,7 @@ def greedy_color(
     fast:
         Use the wavefront-batched kernel (stencil instances only; identical
         starts, differentially tested).  ``None`` follows the process-wide
-        :func:`repro.kernels.config.fast_paths_enabled` switch and the
+        :func:`repro.runtime.fastpath.fast_paths_enabled` switch and the
         auto-mode size threshold; generic graphs and custom ``first_fit``
         primitives always take the reference loop.
     check_order:

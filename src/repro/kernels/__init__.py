@@ -13,14 +13,14 @@ Python loops in :mod:`repro.core`:
 * :mod:`repro.kernels.chains` — vectorized Bipartite Decomposition chain
   assembly and the clique-guided recolor order.
 
-The process-wide switch lives in :mod:`repro.kernels.config`
+The fast-path switch lives in :mod:`repro.runtime.fastpath`
 (``REPRO_FAST_PATHS=0`` disables everything); the registry wrappers in
 :mod:`repro.kernels.colorings` bind the kernels to algorithm names; and
 :mod:`repro.kernels.bench` measures kernel-vs-reference speedups
 (``stencil-ivc bench-kernels``).
 """
 
-from repro.kernels.config import (
+from repro.runtime.fastpath import (
     MIN_AUTO_SIZE,
     fast_paths,
     fast_paths_enabled,

@@ -7,10 +7,9 @@ is a plain JSON-serializable dict — that is what the coloring server ships
 over the wire for the ``metrics`` protocol op and what ``BENCH_service.json``
 embeds.
 
-This module used to live in ``repro.service.metrics``; it was hoisted into
-``repro.obs`` so the batch-engine workers and the kernel substrate caches can
-emit counters without importing the service package (the service re-exports
-it unchanged for compatibility).  Every
+The registry lives in ``repro.obs`` so the batch-engine workers and the
+kernel substrate caches can emit counters without importing the service
+package (which re-exports the primitives from :mod:`repro.service`).  Every
 :class:`~repro.runtime.context.ExecutionContext` owns one registry.
 
 Histograms use geometric bucket boundaries from 10 µs to ~100 s, so

@@ -20,10 +20,10 @@ from three layers (highest wins):
 The legacy boolean switch maps onto the tri-state as ``True`` → auto (still
 subject to the size threshold, as it always was) and ``False`` → off.
 
-This module is re-exported by :mod:`repro.kernels.config` for backward
-compatibility; it lives in ``repro.runtime`` so :mod:`repro.core` can resolve
-fast-path decisions without a core→kernels import (the kernels themselves are
-bound lazily by the registry).
+:mod:`repro.kernels` re-exports these names; the module lives in
+``repro.runtime`` so :mod:`repro.core` can resolve fast-path decisions
+without a core→kernels import (the kernels themselves are bound lazily by
+the registry).
 """
 
 from __future__ import annotations

@@ -19,18 +19,20 @@ front end over the batch engine and vectorized kernels:
   :class:`~repro.service.workers.WorkerPool` sharing one L2 directory;
 * :mod:`~repro.service.router` — the accept/route front process: stable
   content-key (rendezvous) routing, failover, merged fleet metrics;
-* :mod:`~repro.service.client` — sync and asyncio clients with automatic
-  wire negotiation;
+* :mod:`~repro.service.client` — the asyncio client with automatic wire
+  negotiation, and its blocking facade;
 * :mod:`~repro.service.loadgen` — the repeated-shape load generator
-  (uniform or zipf-skewed) with served-vs-direct verification;
-* :mod:`~repro.service.metrics` — counters/gauges/latency histograms
-  snapshotted over the wire.
+  (uniform or zipf-skewed) with served-vs-direct verification.
+
+Counters, gauges and latency histograms come from :mod:`repro.obs` and are
+snapshotted over the wire by the ``metrics`` op.
 
 Served colorings are bit-identical to direct
 :func:`~repro.core.algorithms.registry.color_with` calls: batching shares
 preprocessing, never computations.
 """
 
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.service.batcher import MicroBatcher
 from repro.service.cache import CacheEntry, ResultCache
 from repro.service.client import (
@@ -54,7 +56,6 @@ from repro.service.loadgen import (
     run_loadgen,
     run_loadgen_async,
 )
-from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.service.protocol import (
     PROTOCOL_API_VERSION,
     ColorRequest,

@@ -1,29 +1,42 @@
-"""Clients for the coloring service: blocking sockets and asyncio streams.
+"""The coloring service client: one asyncio core and a blocking facade.
 
-:class:`ServiceClient` is the simple synchronous client (CLI, tests,
-benchmark baselines): one socket, one request in flight.
-:class:`AsyncServiceClient` is the asyncio variant the load generator uses to
-keep many requests in flight across connections.
+:class:`AsyncServiceClient` is the only implementation of the client side
+of the protocol: the hello handshake, the round trip, response reading,
+the retry loop and every op, recolor session verbs included.  The load
+generator and the router use it directly to keep many requests in flight
+across connections.  :class:`ServiceClient` is a thin blocking facade for
+the CLI, tests, tools and benchmarks: it owns one private event loop
+(created on first use or in :meth:`ServiceClient.connect`, closed in
+:meth:`ServiceClient.close`) and runs each call as one
+``loop.run_until_complete(core.method(...))``.  The facade therefore must
+not be called from a thread whose event loop is already running; async
+code uses the core, or hands blocking work to a thread with
+``asyncio.to_thread`` (as ``Router.stop`` does for ``WorkerPool.stop``).
 
-Both speak either wire format of the service.  With ``wire="auto"`` (the
-default) a client opens every connection with a binary ``hello`` frame
+The client speaks either wire format of the service.  With ``wire="auto"``
+(the default) every connection opens with a binary ``hello`` frame
 (:mod:`repro.service.frames`): a frames-speaking server answers in frames
 and the connection is binary for its lifetime; a pre-frames server answers
 the hello with one JSON ``invalid`` line and the client silently falls
 back to NDJSON on the same connection.  ``wire="ndjson"`` skips the
 handshake; ``wire="binary"`` makes a fallback an error.  The negotiated
-format is exposed as :attr:`ServiceClient.wire` and both return
-:class:`ColorResponse` objects either way.
+format is exposed as ``wire`` and responses decode to
+:class:`ColorResponse` / :class:`RecolorResponse` objects either way.
 Service-level outcomes (``error``, ``timeout``, ``overloaded``…) are
-reported in :attr:`ColorResponse.status` so callers can count and retry
-without exception plumbing.  Transport failures — a dropped TCP connection,
-a refused reconnect, a read timeout — are wrapped into a typed
+reported in the response ``status`` so callers can count and retry
+without exception plumbing.  Transport failures — a dropped TCP
+connection, a refused reconnect, a timeout — are wrapped into a typed
 :class:`ServiceConnectionError` carrying the host, port, and request id
 instead of leaking raw ``OSError`` subclasses.
 
-Both clients optionally *self-heal*: constructed with a
-:class:`~repro.resilience.retry.RetryPolicy`, a failed round trip tears
-down the dead socket, backs off (exponential + seeded jitter), reconnects,
+Timeouts: the TCP connect, the hello reply, every write and every read
+are each bounded by the client's ``timeout``.  A connection that fails is
+aborted, never closed gracefully, so a peer that stops reading cannot
+wedge the client on its unflushed send buffer.
+
+The client optionally *self-heals*: constructed with a
+:class:`~repro.resilience.retry.RetryPolicy`, a failed round trip aborts
+the dead connection, backs off (exponential + seeded jitter), reconnects,
 and re-sends — safe because every request is content-addressed and
 idempotent: re-asking for the same coloring returns the same bits, at worst
 re-hitting the server's result cache.  ``retries_used`` counts the budget
@@ -39,8 +52,8 @@ write or before the read, ``partial`` sends a torn frame then severs,
 from __future__ import annotations
 
 import asyncio
+import functools
 import random
-import socket
 import time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
@@ -63,7 +76,6 @@ from repro.service.frames import (
     encode_hello,
     encode_recolor_request,
     frame_timeout,
-    read_frame,
     read_frame_async,
     response_to_message,
 )
@@ -217,7 +229,6 @@ class _SessionMirror:
     algorithm: str
     weights: np.ndarray
     starts: np.ndarray
-    maxcolor: int
 
 
 def _decode_recolor_response(
@@ -253,32 +264,15 @@ def _decode_recolor_response(
     )
 
 
-def _build_request(
-    weights, algorithm: str, fast, validate: bool, timeout, request_id: str,
-    tiles=None,
-) -> ColorRequest:
-    arr = np.ascontiguousarray(weights, dtype=np.int64)
-    return ColorRequest(
-        weights=arr,
-        algorithm=algorithm,
-        fast=fast,
-        validate=validate,
-        timeout=timeout,
-        request_id=request_id,
-        tiled=tiles is not None,
-        tile_shape=tuple(int(t) for t in tiles) if tiles is not None else None,
-    )
-
-
 #: Transport-level exceptions wrapped into :class:`ServiceConnectionError`.
-#: ``socket.timeout``/``TimeoutError`` and the ``Connection*`` family are all
-#: ``OSError`` subclasses; ``asyncio.TimeoutError`` is separate before 3.11.
+#: ``TimeoutError`` and the ``Connection*`` family are ``OSError``
+#: subclasses; ``asyncio.TimeoutError`` is separate before 3.11.
 _TRANSPORT_ERRORS = (OSError, asyncio.TimeoutError, TimeoutError)
 
 #: Bounded budget for the last-resort mirror re-seed loop of
-#: :meth:`ServiceClient.recolor_delta`.  One attempt loses the race against
-#: a worker restart window (the re-seeded session dies with the next crash
-#: before the delta lands); three attempts with backoff rides it out.
+#: :meth:`AsyncServiceClient.recolor_delta`.  One attempt loses the race
+#: against a worker restart window (the re-seeded session dies with the next
+#: crash before the delta lands); three attempts with backoff rides it out.
 RESEED_ATTEMPTS = 3
 
 #: Base delay (seconds) of the re-seed loop's jittered exponential backoff.
@@ -292,9 +286,9 @@ class PreparedColorRequest:
     over; re-canonicalizing, re-hashing, and re-serializing an unchanged
     grid on every send is pure waste.  ``prepare_color_request`` pays those
     costs once — both wire encodings are cached lazily on first use — and
-    :meth:`ServiceClient.color_prepared` then sends pre-built bytes.
-    Responses decode exactly as for :meth:`ServiceClient.color`; the server
-    cannot tell the difference.
+    :meth:`AsyncServiceClient.color_prepared` then sends pre-built bytes.
+    Responses decode exactly as for :meth:`AsyncServiceClient.color`; the
+    server cannot tell the difference.
     """
 
     __slots__ = ("request", "_binary", "_ndjson")
@@ -339,19 +333,28 @@ def prepare_color_request(
     """Build and pre-encode a color request for repeated sending.
 
     Client-independent: one prepared request can be sent through any
-    number of (sync or async) clients on either wire format.
+    number of clients, blocking or asyncio, on either wire format.
     """
-    return PreparedColorRequest(
-        _build_request(weights, algorithm, fast, validate, timeout, request_id, tiles)
-    )
+    return PreparedColorRequest(ColorRequest(
+        weights=np.ascontiguousarray(weights, dtype=np.int64),
+        algorithm=algorithm,
+        fast=fast,
+        validate=validate,
+        timeout=timeout,
+        request_id=request_id,
+        tiled=tiles is not None,
+        tile_shape=tuple(int(t) for t in tiles) if tiles is not None else None,
+    ))
 
 
-class ServiceClient:
-    """Blocking one-request-at-a-time client over a TCP socket.
+class AsyncServiceClient:
+    """The service client: one asyncio connection, one request in flight.
 
     ``retry`` enables transparent reconnect-and-retry of failed round trips
     (see the module docstring); ``retry_seed`` seeds the backoff jitter so
-    chaos runs stay reproducible.
+    chaos runs stay reproducible.  :meth:`color_pipelined` is the one
+    exception to one-request-in-flight: a burst of prepared requests
+    written before any response is read.
     """
 
     def __init__(
@@ -373,24 +376,23 @@ class ServiceClient:
         self.wire = "ndjson"  # per-connection; settled during connect()
         self.server_worker_id = ""  # from the hello reply (binary only)
         self._rng = random.Random(retry_seed)
-        self._sock: Optional[socket.socket] = None
-        self._file = None
+        self._reader: Optional[asyncio.StreamReader] = None
+        self._writer: Optional[asyncio.StreamWriter] = None
         self._recolor_mirrors: dict[str, _SessionMirror] = {}
         self.reseeds_used = 0  # mirror re-seed attempts (last-resort path)
 
     # -------------------------------------------------------------- transport
-    def connect(self) -> "ServiceClient":
-        self._sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._file = self._sock.makefile("rb")
+    async def connect(self) -> "AsyncServiceClient":
+        async with frame_timeout(self.timeout):
+            self._reader, self._writer = await asyncio.open_connection(
+                self.host, self.port, limit=MAX_MESSAGE_BYTES
+            )
         self.wire = "ndjson"
         if self.wire_preference != "ndjson":
-            self._negotiate()
+            await self._negotiate()
         return self
 
-    def _negotiate(self) -> None:
+    async def _negotiate(self) -> None:
         """Hello handshake: binary if the server answers in frames.
 
         A pre-frames server reads the hello as one garbage NDJSON line and
@@ -398,21 +400,22 @@ class ServiceClient:
         byte (``{``, never the frame magic), discarded, and the connection
         continues as NDJSON.  Only ``wire="binary"`` makes that an error.
         """
-        assert self._sock is not None and self._file is not None
+        assert self._reader is not None
         try:
-            self._sock.sendall(encode_hello())
-            first = self._file.read(1)
-            if first == FRAME_MAGIC[:1]:
-                frame = read_frame(self._file, first=first)
-                header = frame.header if frame is not None else {}
-                if header.get("status") == STATUS_OK and FRAME_VERSION in header.get(
-                    "frames", ()
-                ):
-                    self.wire = "binary"
-                    self.server_worker_id = str(header.get("worker_id", ""))
-                    return
-            elif first:
-                self._file.readline(MAX_MESSAGE_BYTES)  # the JSON 'invalid' reply
+            await self._write(encode_hello())
+            async with frame_timeout(self.timeout):
+                first = await self._reader.read(1)
+                if first == FRAME_MAGIC[:1]:
+                    frame = await read_frame_async(self._reader, first=first)
+                    header = frame.header if frame is not None else {}
+                    if header.get("status") == STATUS_OK and FRAME_VERSION in (
+                        header.get("frames", ())
+                    ):
+                        self.wire = "binary"
+                        self.server_worker_id = str(header.get("worker_id", ""))
+                        return
+                elif first:
+                    await self._reader.readline()  # the JSON 'invalid' reply
         except (FrameError, *_TRANSPORT_ERRORS) as exc:
             raise self._connection_error(
                 f"wire negotiation failed: {type(exc).__name__}: {exc}", "hello"
@@ -422,48 +425,61 @@ class ServiceClient:
                 "server does not speak binary frames", "hello"
             )
 
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
+    async def close(self) -> None:
+        writer, self._reader, self._writer = self._writer, None, None
+        if writer is None:
+            return
+        writer.close()
+        try:
+            async with frame_timeout(self.timeout):
+                await writer.wait_closed()
+        except _TRANSPORT_ERRORS:
+            writer.transport.abort()  # the peer never drained our buffer
 
-    def __enter__(self) -> "ServiceClient":
-        return self.connect()
+    async def __aenter__(self) -> "AsyncServiceClient":
+        return await self.connect()
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+    async def __aexit__(self, *exc_info: object) -> None:
+        await self.close()
 
     def _connection_error(
         self, message: str, request_id: str
     ) -> ServiceConnectionError:
-        self.close()  # a dead socket must not be reused by the next attempt
+        # Abort, never close gracefully: a dead connection must not be
+        # reused by the next attempt, and a peer that stopped reading
+        # must not hold us on the unflushed send buffer.
+        if self._writer is not None:
+            self._writer.transport.abort()
+        self._reader = self._writer = None
         return ServiceConnectionError(
             message, host=self.host, port=self.port, request_id=request_id
         )
 
+    async def _write(self, data: bytes) -> None:
+        """Send ``data``; the flush is bounded by ``timeout``."""
+        assert self._writer is not None
+        self._writer.write(data)
+        async with frame_timeout(self.timeout):
+            await self._writer.drain()
+
     def _encode_for_wire(
-        self, message: dict[str, Any], request: Optional[ColorRequest]
+        self,
+        message: dict[str, Any],
+        request: Optional[PreparedColorRequest | RecolorRequest],
     ) -> bytes:
         """The outgoing bytes for one op under the negotiated wire format.
 
-        A color ``request`` is encoded directly — raw weight bytes on the
-        binary wire, the JSON weights list only when NDJSON is actually
-        in use — so binary connections never pay JSON array serialization.
-        A :class:`PreparedColorRequest` reuses its cached encoding.
+        A ``request`` is encoded directly — raw weight bytes on the binary
+        wire, the JSON weights list only when NDJSON is actually in use —
+        so binary connections never pay JSON array serialization.  A
+        :class:`PreparedColorRequest` reuses its cached encoding.
         """
         if isinstance(request, PreparedColorRequest):
             return request.wire_bytes(self.wire)
-        if isinstance(request, RecolorRequest):
+        if request is not None:
             if self.wire == "binary":
                 return encode_recolor_request(request)
             return encode_message(recolor_to_wire(request))
-        if request is not None:
-            if self.wire == "binary":
-                return encode_color_request(request)
-            return encode_message(request_to_wire(request))
         if self.wire == "binary":
             return self._encode_op_frame(message)
         return encode_message(message)
@@ -497,41 +513,64 @@ class ServiceClient:
             return encode_frame(OP_COLOR, header, payload)
         raise ServiceError(f"op {op!r} has no binary frame encoding")
 
-    def _roundtrip(
+    async def _roundtrip(
         self,
         message: dict[str, Any],
         request_id: str = "",
         fault_token: str = "",
-        request: Optional[ColorRequest | PreparedColorRequest] = None,
+        request: Optional[PreparedColorRequest | RecolorRequest] = None,
     ) -> dict[str, Any]:
         try:
-            if self._sock is None:
-                self.connect()
-            assert self._sock is not None and self._file is not None
+            if self._writer is None:
+                await self.connect()
             payload = self._encode_for_wire(message, request)
             fault = draw("client.send", fault_token)
             if fault is not None:
                 if fault.kind == "partial":
-                    self._sock.sendall(payload[: max(1, len(payload) // 2)])
+                    await self._write(payload[: max(1, len(payload) // 2)])
                     raise BrokenPipeError("injected partial write")
                 if fault.kind == "drop":
                     raise ConnectionResetError("injected connection drop before send")
                 if fault.kind == "slow":
-                    time.sleep(fault.delay)
-            self._sock.sendall(payload)
+                    await asyncio.sleep(fault.delay)
+            await self._write(payload)
             fault = draw("client.recv", fault_token)
             if fault is not None:
                 if fault.kind == "drop":
                     raise ConnectionResetError("injected connection drop before read")
                 if fault.kind == "slow":
-                    time.sleep(fault.delay)
-            if self.wire == "binary":
-                return self._read_response_frame(request_id)
-            line = self._file.readline(MAX_MESSAGE_BYTES)
+                    await asyncio.sleep(fault.delay)
+            async with frame_timeout(self.timeout):
+                return await self._read_response(request_id)
         except _TRANSPORT_ERRORS as exc:
             raise self._connection_error(
                 f"{type(exc).__name__}: {exc}", request_id
             ) from exc
+
+    async def _read_response(self, request_id: str) -> dict[str, Any]:
+        """One response on the negotiated wire, as a message dict.
+
+        A torn frame or a closed connection is a retryable
+        :class:`ServiceConnectionError` (the server died mid-send, and
+        content-addressed requests are idempotent); an undecodable one is
+        a :class:`ServiceError`.  The caller bounds the read.
+        """
+        assert self._reader is not None
+        if self.wire == "binary":
+            try:
+                frame = await read_frame_async(self._reader)
+            except TornFrameError as exc:
+                raise self._connection_error(
+                    f"torn response frame: {exc}", request_id
+                ) from None
+            except FrameError as exc:
+                raise ServiceError(f"bad response frame: {exc}") from None
+            if frame is None:
+                raise self._connection_error(
+                    "connection closed by server", request_id
+                )
+            return response_to_message(frame)
+        line = await self._reader.readline()
         if not line:
             raise self._connection_error("connection closed by server", request_id)
         try:
@@ -539,53 +578,37 @@ class ServiceClient:
         except ProtocolError as exc:
             raise ServiceError(f"bad response frame: {exc}") from None
 
-    def _read_response_frame(self, request_id: str) -> dict[str, Any]:
-        """One response frame as a message dict (torn = retryable)."""
-        try:
-            frame = read_frame(self._file)
-        except TornFrameError as exc:
-            # The server died mid-send; content-addressed requests are
-            # idempotent, so surface this as a retryable connection error.
-            raise self._connection_error(
-                f"torn response frame: {exc}", request_id
-            ) from None
-        except FrameError as exc:
-            raise ServiceError(f"bad response frame: {exc}") from None
-        if frame is None:
-            raise self._connection_error("connection closed by server", request_id)
-        return response_to_message(frame)
-
-    def _call(
+    async def _call(
         self,
         message: dict[str, Any],
         request_id: str = "",
-        request: Optional[ColorRequest | PreparedColorRequest] = None,
+        request: Optional[PreparedColorRequest | RecolorRequest] = None,
     ) -> dict[str, Any]:
         """One logical round trip, retried under the client's policy."""
         attempt = 0
         while True:
             token = f"{request_id or message.get('op', '')}#{attempt}"
             try:
-                return self._roundtrip(
+                return await self._roundtrip(
                     message, request_id, fault_token=token, request=request
                 )
             except ServiceConnectionError:
                 if self.retry is None or not self.retry.should_retry(attempt):
                     raise
                 self.retries_used += 1
-                time.sleep(self.retry.delay(attempt, self._rng))
+                await asyncio.sleep(self.retry.delay(attempt, self._rng))
                 attempt += 1
 
     # -------------------------------------------------------------------- ops
-    def ping(self) -> float:
+    async def ping(self) -> float:
         """Round-trip a ping; returns the latency in seconds."""
         t0 = time.perf_counter()
-        response = self._call({"op": "ping", "id": "ping"}, "ping")
+        response = await self._call({"op": "ping", "id": "ping"}, "ping")
         if response.get("status") != STATUS_OK:
             raise ServiceError(f"ping failed: {response}")
         return time.perf_counter() - t0
 
-    def color(
+    async def color(
         self,
         weights,
         algorithm: str = "BDP",
@@ -602,27 +625,60 @@ class ServiceClient:
         out-of-core tiler with that tile shape (GLL only; the coloring is
         bit-identical to a monolithic request for the same grid).
         """
-        request = _build_request(
-            weights, algorithm, fast, validate, timeout, request_id, tiles
-        )
-        t0 = time.perf_counter()
-        message = self._call({"op": "color"}, request_id, request=request)
-        return _decode_color_response(
-            message, request.shape, time.perf_counter() - t0
-        )
+        return await self.color_prepared(prepare_color_request(
+            weights, algorithm, fast=fast, validate=validate, timeout=timeout,
+            request_id=request_id, tiles=tiles,
+        ))
 
-    def color_prepared(self, prepared: PreparedColorRequest) -> ColorResponse:
+    async def color_prepared(self, prepared: PreparedColorRequest) -> ColorResponse:
         """Send a :func:`prepare_color_request` product; decode the reply."""
         t0 = time.perf_counter()
-        message = self._call(
+        message = await self._call(
             {"op": "color"}, prepared.request_id, request=prepared
         )
         return _decode_color_response(
             message, prepared.shape, time.perf_counter() - t0
         )
 
+    async def color_pipelined(
+        self, prepared: Sequence[PreparedColorRequest]
+    ) -> list[ColorResponse]:
+        """Send a burst of prepared requests before reading any response.
+
+        The server — and the router in front of a worker pool — processes
+        each connection's frames strictly in order, so responses come back
+        in request order and one write burst plus ``n`` ordered reads
+        amortizes the per-request event-loop round trip.  Latency in each
+        :class:`ColorResponse` is measured from the start of the burst, and
+        one shared deadline of ``self.timeout`` covers all the reads (a
+        per-response timer at thousands of responses per second is real
+        CPU).  There is no mid-burst retry: a transport failure or a torn
+        frame voids the whole burst and aborts the connection.
+        """
+        if not prepared:
+            return []
+        try:
+            if self._writer is None:
+                await self.connect()
+            t0 = time.perf_counter()
+            await self._write(b"".join(p.wire_bytes(self.wire) for p in prepared))
+            responses: list[ColorResponse] = []
+            async with frame_timeout(self.timeout):
+                for item in prepared:
+                    message = await self._read_response(item.request_id)
+                    responses.append(
+                        _decode_color_response(
+                            message, item.shape, time.perf_counter() - t0
+                        )
+                    )
+            return responses
+        except _TRANSPORT_ERRORS as exc:
+            raise self._connection_error(
+                f"{type(exc).__name__}: {exc}", prepared[0].request_id
+            ) from exc
+
     # ------------------------------------------------------ recolor sessions
-    def recolor_open(
+    async def recolor_open(
         self,
         session: str,
         weights,
@@ -645,8 +701,8 @@ class ServiceClient:
             algorithm=algorithm,
         )
         t0 = time.perf_counter()
-        message = self._call(
-            recolor_to_wire(request), request.request_id, request=request
+        message = await self._call(
+            {"op": "recolor"}, request.request_id, request=request
         )
         response = _decode_recolor_response(
             message, tuple(arr.shape), time.perf_counter() - t0
@@ -656,11 +712,10 @@ class ServiceClient:
                 algorithm=algorithm,
                 weights=arr.copy(),
                 starts=response.starts.copy(),
-                maxcolor=int(response.maxcolor or 0),
             )
         return response
 
-    def recolor_delta(
+    async def recolor_delta(
         self,
         session: str,
         idx,
@@ -684,8 +739,16 @@ class ServiceClient:
         mirror — a bounded loop of :data:`RESEED_ATTEMPTS` tries with
         jittered exponential backoff, because a single immediate re-send
         loses the race against a worker restart window.  Attempts are
-        counted in :attr:`reseeds_used`.  The mirror is updated from each
-        acknowledged delta's changed cells.
+        counted in :attr:`reseeds_used`.
+
+        The mirror is updated from each acknowledged delta's changed cells.
+        When the delta's round trip needed a retry, the first application
+        may have landed before its reply was lost, and the re-send then
+        reports none of its changed cells; the mirror is refreshed by
+        re-seeding from its (updated) weights instead.  That refresh is
+        covered by :attr:`retries_used`, not :attr:`reseeds_used`; if it
+        fails, the mirror is dropped rather than left stale, and
+        :meth:`recolor_state` returns ``None``.
         """
         mirror = self._recolor_mirrors.get(session)
         idx_arr = np.asarray(idx, dtype=np.int64).ravel()
@@ -696,9 +759,10 @@ class ServiceClient:
             delta_idx=idx_arr,
             delta_weights=new_arr,
         )
+        retries_before = self.retries_used
         t0 = time.perf_counter()
-        message = self._call(
-            recolor_to_wire(request), request.request_id, request=request
+        message = await self._call(
+            {"op": "recolor"}, request.request_id, request=request
         )
         response = _decode_recolor_response(
             message, None, time.perf_counter() - t0
@@ -711,17 +775,17 @@ class ServiceClient:
                     # answer may come from a worker that is mid-restart
                     # (or a sibling that has not seen the journal yet) —
                     # immediate re-seeds lose that race.
-                    time.sleep(
+                    await asyncio.sleep(
                         RESEED_BACKOFF
                         * (2**attempt)
                         * (0.5 + self._rng.random())
                     )
-                seeded = self.recolor_open(
+                seeded = await self.recolor_open(
                     session, mirror.weights, mirror.algorithm
                 )
                 if not seeded.ok:
                     continue
-                retry = self.recolor_delta(
+                retry = await self.recolor_delta(
                     session, idx_arr, new_arr,
                     request_id=request.request_id, reseed=False,
                 )
@@ -735,7 +799,14 @@ class ServiceClient:
                 mirror.starts.ravel()[response.changed_idx] = (
                     response.changed_starts
                 )
-            mirror.maxcolor = int(response.maxcolor or mirror.maxcolor)
+            if self.retries_used != retries_before:
+                # The changed cells of a lost first application are
+                # unknown: re-seed, which rebuilds the mirror only on ok.
+                del self._recolor_mirrors[session]
+                await self.recolor_open(
+                    session, mirror.weights, mirror.algorithm,
+                    request_id=f"{request.request_id}/refresh",
+                )
         return response
 
     def recolor_state(
@@ -747,25 +818,69 @@ class ServiceClient:
             return None
         return mirror.weights, mirror.starts
 
-    def metrics(self, *, include_state: bool = False) -> dict[str, Any]:
+    async def metrics(self, *, include_state: bool = False) -> dict[str, Any]:
         """The server's metrics snapshot (``include_state`` adds mergeable
         histogram state, the form ``merge_snapshots`` needs)."""
         message: dict[str, Any] = {"op": "metrics", "id": "metrics"}
         if include_state:
             message["state"] = True
-        response = self._call(message, "metrics")
+        response = await self._call(message, "metrics")
         if response.get("status") != STATUS_OK:
             raise ServiceError(f"metrics failed: {response}")
         return response["metrics"]
 
-    def shutdown(self) -> None:
+    async def shutdown(self) -> None:
         """Ask the server to drain and stop (never retried — not idempotent
         to wait on: the server may be gone before a response arrives)."""
-        self._roundtrip({"op": "shutdown", "id": "shutdown"}, "shutdown")
+        await self._roundtrip({"op": "shutdown", "id": "shutdown"}, "shutdown")
 
 
-class AsyncServiceClient:
-    """Asyncio variant of :class:`ServiceClient` (one connection per client)."""
+def _core_attribute(name: str) -> property:
+    """A :class:`ServiceClient` attribute that reads and writes the core's."""
+    return property(
+        lambda self: getattr(self._core, name),
+        lambda self, value: setattr(self._core, name, value),
+    )
+
+
+def _blocking(name: str):
+    """A :class:`ServiceClient` method that runs the core's coroutine."""
+    core_method = getattr(AsyncServiceClient, name)
+
+    @functools.wraps(core_method)
+    def method(self, *args, **kwargs):
+        return self._run(core_method(self._core, *args, **kwargs))
+
+    return method
+
+
+class ServiceClient:
+    """Blocking facade over :class:`AsyncServiceClient`.
+
+    Same constructor and ops as the core, minus
+    :meth:`~AsyncServiceClient.color_pipelined`; the public attributes below
+    read and write the core's.  Each call runs the core's
+    coroutine to completion on a private event loop, so it must not be
+    made from a thread whose event loop is already running (see the module
+    docstring).
+    """
+
+    host = _core_attribute("host")
+    port = _core_attribute("port")
+    timeout = _core_attribute("timeout")
+    retry = _core_attribute("retry")
+    wire = _core_attribute("wire")
+    server_worker_id = _core_attribute("server_worker_id")
+    retries_used = _core_attribute("retries_used")
+    reseeds_used = _core_attribute("reseeds_used")
+
+    ping = _blocking("ping")
+    color = _blocking("color")
+    color_prepared = _blocking("color_prepared")
+    recolor_open = _blocking("recolor_open")
+    recolor_delta = _blocking("recolor_delta")
+    metrics = _blocking("metrics")
+    shutdown = _blocking("shutdown")
 
     def __init__(
         self,
@@ -777,283 +892,46 @@ class AsyncServiceClient:
         retry_seed: int = 0,
         wire: str = "auto",
     ):
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.retry = retry
-        self.retries_used = 0
-        self.wire_preference = _check_wire(wire)
-        self.wire = "ndjson"
-        self.server_worker_id = ""
-        self._rng = random.Random(retry_seed)
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-
-    # `_encode_for_wire` / `_encode_op_frame` are wire-format logic with no
-    # I/O — share the synchronous client's implementations verbatim.
-    _encode_for_wire = ServiceClient._encode_for_wire
-    _encode_op_frame = ServiceClient._encode_op_frame
-
-    async def connect(self) -> "AsyncServiceClient":
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port, limit=MAX_MESSAGE_BYTES
+        self._core = AsyncServiceClient(
+            host, port, timeout, retry=retry, retry_seed=retry_seed, wire=wire
         )
-        self.wire = "ndjson"
-        if self.wire_preference != "ndjson":
-            await self._negotiate()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+
+    def _run(self, coro):
+        """Run one core coroutine to completion on the private loop."""
+        if self._loop is None:
+            self._loop = asyncio.new_event_loop()
+        try:
+            return self._loop.run_until_complete(coro)
+        except RuntimeError:
+            coro.close()  # never started if a loop already runs here
+            raise
+
+    def connect(self) -> "ServiceClient":
+        try:
+            self._run(self._core.connect())
+        except BaseException:
+            self.close()  # a failed connect leaves no loop behind
+            raise
         return self
 
-    async def _negotiate(self) -> None:
-        """Asyncio twin of :meth:`ServiceClient._negotiate`."""
-        assert self._reader is not None and self._writer is not None
+    def close(self) -> None:
+        if self._loop is None:
+            return
         try:
-            self._writer.write(encode_hello())
-            await self._writer.drain()
-            first = await asyncio.wait_for(self._reader.read(1), self.timeout)
-            if first == FRAME_MAGIC[:1]:
-                frame = await asyncio.wait_for(
-                    read_frame_async(self._reader, first=first), self.timeout
-                )
-                header = frame.header if frame is not None else {}
-                if header.get("status") == STATUS_OK and FRAME_VERSION in header.get(
-                    "frames", ()
-                ):
-                    self.wire = "binary"
-                    self.server_worker_id = str(header.get("worker_id", ""))
-                    return
-            elif first:
-                await asyncio.wait_for(self._reader.readline(), self.timeout)
-        except (FrameError, *_TRANSPORT_ERRORS) as exc:
-            raise await self._connection_error(
-                f"wire negotiation failed: {type(exc).__name__}: {exc}", "hello"
-            ) from exc
-        if self.wire_preference == "binary":
-            raise await self._connection_error(
-                "server does not speak binary frames", "hello"
-            )
+            self._loop.run_until_complete(self._core.close())
+        finally:
+            self._loop.close()
+            self._loop = None
 
-    async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except _TRANSPORT_ERRORS:  # pragma: no cover
-                pass
-            self._writer = None
-            self._reader = None
+    def __enter__(self) -> "ServiceClient":
+        return self.connect()
 
-    async def __aenter__(self) -> "AsyncServiceClient":
-        return await self.connect()
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.close()
-
-    async def _connection_error(
-        self, message: str, request_id: str
-    ) -> ServiceConnectionError:
-        await self.close()
-        return ServiceConnectionError(
-            message, host=self.host, port=self.port, request_id=request_id
-        )
-
-    async def _roundtrip(
-        self,
-        message: dict[str, Any],
-        request_id: str = "",
-        fault_token: str = "",
-        request: Optional[ColorRequest | PreparedColorRequest] = None,
-    ) -> dict[str, Any]:
-        try:
-            if self._writer is None:
-                await self.connect()
-            assert self._reader is not None and self._writer is not None
-            payload = self._encode_for_wire(message, request)
-            fault = draw("client.send", fault_token)
-            if fault is not None:
-                if fault.kind == "partial":
-                    self._writer.write(payload[: max(1, len(payload) // 2)])
-                    await self._writer.drain()
-                    raise BrokenPipeError("injected partial write")
-                if fault.kind == "drop":
-                    raise ConnectionResetError("injected connection drop before send")
-                if fault.kind == "slow":
-                    await asyncio.sleep(fault.delay)
-            self._writer.write(payload)
-            await self._writer.drain()
-            fault = draw("client.recv", fault_token)
-            if fault is not None:
-                if fault.kind == "drop":
-                    raise ConnectionResetError("injected connection drop before read")
-                if fault.kind == "slow":
-                    await asyncio.sleep(fault.delay)
-            if self.wire == "binary":
-                return await self._read_response_frame(request_id)
-            line = await asyncio.wait_for(self._reader.readline(), self.timeout)
-        except _TRANSPORT_ERRORS as exc:
-            raise await self._connection_error(
-                f"{type(exc).__name__}: {exc}", request_id
-            ) from exc
-        if not line:
-            raise await self._connection_error(
-                "connection closed by server", request_id
-            )
-        try:
-            return decode_message(line)
-        except ProtocolError as exc:
-            raise ServiceError(f"bad response frame: {exc}") from None
-
-    async def _read_response_frame(self, request_id: str) -> dict[str, Any]:
-        """One response frame as a message dict (torn = retryable)."""
-        try:
-            async with frame_timeout(self.timeout):
-                frame = await read_frame_async(self._reader)
-        except TornFrameError as exc:
-            raise await self._connection_error(
-                f"torn response frame: {exc}", request_id
-            ) from None
-        except FrameError as exc:
-            raise ServiceError(f"bad response frame: {exc}") from None
-        if frame is None:
-            raise await self._connection_error(
-                "connection closed by server", request_id
-            )
-        return response_to_message(frame)
-
-    async def _call(
-        self,
-        message: dict[str, Any],
-        request_id: str = "",
-        request: Optional[ColorRequest | PreparedColorRequest] = None,
-    ) -> dict[str, Any]:
-        """One logical round trip, retried under the client's policy."""
-        attempt = 0
-        while True:
-            token = f"{request_id or message.get('op', '')}#{attempt}"
-            try:
-                return await self._roundtrip(
-                    message, request_id, fault_token=token, request=request
-                )
-            except ServiceConnectionError:
-                if self.retry is None or not self.retry.should_retry(attempt):
-                    raise
-                self.retries_used += 1
-                await asyncio.sleep(self.retry.delay(attempt, self._rng))
-                attempt += 1
-
-    async def ping(self) -> float:
-        t0 = time.perf_counter()
-        response = await self._call({"op": "ping", "id": "ping"}, "ping")
-        if response.get("status") != STATUS_OK:
-            raise ServiceError(f"ping failed: {response}")
-        return time.perf_counter() - t0
-
-    async def color(
-        self,
-        weights,
-        algorithm: str = "BDP",
-        *,
-        fast: Optional[bool] = None,
-        validate: bool = False,
-        timeout: Optional[float] = None,
-        request_id: str = "",
-        tiles: Optional[tuple[int, ...]] = None,
-    ) -> ColorResponse:
-        request = _build_request(
-            weights, algorithm, fast, validate, timeout, request_id, tiles
-        )
-        t0 = time.perf_counter()
-        message = await self._call({"op": "color"}, request_id, request=request)
-        return _decode_color_response(
-            message, request.shape, time.perf_counter() - t0
-        )
-
-    async def color_prepared(self, prepared: PreparedColorRequest) -> ColorResponse:
-        """Send a :func:`prepare_color_request` product; decode the reply."""
-        t0 = time.perf_counter()
-        message = await self._call(
-            {"op": "color"}, prepared.request_id, request=prepared
-        )
-        return _decode_color_response(
-            message, prepared.shape, time.perf_counter() - t0
-        )
-
-    async def color_pipelined(
-        self, prepared: Sequence[PreparedColorRequest]
-    ) -> list[ColorResponse]:
-        """Send a burst of prepared requests before reading any response.
-
-        The server — and the router in front of a worker pool — processes
-        each connection's frames strictly in order, so responses come back
-        in request order and one write burst plus ``n`` ordered reads
-        amortizes the per-request event-loop round trip.  Latency in each
-        :class:`ColorResponse` is measured from the start of the burst, and
-        one shared deadline of ``self.timeout`` covers the whole burst (a
-        per-response timer at thousands of responses per second is real
-        CPU).  There is no mid-burst retry: a transport failure or a torn
-        frame voids the whole burst and closes the connection.
-        """
-        if not prepared:
-            return []
-        try:
-            if self._writer is None:
-                await self.connect()
-            assert self._reader is not None and self._writer is not None
-            t0 = time.perf_counter()
-            self._writer.write(
-                b"".join(p.wire_bytes(self.wire) for p in prepared)
-            )
-            await self._writer.drain()
-            responses: list[ColorResponse] = []
-            async with frame_timeout(self.timeout):
-                for item in prepared:
-                    if self.wire == "binary":
-                        try:
-                            frame = await read_frame_async(self._reader)
-                        except TornFrameError as exc:
-                            raise await self._connection_error(
-                                f"torn response frame: {exc}", item.request_id
-                            ) from None
-                        except FrameError as exc:
-                            raise ServiceError(
-                                f"bad response frame: {exc}"
-                            ) from None
-                        if frame is None:
-                            raise await self._connection_error(
-                                "connection closed by server", item.request_id
-                            )
-                        message = response_to_message(frame)
-                    else:
-                        line = await self._reader.readline()
-                        if not line:
-                            raise await self._connection_error(
-                                "connection closed by server", item.request_id
-                            )
-                        try:
-                            message = decode_message(line)
-                        except ProtocolError as exc:
-                            raise ServiceError(
-                                f"bad response frame: {exc}"
-                            ) from None
-                    responses.append(
-                        _decode_color_response(
-                            message, item.shape, time.perf_counter() - t0
-                        )
-                    )
-            return responses
-        except _TRANSPORT_ERRORS as exc:
-            raise await self._connection_error(
-                f"{type(exc).__name__}: {exc}",
-                prepared[0].request_id,
-            ) from exc
-
-    async def metrics(self, *, include_state: bool = False) -> dict[str, Any]:
-        message: dict[str, Any] = {"op": "metrics", "id": "metrics"}
-        if include_state:
-            message["state"] = True
-        response = await self._call(message, "metrics")
-        if response.get("status") != STATUS_OK:
-            raise ServiceError(f"metrics failed: {response}")
-        return response["metrics"]
-
-    async def shutdown(self) -> None:
-        await self._roundtrip({"op": "shutdown", "id": "shutdown"}, "shutdown")
+    def recolor_state(
+        self, session: str
+    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """The mirror's ``(weights, starts)`` for a session, or ``None``."""
+        return self._core.recolor_state(session)

@@ -562,48 +562,16 @@ def decode_frame(raw: bytes) -> Frame:
     return Frame(opcode, flags, key, header, payload)
 
 
-def _read_exact(stream, count: int, what: str) -> bytes:
-    """Exactly ``count`` bytes from a blocking file object, or a typed error."""
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = stream.read(remaining)
-        if not chunk:
-            raise TornFrameError(
-                f"{what} truncated: {count - remaining} of {count} bytes"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def read_frame(stream, *, first: bytes = b"") -> Optional[Frame]:
-    """Read one frame from a blocking buffered stream.
+async def read_frame_async(
+    reader: asyncio.StreamReader, *, first: bytes = b""
+) -> Optional[Frame]:
+    """Read one frame from an asyncio stream.
 
     ``first`` is any preamble prefix already consumed (connection sniffing
     hands the first bytes over).  Returns ``None`` on a clean EOF at a
     frame boundary; raises :class:`TornFrameError` on truncation anywhere
     else.
     """
-    head = bytes(first)
-    if not head:
-        head = stream.read(PREAMBLE_SIZE)
-        if not head:
-            return None  # clean EOF between frames
-    if len(head) < PREAMBLE_SIZE:
-        head += _read_exact(stream, PREAMBLE_SIZE - len(head), "preamble")
-    _version, flags, opcode, key, header_len, payload_len = decode_preamble(head)
-    header = _parse_header(_read_exact(stream, header_len, "header"))
-    payload = _read_exact(stream, payload_len, "payload")
-    if flags & FLAG_TRAILING_NEWLINE:
-        _read_exact(stream, 1, "trailing newline")
-    return Frame(opcode, flags, key, header, payload)
-
-
-async def read_frame_async(
-    reader: asyncio.StreamReader, *, first: bytes = b""
-) -> Optional[Frame]:
-    """Asyncio twin of :func:`read_frame` (same EOF/truncation contract)."""
     head = bytes(first)
     try:
         if not head:

@@ -23,7 +23,7 @@ from repro.core.orderings import (
 )
 from repro.core.problem import IVCInstance
 from repro.kernels import wavefront
-from repro.kernels.config import fast_paths, fast_paths_enabled, set_fast_paths
+from repro.runtime.fastpath import fast_paths, fast_paths_enabled, set_fast_paths
 from repro.kernels.substrate import get_substrate
 
 SHAPES_2D = [(1, 1), (1, 5), (5, 1), (2, 2), (4, 7), (6, 6)]
@@ -57,7 +57,7 @@ def test_uncolored_sentinels_agree():
 def test_auto_mode_size_threshold():
     # Auto mode (fast=None) only engages kernels from MIN_AUTO_SIZE vertices
     # up; explicit True/False win unconditionally.
-    from repro.kernels.config import MIN_AUTO_SIZE, resolve_fast_for
+    from repro.runtime.fastpath import MIN_AUTO_SIZE, resolve_fast_for
 
     prev = fast_paths_enabled()
     try:

@@ -11,17 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, merge_snapshots
-
-
-class TestServiceShim:
-    def test_service_metrics_reexports_obs(self):
-        from repro.service import metrics as shim
-
-        assert shim.MetricsRegistry is MetricsRegistry
-        assert shim.Counter is Counter
-        assert shim.Histogram is Histogram
-        assert shim.merge_snapshots is merge_snapshots
+from repro.obs import Histogram, MetricsRegistry, merge_snapshots
 
 
 class TestHistogramState:

@@ -7,6 +7,8 @@ drives both sides' hook sites at once — the same topology the CI
 """
 
 import asyncio
+import socket
+import threading
 import time
 
 import numpy as np
@@ -30,6 +32,52 @@ from repro.service.loadgen import build_workload, run_loadgen
 from repro.service.server import ServerConfig, ServerThread
 
 RETRY = RetryPolicy(retries=5, base_delay=0.005, max_delay=0.05)
+
+
+@pytest.fixture(params=["blocking", "asyncio"])
+def facade(request):
+    """``(make, run)`` for one client facade.
+
+    ``make`` builds a client; ``run`` resolves the value one client call
+    returns — identity for the blocking :class:`ServiceClient`, one
+    ``run_until_complete`` on a test-owned loop for the
+    :class:`AsyncServiceClient` core — so one scenario drives both.
+    """
+    if request.param == "blocking":
+        yield ServiceClient, lambda value: value
+        return
+    loop = asyncio.new_event_loop()
+    try:
+        yield AsyncServiceClient, loop.run_until_complete
+    finally:
+        loop.close()
+
+
+@pytest.fixture
+def deaf_listener():
+    """Port of a TCP listener that accepts connections and never reads."""
+    server = socket.create_server(("127.0.0.1", 0))
+    server.settimeout(0.05)
+    held: list[socket.socket] = []
+    stop = threading.Event()
+
+    def accept() -> None:
+        while not stop.is_set():
+            try:
+                held.append(server.accept()[0])
+            except OSError:
+                continue
+
+    thread = threading.Thread(target=accept, daemon=True)
+    thread.start()
+    try:
+        yield server.getsockname()[1]
+    finally:
+        stop.set()
+        thread.join()
+        for conn in held:
+            conn.close()
+        server.close()
 
 
 class TestLoadgenUnderChaos:
@@ -239,3 +287,82 @@ class TestReconnectAfterRestart:
             assert excinfo.value.request_id == "after-stop"
         finally:
             client.close()
+
+
+class TestRecolorMirrorAfterLostReply:
+    def test_retried_delta_refreshes_the_mirror(self, facade):
+        """The delta lands, its reply is dropped, and the idempotent
+        re-send reports no changed cells: the mirror must still match a
+        cold recolor of the new weights, with no unknown-session re-seed."""
+        from repro.incremental.engine import full_recolor
+
+        make, run = facade
+        rng = np.random.default_rng(4)
+        weights = rng.integers(1, 101, size=(24, 24), dtype=np.int64)
+        idx = np.array([30, 300, 555])
+        vals = np.array([100, 100, 100])
+        updated = weights.copy()
+        updated.ravel()[idx] = vals
+        cold = full_recolor(updated, "GLF")
+        with ServerThread(ServerConfig(compute_threads=1)) as thread:
+            client = make("127.0.0.1", thread.port, timeout=10.0, retry=RETRY)
+            try:
+                seeded = run(client.recolor_open("s", weights, "GLF"))
+                assert seeded.ok
+                assert not np.array_equal(seeded.starts, cold)  # delta bites
+                install_plan(parse_fault_spec("client.recv:drop=1.0,max=1"))
+                response = run(client.recolor_delta("s", idx, vals))
+                state = client.recolor_state("s")
+            finally:
+                run(client.close())
+        assert response.ok
+        assert client.retries_used == 1
+        assert client.reseeds_used == 0
+        assert state is not None
+        mirror_weights, mirror_starts = state
+        assert np.array_equal(mirror_weights, updated)
+        assert np.array_equal(mirror_starts, cold)
+
+
+class TestPeerThatStopsReading:
+    """Every write and read is bounded by ``timeout``: a peer that accepts
+    and never reads costs a typed error within a few timeouts, not a hang."""
+
+    TIMEOUT = 1.0
+
+    def _raises_in_time(self, run, call) -> ServiceConnectionError:
+        t0 = time.monotonic()
+        with pytest.raises(ServiceConnectionError) as excinfo:
+            run(call())
+        assert time.monotonic() - t0 < 5 * self.TIMEOUT
+        return excinfo.value
+
+    @pytest.mark.parametrize("wire, request_id", [
+        ("auto", "hello"), ("ndjson", "ping"),
+    ])
+    def test_ping(self, facade, deaf_listener, wire, request_id):
+        make, run = facade
+        client = make("127.0.0.1", deaf_listener, timeout=self.TIMEOUT,
+                      wire=wire)
+        try:
+            error = self._raises_in_time(run, client.ping)
+        finally:
+            run(client.close())
+        assert (error.host, error.port, error.request_id) == (
+            "127.0.0.1", deaf_listener, request_id,
+        )
+
+    def test_large_color_write(self, facade, deaf_listener):
+        make, run = facade
+        client = make("127.0.0.1", deaf_listener, timeout=self.TIMEOUT,
+                      wire="ndjson")
+        weights = np.ones((2048, 2048), dtype=np.int64)
+        try:
+            error = self._raises_in_time(
+                run, lambda: client.color(weights, "BDP", request_id="big")
+            )
+        finally:
+            run(client.close())
+        assert (error.host, error.port, error.request_id) == (
+            "127.0.0.1", deaf_listener, "big",
+        )

@@ -165,12 +165,3 @@ class TestEnvironmentLayer:
         monkeypatch.setenv("REPRO_FAST_PATHS", "off")
         assert resolve_fast_for(None, 10**6, context=_ctx("on")) is True
 
-
-class TestKernelsConfigShim:
-    def test_reexports_are_the_same_objects(self):
-        from repro.kernels import config as shim
-
-        assert shim.set_fast_paths is set_fast_paths
-        assert shim.resolve_fast_for is resolve_fast_for
-        assert shim.fast_paths is fast_paths
-        assert shim.MIN_AUTO_SIZE == fastpath.MIN_AUTO_SIZE

@@ -15,7 +15,7 @@ Three layers of assurance:
   bit-identical (the acceptance bar of the scaled tier).
 """
 
-import io
+import asyncio
 import json
 
 import numpy as np
@@ -45,7 +45,7 @@ from repro.service.frames import (
     encode_hello,
     encode_hello_ok,
     encode_result,
-    read_frame,
+    read_frame_async,
     response_to_message,
 )
 from repro.service.protocol import (
@@ -72,6 +72,22 @@ _keys = st.one_of(
     st.binary(min_size=KEY_SIZE, max_size=KEY_SIZE).map(bytes.hex),
 )
 _opcodes = st.sampled_from(frames._OPCODES)
+
+
+def _read_fed(raw: bytes, reads: int = 1, *, first: bytes = b"") -> list:
+    """``reads`` frames read with :func:`read_frame_async` from a stream
+    reader fed ``raw`` and then EOF (``first`` goes to the first read)."""
+
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        out = [await read_frame_async(reader, first=first)]
+        for _ in range(reads - 1):
+            out.append(await read_frame_async(reader))
+        return out
+
+    return asyncio.run(read())
 
 
 class TestFrameRoundTrip:
@@ -105,16 +121,14 @@ class TestFrameRoundTrip:
     def test_stream_read_matches_decode(self, opcode, header, payload, newline):
         flags = FLAG_TRAILING_NEWLINE if newline else 0
         raw = encode_frame(opcode, header, payload, flags=flags)
-        stream = io.BytesIO(raw + raw)  # two frames back to back
-        first = read_frame(stream)
-        second = read_frame(stream)
+        # Two frames back to back, then a clean EOF at the boundary.
+        first, second, third = _read_fed(raw + raw, reads=3)
         assert first == second == decode_frame(raw)
-        assert read_frame(stream) is None  # clean EOF at the boundary
+        assert third is None
 
     def test_sniffed_prefix_is_honored(self):
         raw = encode_frame(OP_PING, {"op": "ping"})
-        stream = io.BytesIO(raw[2:])
-        frame = read_frame(stream, first=raw[:2])
+        [frame] = _read_fed(raw[2:], first=raw[:2])
         assert frame is not None and frame.opcode == OP_PING
 
     def test_hello_is_newline_free_and_parseable(self):
@@ -245,12 +259,11 @@ class TestTruncationAndCorruption:
         for cut in range(len(raw)):
             with pytest.raises(TornFrameError):
                 decode_frame(raw[:cut])
-            stream = io.BytesIO(raw[:cut])
             if cut == 0:
-                assert read_frame(stream) is None  # clean EOF, not torn
+                assert _read_fed(b"") == [None]  # clean EOF, not torn
             else:
                 with pytest.raises(TornFrameError):
-                    read_frame(stream)
+                    _read_fed(raw[:cut])
 
     def test_bad_magic_is_frame_error(self):
         raw = bytearray(self._sample_frame())
@@ -304,7 +317,7 @@ class TestTruncationAndCorruption:
         blob = bytes(raw) + data
         try:
             decode_frame(blob)
-            read_frame(io.BytesIO(blob))
+            _read_fed(blob)
         except FrameError:
             pass
         except ProtocolError:

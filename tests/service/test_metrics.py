@@ -2,7 +2,7 @@
 
 import json
 
-from repro.service.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 
 class TestHistogram:

@@ -86,10 +86,10 @@ class TestServing:
         assert "did you mean" in response.error and "BDP" in response.error
 
     def test_invalid_request_rejected(self, client):
-        response = client._roundtrip(
+        response = client._run(client._core._roundtrip(
             {"op": "color", "id": "x", "shape": [2, 2],
              "weights": [1, -2, 3, 4], "algorithm": "GLL"}
-        )
+        ))
         assert response["status"] == "invalid"
         assert "non-negative" in response["error"]
 
@@ -97,13 +97,13 @@ class TestServing:
         # The NDJSON wire carries arbitrary op strings; the server answers
         # them with a typed ``invalid`` status.
         with ServiceClient("127.0.0.1", server.port, wire="ndjson") as c:
-            response = c._roundtrip({"op": "frobnicate", "id": "y"})
+            response = c._run(c._core._roundtrip({"op": "frobnicate", "id": "y"}))
         assert response["status"] == "invalid"
         # The binary wire has a fixed opcode set, so an unknown op is a
         # typed client-side error before any bytes are sent.
         with ServiceClient("127.0.0.1", server.port, wire="binary") as c:
             with pytest.raises(ServiceError, match="frobnicate"):
-                c._roundtrip({"op": "frobnicate", "id": "y"})
+                c._run(c._core._roundtrip({"op": "frobnicate", "id": "y"}))
 
     def test_tiled_request_bit_identical_and_shares_cache(self, client):
         weights = _grid((14, 12), seed=11)
