@@ -17,15 +17,9 @@ Quick start::
     print(result.maxcolor, result.provenance)
 
 :mod:`repro.api` is the stable entry point (``docs/api.md`` explains how it
-maps onto the historical call styles).  The top-level ``color_with`` /
-``run_grid`` re-exports below still work but emit
-:class:`DeprecationWarning`; import them from their home packages
-(:mod:`repro.core`, :mod:`repro.engine`) or move to :func:`repro.api.color`.
+maps onto the historical call styles).  ``color_with`` and ``run_grid`` live
+in their home packages, :mod:`repro.core` and :mod:`repro.engine`.
 """
-
-import functools as _functools
-import sys as _sys
-import warnings as _warnings
 
 from repro.core import (
     ALGORITHMS,
@@ -40,7 +34,6 @@ from repro.core import (
     bipartite_decomposition,
     bipartite_decomposition_post,
     clique_block_bound,
-    color_with,
     greedy_color,
     greedy_largest_clique_first,
     greedy_largest_first,
@@ -52,55 +45,10 @@ from repro.core import (
     smart_greedy_largest_clique_first,
 )
 from repro.engine import RunRecord
-from repro.engine import run_grid as _run_grid
 from repro.experiments import SuiteExecutionError, SuiteResult, run_suite
 from repro.stencil import StencilGrid2D, StencilGrid3D
 from repro import api
 from repro.api import ColoringResult, color
-
-_color_with = color_with
-
-
-def _external_stacklevel() -> int:
-    """Stacklevel attributing a shim's warning to the nearest frame *outside*
-    the ``repro`` package.
-
-    ``stacklevel=2`` is only right when user code calls the shim directly;
-    when the call arrives through an internal re-dispatch the warning (and
-    the dedup key of the default ``once per call site`` filter, which is
-    keyed on the attributed module and line) would land on repro's own
-    frame.  Walking past in-package frames keeps ``-W error`` tracebacks
-    and warning dedup pinned to the caller's file and line.
-    """
-    level = 2  # from the shim's perspective: 1 = shim, 2 = its caller
-    frame = _sys._getframe(2)  # from here: 0 = helper, 1 = shim, 2 = caller
-    while frame is not None:
-        module = frame.f_globals.get("__name__", "")
-        if module != "repro" and not module.startswith("repro."):
-            break
-        frame = frame.f_back
-        level += 1
-    return level
-
-
-def _deprecated_alias(func, home: str):
-    @_functools.wraps(func)
-    def shim(*args, **kwargs):
-        _warnings.warn(
-            f"repro.{func.__name__} is deprecated; call repro.api.color() or "
-            f"import {func.__name__} from {home}",
-            DeprecationWarning,
-            stacklevel=_external_stacklevel(),
-        )
-        return func(*args, **kwargs)
-
-    shim.__wrapped__ = func
-    return shim
-
-
-#: Deprecated top-level aliases — same behaviour, plus a DeprecationWarning.
-color_with = _deprecated_alias(_color_with, "repro.core")
-run_grid = _deprecated_alias(_run_grid, "repro.engine")
 
 __version__ = "1.0.0"
 
@@ -126,7 +74,6 @@ __all__ = [
     "bipartite_decomposition",
     "bipartite_decomposition_post",
     "clique_block_bound",
-    "color_with",
     "greedy_color",
     "greedy_largest_clique_first",
     "greedy_largest_first",
@@ -135,7 +82,6 @@ __all__ = [
     "lower_bound",
     "maxpair_bound",
     "odd_cycle_bound",
-    "run_grid",
     "run_suite",
     "smart_greedy_largest_clique_first",
 ]

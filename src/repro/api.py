@@ -8,9 +8,8 @@ accept) an instance, resolve the runtime (reference loops, vectorized
 kernels, or the out-of-core tiler), run, and return a
 :class:`ColoringResult` carrying the coloring, a metrics snapshot, and
 provenance naming exactly how it was produced.  ``docs/api.md`` has the
-"choosing an entry point" guide; the legacy styles keep working (the
-top-level ``repro.color_with`` / ``repro.run_grid`` re-exports emit
-:class:`DeprecationWarning` and delegate unchanged).
+"choosing an entry point" guide; ``color_with`` (:mod:`repro.core`) and
+``run_grid`` (:mod:`repro.engine`) stay available from their home packages.
 
 This is deliberately the **only** module in ``src/repro`` that imports
 across the engine / kernels / service / tiling subsystem boundaries at
@@ -26,13 +25,14 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.core.algorithms.registry import color_with
+from repro.core.algorithms.registry import REGISTRY, color_with
 from repro.core.coloring import Coloring
 from repro.core.problem import IVCInstance
 from repro.data.weights import WeightSource
 from repro.incremental.engine import recolor_grid
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.context import ExecutionContext, get_context
+from repro.runtime.fastpath import resolve_fast_for
 from repro.runtime.fingerprint import config_fingerprint
 from repro.tiling.stitch import TiledColoring, color_tiled
 
@@ -108,7 +108,6 @@ def color(
     runtime: Union[None, str, RuntimeConfig, ExecutionContext] = None,
     validate: bool = False,
     tile_shape: Optional[tuple[int, ...]] = None,
-    jobs: Optional[int] = None,
 ) -> ColoringResult:
     """Color a stencil grid (or prepared instance) and say how it was done.
 
@@ -135,17 +134,16 @@ def color(
     validate:
         Check the coloring for conflicts before returning (monolithic
         runtimes only).
-    tile_shape / jobs:
-        Tiler overrides, ignored by monolithic runtimes.  ``jobs`` is
-        accepted and ignored by the tiler too (its band pass is
-        sequential).
+    tile_shape:
+        Tiler override, ignored by monolithic runtimes.
 
     Returns
     -------
     ColoringResult
         Bit-identical starts to the legacy entry point for the same
         algorithm and runtime — this facade changes how you ask, never the
-        answer.
+        answer.  Monolithic runs set ``provenance["fast"]`` to whether the
+        vectorized kernel actually ran.
     """
     runtime_str: Optional[str] = None
     if runtime is None:
@@ -215,7 +213,8 @@ def color(
     if instance is None:
         make = IVCInstance.from_grid_2d if grid.ndim == 2 else IVCInstance.from_grid_3d
         instance = make(grid)
-    coloring = color_with(instance, algorithm, fast=fast, context=ctx)
+    use_fast = resolve_fast_for(fast, instance.num_vertices, context=ctx)
+    coloring = color_with(instance, algorithm, fast=use_fast, context=ctx)
     if validate:
         coloring.check()
     starts = np.asarray(coloring.starts, dtype=np.int64)
@@ -228,7 +227,7 @@ def color(
         "algorithm": algorithm,
         "mode": "monolithic",
         "runtime": config_fingerprint(ctx.config),
-        "fast": fast,
+        "fast": REGISTRY.get(algorithm).runs_kernel(instance, use_fast),
         "shape": shape,
     }
     return ColoringResult(
@@ -272,7 +271,8 @@ def recolor(
         ``algorithm``: a :class:`ColoringResult` or a grid-shaped starts
         array.
     dirty:
-        Flat C-order indices of the cells whose weight changed.  Omit it
+        Flat C-order integer indices of the cells whose weight changed
+        (``np.flatnonzero(mask)`` turns a boolean mask into them).  Omit it
         and pass ``base_weights`` (the old weights) to have the delta
         derived by comparison; extra indices are safe, missing ones are
         not.

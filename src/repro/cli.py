@@ -392,15 +392,13 @@ def cmd_bench_kernels(args: argparse.Namespace) -> int:
         if args.algorithms
         else list(DEFAULT_ALGORITHMS)
     )
-    fast = _resolve_runtime(args)
-    runtime = {None: "auto", True: "kernels", False: "reference"}[fast]
     report = run_kernel_benchmark(
         sizes_2d=args.sizes,
         sizes_3d=args.sizes_3d,
         algorithms=algorithms,
         reps=args.reps,
         seed=args.seed,
-        runtime=runtime,
+        runtime=args.runtime or "auto",
     )
     print(format_report(report))
     if args.out:
@@ -1046,27 +1044,17 @@ def cmd_campaign_report(args: argparse.Namespace) -> int:
 
 
 def _add_runtime_option(p: argparse.ArgumentParser) -> None:
-    """``--runtime`` plus the legacy ``--fast-path`` flags as hidden aliases."""
     p.add_argument(
         "--runtime", choices=("auto", "kernels", "reference"), default=None,
         help="which implementation colors the cells: 'kernels' forces the "
              "vectorized fast paths, 'reference' the Python loops, 'auto' "
              "(default) picks per instance size",
     )
-    p.add_argument(
-        "--fast-path", dest="fast_path",
-        action=argparse.BooleanOptionalAction, default=None,
-        help=argparse.SUPPRESS,  # legacy alias for --runtime kernels/reference
-    )
 
 
 def _resolve_runtime(args: argparse.Namespace):
-    """The per-call ``fast`` preference from ``--runtime`` (or the legacy
-    hidden ``--fast-path`` aliases, which lose to an explicit ``--runtime``)."""
-    runtime = getattr(args, "runtime", None)
-    if runtime is not None:
-        return {"auto": None, "kernels": True, "reference": False}[runtime]
-    return getattr(args, "fast_path", None)
+    """The per-call ``fast`` preference named by ``--runtime``."""
+    return {"kernels": True, "reference": False}.get(args.runtime)
 
 
 def _add_jobs_option(p: argparse.ArgumentParser) -> None:

@@ -93,7 +93,8 @@ class AlgorithmSpec:
         :mod:`repro.kernels.colorings`).  Must produce starts identical to
         ``fn`` — the differential test suite enforces this.  Used by
         :func:`color_with` when fast paths are enabled and the instance has a
-        stencil geometry; generic graphs always fall back to ``fn``.
+        stencil geometry (:meth:`runs_kernel`); generic graphs always fall
+        back to ``fn``.
     """
 
     name: str
@@ -113,6 +114,16 @@ class AlgorithmSpec:
         if instance.is_3d:
             return 3 in self.supported_dims
         return not self.needs_geometry  # pragma: no cover - unknown geometry
+
+    def runs_kernel(self, instance: IVCInstance, use_fast: bool) -> bool:
+        """Whether a resolved fast-path decision dispatches :attr:`fast_fn`.
+
+        ``use_fast`` alone is only a request: specs without a kernel and
+        instances without a stencil geometry take ``fn`` regardless.
+        """
+        return (
+            use_fast and self.fast_fn is not None and instance.geometry is not None
+        )
 
 
 class Registry:
@@ -407,9 +418,9 @@ def color_with(
         the instance has a stencil geometry (automatic fallback to the
         reference implementation otherwise).  ``None`` (default) follows the
         context's :class:`~repro.runtime.config.RuntimeConfig` fast-path
-        mode (and the legacy process switch) with the auto-mode size
-        threshold applied, so miniature instances keep the reference loops;
-        the resolved value is also scoped over the whole call, so
+        mode (or an enclosing ``fast_paths()`` block) with the auto-mode
+        size threshold applied, so miniature instances keep the reference
+        loops; the resolved value is also scoped over the whole call, so
         ``fast=False`` disables the kernels inside every primitive the
         algorithm touches.
     context:
@@ -429,12 +440,11 @@ def color_with(
     ctx = context if context is not None else get_context()
     spec = REGISTRY.get(name)
     use_fast = resolve_fast_for(fast, instance.num_vertices, context=ctx)
-    fn = spec.fn
-    if use_fast and spec.fast_fn is not None and instance.geometry is not None:
-        fn = spec.fast_fn
+    kernel = spec.runs_kernel(instance, use_fast)
+    fn = spec.fast_fn if kernel else spec.fn
     ctx.metrics.counter("registry.dispatch").inc()
     ctx.metrics.counter(
-        "registry.dispatch_fast" if use_fast else "registry.dispatch_reference"
+        "registry.dispatch_fast" if kernel else "registry.dispatch_reference"
     ).inc()
     t0 = time.perf_counter()
     with use_context(ctx), fast_paths(use_fast):

@@ -150,10 +150,11 @@ def greedy_color(
         First-fit primitive (swappable for the ablation benchmark).
     fast:
         Use the wavefront-batched kernel (stencil instances only; identical
-        starts, differentially tested).  ``None`` follows the process-wide
-        :func:`repro.runtime.fastpath.fast_paths_enabled` switch and the
-        auto-mode size threshold; generic graphs and custom ``first_fit``
-        primitives always take the reference loop.
+        starts, differentially tested).  ``None`` follows
+        :func:`repro.runtime.fastpath.resolve_fast_for` (a scoped block,
+        else the config mode and its auto-mode size threshold); generic
+        graphs and custom ``first_fit`` primitives always take the
+        reference loop.
     check_order:
         Validate that ``order`` is a permutation (O(n)).  Callers generating
         orders by construction — tight recolor/search loops — pass ``False``.

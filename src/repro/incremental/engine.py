@@ -132,7 +132,14 @@ def full_recolor(weights: np.ndarray, algorithm: str, context=None) -> np.ndarra
 def _normalize_dirty(
     dirty: Union[np.ndarray, Sequence[int]], n: int
 ) -> np.ndarray:
-    idx = np.unique(np.asarray(dirty, dtype=np.int64).ravel())
+    arr = np.asarray(dirty)
+    if arr.size and arr.dtype.kind not in "iu":
+        # Casting would silently turn a boolean mask into the indices {0, 1}.
+        raise ValueError(
+            f"dirty must be integer flat indices, got dtype {arr.dtype}; "
+            "pass np.flatnonzero(mask) for a boolean mask"
+        )
+    idx = np.unique(arr.astype(np.int64, copy=False).ravel())
     if idx.size and (idx[0] < 0 or idx[-1] >= n):
         raise ValueError(f"dirty indices out of range [0, {n})")
     return idx
@@ -203,8 +210,9 @@ def recolor_grid(
         The starts of a valid ``algorithm`` coloring of the *old* weights
         (same shape as ``weights``).
     dirty:
-        Flat C-order indices of the cells whose weight changed.  Extra
-        (actually-clean) indices are safe — they only widen the cone.
+        Flat C-order integer indices of the cells whose weight changed
+        (not a boolean mask).  Extra (actually-clean) indices are safe —
+        they only widen the cone.
     algorithm:
         Registry algorithm name the base coloring was produced with.
     context:

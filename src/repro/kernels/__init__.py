@@ -13,21 +13,14 @@ Python loops in :mod:`repro.core`:
 * :mod:`repro.kernels.chains` — vectorized Bipartite Decomposition chain
   assembly and the clique-guided recolor order.
 
-The fast-path switch lives in :mod:`repro.runtime.fastpath`
-(``REPRO_FAST_PATHS=0`` disables everything); the registry wrappers in
+Whether a call takes the kernels is decided by
+:mod:`repro.runtime.fastpath` (``REPRO_FAST_PATHS=0`` disables
+everything); the registry wrappers in
 :mod:`repro.kernels.colorings` bind the kernels to algorithm names; and
 :mod:`repro.kernels.bench` measures kernel-vs-reference speedups
 (``stencil-ivc bench-kernels``).
 """
 
-from repro.runtime.fastpath import (
-    MIN_AUTO_SIZE,
-    fast_paths,
-    fast_paths_enabled,
-    resolve_fast,
-    resolve_fast_for,
-    set_fast_paths,
-)
 from repro.kernels.substrate import (
     StencilLayout,
     Substrate,
@@ -41,18 +34,12 @@ from repro.kernels.substrate import (
 from repro.kernels.wavefront import wavefront_greedy_color, wavefront_recolor_pass
 
 __all__ = [
-    "MIN_AUTO_SIZE",
     "StencilLayout",
     "Substrate",
     "analytic_levels",
     "cache_sizes",
     "clear_caches",
-    "fast_paths",
-    "fast_paths_enabled",
     "get_substrate",
-    "resolve_fast",
-    "resolve_fast_for",
-    "set_fast_paths",
     "shared_geometry_2d",
     "shared_geometry_3d",
     "wavefront_greedy_color",

@@ -10,7 +10,7 @@ default, and :meth:`RuntimeConfig.from_env` applies the environment on top.
 Precedence (highest wins)
 -------------------------
 1. **Explicit per-call arguments** — ``fast=True`` to ``color_with``,
-   ``fast_paths=`` to ``run_grid``/``run_suite``, ``--fast-path`` on the CLI.
+   ``fast_paths=`` to ``run_grid``/``run_suite``, ``--runtime`` on the CLI.
 2. **Explicit config** — keyword overrides passed to
    :meth:`RuntimeConfig.from_env`, or a :class:`RuntimeConfig` constructed
    directly (which ignores the environment entirely).

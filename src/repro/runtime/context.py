@@ -128,17 +128,6 @@ class ExecutionContext:
 
         install_plan(parse_fault_spec(self.config.fault_spec))
 
-    def resolve_fast(self, fast: Optional[bool], num_vertices: int) -> bool:
-        """Per-call fast-path decision under this context's config.
-
-        Explicit ``True``/``False`` win unconditionally; ``None`` follows
-        the config mode (with the auto-mode size threshold) and any scoped
-        :func:`repro.runtime.fastpath.fast_paths` override.
-        """
-        from repro.runtime.fastpath import resolve_fast_for
-
-        return resolve_fast_for(fast, num_vertices, context=self)
-
 
 _current: ContextVar[Optional[ExecutionContext]] = ContextVar(
     "repro_execution_context", default=None

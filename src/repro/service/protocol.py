@@ -109,7 +109,7 @@ class ColorRequest:
     fast:
         Kernel fast-path override forwarded to
         :func:`~repro.core.algorithms.registry.color_with` (``None`` follows
-        the process switch).  Does not affect the coloring, only speed.
+        the serving context's fast-path config).  Does not affect the coloring, only speed.
     validate:
         Run :meth:`~repro.core.coloring.Coloring.check` on the result before
         serving it.

@@ -1,5 +1,5 @@
 """The ``repro.api`` facade: one entry point, bit-identical to every
-legacy call style, with working deprecation shims on the old names."""
+legacy call style, with the old top-level shims gone."""
 
 import warnings
 
@@ -12,7 +12,7 @@ from repro.core.algorithms.registry import color_with
 from repro.core.problem import IVCInstance
 from repro.data import SyntheticWeightSource
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.context import ExecutionContext
+from repro.runtime.context import ExecutionContext, use_context
 
 
 def _weights(shape, seed=0):
@@ -43,6 +43,21 @@ class TestFacadeIdentity:
         )
         assert result.provenance["fast"] is fast
 
+    @pytest.mark.parametrize("side,ran_kernel", [(128, True), (8, False)])
+    def test_provenance_fast_says_whether_the_kernel_ran(self, side, ran_kernel):
+        # Default config: auto mode, kernels from 4096 vertices up.
+        result = color(_weights((side, side)), "GLL", runtime=RuntimeConfig())
+        assert result.provenance["fast"] is ran_kernel
+
+    def test_kernel_request_without_a_kernel_reports_reference(self):
+        ctx = ExecutionContext()
+        with use_context(ctx):
+            result = color(_weights((12, 12)), "GKF", runtime="kernels")
+        assert result.provenance["fast"] is False
+        counters = ctx.metrics.snapshot()["counters"]
+        assert counters["registry.dispatch_reference"] == 1
+        assert "registry.dispatch_fast" not in counters
+
     def test_accepts_prepared_instances(self):
         weights = _weights((6, 5, 4), seed=2)
         instance = IVCInstance.from_grid_3d(weights, name="prep")
@@ -55,7 +70,7 @@ class TestFacadeIdentity:
 
     def test_tiled_runtime_is_bit_identical(self):
         weights = _weights((20, 14), seed=3)
-        tiled = color(weights, runtime="tiled", tile_shape=(6, 6), jobs=1)
+        tiled = color(weights, runtime="tiled", tile_shape=(6, 6))
         mono = color(weights, runtime="kernels")
         assert tiled.mode == "tiled"
         assert tiled.maxcolor == mono.maxcolor
@@ -65,7 +80,7 @@ class TestFacadeIdentity:
 
     def test_weight_source_input_goes_tiled(self):
         source = SyntheticWeightSource((16, 12), seed=4)
-        result = color(source, tile_shape=(5, 5), jobs=1)
+        result = color(source, tile_shape=(5, 5))
         direct = color(source.region(((0, 16), (0, 12))), runtime="kernels")
         assert result.mode == "tiled"
         np.testing.assert_array_equal(result.starts, direct.starts)
@@ -104,21 +119,25 @@ class TestFacadeContracts:
 
 
 class TestDeprecationShims:
-    def test_top_level_color_with_warns_and_delegates(self):
-        weights = _weights((7, 7), seed=6)
-        instance = IVCInstance.from_grid_2d(weights)
-        with pytest.warns(DeprecationWarning, match="repro.api.color"):
-            legacy = repro.color_with(instance, "GLL")
-        fresh = color_with(instance, "GLL")
-        np.testing.assert_array_equal(
-            np.asarray(legacy.starts), np.asarray(fresh.starts)
-        )
+    """The compatibility layer is gone; the facade and home packages stay."""
 
-    def test_top_level_run_grid_warns(self):
-        instance = IVCInstance.from_grid_2d(_weights((5, 5), seed=7))
-        with pytest.warns(DeprecationWarning, match="repro.engine"):
-            result = repro.run_grid([instance], ["GLL"], jobs=1)
-        assert len(result) == 1  # GridResult is list-like: one cell ran
+    def test_legacy_layer_is_removed(self):
+        import repro.kernels
+        from repro.cli import build_parser
+
+        for module, name in [
+            (repro, "color_with"),
+            (repro, "run_grid"),
+            (repro.kernels, "set_fast_paths"),
+        ]:
+            with pytest.raises(AttributeError):
+                getattr(module, name)
+        assert "color_with" not in repro.__all__
+        assert "run_grid" not in repro.__all__
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["suite", "--fast-path"])
+        with pytest.raises(TypeError):
+            color(_weights((4, 4)), "GLL", jobs=1)
 
     def test_facade_is_exported_at_top_level(self):
         with warnings.catch_warnings():

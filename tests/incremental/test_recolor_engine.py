@@ -130,6 +130,22 @@ class TestRecolorGrid:
         with pytest.raises(ValueError, match="out of range"):
             recolor_grid(weights, base, [-1], algorithm="GLL")
 
+    def test_boolean_mask_dirty_rejected(self):
+        """A mask cast to int64 would become the indices {0, 1} and give a
+        silently wrong recolor; only integer indices are accepted."""
+        from repro import api
+
+        weights = _grid((64, 64))
+        new_weights = _delta(weights, [1000, 3000])
+        base = api.color(weights, "GLL")
+        with pytest.raises(ValueError, match="flatnonzero"):
+            api.recolor(new_weights, base, dirty=(new_weights != weights))
+        with pytest.raises(ValueError, match="integer"):
+            recolor_grid(new_weights, base.starts, [1000.0], algorithm="GLL")
+        mask = (new_weights != weights).ravel()
+        patched = api.recolor(new_weights, base, dirty=np.flatnonzero(mask))
+        assert np.array_equal(patched.starts, full_recolor(new_weights, "GLL"))
+
     def test_shape_mismatch_rejected(self):
         weights = _grid((4, 4))
         with pytest.raises(ValueError, match="shape"):

@@ -23,7 +23,9 @@ from repro.core.orderings import (
 )
 from repro.core.problem import IVCInstance
 from repro.kernels import wavefront
-from repro.runtime.fastpath import fast_paths, fast_paths_enabled, set_fast_paths
+from repro.runtime.config import RuntimeConfig
+from repro.runtime.context import ExecutionContext, get_context
+from repro.runtime.fastpath import fast_paths, resolve_fast_for
 from repro.kernels.substrate import get_substrate
 
 SHAPES_2D = [(1, 1), (1, 5), (5, 1), (2, 2), (4, 7), (6, 6)]
@@ -55,34 +57,26 @@ def test_uncolored_sentinels_agree():
 
 
 def test_auto_mode_size_threshold():
-    # Auto mode (fast=None) only engages kernels from MIN_AUTO_SIZE vertices
-    # up; explicit True/False win unconditionally.
-    from repro.runtime.fastpath import MIN_AUTO_SIZE, resolve_fast_for
-
-    prev = fast_paths_enabled()
-    try:
-        set_fast_paths(True)
-        assert resolve_fast_for(None, MIN_AUTO_SIZE) is True
-        assert resolve_fast_for(None, MIN_AUTO_SIZE - 1) is False
+    # Auto mode (fast=None) only engages kernels from fast_paths_min_size
+    # vertices up; explicit True/False win unconditionally.
+    min_size = get_context().config.fast_paths_min_size
+    with fast_paths(True):
+        assert resolve_fast_for(None, min_size) is True
+        assert resolve_fast_for(None, min_size - 1) is False
         assert resolve_fast_for(True, 1) is True
         assert resolve_fast_for(False, 10**9) is False
-        set_fast_paths(False)
+    with fast_paths(False):
         assert resolve_fast_for(None, 10**9) is False
         assert resolve_fast_for(True, 1) is True
-    finally:
-        set_fast_paths(prev)
 
 
 def test_fast_paths_switch_roundtrip():
-    prev = fast_paths_enabled()
-    try:
-        set_fast_paths(False)
-        assert not fast_paths_enabled()
-        with fast_paths(True):
-            assert fast_paths_enabled()
-        assert not fast_paths_enabled()
-    finally:
-        set_fast_paths(prev)
+    off = ExecutionContext(RuntimeConfig(fast_paths="off"))
+    size = off.config.fast_paths_min_size
+    assert not resolve_fast_for(None, size, context=off)
+    with fast_paths(True):
+        assert resolve_fast_for(None, size, context=off)
+    assert not resolve_fast_for(None, size, context=off)
 
 
 @pytest.mark.parametrize("order_name", sorted(ORDERINGS))

@@ -168,6 +168,32 @@ class TestSubstrateCounters:
         assert any(k.startswith("substrate.") for k in snap["counters"])
         assert snap["histograms"]["registry.color_seconds"]["count"] == 1
 
+    @pytest.mark.parametrize(
+        "side,algorithm,fast,counted",
+        [
+            (128, "GLL", None, "registry.dispatch_fast"),
+            (8, "GLL", None, "registry.dispatch_reference"),
+            # GKF has no kernel: a kernel request still runs the reference.
+            (12, "GKF", True, "registry.dispatch_reference"),
+        ],
+    )
+    def test_dispatch_counter_names_the_path_that_ran(
+        self, side, algorithm, fast, counted
+    ):
+        from repro.core.algorithms.registry import color_with
+        from repro.core.problem import IVCInstance
+        from repro.runtime.context import ExecutionContext
+
+        weights = np.random.default_rng(0).integers(
+            1, 50, (side, side), dtype=np.int64
+        )
+        ctx = ExecutionContext()  # default config: auto from 4096 vertices
+        color_with(IVCInstance.from_grid_2d(weights), algorithm, fast=fast,
+                   context=ctx)
+        counters = ctx.metrics.snapshot()["counters"]
+        assert counters[counted] == 1
+        assert counters["registry.dispatch"] == 1
+
 
 class TestEngineWorkerMerge:
     """Worker registries surface, merged, on GridResult.metrics."""

@@ -13,14 +13,12 @@ from repro.runtime.context import (
     set_default_context,
     use_context,
 )
+from repro.runtime.fastpath import resolve_fast_for
 
 
 @pytest.fixture(autouse=True)
-def _fresh_default(monkeypatch):
-    """Isolate the process-default context and legacy fast-path switch."""
-    import repro.runtime.fastpath as fastpath
-
-    monkeypatch.setattr(fastpath, "_override", None)
+def _fresh_default():
+    """Isolate the process-default context."""
     set_default_context(None)
     yield
     set_default_context(None)
@@ -171,13 +169,13 @@ class TestResolveFast:
         auto = ExecutionContext(
             RuntimeConfig(fast_paths="auto", fast_paths_min_size=100)
         )
-        assert on.resolve_fast(None, 1) is True
-        assert off.resolve_fast(None, 10**6) is False
-        assert auto.resolve_fast(None, 99) is False
-        assert auto.resolve_fast(None, 100) is True
+        assert resolve_fast_for(None, 1, context=on) is True
+        assert resolve_fast_for(None, 10**6, context=off) is False
+        assert resolve_fast_for(None, 99, context=auto) is False
+        assert resolve_fast_for(None, 100, context=auto) is True
 
     def test_explicit_argument_wins(self):
         off = ExecutionContext(RuntimeConfig(fast_paths="off"))
-        assert off.resolve_fast(True, 1) is True
+        assert resolve_fast_for(True, 1, context=off) is True
         on = ExecutionContext(RuntimeConfig(fast_paths="on"))
-        assert on.resolve_fast(False, 10**6) is False
+        assert resolve_fast_for(False, 10**6, context=on) is False

@@ -1,23 +1,15 @@
-"""Fast-path precedence: explicit arg > legacy switch > config mode > env."""
+"""Fast-path precedence: explicit arg > scoped block > config mode > env."""
 
 import pytest
 
-import repro.runtime.fastpath as fastpath
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.context import ExecutionContext, set_default_context
-from repro.runtime.fastpath import (
-    fast_paths,
-    fast_paths_enabled,
-    resolve_fast,
-    resolve_fast_for,
-    set_fast_paths,
-)
+from repro.runtime.fastpath import fast_paths, resolve_fast_for
 
 
 @pytest.fixture(autouse=True)
-def _no_override(monkeypatch):
-    """Each test starts with no legacy switch and a fresh default context."""
-    monkeypatch.setattr(fastpath, "_override", None)
+def _fresh_default():
+    """Each test starts with a fresh default context."""
     set_default_context(None)
     yield
     set_default_context(None)
@@ -29,45 +21,54 @@ def _ctx(mode, min_size=100):
     )
 
 
+def _large(ctx):
+    """The decision for an instance far above the auto-mode threshold."""
+    return resolve_fast_for(None, 10**6, context=ctx)
+
+
 class TestExplicitArgument:
     def test_beats_everything(self):
-        set_fast_paths(False)
-        assert resolve_fast_for(True, 1, context=_ctx("off")) is True
-        set_fast_paths(True)
-        assert resolve_fast_for(False, 10**6, context=_ctx("on")) is False
+        with fast_paths(False):
+            assert resolve_fast_for(True, 1, context=_ctx("off")) is True
+        with fast_paths(True):
+            assert resolve_fast_for(False, 10**6, context=_ctx("on")) is False
 
     def test_resolve_fast_normalizes(self):
-        assert resolve_fast(True, context=_ctx("off")) is True
-        assert resolve_fast(False, context=_ctx("on")) is False
+        assert resolve_fast_for(1, 1, context=_ctx("off")) is True
+        assert resolve_fast_for(0, 10**6, context=_ctx("on")) is False
 
 
 class TestLegacySwitch:
+    """The scoped ``fast_paths()`` block: what remains of the old switch
+    API now that the process-wide ``set_fast_paths`` is gone."""
+
     def test_beats_config_mode(self):
-        set_fast_paths(False)
-        assert resolve_fast_for(None, 10**6, context=_ctx("on")) is False
-        set_fast_paths(True)
-        assert resolve_fast_for(None, 10**6, context=_ctx("off")) is True
+        with fast_paths(False):
+            assert _large(_ctx("on")) is False
+        with fast_paths(True):
+            assert _large(_ctx("off")) is True
 
     def test_true_keeps_auto_size_threshold(self):
-        """set_fast_paths(True) restores auto behaviour, not force-on."""
-        set_fast_paths(True)
-        ctx = _ctx("auto", min_size=100)
-        assert resolve_fast_for(None, 99, context=ctx) is False
-        assert resolve_fast_for(None, 100, context=ctx) is True
+        """A True block behaves like auto mode, not force-on."""
+        ctx = _ctx("on", min_size=100)
+        with fast_paths(True):
+            assert resolve_fast_for(None, 99, context=ctx) is False
+            assert resolve_fast_for(None, 100, context=ctx) is True
 
     def test_scoped_override_restores_previous_state(self):
         ctx = _ctx("on")
         with fast_paths(False):
-            assert resolve_fast_for(None, 10**6, context=ctx) is False
-        # no override before the block -> back to following the config
-        assert fastpath._override is None
-        assert resolve_fast_for(None, 10**6, context=ctx) is True
+            assert _large(ctx) is False
+        # no block active any more -> back to following the config
+        assert _large(ctx) is True
 
     def test_scoped_override_nests(self):
-        set_fast_paths(True)
-        with fast_paths(False):
-            assert fast_paths_enabled() is False
-        assert fastpath._override is True
+        off = _ctx("off")
+        with fast_paths(True):
+            with fast_paths(False):
+                assert _large(off) is False
+            assert _large(off) is True
+        assert _large(off) is False
 
 
 class TestThreadedOverride:
@@ -83,17 +84,17 @@ class TestThreadedOverride:
             with fast_paths(True):
                 a_in.set()
                 b_in.wait(5)
-                seen["a"] = fast_paths_enabled(_ctx("off"))
+                seen["a"] = _large(_ctx("off"))
             a_out.set()
-            seen["a_after"] = fast_paths_enabled(_ctx("off"))
+            seen["a_after"] = _large(_ctx("off"))
 
         def thread_b():
             a_in.wait(5)
             with fast_paths(False):
                 b_in.set()
                 a_out.wait(5)
-                seen["b"] = fast_paths_enabled(_ctx("on"))
-            seen["b_after"] = fast_paths_enabled(_ctx("on"))
+                seen["b"] = _large(_ctx("on"))
+            seen["b_after"] = _large(_ctx("on"))
 
         threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
         for t in threads:
@@ -102,9 +103,8 @@ class TestThreadedOverride:
             t.join(10)
             assert not t.is_alive()
         assert seen == {"a": True, "a_after": False, "b": False, "b_after": True}
-        assert fastpath._override is None
-        assert fast_paths_enabled(_ctx("off")) is False
-        assert fast_paths_enabled(_ctx("on")) is True
+        assert _large(_ctx("off")) is False
+        assert _large(_ctx("on")) is True
 
     def test_many_threads_churning_blocks_never_cross(self):
         import sys
@@ -117,7 +117,7 @@ class TestThreadedOverride:
             for _ in range(300):
                 with fast_paths(value):
                     # The opposite config mode, so only the block decides.
-                    if fast_paths_enabled(on if not value else off) is not value:
+                    if _large(on if not value else off) is not value:
                         crossed.append(value)
 
         interval = sys.getswitchinterval()
@@ -134,8 +134,8 @@ class TestThreadedOverride:
         finally:
             sys.setswitchinterval(interval)
         assert crossed == []
-        assert fast_paths_enabled(off) is False
-        assert fast_paths_enabled(on) is True
+        assert _large(off) is False
+        assert _large(on) is True
 
 
 class TestConfigMode:
@@ -147,9 +147,10 @@ class TestConfigMode:
         assert resolve_fast_for(None, 100, context=auto) is True
 
     def test_enabled_means_not_off(self):
-        assert fast_paths_enabled(_ctx("off")) is False
-        assert fast_paths_enabled(_ctx("on")) is True
-        assert fast_paths_enabled(_ctx("auto")) is True
+        """Above the size threshold the kernels run unless the mode is off."""
+        assert _large(_ctx("off")) is False
+        assert _large(_ctx("on")) is True
+        assert _large(_ctx("auto")) is True
 
 
 class TestEnvironmentLayer:

@@ -252,27 +252,12 @@ class TestRuntimeFlag:
         with pytest.raises(SystemExit):
             parser.parse_args(["suite", "--runtime", "turbo"])
 
-    def test_legacy_fast_path_flags_still_parse(self):
-        parser = build_parser()
-        assert parser.parse_args(["suite", "--fast-path"]).fast_path is True
-        assert parser.parse_args(["suite", "--no-fast-path"]).fast_path is False
-        assert parser.parse_args(["bench-kernels", "--fast-path"]).fast_path is True
-
     def test_fast_path_is_hidden_from_help(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["suite", "--help"])
         help_text = capsys.readouterr().out
         assert "--runtime" in help_text
         assert "--fast-path" not in help_text
-
-    def test_explicit_runtime_beats_legacy_alias(self):
-        from repro.cli import _resolve_runtime
-
-        parser = build_parser()
-        args = parser.parse_args(["suite", "--runtime", "reference", "--fast-path"])
-        assert _resolve_runtime(args) is False
-        assert _resolve_runtime(parser.parse_args(["suite", "--fast-path"])) is True
-        assert _resolve_runtime(parser.parse_args(["suite"])) is None
 
     def test_bench_kernels_single_runtime(self, capsys):
         rc = main(["bench-kernels", "--sizes", "24", "--sizes-3d", "8",

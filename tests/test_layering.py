@@ -175,3 +175,29 @@ def test_lint_allows_kernels_import_in_incremental(tmp_path):
         "    return IVCInstance\n"
     )
     assert checker.check(tmp_path) == []
+
+
+def test_lint_catches_global_statement(tmp_path):
+    """A new process-global switch (a ``global`` rebind) is flagged."""
+    checker = _load_checker()
+    pkg = tmp_path / "src" / "repro" / "runtime"
+    pkg.mkdir(parents=True)
+    (pkg / "fastpath.py").write_text(
+        "_override = None\n"
+        "def set_switch(value):\n    global _override\n    _override = value\n"
+    )
+    violations = checker.check(tmp_path)
+    assert len(violations) == 1
+    assert "global _override" in violations[0]
+
+
+def test_lint_allows_global_in_allowlisted_module(tmp_path):
+    """The default-context module keeps its lazily built process default."""
+    checker = _load_checker()
+    pkg = tmp_path / "src" / "repro" / "runtime"
+    pkg.mkdir(parents=True)
+    (pkg / "context.py").write_text(
+        "_default = None\n"
+        "def get_context():\n    global _default\n    return _default\n"
+    )
+    assert checker.check(tmp_path) == []

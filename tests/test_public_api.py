@@ -31,19 +31,6 @@ class TestTopLevelExports:
         assert coloring.maxcolor == result.maxcolor
         assert set(ALGORITHMS) == {"GLL", "GZO", "GLF", "GKF", "SGK", "BD", "BDP"}
 
-    def test_legacy_top_level_names_are_deprecated_shims(self):
-        import warnings
-
-        import repro
-
-        instance = repro.IVCInstance.from_grid_2d(
-            np.ones((4, 4), dtype=np.int64)
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            repro.color_with(instance, "GLL")
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
 
 class TestSubpackageExports:
     @pytest.mark.parametrize(

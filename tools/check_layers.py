@@ -47,6 +47,12 @@ may not import ``repro.engine`` at all: benches reach execution through
 :mod:`repro.campaign` (or :mod:`repro.experiments`), never engine
 internals.
 
+The sixth check forbids new process-global switches: a ``global``
+statement may appear only in the modules of ``GLOBAL_ALLOWED`` (the
+default execution context, the engine's per-worker state and the fault
+plan).  Per-call decisions travel as arguments, on an
+:class:`~repro.runtime.context.ExecutionContext`, or in a ``ContextVar``.
+
 Exit status 0 = clean, 1 = violations (printed one per line), 2 = usage.
 Run from the repo root::
 
@@ -108,6 +114,14 @@ CROSS_EXEMPT = ("src/repro/api.py",)
 ENV_ALLOWED = (
     "src/repro/runtime/config.py",
     "src/repro/resilience/",
+)
+
+#: Modules allowed a ``global`` statement (repo-relative paths): the lazily
+#: built default context, the engine's per-worker state, the fault plan.
+GLOBAL_ALLOWED = (
+    "src/repro/runtime/context.py",
+    "src/repro/engine/executor.py",
+    "src/repro/resilience/faults.py",
 )
 
 #: The root package __init__ re-exports across layers by design.
@@ -286,6 +300,17 @@ def check(repo_root: Path) -> list[str]:
                     "repro/runtime/config.py and repro/resilience/ — "
                     "route the knob through RuntimeConfig"
                 )
+
+        # --- no process-global switches ----------------------------------
+        if rel not in GLOBAL_ALLOWED:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Global):
+                    violations.append(
+                        f"{rel}:{node.lineno}: 'global {', '.join(node.names)}' "
+                        "outside the GLOBAL_ALLOWED modules — pass the "
+                        "setting explicitly, on the ExecutionContext, or in "
+                        "a ContextVar"
+                    )
 
     # --- benchmark discipline --------------------------------------------
     bench_root = repo_root / "benchmarks"
