@@ -76,9 +76,7 @@ def _bd_starts_3d(instance: IVCInstance) -> tuple[np.ndarray, int]:
     all_starts = np.empty((X, Y, Z), dtype=np.int64)
     lc = 0
     for k in range(Z):
-        layer_instance = IVCInstance(
-            graph=layer_grid.csr, weights=grid[:, :, k].ravel(), geometry=layer_grid
-        )
+        layer_instance = IVCInstance(weights=grid[:, :, k].ravel(), geometry=layer_grid)
         layer_starts, _rc = _bd_starts_2d(layer_instance)
         layer_starts = layer_starts.reshape(X, Y)
         all_starts[:, :, k] = layer_starts

@@ -3,7 +3,8 @@
 A coloring is just the ``start`` function of Definition 1, stored as an
 ``int64`` vector parallel to the instance's weights.  Validation checks every
 conflict edge for interval disjointness — vectorized over the whole edge set
-so tests and experiments can afford to validate everything.
+(on a stencil, over the padded layout, with no edge list) so tests and
+experiments can afford to validate everything.
 """
 
 from __future__ import annotations
@@ -63,7 +64,18 @@ class Coloring:
 
     # -------------------------------------------------------------- validation
     def violations(self) -> np.ndarray:
-        """All conflicting edges as an ``(k, 2)`` array (empty iff valid)."""
+        """All conflicting edges as an ``(k, 2)`` array (empty iff valid).
+
+        Rows are ``u < v`` in lexicographic order.  A stencil instance is
+        checked on its shape's :class:`~repro.kernels.substrate.StencilLayout`
+        (every edge, no CSR built); a general instance walks its edge list.
+        """
+        geometry = self.instance.geometry
+        if geometry is not None:
+            from repro.kernels.substrate import get_substrate
+
+            layout = get_substrate(geometry).layout
+            return layout.conflicts(self.starts, self.instance.weights)
         edges = self.instance.graph.edges()
         if len(edges) == 0:
             return np.empty((0, 2), dtype=np.int64)

@@ -2,7 +2,8 @@
 
 An :class:`IVCInstance` binds together
 
-* an undirected conflict graph in CSR form,
+* an undirected conflict graph in CSR form (built lazily, on first read, for
+  stencil instances),
 * non-negative integer vertex weights, and
 * optionally a stencil geometry (:class:`~repro.stencil.grid2d.StencilGrid2D`
   or :class:`~repro.stencil.grid3d.StencilGrid3D`) that structure-aware
@@ -43,14 +44,40 @@ def _as_weights(weights, n: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+class _Graph:
+    """The :attr:`IVCInstance.graph` field: given, or the stencil's on first read.
+
+    A general instance stores the graph it was built with.  A stencil
+    instance stores none: reading ``graph`` returns its geometry's ``csr``,
+    a ``cached_property`` built once per shape by the first code path that
+    walks adjacency (GSL, the reference loops, bounds, exact solvers).  The
+    kernels read the padded :class:`~repro.kernels.substrate.StencilLayout`
+    instead, so a kernel run never builds it.
+    """
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return None  # the dataclass default: ``graph=None``
+        given = instance.__dict__["_given_graph"]
+        return instance.geometry.csr if given is None else given
+
+    def __set__(self, instance, value) -> None:
+        instance.__dict__["_given_graph"] = value
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
 class IVCInstance:
     """An interval vertex coloring instance.
+
+    Equality is identity: two instances compare equal only if they are the
+    same object (comparing weight arrays, or building two CSRs to compare
+    them, is never what a caller wants).
 
     Attributes
     ----------
     graph:
-        Conflict graph in CSR form.
+        Conflict graph in CSR form.  Optional for stencil instances, whose
+        graph is the geometry's, resolved on first read.
     weights:
         ``int64`` array of per-vertex interval lengths (``>= 0``).
     geometry:
@@ -60,26 +87,32 @@ class IVCInstance:
         Free-form label used in experiment reports.
     """
 
-    graph: CSRGraph
+    graph: Optional[CSRGraph] = _Graph()
     weights: np.ndarray
     geometry: Optional[Geometry] = None
     name: str = ""
-    metadata: dict = field(default_factory=dict, compare=False, repr=False)
+    metadata: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _as_weights(self.weights, self.graph.num_vertices))
-        if self.geometry is not None and self.geometry.num_vertices != self.graph.num_vertices:
+        given = self.__dict__["_given_graph"]
+        if given is None and self.geometry is None:
+            raise ValueError("an instance needs a conflict graph or a stencil geometry")
+        n = given.num_vertices if given is not None else self.geometry.num_vertices
+        object.__setattr__(self, "weights", _as_weights(self.weights, n))
+        if self.geometry is not None and self.geometry.num_vertices != n:
             raise ValueError("geometry vertex count does not match graph")
 
     # -------------------------------------------------------------- accessors
     @property
     def num_vertices(self) -> int:
         """Number of vertices."""
-        return self.graph.num_vertices
+        return len(self.weights)
 
     @property
     def num_edges(self) -> int:
-        """Number of undirected conflict edges."""
+        """Number of undirected conflict edges (closed form on a stencil)."""
+        if self.geometry is not None:
+            return self.geometry.num_edges
         return self.graph.num_edges
 
     @property
@@ -120,7 +153,6 @@ class IVCInstance:
             raise ValueError(f"expected a 2D weight grid, got shape {grid_arr.shape}")
         geo = shared_geometry_2d(*grid_arr.shape)
         return cls(
-            graph=geo.csr,
             weights=grid_arr.ravel(),
             geometry=geo,
             name=name,
@@ -138,7 +170,6 @@ class IVCInstance:
             raise ValueError(f"expected a 3D weight grid, got shape {grid_arr.shape}")
         geo = shared_geometry_3d(*grid_arr.shape)
         return cls(
-            graph=geo.csr,
             weights=grid_arr.ravel(),
             geometry=geo,
             name=name,

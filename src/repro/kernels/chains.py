@@ -80,10 +80,12 @@ def bdp_recolor_order_fast(
     ordered = blocks[np.argsort(-block_weight_sums, kind="stable")]
     inner = np.argsort(starts[ordered], axis=1, kind="stable")
     flat = np.take_along_axis(ordered, inner, axis=1).ravel()
-    _, first = np.unique(flat, return_index=True)
-    order = flat[np.sort(first)]
+    # First occurrence of every vertex without a sort: the smallest position
+    # each id appears at (``len(flat)`` if none), then keep those positions.
+    positions = np.arange(len(flat), dtype=np.int64)
+    first = np.full(n, len(flat), dtype=np.int64)
+    np.minimum.at(first, flat, positions)
+    order = flat[first[flat] == positions]
     if len(order) < n:
-        seen = np.zeros(n, dtype=bool)
-        seen[order] = True
-        order = np.concatenate([order, np.flatnonzero(~seen)])
+        order = np.concatenate([order, np.flatnonzero(first == len(flat))])
     return order.astype(np.int64)

@@ -9,9 +9,10 @@ process — so this module memoizes all of it behind two small LRU caches,
 keyed by ``(stencil type, grid shape)``:
 
 * :func:`shared_geometry` — one :class:`~repro.stencil.grid2d.StencilGrid2D` /
-  :class:`~repro.stencil.grid3d.StencilGrid3D` per shape, so the
-  ``cached_property`` CSR and block tables are built once and shared by every
-  instance of that shape (``IVCInstance.from_grid_2d/3d`` call this);
+  :class:`~repro.stencil.grid3d.StencilGrid3D` per shape, so the block
+  tables — and the ``cached_property`` CSR, for the reference paths that
+  walk it — are built at most once and shared by every instance of that
+  shape (``IVCInstance.from_grid_2d/3d`` call this);
 * :func:`get_substrate` — the kernel-facing :class:`Substrate` bundling the
   shape's :class:`StencilLayout` and a per-order wavefront-schedule cache.
 
@@ -104,6 +105,13 @@ class StencilLayout:
         unpad[interior] = np.arange(len(interior), dtype=np.int64)
         return cls(padded, deltas, interior, unpad)
 
+    @property
+    def span(self) -> tuple[int, int]:
+        """``(lo, hi)``: padded ids from the first to past the last interior
+        cell.  Shifted by any delta, the range stays inside the padded grid,
+        so a per-delta pass over all cells is one contiguous slice."""
+        return int(self.interior[0]), int(self.interior[-1]) + 1
+
     def pad(self, values, fill: int) -> np.ndarray:
         """Flat per-cell ``values`` as padded ``int64``, ``fill`` on the border."""
         out = np.full(len(self.unpad), fill, dtype=np.int64)
@@ -113,6 +121,38 @@ class StencilLayout:
     def neighbors(self, cells: np.ndarray) -> np.ndarray:
         """``(b, degree)`` flat neighbour ids of ``cells``; ``n`` off the grid."""
         return self.unpad[self.interior[cells][:, None] + self.deltas]
+
+    def conflicts(self, starts, weights) -> np.ndarray:
+        """Every stencil edge whose endpoint intervals intersect, as ``(k, 2)``.
+
+        Rows are flat ids ``u < v`` in lexicographic order — the same array
+        as masking the CSR edge list with
+        :func:`~repro.core.interval.edge_overlaps`, built without one.
+        Each undirected edge is ``(p, p + d)`` for exactly one ``d`` in
+        :attr:`earlier_deltas`, so one contiguous shifted compare per
+        earlier delta checks every edge exactly once.
+        """
+        starts = np.asarray(starts, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.int64)
+        # An empty interval (zero weight, or the border) starts after and
+        # ends before every other, so it overlaps nothing.
+        live = weights > 0
+        big = np.iinfo(np.int64).max
+        begin = self.pad(np.where(live, starts, big), big)
+        end = self.pad(np.where(live, starts + weights, -big), -big)
+        lo, hi = self.span
+        tails, heads = [], []
+        for d in self.earlier_deltas.tolist():
+            hit = lo + np.flatnonzero(
+                (begin[lo:hi] < end[lo + d : hi + d]) & (begin[lo + d : hi + d] < end[lo:hi])
+            )
+            tails.append(hit)
+            heads.append(hit + d)
+        p = self.unpad[np.concatenate(tails)]
+        q = self.unpad[np.concatenate(heads)]
+        u, v = np.minimum(p, q), np.maximum(p, q)
+        order = np.lexsort((v, u))
+        return np.column_stack([u[order], v[order]])
 
 
 def _line_by_line_levels(shape: tuple[int, ...]) -> np.ndarray:
@@ -190,7 +230,7 @@ def _kahn_wavefront(layout: StencilLayout, rank: np.ndarray) -> Wavefront:
     rank_pad = layout.pad(rank, n)
     # Indegree = earlier neighbours, one contiguous shifted compare per delta
     # over the span of interior ids.
-    lo, hi = int(layout.interior[0]), int(layout.interior[-1]) + 1
+    lo, hi = layout.span
     own = rank_pad[lo:hi]
     earlier = np.zeros(hi - lo, dtype=np.int64)
     for d in layout.deltas.tolist():

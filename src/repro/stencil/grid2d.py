@@ -57,6 +57,16 @@ class StencilGrid2D:
         """Total vertex count ``X * Y``."""
         return self.X * self.Y
 
+    @property
+    def num_edges(self) -> int:
+        """Undirected 9-pt edge count, in closed form (no CSR built).
+
+        ``(X-1)Y`` vertical plus ``X(Y-1)`` horizontal plus ``2(X-1)(Y-1)``
+        diagonal edges.
+        """
+        X, Y = self.X, self.Y
+        return (X - 1) * Y + X * (Y - 1) + 2 * (X - 1) * (Y - 1)
+
     def vertex_id(self, i, j):
         """Flat row-major id(s) of grid coordinate(s) ``(i, j)``."""
         return np.asarray(i, dtype=np.int64) * self.Y + np.asarray(j, dtype=np.int64)

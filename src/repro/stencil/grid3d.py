@@ -55,6 +55,17 @@ class StencilGrid3D:
         """Total vertex count ``X * Y * Z``."""
         return self.X * self.Y * self.Z
 
+    @property
+    def num_edges(self) -> int:
+        """Undirected 27-pt edge count, in closed form (no CSR built).
+
+        Along one axis of length ``L``, ``3L - 2`` ordered pairs of
+        coordinates differ by at most 1; the product over the three axes
+        counts ordered vertex pairs within the stencil, self-pairs included.
+        """
+        X, Y, Z = self.shape
+        return ((3 * X - 2) * (3 * Y - 2) * (3 * Z - 2) - X * Y * Z) // 2
+
     def vertex_id(self, i, j, k):
         """Flat row-major id(s): ``(i * Y + j) * Z + k``."""
         i = np.asarray(i, dtype=np.int64)

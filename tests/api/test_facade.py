@@ -118,6 +118,33 @@ class TestFacadeContracts:
             color(np.arange(5), "GLL")
 
 
+class TestKernelPathBuildsNoCSR:
+    """Kernel runs and their validation read the stencil layout only."""
+
+    @pytest.mark.parametrize("shape", [(24, 17), (6, 5, 7)])
+    @pytest.mark.parametrize("algorithm", ["GLL", "GLF", "GZO", "BDP"])
+    def test_kernel_run_and_violations_build_no_csr(self, algorithm, shape):
+        with use_context(ExecutionContext()):
+            result = color(_weights(shape), algorithm, runtime="kernels")
+            assert result.provenance["fast"] is True
+            assert len(result.coloring.violations()) == 0
+            geometry = result.coloring.instance.geometry
+        assert "csr" not in geometry.__dict__
+
+    @pytest.mark.parametrize("algorithm,runtime", [("GSL", "kernels"),
+                                                   ("GLL", "reference")])
+    def test_csr_paths_still_build_it(self, algorithm, runtime):
+        weights = _weights((9, 8), seed=2)
+        with use_context(ExecutionContext()):
+            result = color(weights, algorithm, runtime=runtime, validate=True)
+            geometry = result.coloring.instance.geometry
+        assert "csr" in geometry.__dict__
+        legacy = color_with(
+            IVCInstance.from_grid_2d(weights), algorithm, fast=runtime == "kernels"
+        )
+        np.testing.assert_array_equal(result.starts.ravel(), legacy.starts)
+
+
 class TestDeprecationShims:
     """The compatibility layer is gone; the facade and home packages stay."""
 

@@ -185,3 +185,23 @@ class TestBDP:
         inst = IVCInstance.from_graph(path_graph(3), [1, 1, 1])
         with pytest.raises(ValueError):
             bipartite_decomposition(inst)
+
+
+class TestNoCSR:
+    def test_reference_3d_bd_builds_no_csr(self, monkeypatch):
+        # The per-layer instances used to be built over ``layer_grid.csr``.
+        from repro.stencil.grid2d import StencilGrid2D
+        from repro.stencil.grid3d import StencilGrid3D
+
+        def refuse(self, offsets):
+            raise AssertionError(f"{self!r} built a CSR")
+
+        monkeypatch.setattr(StencilGrid2D, "_build_csr", refuse)
+        monkeypatch.setattr(StencilGrid3D, "_build_csr", refuse)
+        grid = np.random.default_rng(4).integers(0, 9, size=(4, 5, 3))
+        inst = IVCInstance.from_grid_3d(grid)
+        coloring, bound = bd_with_bound(inst, fast=False)
+        fast, fast_bound = bd_with_bound(inst, fast=True)
+        assert np.array_equal(coloring.starts, fast.starts)
+        assert bound == fast_bound
+        assert coloring.is_valid()

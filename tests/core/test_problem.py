@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.problem import IVCInstance
+from repro.runtime.context import ExecutionContext, use_context
 from repro.stencil.generic import cycle_graph, path_graph
 from repro.stencil.grid2d import StencilGrid2D
 
@@ -84,3 +85,56 @@ class TestProperties:
     def test_num_edges_2d(self):
         inst = IVCInstance.from_grid_2d(np.ones((2, 2)))
         assert inst.num_edges == 6  # K4
+
+
+def _fresh_instance(shape, seed=0):
+    """A stencil instance over a geometry no earlier test has touched."""
+    weights = np.random.default_rng(seed).integers(0, 9, size=shape)
+    with use_context(ExecutionContext()):
+        if len(shape) == 2:
+            return IVCInstance.from_grid_2d(weights)
+        return IVCInstance.from_grid_3d(weights)
+
+
+class TestLazyGraph:
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1), (1, 7), (7, 1), (2, 2), (5, 8), (1, 1, 6), (1, 4, 5), (3, 1, 2), (3, 4, 5)],
+    )
+    def test_closed_form_num_edges_matches_csr(self, shape):
+        inst = _fresh_instance(shape)
+        m = inst.num_edges
+        assert "csr" not in inst.geometry.__dict__
+        assert m == inst.geometry.csr.num_edges
+
+    def test_stencil_instance_builds_no_csr_until_graph_is_read(self):
+        inst = _fresh_instance((6, 5))
+        repr(inst)
+        assert (inst.num_vertices, inst.num_edges) == (30, 4 * 30 - 3 * 6 - 3 * 5 + 2)
+        assert "csr" not in inst.geometry.__dict__
+        assert inst.graph is inst.geometry.csr  # the shared per-shape CSR
+
+    def test_given_graph_is_kept(self):
+        graph = cycle_graph(4)
+        inst = IVCInstance(graph=graph, weights=[1, 2, 3, 4])
+        assert inst.graph is graph
+        assert inst.num_edges == 4
+
+    def test_needs_a_graph_or_a_geometry(self):
+        with pytest.raises(ValueError, match="graph or a stencil geometry"):
+            IVCInstance(weights=[1, 2])
+
+
+class TestIdentityEquality:
+    def test_equality_is_identity(self):
+        inst = _fresh_instance((3, 3))
+        twin = IVCInstance.from_grid_2d(inst.weight_grid())
+        assert inst == inst
+        assert inst != twin  # used to raise: the truth value of an array
+        assert "csr" not in inst.geometry.__dict__
+
+    def test_instances_are_hashable(self):
+        a = IVCInstance.from_grid_2d(np.ones((2, 2)))
+        b = IVCInstance.from_graph(path_graph(2), [1, 1])
+        assert {a: "grid", b: "path"}[a] == "grid"
+        assert len({a, b, a}) == 2

@@ -1,7 +1,9 @@
 """Property-based differential tests: vectorized kernels vs reference loops.
 
 Hypothesis drives random grid shapes, weights (including zeros), and vertex
-orders through both code paths and requires bit-identical starts.  The SGK
+orders through both code paths and requires bit-identical starts.  The
+layout's stencil validation and the vectorized BDP order are held to the
+same standard against the CSR edge list and the reference loop.  The SGK
 block-fill optimization is checked against a naive re-implementation that
 rebuilds every neighbor snapshot inside the permutation loop — the exact
 semantics the hoisted version must preserve.
@@ -14,14 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.algorithms.clique_first import _best_permutation_fill, _sorted_blocks
+from repro.core.algorithms.post_opt import bdp_recolor_order
 from repro.core.algorithms.registry import ALGORITHMS, color_with
+from repro.core.coloring import Coloring
 from repro.core.greedy_engine import (
     UNCOLORED,
     first_fit_start,
     greedy_color,
     greedy_recolor_pass,
 )
+from repro.core.interval import edge_overlaps
 from repro.core.problem import IVCInstance
+from repro.kernels.chains import bdp_recolor_order_fast
+from repro.kernels.substrate import StencilLayout
 
 grids_2d = st.tuples(st.integers(1, 6), st.integers(1, 6))
 grids_3d = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))
@@ -72,6 +79,63 @@ def test_registry_fast_paths_identical_for_every_algorithm(shape, seed):
         ref = color_with(inst, name, fast=False)
         fast = color_with(inst, name, fast=True)
         assert np.array_equal(ref.starts, fast.starts), name
+
+
+@given(shape=grids, seed=seeds, span=st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_layout_conflicts_match_csr_edge_scan(shape, seed, span):
+    # Starts drawn from a small range collide on purpose; ``span`` 1 puts
+    # every start at 0, so each pair of non-empty neighbours conflicts.
+    inst = _instance(shape, seed)
+    rng = np.random.default_rng(seed + 1)
+    starts = rng.integers(0, span, size=inst.num_vertices)
+    edges = inst.geometry.csr.edges()
+    expected = edges[edge_overlaps(starts, inst.weights, edges)]
+    got = StencilLayout.of(shape).conflicts(starts, inst.weights)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert np.array_equal(Coloring(inst, starts).violations(), expected)
+
+
+@given(shape=grids, seed=seeds, span=st.integers(1, 30))
+@settings(max_examples=40, deadline=None)
+def test_bdp_order_kernel_matches_reference_loop(shape, seed, span):
+    # Thin grids exercise the block-less append; a small ``span`` gives
+    # tied starts inside blocks (the stable tie-break) and repeated vertices
+    # across blocks (the first-occurrence rule).
+    inst = _instance(shape, seed)
+    starts = np.random.default_rng(seed + 2).integers(0, span, size=inst.num_vertices)
+    fast = bdp_recolor_order(inst, starts, fast=True)
+    ref = bdp_recolor_order(inst, starts, fast=False)
+    assert fast.dtype == ref.dtype == np.int64
+    assert np.array_equal(fast, ref)
+
+
+@given(shape=grids, seed=seeds)
+@settings(max_examples=30, deadline=None)
+def test_bdp_order_kernel_appends_blockless_vertices(shape, seed):
+    # A real grid puts every vertex in a block (or has no blocks at all);
+    # a random subset of blocks leaves some out, so they are appended in
+    # id order after the block scan.
+    inst = _instance(shape, seed)
+    geo = inst.geometry
+    blocks = geo.k4_blocks if inst.is_2d else geo.k8_blocks
+    rng = np.random.default_rng(seed + 3)
+    blocks = blocks[rng.random(len(blocks)) < 0.3]
+    sums = rng.integers(0, 5, size=len(blocks))
+    starts = rng.integers(0, 4, size=inst.num_vertices)
+    n = inst.num_vertices
+    seen, expected = set(), []
+    for b in np.argsort(-sums, kind="stable"):
+        for v in blocks[b][np.argsort(starts[blocks[b]], kind="stable")].tolist():
+            if v not in seen:
+                seen.add(v)
+                expected.append(v)
+    if len(blocks):
+        expected += [v for v in range(n) if v not in seen]
+    else:
+        expected = list(range(n))
+    assert bdp_recolor_order_fast(blocks, sums, starts, n).tolist() == expected
 
 
 def _naive_best_permutation_fill(instance, starts, block):

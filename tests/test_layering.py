@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = REPO_ROOT / "tools" / "check_layers.py"
 
@@ -200,4 +202,32 @@ def test_lint_allows_global_in_allowlisted_module(tmp_path):
         "_default = None\n"
         "def get_context():\n    global _default\n    return _default\n"
     )
+    assert checker.check(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "tier, source, attr",
+    [
+        ("kernels", "def gather(instance):\n    return instance.graph.indices\n", "graph"),
+        ("tiling", "def adjacency(geometry):\n    return geometry.csr\n", "csr"),
+        ("incremental", "def edges(inst):\n    return inst.graph.edges()\n", "graph"),
+    ],
+)
+def test_lint_catches_csr_access_in_csr_free_tier(tmp_path, tier, source, attr):
+    """A planted ``.csr`` / ``.graph`` read in a CSR-free tier is flagged."""
+    checker = _load_checker()
+    pkg = tmp_path / "src" / "repro" / tier
+    pkg.mkdir(parents=True)
+    (pkg / "bad.py").write_text(source)
+    violations = checker.check(tmp_path)
+    assert len(violations) == 1
+    assert f"'.{attr}' in a CSR-free tier" in violations[0]
+
+
+def test_lint_allows_csr_access_outside_csr_free_tiers(tmp_path):
+    """Reference paths in core keep walking the CSR."""
+    checker = _load_checker()
+    pkg = tmp_path / "src" / "repro" / "core"
+    pkg.mkdir(parents=True)
+    (pkg / "orderings.py").write_text("def degrees(inst):\n    return inst.graph.degrees()\n")
     assert checker.check(tmp_path) == []

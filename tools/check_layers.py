@@ -53,6 +53,12 @@ default execution context, the engine's per-worker state and the fault
 plan).  Per-call decisions travel as arguments, on an
 :class:`~repro.runtime.context.ExecutionContext`, or in a ``ContextVar``.
 
+The seventh check keeps the CSR-free tiers free of the CSR: no module
+under ``CSR_FREE`` (kernels, tiling, incremental) may access a ``.csr`` or
+``.graph`` attribute.  Those tiers read neighbourhoods through the padded
+:class:`~repro.kernels.substrate.StencilLayout`; either attribute would
+build the per-shape CSR adjacency that the layout replaces.
+
 Exit status 0 = clean, 1 = violations (printed one per line), 2 = usage.
 Run from the repo root::
 
@@ -123,6 +129,15 @@ GLOBAL_ALLOWED = (
     "src/repro/engine/executor.py",
     "src/repro/resilience/faults.py",
 )
+
+#: The CSR-free tiers (repo-relative prefixes) and the attributes they may
+#: not access: an instance's lazily built ``graph``, a geometry's ``csr``.
+CSR_FREE = (
+    "src/repro/kernels/",
+    "src/repro/tiling/",
+    "src/repro/incremental/",
+)
+CSR_ATTRS = frozenset({"csr", "graph"})
 
 #: The root package __init__ re-exports across layers by design.
 ROOT_EXEMPT = ("src/repro/__init__.py",)
@@ -310,6 +325,16 @@ def check(repo_root: Path) -> list[str]:
                         "outside the GLOBAL_ALLOWED modules — pass the "
                         "setting explicitly, on the ExecutionContext, or in "
                         "a ContextVar"
+                    )
+
+        # --- CSR-free tiers ----------------------------------------------
+        if rel.startswith(CSR_FREE):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and node.attr in CSR_ATTRS:
+                    violations.append(
+                        f"{rel}:{node.lineno}: '.{node.attr}' in a CSR-free "
+                        "tier — read neighbourhoods through the StencilLayout "
+                        "(kernels/substrate.py), never the CSR adjacency"
                     )
 
     # --- benchmark discipline --------------------------------------------
