@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -36,6 +35,9 @@ def linear_fit(x, y) -> LinearFit:
         raise ValueError("need at least two aligned samples")
     if np.allclose(x, x[0]):
         raise ValueError("x values are all identical; the slope is undefined")
+    # Imported here so `import repro` does not load scipy.
+    from scipy import stats
+
     res = stats.linregress(x, y)
     return LinearFit(
         slope=float(res.slope),

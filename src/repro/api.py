@@ -32,7 +32,6 @@ from repro.data.weights import WeightSource
 from repro.incremental.engine import recolor_grid
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.context import ExecutionContext, get_context
-from repro.runtime.fastpath import resolve_fast_for
 from repro.runtime.fingerprint import config_fingerprint
 from repro.tiling.stitch import TiledColoring, color_tiled
 
@@ -125,7 +124,8 @@ def color(
         How to run:
 
         * ``None`` / ``"auto"`` — the ambient context decides (kernel fast
-          paths by size, the tiler per ``config.tiling``);
+          paths from each algorithm's measured ``kernel_from`` size, the
+          tiler per ``config.tiling``);
         * ``"kernels"`` — force the vectorized kernels;
         * ``"reference"`` — force the reference loops;
         * ``"tiled"`` — force the out-of-core tiler;
@@ -213,8 +213,7 @@ def color(
     if instance is None:
         make = IVCInstance.from_grid_2d if grid.ndim == 2 else IVCInstance.from_grid_3d
         instance = make(grid)
-    use_fast = resolve_fast_for(fast, instance.num_vertices, context=ctx)
-    coloring = color_with(instance, algorithm, fast=use_fast, context=ctx)
+    coloring = color_with(instance, algorithm, fast=fast, context=ctx)
     if validate:
         coloring.check()
     starts = np.asarray(coloring.starts, dtype=np.int64)
@@ -227,7 +226,7 @@ def color(
         "algorithm": algorithm,
         "mode": "monolithic",
         "runtime": config_fingerprint(ctx.config),
-        "fast": REGISTRY.get(algorithm).runs_kernel(instance, use_fast),
+        "fast": REGISTRY.get(algorithm).runs_kernel(instance, fast, ctx),
         "shape": shape,
     }
     return ColoringResult(

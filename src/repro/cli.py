@@ -152,8 +152,9 @@ def cmd_algorithms(args: argparse.Namespace) -> int:
     def fast_column(spec) -> str:
         """Kernel binding availability + what the active config does with it.
 
-        Sourced from the registry (``fast_fn``) and the context's
-        :class:`~repro.runtime.config.RuntimeConfig` — no module probing.
+        Sourced from the registry (``fast_fn``, ``kernel_from``) and the
+        context's :class:`~repro.runtime.config.RuntimeConfig` — no module
+        probing.
         """
         if spec.fast_fn is None:
             return "-"
@@ -161,7 +162,7 @@ def cmd_algorithms(args: argparse.Namespace) -> int:
             return "kernel (off)"
         if config.fast_paths == "on":
             return "kernel (on)"
-        return f"kernel (auto ≥{config.fast_paths_min_size})"
+        return f"kernel (auto ≥{spec.kernel_from})"
 
     specs = REGISTRY.specs(include_extensions=not args.paper_only)
     rows = [

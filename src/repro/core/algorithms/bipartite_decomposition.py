@@ -100,7 +100,7 @@ def bd_with_bound(
     """
     if not (instance.is_2d or instance.is_3d):
         raise ValueError("Bipartite Decomposition requires a stencil geometry")
-    if resolve_fast_for(fast, instance.num_vertices):
+    if resolve_fast_for(fast) is not False:
         from repro.kernels.chains import bd_starts_2d, bd_starts_3d
 
         kernel = bd_starts_2d if instance.is_2d else bd_starts_3d

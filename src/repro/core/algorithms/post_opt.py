@@ -47,7 +47,7 @@ def bdp_recolor_order(
     sums = geo.block_weight_sums(instance.weights)
     from repro.runtime.fastpath import resolve_fast_for
 
-    if resolve_fast_for(fast, n):
+    if resolve_fast_for(fast) is not False:
         from repro.kernels.chains import bdp_recolor_order_fast
 
         return bdp_recolor_order_fast(blocks, sums, starts, n)

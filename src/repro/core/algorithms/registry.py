@@ -95,6 +95,12 @@ class AlgorithmSpec:
         :func:`color_with` when fast paths are enabled and the instance has a
         stencil geometry (:meth:`runs_kernel`); generic graphs always fall
         back to ``fn``.
+    kernel_from:
+        Auto-mode crossover in vertices: from this instance size up the
+        kernels run (``fast_fn``, and the kernels of the primitives
+        underneath ``fn``), below it the reference loops do.  The default
+        registry's values are the measured crossovers of
+        ``BENCH_crossover.json``; ``0`` means the kernels always run.
     """
 
     name: str
@@ -104,6 +110,7 @@ class AlgorithmSpec:
     is_extension: bool = False
     description: str = ""
     fast_fn: Optional[AlgorithmFn] = None
+    kernel_from: int = 0
 
     def supports(self, instance: IVCInstance) -> bool:
         """Whether this heuristic can run on ``instance``."""
@@ -115,14 +122,41 @@ class AlgorithmSpec:
             return 3 in self.supported_dims
         return not self.needs_geometry  # pragma: no cover - unknown geometry
 
-    def runs_kernel(self, instance: IVCInstance, use_fast: bool) -> bool:
-        """Whether a resolved fast-path decision dispatches :attr:`fast_fn`.
+    def wants_fast(
+        self,
+        instance: IVCInstance,
+        fast: Optional[bool] = None,
+        context: Optional["ExecutionContext"] = None,
+    ) -> bool:
+        """The fast-path decision for one call: an explicit ``fast``, else an
+        enclosing ``fast_paths()`` block, else the config mode, where auto
+        means ``instance.num_vertices >= kernel_from``.
 
-        ``use_fast`` alone is only a request: specs without a kernel and
-        instances without a stencil geometry take ``fn`` regardless.
+        This is the only place the auto-mode size rule is applied;
+        :func:`color_with` scopes the result over the whole call.
+        """
+        from repro.runtime.fastpath import resolve_fast_for
+
+        decided = resolve_fast_for(fast, context)
+        if decided is None:
+            return instance.num_vertices >= self.kernel_from
+        return decided
+
+    def runs_kernel(
+        self,
+        instance: IVCInstance,
+        fast: Optional[bool] = None,
+        context: Optional["ExecutionContext"] = None,
+    ) -> bool:
+        """Whether :func:`color_with` dispatches :attr:`fast_fn`.
+
+        :meth:`wants_fast` alone is only a request: specs without a kernel
+        and instances without a stencil geometry take ``fn`` regardless.
         """
         return (
-            use_fast and self.fast_fn is not None and instance.geometry is not None
+            self.fast_fn is not None
+            and instance.geometry is not None
+            and self.wants_fast(instance, fast, context)
         )
 
 
@@ -315,16 +349,19 @@ for _spec in (
         "GLL", greedy_line_by_line, needs_geometry=False,
         description="greedy, line-by-line (lexicographic) order",
         fast_fn=_lazy_fast("gll_fast"),
+        kernel_from=128,
     ),
     AlgorithmSpec(
         "GZO", greedy_zorder,
         description="greedy, Morton Z-order traversal",
         fast_fn=_lazy_fast("gzo_fast"),
+        kernel_from=2304,
     ),
     AlgorithmSpec(
         "GLF", greedy_largest_first, needs_geometry=False,
         description="greedy, heaviest-vertex-first order",
         fast_fn=_lazy_fast("glf_fast"),
+        kernel_from=256,
     ),
     AlgorithmSpec(
         "GKF", greedy_largest_clique_first,
@@ -338,24 +375,29 @@ for _spec in (
         "BD", bipartite_decomposition,
         description="bipartite decomposition (2-approx 2D / 4-approx 3D)",
         fast_fn=_lazy_fast("bd_fast"),
+        kernel_from=8,
     ),
     AlgorithmSpec(
         "BDP", bipartite_decomposition_post,
         description="BD followed by the recoloring post-optimization sweep",
         fast_fn=_lazy_fast("bdp_fast"),
+        kernel_from=128,
     ),
     AlgorithmSpec(
         "GSL", _greedy_smallest_last, needs_geometry=False, is_extension=True,
         description="greedy, Matula–Beck smallest-last order",
         fast_fn=_lazy_fast("gsl_fast"),
+        kernel_from=1024,
     ),
     AlgorithmSpec(
         "GLF+P", _glf_post, is_extension=True,
         description="GLF followed by the BDP post-optimization sweep",
+        kernel_from=128,
     ),
     AlgorithmSpec(
         "BD+IP", _bd_iterated, is_extension=True,
         description="BD with post-optimization iterated to a fixed point",
+        kernel_from=64,
     ),
     AlgorithmSpec(
         "SGK-ws", _sgk_weight_sorted, is_extension=True,
@@ -364,10 +406,12 @@ for _spec in (
     AlgorithmSpec(
         "BD-ax", _bd_best_axis, is_extension=True,
         description="BD across all decomposition axes, keeping the best",
+        kernel_from=8,
     ),
     AlgorithmSpec(
         "GLF+LS", _glf_local_search, needs_geometry=False, is_extension=True,
         description="GLF improved by iterated-greedy local search",
+        kernel_from=128,
     ),
 ):
     REGISTRY.register(_spec)
@@ -416,13 +460,14 @@ def color_with(
     fast:
         Use the vectorized kernel fast path when the spec declares one and
         the instance has a stencil geometry (automatic fallback to the
-        reference implementation otherwise).  ``None`` (default) follows the
-        context's :class:`~repro.runtime.config.RuntimeConfig` fast-path
-        mode (or an enclosing ``fast_paths()`` block) with the auto-mode
-        size threshold applied, so miniature instances keep the reference
-        loops; the resolved value is also scoped over the whole call, so
-        ``fast=False`` disables the kernels inside every primitive the
-        algorithm touches.
+        reference implementation otherwise).  ``None`` (default) follows an
+        enclosing ``fast_paths()`` block, else the context's
+        :class:`~repro.runtime.config.RuntimeConfig` fast-path mode, whose
+        auto mode runs the kernels from the spec's measured
+        ``kernel_from`` vertex count up (:meth:`AlgorithmSpec.wants_fast`).
+        The resolved value is scoped over the whole call, so every
+        primitive the algorithm touches follows it without a second size
+        check.
     context:
         The :class:`~repro.runtime.context.ExecutionContext` governing this
         call (fast-path config, substrate caches, metrics).  ``None`` uses
@@ -435,11 +480,11 @@ def color_with(
         If ``name`` is not registered (with a closest-match suggestion).
     """
     from repro.runtime.context import get_context, use_context
-    from repro.runtime.fastpath import fast_paths, resolve_fast_for
+    from repro.runtime.fastpath import fast_paths
 
     ctx = context if context is not None else get_context()
     spec = REGISTRY.get(name)
-    use_fast = resolve_fast_for(fast, instance.num_vertices, context=ctx)
+    use_fast = spec.wants_fast(instance, fast, ctx)
     kernel = spec.runs_kernel(instance, use_fast)
     fn = spec.fast_fn if kernel else spec.fn
     ctx.metrics.counter("registry.dispatch").inc()

@@ -152,7 +152,8 @@ def greedy_color(
         Use the wavefront-batched kernel (stencil instances only; identical
         starts, differentially tested).  ``None`` follows
         :func:`repro.runtime.fastpath.resolve_fast_for` (a scoped block,
-        else the config mode and its auto-mode size threshold); generic
+        else the config mode; auto mode takes the kernel, since the
+        per-algorithm size rule is applied once by ``color_with``); generic
         graphs and custom ``first_fit`` primitives always take the
         reference loop.
     check_order:
@@ -166,7 +167,7 @@ def greedy_color(
     elif len(order) != n:
         raise ValueError("order must be a permutation of all vertices")
     if (
-        resolve_fast_for(fast, n)
+        resolve_fast_for(fast) is not False
         and instance.geometry is not None
         and first_fit is first_fit_start
     ):
@@ -236,7 +237,7 @@ def greedy_recolor_pass(
     else:
         order = np.asarray(order, dtype=np.int64)
     if (
-        resolve_fast_for(fast, n)
+        resolve_fast_for(fast) is not False
         and instance.geometry is not None
         and first_fit is first_fit_start
         and _is_permutation(order, n)

@@ -243,9 +243,8 @@ def _kahn_wavefront(layout: StencilLayout, rank: np.ndarray) -> Wavefront:
         batches.append(frontier)
         rows = frontier[:, None] + layout.deltas
         targets = rows[rank_pad[rows] > rank_pad[frontier][:, None]]
-        candidates, hits = np.unique(targets, return_counts=True)
-        indeg_pad[candidates] -= hits
-        frontier = candidates[indeg_pad[candidates] == 0]
+        np.subtract.at(indeg_pad, targets, 1)
+        frontier = np.unique(targets[indeg_pad[targets] == 0])
     verts = layout.unpad[np.concatenate(batches)]
     ptr = np.zeros(len(batches) + 1, dtype=np.int64)
     np.cumsum([len(b) for b in batches], out=ptr[1:])

@@ -21,7 +21,7 @@ members are pairwise non-adjacent and respect the order's dependency DAG (see
    frontier over the positions whose gap is wide enough, capped by the
    largest end — one ``np.maximum.accumulate`` and one masked ``min`` per
    batch instead of one Python iteration per interval.  Ignored slots
-   (``UNCOLORED`` or zero-weight) get end 0; no sentinel padding is needed.
+   (``UNCOLORED`` or zero-weight) get an end of at most 0.
 
 Because every vertex still sees exactly the neighbors that precede it in the
 order — colored — and none that follow it, the result is *bit-identical* to
@@ -49,6 +49,17 @@ from repro.kernels.substrate import StencilLayout, Substrate, get_substrate
 #: Mirrors :data:`repro.core.greedy_engine.UNCOLORED` (kept literal to avoid
 #: an import cycle; asserted equal in the tests).
 UNCOLORED = -1
+
+#: Stands in for ``UNCOLORED`` (and for zero weights) inside
+#: :func:`first_fit_wavefronts`: below every real start, and negative when
+#: added to any weight or to itself, without overflowing ``int64``.
+_VOID = -(1 << 61)
+
+
+def _void(starts) -> np.ndarray:
+    """``starts`` with ``UNCOLORED`` replaced by ``_VOID``."""
+    starts = np.asarray(starts, dtype=np.int64)
+    return np.where(starts == UNCOLORED, _VOID, starts)
 
 
 def first_fit_intervals(
@@ -80,21 +91,32 @@ def first_fit_intervals(
     if d == 0:
         return np.zeros(b, dtype=np.int64)
     # Work column-major, ``(d, b)``, so the scan below runs as ``d`` vector
-    # ops over the batch (a no-op for the batch loop, which gathers so).
+    # ops over the batch.
     s = np.ascontiguousarray(s.T)
     hi = np.where((s != UNCOLORED) & (wn.T > 0), s + wn.T, 0)
+    return _first_fit_columns(s, hi, w, np.arange(b))
+
+
+def _first_fit_columns(
+    lo: np.ndarray, hi: np.ndarray, w: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """:func:`first_fit_intervals` on column-major ``(d, b)`` lower and
+    upper ends, ignored slots at ``hi <= 0``; ``cols`` starts with
+    ``arange(b)``."""
+    d, b = lo.shape
     # Sort neighbor intervals by lower end.  Ties need no secondary key: the
     # scan's outcome at a tied lower end is independent of the tie order.
-    flat = np.argsort(s, axis=0)
+    flat = lo.argsort(axis=0)
     flat *= b
-    flat += np.arange(b)
-    lo = s.ravel().take(flat)
-    hi = hi.ravel().take(flat)
+    flat += cols[:b]
+    lo = lo.take(flat)
+    # ends[c] = max(0, hi[0..c-1]) over the sorted intervals.
     ends = np.empty((d + 1, b), dtype=np.int64)
     ends[0] = 0
-    np.maximum.accumulate(hi, axis=0, out=ends[1:])
+    hi.take(flat, out=ends[1:])
+    np.maximum.accumulate(ends, axis=0, out=ends)
     frontier = ends[:-1]
-    return np.where(lo - frontier >= w, frontier, ends[-1]).min(axis=0)
+    return np.minimum.reduce(np.where(lo - frontier >= w, frontier, ends[-1]), axis=0)
 
 
 def first_fit_wavefronts(
@@ -121,18 +143,26 @@ def first_fit_wavefronts(
     level schedule run from all-``UNCOLORED`` starts, where every
     later-level neighbour — preset or not — is still uncolored when a cell
     is placed.
+
+    Inside the pass an uncolored start is ``_VOID`` and a zero weight
+    gathers as ``_VOID``, so a neighbour's upper end is one add,
+    ``start + weight``, and every ignored slot's is negative — ignored like
+    the ``0`` that :func:`first_fit_intervals` gives it.  A ``_VOID`` lower
+    end never fits, as ``UNCOLORED`` never does.
     """
     deltas = (layout.deltas if deltas is None else deltas)[:, None]
-    starts_pad = layout.pad(UNCOLORED if starts is None else starts, UNCOLORED)
-    weights_pad = layout.pad(weights, 0)
+    starts_pad = layout.pad(_VOID if starts is None else _void(starts), _VOID)
+    weights_void = layout.pad(np.where(weights > 0, weights, _VOID), _VOID)
     padded = layout.interior[verts]
     pre_ptr: list[int] = []
     if preset_mask is not None:
         at = np.flatnonzero(preset_mask[verts])  # schedule positions
         split = np.searchsorted(at, ptr)  # presets before each batch bound
-        pre_cells, pre_values = padded[at], preset_starts[verts[at]]
+        pre_cells, pre_values = padded[at], _void(preset_starts[verts[at]])
         padded, ptr = np.delete(padded, at), ptr - split
         pre_ptr = split.tolist()
+    placed = np.maximum(weights_void[padded], 0)  # scheduled cells' weights
+    cols = np.arange(np.diff(ptr).max(initial=0))
     ptr = ptr.tolist()
     for b in range(len(ptr) - 1):
         if pre_ptr and pre_ptr[b] < pre_ptr[b + 1]:
@@ -142,10 +172,12 @@ def first_fit_wavefronts(
             continue
         batch = padded[ptr[b] : ptr[b + 1]]
         rows = deltas + batch
-        starts_pad[batch] = first_fit_intervals(
-            starts_pad[rows].T, weights_pad[rows].T, weights_pad[batch]
+        lo = starts_pad[rows]
+        starts_pad[batch] = _first_fit_columns(
+            lo, lo + weights_void[rows], placed[ptr[b] : ptr[b + 1]], cols
         )
-    return starts_pad[layout.interior]
+    out = starts_pad[layout.interior]
+    return np.maximum(out, UNCOLORED, out=out)
 
 
 def _is_line_by_line(order: np.ndarray, shape: tuple[int, ...]) -> bool:

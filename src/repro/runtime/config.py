@@ -25,7 +25,6 @@ variable                        field                     values
 ``REPRO_FAST_PATHS``            ``fast_paths``            ``0``/``off`` → off,
                                                           ``on``/``force`` → on,
                                                           else → auto
-``REPRO_FAST_PATHS_MIN_SIZE``   ``fast_paths_min_size``   int (vertices)
 ``REPRO_SUBSTRATE_CACHE_SIZE``  ``substrate_cache_size``  int (shapes)
 ``REPRO_WAVEFRONT_CACHE_SIZE``  ``wavefront_cache_size``  int (orders/shape)
 ``REPRO_FAULTS``                ``fault_spec``            fault spec string
@@ -75,8 +74,9 @@ __all__ = [
 ]
 
 #: The tri-state fast-path mode: ``"auto"`` engages the vectorized kernels
-#: from ``fast_paths_min_size`` vertices up, ``"on"`` forces them regardless
-#: of size, ``"off"`` disables them.
+#: from each algorithm's measured crossover size up
+#: (``AlgorithmSpec.kernel_from``), ``"on"`` forces them regardless of size,
+#: ``"off"`` disables them.
 FastPathMode = str
 
 _FAST_PATH_MODES = ("auto", "on", "off")
@@ -329,7 +329,7 @@ def _parse_fast_path_mode(raw: str) -> FastPathMode:
 
     Historically the variable was boolean (``0`` disables, anything else
     enables auto mode); ``on``/``force`` were added with the tri-state to
-    force kernels below the size threshold.
+    force kernels below each algorithm's crossover size.
     """
     text = raw.strip().lower()
     if text in ("0", "off", "false", "no"):
@@ -349,12 +349,9 @@ class RuntimeConfig:
     fast_paths:
         Tri-state kernel mode (see :data:`FastPathMode`).  Legacy boolean
         values are normalized: ``True`` → ``"on"``, ``False`` → ``"off"``,
-        ``None`` → ``"auto"``.
-    fast_paths_min_size:
-        Minimum vertex count for kernels to engage in ``"auto"`` mode
-        (batched NumPy dispatch has fixed overhead that dominates on
-        miniature instances; break-even sits around a few thousand
-        vertices, see ``BENCH_kernels.json``).
+        ``None`` → ``"auto"``.  In ``"auto"`` mode each algorithm engages
+        its kernels from its own measured crossover
+        (``AlgorithmSpec.kernel_from``, see ``BENCH_crossover.json``).
     substrate_cache_size:
         Shapes kept per substrate LRU cache (geometries and substrates
         cached separately, each with this capacity).
@@ -392,7 +389,6 @@ class RuntimeConfig:
     """
 
     fast_paths: FastPathMode = "auto"
-    fast_paths_min_size: int = 4096
     substrate_cache_size: int = 32
     wavefront_cache_size: int = 8
     fault_spec: str = ""
@@ -436,7 +432,6 @@ class RuntimeConfig:
             )
         object.__setattr__(self, "fast_paths", mode)
         for name in (
-            "fast_paths_min_size",
             "substrate_cache_size",
             "wavefront_cache_size",
             "max_cell_retries",
@@ -461,7 +456,6 @@ class RuntimeConfig:
         """
         values = {
             "fast_paths": _parse_fast_path_mode(env_str("REPRO_FAST_PATHS", "1")),
-            "fast_paths_min_size": env_int("REPRO_FAST_PATHS_MIN_SIZE", 4096),
             "substrate_cache_size": env_int("REPRO_SUBSTRATE_CACHE_SIZE", 32),
             "wavefront_cache_size": env_int("REPRO_WAVEFRONT_CACHE_SIZE", 8),
             "fault_spec": env_str("REPRO_FAULTS", ""),

@@ -2,19 +2,24 @@
 
 The vectorized kernels in :mod:`repro.kernels` are differentially tested to
 produce *identical* colorings to the reference Python loops, so they are on
-by default.  Whether a given call actually takes the kernel is decided here,
-from three layers (highest wins):
+by default.  Whether a given call actually takes the kernel is decided from
+three layers (highest wins):
 
 1. an explicit per-call ``fast=True``/``False`` argument — always honoured
    (benchmarks and differential tests rely on ``fast=True`` exercising the
    kernels even on degenerate grids);
 2. the scoped :func:`fast_paths` context manager (used by
-   :func:`~repro.core.algorithms.registry.color_with` so a resolved decision
+   :func:`~repro.core.algorithms.registry.color_with` so its decision
    reaches every primitive underneath the algorithm);
 3. the current :class:`~repro.runtime.config.RuntimeConfig` ``fast_paths``
-   mode: ``"off"`` disables, ``"on"`` forces, ``"auto"`` engages from
-   ``fast_paths_min_size`` vertices up (batched NumPy dispatch has fixed
-   overhead that dominates on miniature instances).
+   mode: ``"off"`` disables, ``"on"`` forces, ``"auto"`` leaves the choice
+   to the caller.
+
+In auto mode the size rule belongs to the algorithm, not to this module:
+:meth:`~repro.core.algorithms.registry.AlgorithmSpec.runs_kernel` engages
+the kernel from the spec's measured ``kernel_from`` vertex count up, and
+``color_with`` scopes that one decision over the whole call.  A primitive
+called outside any ``color_with`` in auto mode takes its kernel.
 
 The module lives in ``repro.runtime`` so :mod:`repro.core` can resolve
 fast-path decisions without a core→kernels import (the kernels themselves
@@ -39,31 +44,27 @@ _scoped: ContextVar[Optional[bool]] = ContextVar("repro_fast_paths", default=Non
 
 
 def resolve_fast_for(
-    fast: Optional[bool],
-    num_vertices: int,
-    context: Optional[ExecutionContext] = None,
-) -> bool:
-    """Per-call fast decision with the auto-mode size threshold applied.
+    fast: Optional[bool], context: Optional[ExecutionContext] = None
+) -> Optional[bool]:
+    """The fast-path decision of the first layer that makes one.
 
     Explicit ``True``/``False`` win unconditionally.  ``None`` consults the
-    innermost :func:`fast_paths` block if one is active (``True`` behaving
-    like auto mode), else the context's config mode: ``"off"`` → False,
-    ``"on"`` → True, ``"auto"`` → ``num_vertices >=
-    config.fast_paths_min_size``.
+    innermost :func:`fast_paths` block if one is active, else the context's
+    config mode: ``"off"`` → False, ``"on"`` → True, ``"auto"`` → ``None``
+    (no layer decided; the algorithm's ``kernel_from`` applies, and a bare
+    primitive treats it as on).
     """
     if fast is not None:
         return bool(fast)
-    ctx = context if context is not None else get_context()
-    min_size = ctx.config.fast_paths_min_size
     scoped = _scoped.get()
     if scoped is not None:
-        return scoped and num_vertices >= min_size
-    mode = ctx.config.fast_paths
+        return scoped
+    mode = (context if context is not None else get_context()).config.fast_paths
     if mode == "off":
         return False
     if mode == "on":
         return True
-    return num_vertices >= min_size
+    return None
 
 
 @contextmanager

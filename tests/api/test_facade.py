@@ -45,7 +45,7 @@ class TestFacadeIdentity:
 
     @pytest.mark.parametrize("side,ran_kernel", [(128, True), (8, False)])
     def test_provenance_fast_says_whether_the_kernel_ran(self, side, ran_kernel):
-        # Default config: auto mode, kernels from 4096 vertices up.
+        # Default config: auto mode, kernels from GLL's kernel_from (128) up.
         result = color(_weights((side, side)), "GLL", runtime=RuntimeConfig())
         assert result.provenance["fast"] is ran_kernel
 

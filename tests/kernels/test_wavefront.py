@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import greedy_engine
-from repro.core.algorithms.registry import ALGORITHMS, color_with
+from repro.core.algorithms.registry import ALGORITHMS, REGISTRY, color_with
 from repro.core.greedy_engine import greedy_color, greedy_recolor_pass
 from repro.core.orderings import (
     identity_order,
@@ -56,27 +56,38 @@ def test_uncolored_sentinels_agree():
     assert wavefront.UNCOLORED == greedy_engine.UNCOLORED
 
 
-def test_auto_mode_size_threshold():
-    # Auto mode (fast=None) only engages kernels from fast_paths_min_size
-    # vertices up; explicit True/False win unconditionally.
-    min_size = get_context().config.fast_paths_min_size
+def _line(n):
+    """A 1 x n grid: an instance of exactly ``n`` vertices."""
+    return IVCInstance.from_grid_2d(np.ones((1, n), dtype=np.int64))
+
+
+def test_auto_mode_follows_each_spec_crossover():
+    # Auto mode (fast=None) engages a kernel from the spec's own kernel_from
+    # vertices up; explicit True/False and a scoped block win regardless.
+    ctx = get_context()
+    assert ctx.config.fast_paths == "auto"
+    spec = REGISTRY.get("GLL")
+    below, at = _line(spec.kernel_from - 1), _line(spec.kernel_from)
+    assert spec.runs_kernel(at) is True
+    assert spec.runs_kernel(below) is False
+    assert spec.runs_kernel(below, True) is True
+    assert spec.runs_kernel(at, False) is False
     with fast_paths(True):
-        assert resolve_fast_for(None, min_size) is True
-        assert resolve_fast_for(None, min_size - 1) is False
-        assert resolve_fast_for(True, 1) is True
-        assert resolve_fast_for(False, 10**9) is False
+        assert spec.runs_kernel(below) is True
+        assert resolve_fast_for(None) is True
     with fast_paths(False):
-        assert resolve_fast_for(None, 10**9) is False
-        assert resolve_fast_for(True, 1) is True
+        assert spec.runs_kernel(at) is False
+        assert spec.runs_kernel(below, True) is True
 
 
 def test_fast_paths_switch_roundtrip():
     off = ExecutionContext(RuntimeConfig(fast_paths="off"))
-    size = off.config.fast_paths_min_size
-    assert not resolve_fast_for(None, size, context=off)
+    spec = REGISTRY.get("GLL")
+    at = _line(spec.kernel_from)
+    assert not spec.runs_kernel(at, context=off)
     with fast_paths(True):
-        assert resolve_fast_for(None, size, context=off)
-    assert not resolve_fast_for(None, size, context=off)
+        assert spec.runs_kernel(at, context=off)
+    assert not spec.runs_kernel(at, context=off)
 
 
 @pytest.mark.parametrize("order_name", sorted(ORDERINGS))

@@ -187,7 +187,7 @@ class TestSubstrateCounters:
         weights = np.random.default_rng(0).integers(
             1, 50, (side, side), dtype=np.int64
         )
-        ctx = ExecutionContext()  # default config: auto from 4096 vertices
+        ctx = ExecutionContext()  # default config: auto from GLL's kernel_from
         color_with(IVCInstance.from_grid_2d(weights), algorithm, fast=fast,
                    context=ctx)
         counters = ctx.metrics.snapshot()["counters"]

@@ -19,7 +19,6 @@ class TestDefaults:
     def test_field_defaults(self):
         config = RuntimeConfig()
         assert config.fast_paths == "auto"
-        assert config.fast_paths_min_size == 4096
         assert config.substrate_cache_size == 32
         assert config.wavefront_cache_size == 8
         assert config.fault_spec == ""
@@ -60,7 +59,6 @@ class TestNormalization:
 class TestFromEnv:
     def test_environment_applies(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAST_PATHS", "0")
-        monkeypatch.setenv("REPRO_FAST_PATHS_MIN_SIZE", "128")
         monkeypatch.setenv("REPRO_SUBSTRATE_CACHE_SIZE", "5")
         monkeypatch.setenv("REPRO_WAVEFRONT_CACHE_SIZE", "3")
         monkeypatch.setenv("REPRO_FAULTS", "seed=1;engine.cell:crash=0.5,max=1")
@@ -68,7 +66,6 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_SEED", "42")
         config = RuntimeConfig.from_env()
         assert config.fast_paths == "off"
-        assert config.fast_paths_min_size == 128
         assert config.substrate_cache_size == 5
         assert config.wavefront_cache_size == 3
         assert config.fault_spec == "seed=1;engine.cell:crash=0.5,max=1"
@@ -102,6 +99,14 @@ class TestFromEnv:
         with pytest.raises(TypeError, match="wavefronts"):
             RuntimeConfig.from_env(wavefronts=2)
 
+    def test_no_global_kernel_size_knob(self, monkeypatch):
+        """The auto-mode crossover is per algorithm (``kernel_from``), not a
+        config field or an environment variable."""
+        monkeypatch.setenv("REPRO_FAST_PATHS_MIN_SIZE", "128")
+        assert RuntimeConfig.from_env() == RuntimeConfig()
+        with pytest.raises(TypeError, match="fast_paths_min_size"):
+            RuntimeConfig.from_env(fast_paths_min_size=128)
+
     def test_service_knobs_from_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVICE_WORKERS", "4")
         monkeypatch.setenv("REPRO_SERVICE_WIRE", "Binary")
@@ -122,8 +127,8 @@ class TestFromEnv:
 
     def test_defaults_without_environment(self, monkeypatch):
         for name in (
-            "REPRO_FAST_PATHS", "REPRO_FAST_PATHS_MIN_SIZE",
-            "REPRO_SUBSTRATE_CACHE_SIZE", "REPRO_WAVEFRONT_CACHE_SIZE",
+            "REPRO_FAST_PATHS", "REPRO_SUBSTRATE_CACHE_SIZE",
+            "REPRO_WAVEFRONT_CACHE_SIZE",
             "REPRO_FAULTS", "REPRO_MAX_CELL_RETRIES", "REPRO_SEED",
         ):
             monkeypatch.delenv(name, raising=False)

@@ -166,16 +166,14 @@ class TestResolveFast:
     def test_follows_config_mode(self):
         on = ExecutionContext(RuntimeConfig(fast_paths="on"))
         off = ExecutionContext(RuntimeConfig(fast_paths="off"))
-        auto = ExecutionContext(
-            RuntimeConfig(fast_paths="auto", fast_paths_min_size=100)
-        )
-        assert resolve_fast_for(None, 1, context=on) is True
-        assert resolve_fast_for(None, 10**6, context=off) is False
-        assert resolve_fast_for(None, 99, context=auto) is False
-        assert resolve_fast_for(None, 100, context=auto) is True
+        auto = ExecutionContext(RuntimeConfig(fast_paths="auto"))
+        assert resolve_fast_for(None, context=on) is True
+        assert resolve_fast_for(None, context=off) is False
+        # Auto mode leaves the size rule to AlgorithmSpec.kernel_from.
+        assert resolve_fast_for(None, context=auto) is None
 
     def test_explicit_argument_wins(self):
         off = ExecutionContext(RuntimeConfig(fast_paths="off"))
-        assert resolve_fast_for(True, 1, context=off) is True
+        assert resolve_fast_for(True, context=off) is True
         on = ExecutionContext(RuntimeConfig(fast_paths="on"))
-        assert resolve_fast_for(False, 10**6, context=on) is False
+        assert resolve_fast_for(False, context=on) is False

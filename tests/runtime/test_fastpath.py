@@ -15,27 +15,25 @@ def _fresh_default():
     set_default_context(None)
 
 
-def _ctx(mode, min_size=100):
-    return ExecutionContext(
-        RuntimeConfig(fast_paths=mode, fast_paths_min_size=min_size)
-    )
+def _ctx(mode):
+    return ExecutionContext(RuntimeConfig(fast_paths=mode))
 
 
 def _large(ctx):
-    """The decision for an instance far above the auto-mode threshold."""
-    return resolve_fast_for(None, 10**6, context=ctx)
+    """The decision a bare primitive takes (auto mode runs its kernel)."""
+    return resolve_fast_for(None, context=ctx) is not False
 
 
 class TestExplicitArgument:
     def test_beats_everything(self):
         with fast_paths(False):
-            assert resolve_fast_for(True, 1, context=_ctx("off")) is True
+            assert resolve_fast_for(True, context=_ctx("off")) is True
         with fast_paths(True):
-            assert resolve_fast_for(False, 10**6, context=_ctx("on")) is False
+            assert resolve_fast_for(False, context=_ctx("on")) is False
 
     def test_resolve_fast_normalizes(self):
-        assert resolve_fast_for(1, 1, context=_ctx("off")) is True
-        assert resolve_fast_for(0, 10**6, context=_ctx("on")) is False
+        assert resolve_fast_for(1, context=_ctx("off")) is True
+        assert resolve_fast_for(0, context=_ctx("on")) is False
 
 
 class TestLegacySwitch:
@@ -48,12 +46,22 @@ class TestLegacySwitch:
         with fast_paths(True):
             assert _large(_ctx("off")) is True
 
-    def test_true_keeps_auto_size_threshold(self):
-        """A True block behaves like auto mode, not force-on."""
-        ctx = _ctx("on", min_size=100)
+    def test_block_decides_without_a_size_check(self):
+        """A block is a decision, not a request: under it auto mode's
+        per-algorithm size rule never runs, however small the instance."""
+        import numpy as np
+
+        from repro.core.algorithms.registry import REGISTRY
+        from repro.core.problem import IVCInstance
+
+        spec = REGISTRY.get("GLL")
+        tiny = IVCInstance.from_grid_2d(np.ones((2, 2), dtype=np.int64))
+        auto = _ctx("auto")
+        assert tiny.num_vertices < spec.kernel_from
+        assert spec.runs_kernel(tiny, context=auto) is False
         with fast_paths(True):
-            assert resolve_fast_for(None, 99, context=ctx) is False
-            assert resolve_fast_for(None, 100, context=ctx) is True
+            assert resolve_fast_for(None, context=auto) is True
+            assert spec.runs_kernel(tiny, context=auto) is True
 
     def test_scoped_override_restores_previous_state(self):
         ctx = _ctx("on")
@@ -140,14 +148,13 @@ class TestThreadedOverride:
 
 class TestConfigMode:
     def test_off_on_auto(self):
-        assert resolve_fast_for(None, 10**6, context=_ctx("off")) is False
-        assert resolve_fast_for(None, 1, context=_ctx("on")) is True
-        auto = _ctx("auto", min_size=100)
-        assert resolve_fast_for(None, 99, context=auto) is False
-        assert resolve_fast_for(None, 100, context=auto) is True
+        assert resolve_fast_for(None, context=_ctx("off")) is False
+        assert resolve_fast_for(None, context=_ctx("on")) is True
+        # Auto mode decides nothing here: the size rule is per algorithm.
+        assert resolve_fast_for(None, context=_ctx("auto")) is None
 
     def test_enabled_means_not_off(self):
-        """Above the size threshold the kernels run unless the mode is off."""
+        """Bare primitives run their kernels unless the mode is off."""
         assert _large(_ctx("off")) is False
         assert _large(_ctx("on")) is True
         assert _large(_ctx("auto")) is True
@@ -157,12 +164,12 @@ class TestEnvironmentLayer:
     def test_ambient_context_reads_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAST_PATHS", "off")
         set_default_context(None)  # force a rebuild under the patched env
-        assert resolve_fast_for(None, 10**6) is False
+        assert resolve_fast_for(None) is False
         monkeypatch.setenv("REPRO_FAST_PATHS", "on")
         set_default_context(None)
-        assert resolve_fast_for(None, 1) is True
+        assert resolve_fast_for(None) is True
 
     def test_explicit_context_ignores_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAST_PATHS", "off")
-        assert resolve_fast_for(None, 10**6, context=_ctx("on")) is True
+        assert resolve_fast_for(None, context=_ctx("on")) is True
 

@@ -231,3 +231,39 @@ def test_lint_allows_csr_access_outside_csr_free_tiers(tmp_path):
     pkg.mkdir(parents=True)
     (pkg / "orderings.py").write_text("def degrees(inst):\n    return inst.graph.degrees()\n")
     assert checker.check(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from scipy import stats\n",
+        "import scipy.sparse as sp\n",
+        "try:\n    from scipy.optimize import milp\nexcept ImportError:\n    milp = None\n",
+    ],
+)
+def test_lint_catches_module_level_scipy_import(tmp_path, source):
+    """A planted module-level scipy import outside the MILP solver is flagged."""
+    checker = _load_checker()
+    pkg = tmp_path / "src" / "repro" / "analysis"
+    pkg.mkdir(parents=True)
+    (pkg / "regression.py").write_text(source)
+    violations = checker.check(tmp_path)
+    assert len(violations) == 1
+    assert "module-level scipy import" in violations[0]
+
+
+def test_lint_allows_lazy_scipy_and_the_milp_module(tmp_path):
+    """Function-scoped scipy imports, TYPE_CHECKING guards and the MILP
+    solver's module-level import all pass."""
+    checker = _load_checker()
+    analysis = tmp_path / "src" / "repro" / "analysis"
+    analysis.mkdir(parents=True)
+    (analysis / "regression.py").write_text(
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n    from scipy import stats\n"
+        "def fit(x, y):\n    from scipy import stats\n    return stats.linregress(x, y)\n"
+    )
+    exact = tmp_path / "src" / "repro" / "core" / "exact"
+    exact.mkdir(parents=True)
+    (exact / "milp.py").write_text("from scipy.optimize import milp\n")
+    assert checker.check(tmp_path) == []

@@ -32,6 +32,32 @@ class TestTopLevelExports:
         assert set(ALGORITHMS) == {"GLL", "GZO", "GLF", "GKF", "SGK", "BD", "BDP"}
 
 
+class TestImportCost:
+    def test_import_repro_does_not_load_scipy(self):
+        """The package, the facade, the service worker and the CLI import
+        without scipy (only the MILP solver and the Figure 10 fit need it,
+        and they import it when called).  A fresh interpreter, because this
+        test process has long since imported scipy elsewhere."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parent.parent))
+        code = (
+            "import sys\n"
+            "import repro, repro.api, repro.service.server, repro.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        assert proc.stdout.strip() == "[]"
+
+
 class TestSubpackageExports:
     @pytest.mark.parametrize(
         "module",

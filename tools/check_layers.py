@@ -59,6 +59,11 @@ under ``CSR_FREE`` (kernels, tiling, incremental) may access a ``.csr`` or
 :class:`~repro.kernels.substrate.StencilLayout`; either attribute would
 build the per-shape CSR adjacency that the layout replaces.
 
+The eighth check keeps scipy out of ``import repro``: a module-level
+``scipy`` import may appear only in the modules of ``SCIPY_ALLOWED`` (the
+MILP solver).  Everything else imports scipy inside the function that
+uses it; ``tests/test_public_api.py`` checks the import itself.
+
 Exit status 0 = clean, 1 = violations (printed one per line), 2 = usage.
 Run from the repo root::
 
@@ -139,6 +144,10 @@ CSR_FREE = (
 )
 CSR_ATTRS = frozenset({"csr", "graph"})
 
+#: Modules allowed a module-level scipy import (repo-relative paths): the
+#: MILP solver, which nothing on the `import repro` path imports.
+SCIPY_ALLOWED = ("src/repro/core/exact/milp.py",)
+
 #: The root package __init__ re-exports across layers by design.
 ROOT_EXEMPT = ("src/repro/__init__.py",)
 
@@ -152,32 +161,20 @@ def _package_of(path: Path, src: Path) -> str | None:
     return head if head in LAYERS else None
 
 
-def _imported_packages(tree: ast.Module) -> list[tuple[int, str]]:
-    """Top-level repro packages imported at module level, with line numbers.
+def _module_level_imports(tree: ast.Module) -> list[ast.Import | ast.ImportFrom]:
+    """The import statements that run when the module is imported.
 
     Only module-level statements are walked — imports inside function or
     method bodies are deliberately exempt (lazy/runtime edges).  Imports
     inside module-level ``if TYPE_CHECKING:`` blocks are exempt too: they
     never execute.
     """
-    out: list[tuple[int, str]] = []
+    out: list[ast.Import | ast.ImportFrom] = []
 
     def scan(body: list[ast.stmt]) -> None:
         for node in body:
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    parts = alias.name.split(".")
-                    if parts[0] == "repro" and len(parts) > 1:
-                        out.append((node.lineno, parts[1]))
-            elif isinstance(node, ast.ImportFrom):
-                if node.level == 0 and node.module:
-                    parts = node.module.split(".")
-                    if parts[0] == "repro":
-                        if len(parts) > 1:
-                            out.append((node.lineno, parts[1]))
-                        else:  # `from repro import X` — X is the package
-                            for alias in node.names:
-                                out.append((node.lineno, alias.name))
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                out.append(node)
             elif isinstance(node, (ast.If, ast.Try)):
                 # Walk conditional module-level blocks, except TYPE_CHECKING
                 # guards (they never run).
@@ -195,6 +192,33 @@ def _imported_packages(tree: ast.Module) -> list[tuple[int, str]]:
                     scan(node.finalbody)
     scan(tree.body)
     return out
+
+
+def _imported_packages(tree: ast.Module) -> list[tuple[int, str]]:
+    """Top-level repro packages imported at module level, with line numbers."""
+    out: list[tuple[int, str]] = []
+    for node in _module_level_imports(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "repro" and len(parts) > 1:
+                    out.append((node.lineno, parts[1]))
+        elif node.level == 0 and node.module:
+            parts = node.module.split(".")
+            if parts[0] == "repro":
+                if len(parts) > 1:
+                    out.append((node.lineno, parts[1]))
+                else:  # `from repro import X` — X is the package
+                    for alias in node.names:
+                        out.append((node.lineno, alias.name))
+    return out
+
+
+def _imports_scipy(node: ast.Import | ast.ImportFrom) -> bool:
+    """Whether an import statement loads ``scipy`` or one of its modules."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    return node.level == 0 and (node.module or "").split(".")[0] == "scipy"
 
 
 def _all_imported_packages(tree: ast.Module) -> list[tuple[int, str]]:
@@ -335,6 +359,16 @@ def check(repo_root: Path) -> list[str]:
                         f"{rel}:{node.lineno}: '.{node.attr}' in a CSR-free "
                         "tier — read neighbourhoods through the StencilLayout "
                         "(kernels/substrate.py), never the CSR adjacency"
+                    )
+
+        # --- scipy stays out of `import repro` ----------------------------
+        if rel not in SCIPY_ALLOWED:
+            for node in _module_level_imports(tree):
+                if _imports_scipy(node):
+                    violations.append(
+                        f"{rel}:{node.lineno}: module-level scipy import — "
+                        "import it inside the function that needs it, so "
+                        "`import repro` does not load scipy"
                     )
 
     # --- benchmark discipline --------------------------------------------
