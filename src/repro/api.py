@@ -253,13 +253,13 @@ def recolor(
 ) -> ColoringResult:
     """Patch an existing coloring for a sparse weight delta.
 
-    Instead of recoloring the whole grid, walk the dependency cone of the
-    changed cells under the algorithm's wavefront schedule and recompute
-    only what can differ (:mod:`repro.incremental`).  The result is
-    **bit-identical** to ``color(weights, algorithm)`` — algorithms the
-    cone walk does not support, and deltas whose cone outgrows
-    ``max_cone_fraction`` of the grid, transparently take a full recolor
-    (``mode="incremental-fallback"``).
+    Instead of recoloring the whole grid, recompute only what can differ
+    (:mod:`repro.incremental`): under GLL, the grid from the first dirty
+    column (plane in 3D) on, in one band pass; under GZO and GLF, the
+    dependency cone of the changed cells.  The result is **bit-identical**
+    to ``color(weights, algorithm)`` — other algorithms, and GZO/GLF
+    deltas whose cone outgrows ``max_cone_fraction`` of the grid,
+    transparently take a full recolor (``mode="incremental-fallback"``).
 
     Parameters
     ----------
@@ -285,7 +285,7 @@ def recolor(
     validate / max_cone_fraction:
         Overrides for the context's
         :class:`~repro.runtime.config.IncrementalConfig` — diff against a
-        full recolor / cone budget as a grid fraction.
+        full recolor / GZO and GLF cone budget as a grid fraction.
 
     Returns
     -------

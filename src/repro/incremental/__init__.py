@@ -12,9 +12,11 @@ cone of the dirty cells.  This subsystem walks exactly that cone:
   (dirty, or adjacent to a cell whose interval changed), and stop at the
   fixpoint where the recomputed starts rejoin the old coloring.
 * :mod:`repro.incremental.engine` — :func:`recolor_grid`, the policy layer:
-  algorithm support (GLL/GZO/GLF propagate; everything else falls back to
-  an always-correct full recolor), the ``max_cone_fraction`` budget, the
-  ``validate=`` diff mode, and per-context metrics.
+  algorithm support (GZO/GLF walk the cone; GLL, whose changes cascade to
+  the last column, reruns the grid from the first dirty column in one band
+  pass; everything else falls back to an always-correct full recolor), the
+  ``max_cone_fraction`` budget, the ``validate=`` diff mode, and
+  per-context metrics.
 
 Layering: this package may depend on ``repro.kernels`` and ``repro.core``
 but never on ``repro.service`` or ``repro.tiling`` — ``repro/api.py`` stays

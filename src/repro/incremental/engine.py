@@ -6,16 +6,21 @@ decides *which* orders it may be applied to and when to give up:
 Supported algorithms
 --------------------
 ``GLL``
-    Analytic levels ``i + 2j (+ 4k)`` and the padded-offset neighbour
-    gather of the shape's cached
-    :class:`~repro.kernels.substrate.StencilLayout` — no schedule, no
-    materialized adjacency.  Seeds are the dirty cells: the scan order is
-    weight-independent.
+    No cone walk: one band pass over the *suffix* of the grid.  Under the
+    line-by-line scan a cell's earlier neighbours never sit at a larger
+    outer-axis index (the last axis: a column in 2D, a plane in 3D), and a
+    first-fit change cascades to the last column almost always.  So the
+    pass recolors every cell from the first dirty outer index ``c0`` to
+    the end, in the analytic GLL wavefront of that sub-shape mapped to
+    global ids (local and global levels differ by a constant), gathering
+    only the earlier half of the stencil from the base starts: an earlier
+    neighbour is either before ``c0`` (unchanged, so final) or already
+    recomputed.  Its cost is at most one kernel pass, so GLL has no cone
+    budget and never falls back.
 ``GZO``
     Kahn batch indices of the Morton order via the shared substrate.  The
     order is weight-independent, so the schedule is cached across deltas
-    (one Kahn construction per shape) and seeds are again just the dirty
-    cells.
+    (one Kahn construction per shape) and seeds are just the dirty cells.
 ``GLF``
     The heaviest-first order is a stable ``argsort(-weights)`` — i.e. the
     lexicographic order ``(weight desc, flat index asc)`` — so its level
@@ -30,13 +35,15 @@ Supported algorithms
 Everything else — GSL's cascading smallest-last removal can reorder distant
 pairs, BD/BDP are not single-pass greedy scans — takes the always-correct
 fallback: a full from-scratch recolor through the ordinary registry path,
-still bit-identical by definition.  The fallback also engages when the cone
-exceeds ``max_cone_fraction`` of the grid (``"cone-budget"``), at which
-point one monolithic kernel pass is cheaper than continuing the walk.
+still bit-identical by definition.  GZO and GLF also fall back once the
+cone exceeds ``max_cone_fraction`` of the grid (``"cone-budget"``), at
+which point one monolithic kernel pass is cheaper than continuing the
+walk; a delta whose seeds alone exceed the budget falls back without
+walking at all.
 
 Metrics (on the context registry): ``recolor_calls``, ``recolor_cone_cells``
-(cells recomputed by cone walks), ``recolor_fallbacks``, and the
-``recolor_splice_seconds`` latency histogram.
+(cells recomputed by cone walks and GLL band passes), ``recolor_fallbacks``,
+and the ``recolor_splice_seconds`` latency histogram.
 """
 
 from __future__ import annotations
@@ -50,11 +57,12 @@ import numpy as np
 from repro.incremental.cone import ConeResult, propagate_cone
 from repro.kernels.substrate import (
     StencilLayout,
-    analytic_levels,
+    analytic_wavefront,
     get_substrate,
     shared_geometry_2d,
     shared_geometry_3d,
 )
+from repro.kernels.wavefront import first_fit_wavefronts
 
 __all__ = [
     "SUPPORTED_ALGORITHMS",
@@ -139,10 +147,12 @@ def _normalize_dirty(
             f"dirty must be integer flat indices, got dtype {arr.dtype}; "
             "pass np.flatnonzero(mask) for a boolean mask"
         )
-    idx = np.unique(arr.astype(np.int64, copy=False).ravel())
+    # Sort and drop repeats: numpy 2's hash-based ``np.unique`` is ~25x
+    # slower on tens of thousands of indices.
+    idx = np.sort(arr.astype(np.int64, copy=False).ravel())
     if idx.size and (idx[0] < 0 or idx[-1] >= n):
         raise ValueError(f"dirty indices out of range [0, {n})")
-    return idx
+    return idx[np.diff(idx, prepend=-1) > 0]
 
 
 def _layout(shape: tuple[int, ...], context) -> StencilLayout:
@@ -153,41 +163,65 @@ def _layout(shape: tuple[int, ...], context) -> StencilLayout:
     return get_substrate(geometry, context=context).layout
 
 
-def _levels_and_seeds(
-    algorithm: str,
-    weights: np.ndarray,
-    dirty_idx: np.ndarray,
-    context,
-):
-    """``(levels, gather, seeds, index_tiebreak)`` for the *new* order."""
-    shape = weights.shape
-    n = weights.size
-    if algorithm == "GLL":
-        gather = _layout(shape, context).neighbors
-        return analytic_levels(shape), gather, dirty_idx, False
+def _gll_suffix_pass(
+    weights: np.ndarray, base: np.ndarray, dirty_idx: np.ndarray, layout: StencilLayout
+) -> ConeResult:
+    """GLL starts recomputed from the first dirty outer-axis index onward.
 
+    A local id ``r * m + t`` of the suffix sub-shape (``m`` outer indices)
+    is the global id ``r * outer + c0 + t``.
+    """
+    outer = weights.shape[-1]
+    c0 = int((dirty_idx % outer).min())
+    m = outer - c0
+    verts, ptr = analytic_wavefront(weights.shape[:-1] + (m,))
+    verts += (verts // m + 1) * c0
+    old = base.ravel()
+    starts = first_fit_wavefronts(
+        layout, weights.ravel(), verts, ptr, starts=old,
+        deltas=layout.earlier_deltas,
+    )
+    return ConeResult(
+        starts=starts,
+        cells_recomputed=int(verts.size),
+        cells_changed=int(np.count_nonzero(starts != old)),
+        levels_touched=len(ptr) - 1,
+        spliced=False,
+    )
+
+
+def _seeds(
+    algorithm: str, layout: StencilLayout, dirty_idx: np.ndarray
+) -> np.ndarray:
+    """The cells whose start or predecessor set a delta may have changed."""
+    if algorithm != "GLF":
+        return dirty_idx
+    # A dirty cell may have moved across its neighbors in the weight order,
+    # changing *their* predecessor sets without any start moving yet — seed
+    # the neighbors too.  (Stable argsort: clean pairs never swap, so no
+    # seed beyond the dirty 1-ring is ever needed.)
+    n = layout.interior.size
+    seeded = np.zeros(n + 1, dtype=bool)  # slot n: off-grid neighbours
+    seeded[layout.neighbors(dirty_idx)] = True
+    seeded[dirty_idx] = True
+    return np.flatnonzero(seeded[:n])
+
+
+def _levels(algorithm: str, weights: np.ndarray, context) -> tuple[np.ndarray, bool]:
+    """``(levels, index_tiebreak)`` of the *new* GZO or GLF order."""
     if algorithm == "GLF":
-        gather = _layout(shape, context).neighbors
-        # A dirty cell may have moved across its neighbors in the weight
-        # order, changing *their* predecessor sets without any start moving
-        # yet — seed the neighbors too.  (Stable argsort: clean pairs never
-        # swap, so no seed beyond the dirty 1-ring is ever needed.)
-        seeds = dirty_idx
-        if dirty_idx.size:
-            ring = gather(dirty_idx).ravel()
-            seeds = np.union1d(dirty_idx, ring[ring < n])
-        return -weights.ravel(), gather, seeds, True
+        return -weights.ravel(), True
 
     from repro.core.orderings import zorder_order
 
     instance = _instance_for(weights)
     substrate = get_substrate(instance.geometry, context=context)
     verts, ptr = substrate.wavefront_for(zorder_order(instance))
-    levels = np.empty(n, dtype=np.int64)
+    levels = np.empty(weights.size, dtype=np.int64)
     levels[verts] = np.repeat(
         np.arange(len(ptr) - 1, dtype=np.int64), np.diff(ptr)
     )
-    return levels, substrate.layout.neighbors, dirty_idx, False
+    return levels, False
 
 
 def recolor_grid(
@@ -223,8 +257,9 @@ def recolor_grid(
         :class:`RecolorValidationError` on divergence (default from
         ``context.config.incremental.validate``).
     max_cone_fraction:
-        Cone budget override (default from config); the walk aborts into
-        the fallback once more than this fraction of cells was recomputed.
+        Cone budget override (default from config); a GZO or GLF walk
+        aborts into the fallback once more than this fraction of cells was
+        recomputed.  GLL's band pass has no budget.
     """
     from repro.runtime.context import get_context
 
@@ -252,17 +287,24 @@ def recolor_grid(
         pass  # empty delta: the base coloring is the answer for any algorithm
     elif algorithm not in SUPPORTED_ALGORITHMS:
         fallback_reason = "unsupported-algorithm"
+    elif algorithm == "GLL":
+        cone = _gll_suffix_pass(
+            weights, base, dirty_idx, _layout(weights.shape, ctx)
+        )
     else:
-        levels, gather, seeds, tiebreak = _levels_and_seeds(
-            algorithm, weights, dirty_idx, ctx
-        )
-        dirty_mask = np.zeros(n, dtype=bool)
-        dirty_mask[dirty_idx] = True
+        layout = _layout(weights.shape, ctx)
+        seeds = _seeds(algorithm, layout, dirty_idx)
         budget = max(1, int(fraction * n))
-        cone = propagate_cone(
-            levels, gather, base.ravel(), weights.ravel(), seeds,
-            dirty_mask, budget, index_tiebreak=tiebreak,
-        )
+        # Every seed is recomputed at least once, so a seed set past the
+        # budget would abort the walk anyway.
+        if seeds.size <= budget:
+            levels, tiebreak = _levels(algorithm, weights, ctx)
+            dirty_mask = np.zeros(n, dtype=bool)
+            dirty_mask[dirty_idx] = True
+            cone = propagate_cone(
+                levels, layout.neighbors, base.ravel(), weights.ravel(),
+                seeds, dirty_mask, budget, index_tiebreak=tiebreak,
+            )
         if cone is None:
             fallback_reason = "cone-budget"
 

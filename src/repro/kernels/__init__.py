@@ -24,7 +24,6 @@ everything); the registry wrappers in
 from repro.kernels.substrate import (
     StencilLayout,
     Substrate,
-    analytic_levels,
     cache_sizes,
     clear_caches,
     get_substrate,
@@ -36,7 +35,6 @@ from repro.kernels.wavefront import wavefront_greedy_color, wavefront_recolor_pa
 __all__ = [
     "StencilLayout",
     "Substrate",
-    "analytic_levels",
     "cache_sizes",
     "clear_caches",
     "get_substrate",

@@ -178,18 +178,6 @@ def _line_by_line_levels(shape: tuple[int, ...]) -> np.ndarray:
     return lev.ravel()
 
 
-def analytic_levels(shape: tuple[int, ...]) -> np.ndarray:
-    """Public closed form of the GLL wavefront level of every cell.
-
-    ``levels[flat(i, j)] = i + 2j`` (``i + 2j + 4k`` in 3D), raveled in C
-    order.  For any two *adjacent* cells the sign of the level difference
-    equals the sign of the GLL rank difference, so comparing levels is
-    comparing scan order — the property the dirty-region recolor engine's
-    predecessor masks rely on.
-    """
-    return _line_by_line_levels(tuple(int(d) for d in shape))
-
-
 def analytic_wavefront(shape: tuple[int, ...]) -> Wavefront:
     """The GLL wavefront schedule of a grid shape, from the closed form.
 
@@ -204,8 +192,14 @@ def analytic_wavefront(shape: tuple[int, ...]) -> Wavefront:
 
 def _levels_to_wavefront(levels: np.ndarray) -> Wavefront:
     """Group vertices by level into a ``(verts, ptr)`` batch schedule."""
-    verts = np.argsort(levels, kind="stable").astype(np.int64)
-    counts = np.bincount(levels[verts])
+    # Vertices in (level, id) order.  The keys are distinct, so a plain
+    # sort of them is the stable argsort of the levels, at a third of its
+    # cost in 3D.
+    n = len(levels)
+    keys = levels * n + np.arange(n, dtype=np.int64)
+    keys.sort()
+    verts = keys % n
+    counts = np.bincount(levels)
     counts = counts[counts > 0]
     ptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])

@@ -31,11 +31,13 @@ reference.
 
 :func:`first_fit_wavefronts` is the one batch loop: the greedy and recolor
 kernels here and the tiler's region kernel (:mod:`repro.kernels.halo`) all
-run it.  A *fresh* GLL pass gathers only the earlier half of the stencil
+run it.  A GLL pass gathers only the earlier half of the stencil
 (``StencilLayout.earlier_deltas``: 4 of 8, 13 of 26): under the level
-schedule every later-level neighbour is still ``UNCOLORED`` when a cell is
-placed.  Recolor passes and Kahn schedules always gather the full stencil,
-since there a later neighbour can hold an old start.
+schedule a cell's start depends on its earlier neighbours alone, so its
+later-level neighbours — still ``UNCOLORED`` in a fresh pass, old starts in
+the incremental engine's suffix pass — are never read.  The recolor pass
+and Kahn schedules always gather the full stencil, since there a later
+neighbour's old start constrains the cell.
 """
 
 from __future__ import annotations
@@ -139,10 +141,14 @@ def first_fit_wavefronts(
     once, so a batch pays one slice assignment for its presets, if any.
 
     ``deltas`` (default ``layout.deltas``) are the offsets gathered per
-    cell.  Passing ``layout.earlier_deltas`` is exact only for the GLL
-    level schedule run from all-``UNCOLORED`` starts, where every
-    later-level neighbour — preset or not — is still uncolored when a cell
-    is placed.
+    cell.  Passing ``layout.earlier_deltas`` is exact for a GLL level
+    schedule (of the grid or of a sub-grid of it) whenever every earlier
+    neighbour of a scheduled cell holds its final start when the cell is
+    placed: scheduled in an earlier batch, or not scheduled and already
+    final in ``starts``.  Later neighbours are not gathered, as the
+    from-scratch scan sees them uncolored.  That covers a fresh pass from
+    all-``UNCOLORED`` starts and a pass over the suffix of the grid from
+    its first changed outer-axis index on.
 
     Inside the pass an uncolored start is ``_VOID`` and a zero weight
     gathers as ``_VOID``, so a neighbour's upper end is one add,

@@ -70,12 +70,107 @@ class TestRecolorGrid:
         weights = _grid((16, 16))
         dirty = np.arange(weights.size)
         new_weights = _delta(weights, dirty)
-        base = full_recolor(weights, "GLL")
+        base = full_recolor(weights, "GLF")
         outcome = recolor_grid(
-            new_weights, base, dirty, algorithm="GLL", max_cone_fraction=0.01
+            new_weights, base, dirty, algorithm="GLF", max_cone_fraction=0.01
         )
         assert outcome.mode == "fallback"
         assert outcome.fallback_reason == "cone-budget"
+        assert np.array_equal(outcome.starts, full_recolor(new_weights, "GLF"))
+
+    def test_walk_past_budget_falls_back(self):
+        # Few seeds, but the cascade outgrows a 2-cell budget mid-walk.
+        weights = _grid((16, 16))
+        new_weights = weights.copy()
+        new_weights.ravel()[0] = 19
+        base = full_recolor(weights, "GZO")
+        outcome = recolor_grid(
+            new_weights, base, [0], algorithm="GZO",
+            max_cone_fraction=2 / weights.size,
+        )
+        assert outcome.fallback_reason == "cone-budget"
+        assert np.array_equal(outcome.starts, full_recolor(new_weights, "GZO"))
+
+    @pytest.mark.parametrize("algorithm", ["GLF", "GZO"])
+    def test_dense_delta_routes_to_full_recolor_without_walking(
+        self, algorithm, monkeypatch
+    ):
+        from repro.incremental import engine
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a seed set past the budget must not walk")
+
+        monkeypatch.setattr(engine, "propagate_cone", no_walk)
+        ctx = ExecutionContext()
+        weights = _grid((16, 16))
+        dirty = np.arange(0, weights.size, 3)  # 86 seeds > 25% of 256
+        new_weights = _delta(weights, dirty)
+        base = full_recolor(weights, algorithm, context=ctx)
+        outcome = recolor_grid(
+            new_weights, base, dirty, algorithm=algorithm, context=ctx
+        )
+        assert outcome.mode == "fallback"
+        assert outcome.fallback_reason == "cone-budget"
+        assert np.array_equal(
+            outcome.starts, full_recolor(new_weights, algorithm)
+        )
+        assert ctx.metrics.snapshot()["counters"].get("recolor_cone_cells", 0) == 0
+
+    def test_glf_seeds_include_the_ring_for_the_budget(self, monkeypatch):
+        # 20 scattered dirty cells are under a 64-cell budget, but with
+        # their 1-rings they are not: GLF routes up front, GZO walks.
+        from repro.incremental import engine
+
+        weights = _grid((16, 16))
+        dirty = np.arange(17, 256, 13)[:20]
+        new_weights = _delta(weights, dirty)
+        walked = []
+        real = engine.propagate_cone
+        monkeypatch.setattr(
+            engine, "propagate_cone",
+            lambda *a, **k: walked.append(1) or real(*a, **k),
+        )
+        for algorithm, walks in (("GLF", 0), ("GZO", 1)):
+            walked.clear()
+            base = full_recolor(weights, algorithm)
+            outcome = recolor_grid(new_weights, base, dirty, algorithm=algorithm)
+            assert len(walked) == walks
+            assert np.array_equal(
+                outcome.starts, full_recolor(new_weights, algorithm)
+            )
+
+    def test_gll_never_falls_back(self):
+        # GLL recolors the suffix from the first dirty column in one band
+        # pass: no cone budget, even a tiny one, and no fallback.
+        ctx = ExecutionContext()
+        for shape, dirty in (
+            ((16, 16), np.arange(256)),
+            ((16, 16), [3]),
+            ((6, 5, 4), [0, 119]),
+        ):
+            weights = _grid(shape)
+            new_weights = _delta(weights, dirty)
+            base = full_recolor(weights, "GLL")
+            outcome = recolor_grid(
+                new_weights, base, dirty, algorithm="GLL",
+                max_cone_fraction=0.01, context=ctx,
+            )
+            assert outcome.mode == "incremental"
+            assert outcome.fallback_reason is None
+            assert np.array_equal(
+                outcome.starts, full_recolor(new_weights, "GLL")
+            )
+        assert ctx.metrics.snapshot()["counters"].get("recolor_fallbacks", 0) == 0
+
+    def test_gll_recomputes_the_suffix_from_the_first_dirty_column(self):
+        weights = _grid((16, 16))
+        dirty = [16 * 5 + 9, 16 * 12 + 11]  # outer (last-axis) indices 9, 11
+        new_weights = _delta(weights, dirty)
+        base = full_recolor(weights, "GLL")
+        outcome = recolor_grid(new_weights, base, dirty, algorithm="GLL")
+        assert outcome.cells_recomputed == 16 * (16 - 9)
+        assert not outcome.spliced
+        assert np.array_equal(outcome.starts[:, :9], base[:, :9])
         assert np.array_equal(outcome.starts, full_recolor(new_weights, "GLL"))
 
     def test_maxcolor_matches_starts_plus_weights(self):
@@ -105,12 +200,8 @@ class TestRecolorGrid:
         weights = _grid((10, 10))
         new_weights = _delta(weights, [42])
         base = full_recolor(weights, "GLL")
-        # Open budget: GLL cascades can legitimately exceed the default
-        # cone fraction on a grid this small, and this test is about the
-        # validate path, not the fallback policy.
         outcome = recolor_grid(
-            new_weights, base, [42], algorithm="GLL",
-            validate=True, max_cone_fraction=1.0,
+            new_weights, base, [42], algorithm="GLL", validate=True
         )
         assert outcome.mode == "incremental"
 
@@ -244,8 +335,8 @@ class TestIncrementalConfig:
         weights = _grid((16, 16))
         dirty = np.arange(weights.size)
         new_weights = _delta(weights, dirty)
-        base = full_recolor(weights, "GLL", context=ctx)
+        base = full_recolor(weights, "GLF", context=ctx)
         outcome = recolor_grid(
-            new_weights, base, dirty, algorithm="GLL", context=ctx
+            new_weights, base, dirty, algorithm="GLF", context=ctx
         )
         assert outcome.fallback_reason == "cone-budget"

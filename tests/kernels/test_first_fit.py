@@ -21,7 +21,7 @@ from repro.core.orderings import line_by_line_order, random_order, zorder_order
 from repro.core.problem import IVCInstance
 from repro.kernels import wavefront
 from repro.kernels.halo import color_region
-from repro.kernels.substrate import StencilLayout, analytic_levels, analytic_wavefront
+from repro.kernels.substrate import StencilLayout, analytic_wavefront
 from repro.kernels.wavefront import (
     UNCOLORED,
     first_fit_intervals,
@@ -178,6 +178,11 @@ def _gll(weights):
     return np.asarray(starts, dtype=np.int64).reshape(weights.shape)
 
 
+def _gll_levels(shape):
+    """The GLL wavefront level ``i + 2j (+ 4k)`` of every cell."""
+    return sum(axis << a for a, axis in enumerate(np.indices(shape)))
+
+
 def _scan_with_presets(weights, mask, values):
     """Sequential GLL that sets each preset cell to its value at its turn."""
     inst = _instance(weights)
@@ -216,7 +221,7 @@ def test_region_batch_with_several_presets_and_zero_weight_presets():
     rng = np.random.default_rng(1)
     weights = rng.integers(1, 30, size=(8, 6))
     weights[::3, 1::2] = 0
-    levels = analytic_levels(weights.shape).reshape(weights.shape)
+    levels = _gll_levels(weights.shape)
     mask = (levels == 7) | (levels == 8) | (weights == 0)
     assert (mask & (levels == 7)).sum() >= 2
     values = rng.integers(1, 60, size=weights.shape)
@@ -309,7 +314,7 @@ def test_earlier_deltas_are_the_gll_predecessors(shape):
     assert sorted((-earlier).tolist() + earlier.tolist()) == sorted(layout.deltas.tolist())
     # For every cell, the earlier half reaches exactly its lower-level
     # neighbours on the grid.
-    levels = layout.pad(analytic_levels(shape), -1)
+    levels = layout.pad(_gll_levels(shape).ravel(), -1)
     for p in layout.interior:
         on_grid = [q for q in (p + layout.deltas) if levels[q] >= 0]
         lower = {q for q in on_grid if levels[q] < levels[p]}

@@ -4,15 +4,17 @@ Hypothesis drives random grids (2D and 3D, zero weights included), random
 sparse dirty sets, and every registry algorithm that declares a fast path
 through :func:`repro.incremental.engine.recolor_grid`, requiring the result
 to be bit-identical to a cold :func:`full_recolor` of the new weights.  The
-supported algorithms (GLL/GZO/GLF) exercise the cone walk; the rest must
-take the always-correct fallback.  Edge cases get dedicated properties: a
-delta touching the grid boundary, and a delta rewriting the whole grid with
-the cone budget opened wide enough that the cone — not the fallback — must
-reproduce the from-scratch answer.
+supported algorithms exercise the incremental paths (the GZO/GLF cone walk,
+GLL's suffix band pass); the rest must take the always-correct fallback.
+Edge cases get dedicated properties: a delta touching the grid boundary, a
+delta rewriting the whole grid with the cone budget opened wide enough that
+the cone — not the fallback — must reproduce the from-scratch answer, GLL
+deltas placed in the first, the last or every outer-axis index of grids as
+thin as one cell, and streams of deltas each patching the last answer.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.algorithms.registry import REGISTRY
@@ -117,10 +119,88 @@ def test_whole_grid_delta_trips_default_budget(shape, seed, delta_seed):
     dirty = np.arange(n, dtype=np.int64)
     new_weights = _mutate(weights, dirty, delta_seed)
     outcome = _check_identical(
-        "GLL", weights, new_weights, dirty, max_cone_fraction=0.05
+        "GLF", weights, new_weights, dirty, max_cone_fraction=0.05
     )
     assert outcome.mode == "fallback"
     assert outcome.fallback_reason == "cone-budget"
+
+
+thin_grids = st.one_of(
+    st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+)
+
+
+def _placed(shape, placement, rng):
+    """Dirty flat indices in the first, the last, or every outer-axis index
+    (the last axis: a column in 2D, a plane in 3D), or anywhere."""
+    outer = shape[-1]
+    cells = np.arange(int(np.prod(shape)), dtype=np.int64)
+    if placement == "first":
+        pool = cells[cells % outer == 0]
+    elif placement == "last":
+        pool = cells[cells % outer == outer - 1]
+    elif placement == "every":
+        # One cell of every outer index.
+        rows = rng.integers(0, cells.size // outer, size=outer)
+        return rows * outer + np.arange(outer)
+    else:
+        pool = cells
+    k = int(rng.integers(1, pool.size + 1))
+    return rng.choice(pool, size=k, replace=False)
+
+
+@given(
+    shape=thin_grids,
+    seed=seeds,
+    delta_seed=seeds,
+    placement=st.sampled_from(["first", "last", "every", "anywhere"]),
+)
+@example(shape=(1, 6), seed=0, delta_seed=1, placement="every")
+@example(shape=(6, 1), seed=0, delta_seed=1, placement="first")
+@example(shape=(1, 4, 3), seed=0, delta_seed=1, placement="last")
+@example(shape=(3, 4, 1), seed=0, delta_seed=1, placement="anywhere")
+@settings(max_examples=80, deadline=None)
+def test_gll_band_pass_matches_full_recolor(shape, seed, delta_seed, placement):
+    weights = _weights(shape, seed)
+    rng = np.random.default_rng(delta_seed)
+    dirty = _placed(shape, placement, rng)
+    new_weights = _mutate(weights, dirty, delta_seed)
+    # The tightest budget: GLL has none, so it never falls back.
+    outcome = _check_identical(
+        "GLL", weights, new_weights, dirty, max_cone_fraction=0.01
+    )
+    assert outcome.mode == "incremental"
+    outer = shape[-1]
+    c0 = int((dirty % outer).min())
+    assert outcome.cells_recomputed == weights.size // outer * (outer - c0)
+
+
+@given(
+    shape=thin_grids,
+    seed=seeds,
+    delta_seed=seeds,
+    algorithm=st.sampled_from(sorted(SUPPORTED_ALGORITHMS)),
+    steps=st.integers(2, 6),
+)
+@settings(max_examples=40, deadline=None)
+def test_delta_stream_matches_full_recolor_every_step(
+    shape, seed, delta_seed, algorithm, steps
+):
+    # Each delta patches the previous *incremental* answer, never a fresh
+    # one, so an error anywhere in the stream would carry to the end.
+    weights = _weights(shape, seed)
+    starts = full_recolor(weights, algorithm)
+    rng = np.random.default_rng(delta_seed)
+    n = weights.size
+    for step in range(steps):
+        dirty = rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False)
+        weights = _mutate(weights, dirty, delta_seed + step)
+        outcome = recolor_grid(weights, starts, dirty, algorithm=algorithm)
+        starts = outcome.starts
+        assert np.array_equal(starts, full_recolor(weights, algorithm)), (
+            algorithm, shape, step, outcome.mode
+        )
 
 
 @given(shape=grids, seed=seeds, algorithm=algorithms)

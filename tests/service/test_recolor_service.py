@@ -172,7 +172,7 @@ class TestRecolorVerb:
     def test_dense_delta_reports_fallback(self, client):
         session = f"t-{client.wire}-dense"
         weights = _grid((16, 16), seed=11)
-        assert client.recolor_open(session, weights, "GLL").ok
+        assert client.recolor_open(session, weights, "GLF").ok
         idx = np.arange(weights.size)
         new = np.random.default_rng(2).integers(
             1, 50, size=weights.size, dtype=np.int64
@@ -183,7 +183,7 @@ class TestRecolorVerb:
         assert response.recolor["fallback_reason"] == "cone-budget"
         _, mirror_starts = client.recolor_state(session)
         assert np.array_equal(
-            mirror_starts, full_recolor(new.reshape(weights.shape), "GLL")
+            mirror_starts, full_recolor(new.reshape(weights.shape), "GLF")
         )
 
     def test_unknown_session_is_a_typed_error_not_a_disconnect(self, client):
