@@ -11,12 +11,12 @@ Supported algorithms
     outer-axis index (the last axis: a column in 2D, a plane in 3D), and a
     first-fit change cascades to the last column almost always.  So the
     pass recolors every cell from the first dirty outer index ``c0`` to
-    the end, in the analytic GLL wavefront of that sub-shape mapped to
-    global ids (local and global levels differ by a constant), gathering
-    only the earlier half of the stencil from the base starts: an earlier
-    neighbour is either before ``c0`` (unchanged, so final) or already
-    recomputed.  Its cost is at most one kernel pass, so GLL has no cone
-    budget and never falls back.
+    the end with :func:`repro.kernels.halo.gll_suffix` (the tiler's band
+    kernel resumes the scan the same way), gathering only the earlier
+    half of the stencil from the base starts: an earlier neighbour is
+    either before ``c0`` (unchanged, so final) or already recomputed.
+    Its cost is at most one kernel pass, so GLL has no cone budget and
+    never falls back.
 ``GZO``
     Kahn batch indices of the Morton order via the shared substrate.  The
     order is weight-independent, so the schedule is cached across deltas
@@ -55,14 +55,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.incremental.cone import ConeResult, propagate_cone
+from repro.kernels.halo import gll_suffix
 from repro.kernels.substrate import (
     StencilLayout,
-    analytic_wavefront,
     get_substrate,
     shared_geometry_2d,
     shared_geometry_3d,
 )
-from repro.kernels.wavefront import first_fit_wavefronts
 
 __all__ = [
     "SUPPORTED_ALGORITHMS",
@@ -166,26 +165,16 @@ def _layout(shape: tuple[int, ...], context) -> StencilLayout:
 def _gll_suffix_pass(
     weights: np.ndarray, base: np.ndarray, dirty_idx: np.ndarray, layout: StencilLayout
 ) -> ConeResult:
-    """GLL starts recomputed from the first dirty outer-axis index onward.
-
-    A local id ``r * m + t`` of the suffix sub-shape (``m`` outer indices)
-    is the global id ``r * outer + c0 + t``.
-    """
+    """GLL starts recomputed from the first dirty outer-axis index onward."""
     outer = weights.shape[-1]
     c0 = int((dirty_idx % outer).min())
-    m = outer - c0
-    verts, ptr = analytic_wavefront(weights.shape[:-1] + (m,))
-    verts += (verts // m + 1) * c0
     old = base.ravel()
-    starts = first_fit_wavefronts(
-        layout, weights.ravel(), verts, ptr, starts=old,
-        deltas=layout.earlier_deltas,
-    )
+    starts, batches = gll_suffix(layout, weights, old, c0)
     return ConeResult(
         starts=starts,
-        cells_recomputed=int(verts.size),
+        cells_recomputed=weights.size // outer * (outer - c0),
         cells_changed=int(np.count_nonzero(starts != old)),
-        levels_touched=len(ptr) - 1,
+        levels_touched=batches,
         spliced=False,
     )
 

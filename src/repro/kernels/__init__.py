@@ -9,7 +9,8 @@ Python loops in :mod:`repro.core`:
   wavefront schedules;
 * :mod:`repro.kernels.wavefront` — wavefront-batched first-fit coloring and
   recoloring (the ``O(E log E)`` primitive, without the per-vertex loop),
-  in one batch loop that :mod:`repro.kernels.halo`'s region kernel shares;
+  in one batch loop that :mod:`repro.kernels.halo` shares to resume a GLL
+  scan from an outer index (the tiler's bands, GLL recolor deltas);
 * :mod:`repro.kernels.chains` — vectorized Bipartite Decomposition chain
   assembly and the clique-guided recolor order.
 

@@ -30,12 +30,13 @@ assert.  Empty (zero-weight) intervals always land at 0, also matching the
 reference.
 
 :func:`first_fit_wavefronts` is the one batch loop: the greedy and recolor
-kernels here and the tiler's region kernel (:mod:`repro.kernels.halo`) all
-run it.  A GLL pass gathers only the earlier half of the stencil
+kernels here and :func:`repro.kernels.halo.gll_suffix` (the tiler's band
+kernel and the incremental engine's GLL delta pass) all run it.  A GLL
+pass gathers only the earlier half of the stencil
 (``StencilLayout.earlier_deltas``: 4 of 8, 13 of 26): under the level
 schedule a cell's start depends on its earlier neighbours alone, so its
-later-level neighbours — still ``UNCOLORED`` in a fresh pass, old starts in
-the incremental engine's suffix pass — are never read.  The recolor pass
+later-level neighbours — still ``UNCOLORED`` in a fresh pass, anything at
+all in a suffix pass — are never read.  The recolor pass
 and Kahn schedules always gather the full stencil, since there a later
 neighbour's old start constrains the cell.
 """
@@ -127,18 +128,13 @@ def first_fit_wavefronts(
     verts: np.ndarray,
     ptr: np.ndarray,
     starts: Optional[np.ndarray] = None,
-    preset_mask: Optional[np.ndarray] = None,
-    preset_starts: Optional[np.ndarray] = None,
     deltas: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Color every batch of a ``(verts, ptr)`` schedule; flat starts.
 
-    ``weights``, ``starts`` (initial values, default all ``UNCOLORED``) and
-    the optional presets are flat per-cell arrays of ``layout``'s grid.
-    Cells under ``preset_mask`` are not colored: their ``preset_starts``
-    value is written when their batch runs, so it is visible to exactly
-    the cells scheduled after it.  They are split out of the schedule
-    once, so a batch pays one slice assignment for its presets, if any.
+    ``weights`` and ``starts`` (initial values, default all ``UNCOLORED``)
+    are flat per-cell arrays of ``layout``'s grid; cells outside the
+    schedule keep their ``starts`` entry.
 
     ``deltas`` (default ``layout.deltas``) are the offsets gathered per
     cell.  Passing ``layout.earlier_deltas`` is exact for a GLL level
@@ -148,7 +144,7 @@ def first_fit_wavefronts(
     final in ``starts``.  Later neighbours are not gathered, as the
     from-scratch scan sees them uncolored.  That covers a fresh pass from
     all-``UNCOLORED`` starts and a pass over the suffix of the grid from
-    its first changed outer-axis index on.
+    an outer-axis index on (:func:`repro.kernels.halo.gll_suffix`).
 
     Inside the pass an uncolored start is ``_VOID`` and a zero weight
     gathers as ``_VOID``, so a neighbour's upper end is one add,
@@ -160,22 +156,10 @@ def first_fit_wavefronts(
     starts_pad = layout.pad(_VOID if starts is None else _void(starts), _VOID)
     weights_void = layout.pad(np.where(weights > 0, weights, _VOID), _VOID)
     padded = layout.interior[verts]
-    pre_ptr: list[int] = []
-    if preset_mask is not None:
-        at = np.flatnonzero(preset_mask[verts])  # schedule positions
-        split = np.searchsorted(at, ptr)  # presets before each batch bound
-        pre_cells, pre_values = padded[at], _void(preset_starts[verts[at]])
-        padded, ptr = np.delete(padded, at), ptr - split
-        pre_ptr = split.tolist()
     placed = np.maximum(weights_void[padded], 0)  # scheduled cells' weights
     cols = np.arange(np.diff(ptr).max(initial=0))
     ptr = ptr.tolist()
     for b in range(len(ptr) - 1):
-        if pre_ptr and pre_ptr[b] < pre_ptr[b + 1]:
-            presets = slice(pre_ptr[b], pre_ptr[b + 1])
-            starts_pad[pre_cells[presets]] = pre_values[presets]
-        if ptr[b] == ptr[b + 1]:
-            continue
         batch = padded[ptr[b] : ptr[b + 1]]
         rows = deltas + batch
         lo = starts_pad[rows]

@@ -33,9 +33,11 @@ __all__ = [
 #: A half-open per-axis box: ``((lo0, hi0), (lo1, hi1)[, (lo2, hi2)])``.
 Box = tuple[tuple[int, int], ...]
 
-#: Working arrays the region kernel keeps per cell (weights, extended starts,
-#: schedule verts, level scratch, preset mask+values) — the constant in the
-#: tiler's memory model (``docs/tiling.md``).
+#: Per-cell ``int64`` working arrays of the band kernel in the tiler's memory
+#: model (weights, initial and padded starts, padded weights, schedule verts
+#: and their padded ids; ``docs/tiling.md``).  Transients lift the traced
+#: peak to ~9 per cell; the constant stays, as it sets the tile shapes
+#: derived from a memory budget.
 WORKING_ARRAYS = 6
 
 

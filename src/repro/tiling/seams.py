@@ -13,7 +13,9 @@ edges.  For each band it
 * cuts out each tile of the band and records its maxcolor and the digest
   of its starts (:class:`~repro.tiling.runlog.TileRecord`);
 * hands the band's last column/plane — the *carry* — to the next band,
-  preset through :func:`repro.kernels.halo.color_region`;
+  whose region starts with it: every carry cell precedes every band cell
+  in the GLL scan, so :func:`repro.kernels.halo.color_region` takes it as
+  final and colors the band after it;
 * with a log, appends the band's tile records and checkpoints its carry
   (:meth:`~repro.tiling.runlog.TileLogWriter.commit_band`), so a killed run
   resumes at the next band.
@@ -64,13 +66,20 @@ def seam_pass(
 ) -> SeamResult:
     """Color bands ``start_band`` onward, writing starts to ``out``.
 
-    ``carry`` is the last column/plane of band ``start_band - 1`` (required
-    when resuming past band 0).  A band that raises — an injected
-    ``tiling.band`` fault, a failing weight source — ends the pass: its
-    tiles and every later band's get ``error`` records, and the bands
-    already done keep their ``ok`` records (and, with a log, their carry
-    checkpoint) for a resume.
+    ``carry`` is the last column/plane of band ``start_band - 1``, shaped
+    ``plan.shape[:-1]`` (required when resuming past band 0; a missing or
+    wrong-shaped one raises ``ValueError``).  A band that raises — an
+    injected ``tiling.band`` fault, a failing weight source — ends the
+    pass: its tiles and every later band's get ``error`` records, and the
+    bands already done keep their ``ok`` records (and, with a log, their
+    carry checkpoint) for a resume.
     """
+    if start_band > 0 and carry is None:
+        raise ValueError(f"resuming at band {start_band} needs a carry")
+    if carry is not None and np.shape(carry) != plan.shape[:-1]:
+        raise ValueError(f"carry shape {np.shape(carry)} != {plan.shape[:-1]}")
+    if start_band == 0:
+        carry = None  # band 0 has no predecessor
     ctx = context if context is not None else get_context()
     metrics = ctx.metrics
     full = tuple((0, d) for d in plan.shape[:-1])
@@ -88,14 +97,7 @@ def seam_pass(
         try:
             inject("tiling.band", f"band-{b}")
             weights = source.region(region)
-            mask = None
-            preset = None
-            if b0 > 0:
-                mask = np.zeros(weights.shape, dtype=bool)
-                preset = np.zeros(weights.shape, dtype=np.int64)
-                mask[..., 0] = True
-                preset[..., 0] = carry
-            starts = color_region(weights, mask, preset)
+            starts = color_region(weights, carry)
             if out is not None:
                 out[..., b0:b1] = starts[..., b0 - lo :]
             records = []

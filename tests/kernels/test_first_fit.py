@@ -4,8 +4,8 @@
 sequential sort-and-scan, slot by slot.  The loop tests diff the cases the
 loop treats specially against the reference loops or monolithic GLL:
 recolor passes whose zero-weight cells enter with stale or ``UNCOLORED``
-starts, region presets (several per batch, zero-weight, later-level), and
-the half-stencil gather of fresh GLL passes on 1-wide and 3D grids.
+starts, a region led by a carry of arbitrary starts, and the half-stencil
+gather of fresh GLL passes on 1-wide and 3D grids.
 """
 
 import dataclasses
@@ -15,13 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.algorithms.registry import color_with
 from repro.core.greedy_engine import first_fit_start, greedy_color, greedy_recolor_pass
 from repro.core.orderings import line_by_line_order, random_order, zorder_order
 from repro.core.problem import IVCInstance
 from repro.kernels import wavefront
 from repro.kernels.halo import color_region
-from repro.kernels.substrate import StencilLayout, analytic_wavefront
+from repro.kernels.substrate import StencilLayout
 from repro.kernels.wavefront import (
     UNCOLORED,
     first_fit_intervals,
@@ -170,26 +169,7 @@ def test_recolor_pass_with_stale_zero_weight_starts(shape, order_name, entry):
         assert np.array_equal(greedy_recolor_pass(inst, base, order, fast=False), want)
 
 
-# -- region presets ---------------------------------------------------------
-
-
-def _gll(weights):
-    starts = color_with(_instance(weights), "GLL", fast=False).starts
-    return np.asarray(starts, dtype=np.int64).reshape(weights.shape)
-
-
-def _gll_levels(shape):
-    """The GLL wavefront level ``i + 2j (+ 4k)`` of every cell."""
-    return sum(axis << a for a, axis in enumerate(np.indices(shape)))
-
-
-def _scan_with_presets(weights, mask, values):
-    """Sequential GLL that sets each preset cell to its value at its turn."""
-    inst = _instance(weights)
-    fresh = np.full(inst.num_vertices, UNCOLORED, dtype=np.int64)
-    order = line_by_line_order(inst)
-    out = _reference_pass(inst, fresh, order, mask.ravel(), values.ravel())
-    return out.reshape(weights.shape)
+# -- the carry --------------------------------------------------------------
 
 
 @given(
@@ -198,74 +178,35 @@ def _scan_with_presets(weights, mask, values):
         st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
     ),
     seed=st.integers(0, 10_000),
-    density=st.sampled_from([0.1, 0.4, 0.9]),
 )
-@settings(max_examples=60, deadline=None)
-def test_region_with_scattered_presets_matches_sequential_scan(shape, seed, density):
-    # Random masks put several presets in one level batch, preset zero-weight
-    # cells, and preset cells at a later level than some of their neighbours.
-    # Arbitrary values make a preset's timing visible; its monolithic start
-    # reproduces the monolithic coloring.
+@settings(max_examples=80, deadline=None)
+@example(shape=(6, 2), seed=0)
+@example(shape=(3, 4, 2), seed=1)
+def test_region_with_a_carry_matches_sequential_scan(shape, seed):
+    # The sequential GLL scan that sets the first outer slice to arbitrary
+    # carry values at its turn; zero weights throughout, carry included.
+    # Shapes with two outer indices are a band of width 1 after its carry.
     rng = np.random.default_rng(seed)
     weights = rng.integers(1, 30, size=shape)
     weights[rng.random(size=shape) < 0.3] = 0
-    mask = rng.random(size=shape) < density
-    values = rng.integers(0, 60, size=shape)
-    want = _scan_with_presets(weights, mask, values)
-    assert np.array_equal(color_region(weights, mask, values), want)
-    truth = _gll(weights)
-    assert np.array_equal(color_region(weights, mask, np.where(mask, truth, -7)), truth)
-
-
-def test_region_batch_with_several_presets_and_zero_weight_presets():
-    rng = np.random.default_rng(1)
-    weights = rng.integers(1, 30, size=(8, 6))
-    weights[::3, 1::2] = 0
-    levels = _gll_levels(weights.shape)
-    mask = (levels == 7) | (levels == 8) | (weights == 0)
-    assert (mask & (levels == 7)).sum() >= 2
-    values = rng.integers(1, 60, size=weights.shape)
-    got = color_region(weights, mask, values)
-    assert np.array_equal(got, _scan_with_presets(weights, mask, values))
-    assert np.array_equal(got[mask], values[mask])
-
-
-@pytest.mark.parametrize("shape", [(6, 7), (3, 4, 3)])
-def test_presets_are_written_when_their_batch_runs(shape):
-    # With the full stencil gathered, a preset written early would be seen
-    # by the earlier-level neighbours it must stay invisible to.
-    rng = np.random.default_rng(9)
-    weights = rng.integers(1, 30, size=shape)
-    mask = rng.random(size=shape) < 0.4
-    values = rng.integers(0, 60, size=shape)
-    layout = StencilLayout.of(shape)
-    verts, ptr = analytic_wavefront(shape)
-    got = wavefront.first_fit_wavefronts(
-        layout, weights.ravel(), verts, ptr,
-        preset_mask=mask.ravel(), preset_starts=values.ravel(),
-    )
-    assert np.array_equal(got.reshape(shape), _scan_with_presets(weights, mask, values))
-
-
-@pytest.mark.parametrize("shape", [(7, 6), (4, 3, 5)])
-def test_region_with_a_zipper_preset_matches_monolithic(shape):
-    # The region stops one row (plane) short of the grid; that last row is
-    # preset.  Its cells follow some region cells in the global scan, so
-    # they must be invisible to those and visible only to the cells after.
-    rng = np.random.default_rng(5)
-    weights = rng.integers(1, 30, size=shape)
-    weights[rng.random(size=shape) < 0.2] = 0
-    truth = _gll(weights)
+    carry = rng.integers(0, 60, size=shape[:-1])
+    inst = _instance(weights)
     mask = np.zeros(shape, dtype=bool)
-    mask[..., -1] = True
-    mask[..., -2] = rng.random(size=shape[:-1]) < 0.5
-    assert np.array_equal(color_region(weights, mask, np.where(mask, truth, 0)), truth)
-    values = rng.integers(0, 60, size=shape)
-    want = _scan_with_presets(weights, mask, values)
-    assert np.array_equal(color_region(weights, mask, values), want)
+    mask[..., 0] = True
+    values = np.zeros(shape, dtype=np.int64)
+    values[..., 0] = carry
+    fresh = np.full(inst.num_vertices, UNCOLORED, dtype=np.int64)
+    order = line_by_line_order(inst)
+    want = _reference_pass(inst, fresh, order, mask.ravel(), values.ravel())
+    assert np.array_equal(color_region(weights, carry), want.reshape(shape))
 
 
 # -- the half-stencil gather ------------------------------------------------
+
+
+def _gll_levels(shape):
+    """The GLL wavefront level ``i + 2j (+ 4k)`` of every cell."""
+    return sum(axis << a for a, axis in enumerate(np.indices(shape)))
 
 
 HALF_SHAPES = [

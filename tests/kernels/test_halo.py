@@ -1,17 +1,21 @@
-"""The region kernel: ``color_region`` against monolithic GLL.
+"""The band kernel: ``color_region`` and ``gll_suffix`` against monolithic GLL.
 
-Presets on a region's first and last row (2D) or plane (3D), and on its
-first and last cells along the fastest axis, sit next to the padded border
-of the region's layout; presetting them at their monolithic starts must
-reproduce the monolithic coloring of the region exactly.
+A region's first column (2D) or plane (3D) may be a *carry* of known
+starts: every carry cell precedes every other cell of the region in the
+GLL scan, so taking the carry at its monolithic starts must reproduce the
+monolithic coloring of the region exactly.  ``gll_suffix`` resumes the
+scan at any outer index and must never read the starts it recolors.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.algorithms.registry import color_with
 from repro.core.problem import IVCInstance
-from repro.kernels.halo import color_region
+from repro.kernels.halo import color_region, gll_suffix
+from repro.kernels.substrate import StencilLayout
 
 
 def _weights(shape, seed=0):
@@ -30,14 +34,6 @@ def _gll(weights):
     return np.asarray(starts, dtype=np.int64).reshape(weights.shape)
 
 
-def _edge(shape, axis, side):
-    mask = np.zeros(shape, dtype=bool)
-    index = [slice(None)] * len(shape)
-    index[axis] = 0 if side == "first" else -1
-    mask[tuple(index)] = True
-    return mask
-
-
 SHAPES = [(6, 5), (1, 7), (7, 1), (4, 3, 5), (1, 1, 6), (3, 2, 1)]
 
 
@@ -47,34 +43,53 @@ def test_region_without_presets_is_monolithic_gll(shape):
     assert np.array_equal(color_region(weights), _gll(weights))
 
 
-@pytest.mark.parametrize("side", ["first", "last"])
-@pytest.mark.parametrize("axis", ["outer", "inner"])
 @pytest.mark.parametrize("shape", SHAPES)
-def test_presets_on_region_edges_match_monolithic(shape, axis, side):
+def test_carry_on_region_matches_monolithic(shape):
     weights = _weights(shape, seed=2)
     truth = _gll(weights)
-    mask = _edge(shape, -1 if axis == "outer" else 0, side)
-    preset = np.where(mask, truth, 0)
-    assert np.array_equal(color_region(weights, mask, preset), truth)
+    assert np.array_equal(color_region(weights, truth[..., 0]), truth)
 
 
 @pytest.mark.parametrize("shape", [(5, 9), (3, 4, 7)])
-def test_band_with_carry_and_last_row_preset_matches_monolithic(shape):
-    # A band cut out of a larger grid along the outer axis: its first row or
-    # plane is the carry from the previous band, and its last one is preset
-    # too; both are read only where the monolithic scan reads them.
+def test_band_with_carry_matches_monolithic(shape):
+    # A band cut out of a larger grid along the outer axis, led by the
+    # previous band's last row or plane.
     weights = _weights(shape, seed=3)
     truth = _gll(weights)
     lo, hi = 2, shape[-1] - 1
     band = weights[..., lo:hi]
-    mask = _edge(band.shape, -1, "first") | _edge(band.shape, -1, "last")
-    preset = np.where(mask, truth[..., lo:hi], 0)
-    assert np.array_equal(color_region(band, mask, preset), truth[..., lo:hi])
+    assert np.array_equal(color_region(band, truth[..., lo]), truth[..., lo:hi])
 
 
-def test_preset_mask_without_starts_is_rejected():
-    weights = _weights((3, 3))
-    with pytest.raises(ValueError):
-        color_region(weights, np.ones((3, 3), dtype=bool))
-    with pytest.raises(ValueError):
-        color_region(weights, np.ones((3, 4), dtype=bool), np.zeros((3, 4)))
+def test_wrong_shaped_carry_is_rejected():
+    weights = _weights((3, 4))
+    for carry in (np.zeros(4), np.zeros(1), np.zeros((3, 1)), np.int64(0)):
+        with pytest.raises(ValueError, match="carry shape"):
+            color_region(weights, carry)
+
+
+_shapes = st.one_of(
+    st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+)
+
+
+@given(shape=_shapes, seed=st.integers(0, 10_000), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_gll_suffix_never_reads_the_cells_it_recolors(shape, seed, data):
+    # Final starts before c0 and garbage from c0 on: the result is the
+    # monolithic coloring, whatever the garbage.
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(1, 30, size=shape)
+    weights[rng.random(size=shape) < 0.3] = 0
+    truth = _gll(weights)
+    c0 = data.draw(st.integers(0, shape[-1] - 1), label="c0")
+    layout = StencilLayout.of(shape)
+    suffix = (..., slice(c0, None))
+    levels = sum(a << k for k, a in enumerate(np.indices(truth[suffix].shape)))
+    for garbage in (-1, 10**9, rng.integers(-1, 99, size=truth[suffix].shape)):
+        starts = truth.copy()
+        starts[suffix] = garbage
+        got, batches = gll_suffix(layout, weights, starts.ravel(), c0)
+        assert np.array_equal(got.reshape(shape), truth)
+        assert batches == np.unique(levels).size

@@ -9,7 +9,7 @@ from repro.core.problem import IVCInstance
 from repro.data import SyntheticWeightSource
 from repro.resilience.faults import FaultPlan, FaultPoint, clear_plan, install_plan
 from repro.runtime.config import TilingConfig
-from repro.tiling import TilingError, color_tiled, read_tile_log
+from repro.tiling import TilingError, color_tiled, plan_tiles, read_tile_log, seam_pass
 
 
 def _weights(shape, seed=0):
@@ -262,3 +262,22 @@ class TestFailures:
         tiled = color_tiled(weights, tiling=cfg)
         assert tiled.plan.tile_shape == (4, 4)
         _assert_identical(tiled, weights)
+
+
+class TestSeamPassCarry:
+    """``seam_pass`` rejects a resume it cannot color before coloring it."""
+
+    source = SyntheticWeightSource((16, 16), seed=2)
+
+    def _resume(self, carry):
+        plan = plan_tiles((16, 16), (8, 8))
+        return seam_pass(self.source, plan, start_band=1, carry=carry)
+
+    def test_missing_carry_is_rejected(self):
+        with pytest.raises(ValueError, match="needs a carry"):
+            self._resume(None)
+
+    @pytest.mark.parametrize("carry", [np.array([3]), np.zeros((16, 1)), np.zeros(15)])
+    def test_wrong_shaped_carry_is_rejected(self, carry):
+        with pytest.raises(ValueError, match="carry shape"):
+            self._resume(carry)
