@@ -19,10 +19,9 @@ server's metrics snapshot.  Headline claim: batched+cached throughput ≥ 5×
 baseline.
 
 **Part 2 — horizontal scaling.**  A mixed-shape zipf workload drives a
-4-worker router (``stencil-ivc serve --workers 4`` equivalent) over the
-binary wire with pipelined connections, swept across 8–64 concurrent
-connections after a prewarm pass, next to a single-worker NDJSON run of
-the same workload for the compat-path comparison.  A dedicated
+4-worker router (``stencil-ivc serve --workers 4`` equivalent) with
+pipelined connections, swept across 8–64 concurrent connections after a
+prewarm pass.  A dedicated
 ``verify=True`` pass proves the routed, pipelined responses stay
 bit-identical to direct colorings, and an overload point (~10× the
 in-flight depth of the sweet spot) checks graceful degradation: zero
@@ -44,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -146,6 +146,7 @@ def run_service_benchmark(
             "python": platform.python_version(),
             "numpy": np.__version__,
             "platform": platform.platform(),
+            "cpus": os.cpu_count(),
             "workload": {
                 "shapes": [list(s) for s in shapes],
                 "distinct": distinct,
@@ -178,7 +179,6 @@ def run_scaling_benchmark(
     pipeline: int = 8,
     concurrency_sweep=(8, 16, 32, 64),
     requests: int = 8000,
-    ndjson_requests: int = 2000,
     verify_requests: int = 1000,
     seed: int = 0,
     enforce: bool = True,
@@ -198,7 +198,7 @@ def run_scaling_benchmark(
         cache_size=512, compute_threads=1,
     )
 
-    # --- binary wire through an N-worker router --------------------------
+    # --- an N-worker router ---------------------------------------------
     router_config = RouterConfig(
         port=0, workers=workers, worker_config=worker_config
     )
@@ -208,7 +208,7 @@ def run_scaling_benchmark(
         prewarm = run_loadgen(
             "127.0.0.1", router.port, workload,
             requests=4 * distinct, concurrency=4, seed=seed,
-            wire="binary", fetch_metrics=False,
+            fetch_metrics=False,
         )
         sweep = []
         for concurrency in concurrency_sweep:
@@ -217,7 +217,7 @@ def run_scaling_benchmark(
                 "127.0.0.1", router.port, workload,
                 requests=requests, concurrency=concurrency,
                 seed=seed + 2 + concurrency, zipf=zipf,
-                wire="binary", pipeline=pipeline, fetch_metrics=False,
+                pipeline=pipeline, fetch_metrics=False,
             )
             sweep.append(point.to_json())
         # Overload: ~10x the in-flight depth of the lightest sweep point.
@@ -225,7 +225,7 @@ def run_scaling_benchmark(
         overload = run_loadgen(
             "127.0.0.1", router.port, workload,
             requests=requests, concurrency=max(concurrency_sweep),
-            seed=seed + 99, zipf=zipf, wire="binary",
+            seed=seed + 99, zipf=zipf,
             pipeline=10 * pipeline, fetch_metrics=False,
         ).to_json()
         # The equivalence pass runs after the sweep so its client-side
@@ -233,22 +233,10 @@ def run_scaling_benchmark(
         verified = run_loadgen(
             "127.0.0.1", router.port, workload,
             requests=verify_requests, concurrency=8, verify=True,
-            seed=seed + 1, zipf=zipf, wire="binary", pipeline=pipeline,
+            seed=seed + 1, zipf=zipf, pipeline=pipeline,
             fetch_metrics=False,
         )
 
-    # --- NDJSON compat path, single worker -------------------------------
-    with ServerThread(worker_config) as server:
-        run_loadgen(  # prewarm
-            "127.0.0.1", server.port, workload,
-            requests=4 * distinct, concurrency=4, seed=seed,
-            wire="ndjson", fetch_metrics=False,
-        )
-        ndjson = run_loadgen(
-            "127.0.0.1", server.port, workload,
-            requests=ndjson_requests, concurrency=8, seed=seed + 3,
-            zipf=zipf, wire="ndjson", fetch_metrics=False,
-        ).to_json()
 
     peak = max(point["throughput_rps"] for point in sweep)
     # Graceful = nothing lost and throughput holding ≥ half of the
@@ -263,7 +251,6 @@ def run_scaling_benchmark(
     return {
         "config": {
             "workers": workers,
-            "wire": "binary",
             "zipf": zipf,
             "pipeline": pipeline,
             "shapes": [list(s) for s in shapes],
@@ -280,7 +267,6 @@ def run_scaling_benchmark(
         "enforced": enforce,
         "overload": overload,
         "graceful_degradation": graceful,
-        "ndjson_single_worker": ndjson,
     }
 
 
@@ -308,7 +294,7 @@ def format_summary(report: dict) -> str:
             "bit-identical" if verified["divergences"] == 0 else "DIVERGED"
         )
         lines.append(
-            f"scaling ({cfg['workers']} workers, binary, zipf "
+            f"scaling ({cfg['workers']} workers, zipf "
             f"s={cfg['zipf']:g}, pipeline {cfg['pipeline']}):"
         )
         for point in scaling["sweep"]:
@@ -330,11 +316,6 @@ def format_summary(report: dict) -> str:
             f"  overload x10 in-flight: {overload['throughput_rps']:.0f} req/s, "
             f"{overload['errors']} errors, "
             f"{overload['overloaded_retries']} overload retries ({degrade})"
-        )
-        ndjson = scaling["ndjson_single_worker"]
-        lines.append(
-            f"  ndjson 1 worker: {ndjson['throughput_rps']:.0f} req/s "
-            f"(compat path)"
         )
     return "\n".join(lines)
 
@@ -372,8 +353,7 @@ def _full_report(*, quick: bool, seed: int = 0) -> dict:
         )
         report["scaling"] = run_scaling_benchmark(
             shapes=((32, 32),), distinct=4, workers=2,
-            concurrency_sweep=(8, 16), requests=1200,
-            ndjson_requests=400, verify_requests=200,
+            concurrency_sweep=(8, 16), requests=1200, verify_requests=200,
             seed=seed, enforce=False,
         )
     else:

@@ -514,12 +514,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.runtime.context import get_context
-    from repro.service.frames import SUPPORTED_FRAME_VERSIONS
+    from repro.service.frames import WIRE_PROTOCOLS
     from repro.service.server import ServerConfig, run_service
 
-    protocols = ["ndjson"] + [f"frames/v{v}" for v in SUPPORTED_FRAME_VERSIONS]
+    wire = ", ".join(WIRE_PROTOCOLS)
     if args.version:
-        print(f"stencil-ivc service wire protocols: {', '.join(protocols)}")
+        print(f"stencil-ivc service wire protocols: {wire}")
         return 0
 
     workers = args.workers
@@ -558,7 +558,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         def announce_router(router: ColoringRouter) -> None:
             print(
                 f"coloring router on {router_config.host}:{router.port} "
-                f"({workers} workers, wire: {', '.join(protocols)}, "
+                f"({workers} workers, wire: {wire}, "
                 f"shared L2: {router.pool.spill_dir})",
                 flush=True,
             )
@@ -580,7 +580,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"coloring service on {config.host}:{service.port} "
             f"(max_batch={config.max_batch}, window={args.batch_window_ms}ms, "
             f"queue_limit={config.queue_limit}, cache={config.cache_size}, "
-            f"wire: {', '.join(protocols)}"
+            f"wire: {wire}"
             f"{', spill=' + str(spill) if spill else ''})",
             flush=True,
         )
@@ -659,11 +659,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
                 _time.sleep(0.2)
 
     try:
-        wire = args.wire
-        if wire is None:
-            from repro.runtime.context import get_context
-
-            wire = get_context().config.service_wire
         if args.recolor > 0:
             from repro.service.loadgen import (
                 format_recolor_report,
@@ -681,7 +676,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
                 max_weight=args.max_weight,
                 seed=args.seed,
                 verify=args.verify,
-                wire=wire,
                 retry=retry,
             )
             print(format_recolor_report(stream))
@@ -728,7 +722,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             seed=args.seed,
             retry=retry,
             zipf=args.zipf,
-            wire=wire,
             pipeline=args.pipeline,
         )
         print(format_report(report))
@@ -1348,10 +1341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zipf", type=float, default=0.0, metavar="S",
                    help="zipf exponent skewing the request schedule toward "
                         "popular pool items (0 = uniform, the default)")
-    p.add_argument("--wire", default=None,
-                   choices=("auto", "binary", "ndjson"),
-                   help="wire format preference (default REPRO_SERVICE_WIRE "
-                        "or auto-negotiate)")
     p.add_argument("--pipeline", type=int, default=1, metavar="K",
                    help="requests in flight per connection before the first "
                         "read (wrk-style capacity measurement; default 1)")

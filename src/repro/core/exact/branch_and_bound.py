@@ -4,8 +4,10 @@ The decision problem "is there a coloring with ``maxcolor <= K``" is a finite
 CSP: each positive-weight vertex has the domain ``{0, ..., K - w(v)}`` and
 each conflict edge forbids overlapping placements.  :func:`decide_coloring`
 searches it by DFS with minimum-remaining-values variable ordering and
-forward checking; :func:`solve_exact` wraps it in a binary search between a
-lower bound and a heuristic upper bound (feasibility is monotone in ``K``).
+forward checking, over left-justified colorings only (every start is 0 or
+the end of a neighbor's interval); :func:`solve_exact` wraps it in a binary
+search between a lower bound and a heuristic upper bound (feasibility is
+monotone in ``K``).
 
 This is exponential in the worst case — Section IV proves the 3D decision
 problem NP-complete — but comfortably handles the paper's small certificates
@@ -72,6 +74,13 @@ def decide_coloring(
     DFS over positive-weight vertices with MRV ordering and forward
     checking.  Zero-weight vertices are placed at 0 unconditionally.
 
+    Only left-justified colorings are searched: every start is 0 or the end
+    of a positive-weight neighbor.  An interval that is neither slides down
+    by one without overlapping anything, so if any coloring fits in ``k``
+    a left-justified one does too.  The rule prunes as soon as a placed
+    vertex has all its neighbors placed; without it, proving an odd cycle
+    infeasible just below its optimum takes millions of nodes.
+
     Raises
     ------
     SearchBudgetExceeded
@@ -94,6 +103,18 @@ def decide_coloring(
         domains[v] = np.arange(k - int(weights[v]) + 1, dtype=np.int64)
     assigned = np.zeros(n, dtype=bool)
     nodes = 0
+    heavy = [[int(u) for u in neighbors[v] if weights[u] > 0] for v in range(n)]
+
+    def justified(v: int) -> bool:
+        """False if a placed vertex at or next to ``v`` has all its
+        neighbors placed yet starts neither at 0 nor at a neighbor's end."""
+        for u in (v, *heavy[v]):
+            if not assigned[u] or not all(assigned[x] for x in heavy[u]):
+                continue
+            su = starts[u]
+            if su != 0 and all(starts[x] + weights[x] != su for x in heavy[u]):
+                return False
+        return True
 
     def dfs(remaining: int) -> bool:
         nonlocal nodes
@@ -119,7 +140,7 @@ def decide_coloring(
             undo = _forward_check(domains, assigned, neighbors, weights, v, s)
             if undo is not None:
                 starts[v] = s
-                if dfs(remaining - 1):
+                if justified(v) and dfs(remaining - 1):
                     return True
                 for u, prev in undo:
                     domains[u] = prev

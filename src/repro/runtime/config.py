@@ -31,7 +31,6 @@ variable                        field                     values
 ``REPRO_MAX_CELL_RETRIES``      ``max_cell_retries``      int
 ``REPRO_SEED``                  ``seed``                  int
 ``REPRO_SERVICE_WORKERS``       ``service_workers``       int (server processes)
-``REPRO_SERVICE_WIRE``          ``service_wire``          ``auto``/``binary``/``ndjson``
 ``REPRO_TILING``                ``tiling.mode``           ``off``/``auto``/``on``
 ``REPRO_TILE_SHAPE``            ``tiling.tile_shape``     ``512x512`` style
 ``REPRO_TILE_CELLS``            ``tiling.tile_cells``     int (cells per tile)
@@ -372,9 +371,6 @@ class RuntimeConfig:
         the classic single-process server, ``>= 2`` a routed
         :class:`~repro.service.workers.WorkerPool` behind a
         :class:`~repro.service.router.ColoringRouter`.
-    service_wire:
-        Default client wire preference (``auto`` negotiates binary frames
-        and falls back to NDJSON; ``binary``/``ndjson`` pin the format).
     tiling:
         The :class:`TilingConfig` governing out-of-core tiled coloring
         (:mod:`repro.tiling`).  A plain dict is accepted and normalized.
@@ -395,7 +391,6 @@ class RuntimeConfig:
     max_cell_retries: int = 3
     seed: int = 0
     service_workers: int = 1
-    service_wire: str = "auto"
     tiling: TilingConfig = field(default_factory=TilingConfig)
     incremental: IncrementalConfig = field(default_factory=IncrementalConfig)
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
@@ -440,11 +435,6 @@ class RuntimeConfig:
                 raise ValueError(f"{name} must be non-negative")
         if self.service_workers < 1:
             raise ValueError("service_workers must be at least 1")
-        if self.service_wire not in ("auto", "binary", "ndjson"):
-            raise ValueError(
-                "service_wire must be one of ('auto', 'binary', 'ndjson'), "
-                f"got {self.service_wire!r}"
-            )
 
     @classmethod
     def from_env(cls, **overrides) -> "RuntimeConfig":
@@ -462,9 +452,6 @@ class RuntimeConfig:
             "max_cell_retries": env_int("REPRO_MAX_CELL_RETRIES", 3),
             "seed": env_int("REPRO_SEED", 0),
             "service_workers": env_int("REPRO_SERVICE_WORKERS", 1),
-            "service_wire": (
-                env_str("REPRO_SERVICE_WIRE", "auto").strip().lower() or "auto"
-            ),
             "tiling": TilingConfig.from_env(),
             "incremental": IncrementalConfig.from_env(),
             "durability": DurabilityConfig.from_env(),

@@ -6,9 +6,9 @@ front end over the batch engine and vectorized kernels:
 
 * :mod:`~repro.service.protocol` — typed request/response messages and the
   canonical :func:`~repro.service.protocol.content_key` hash;
-* :mod:`~repro.service.frames` — the binary wire codec (raw little-endian
-  arrays, routing key in a fixed preamble), negotiated per connection with
-  NDJSON as the forever-compatible fallback;
+* :mod:`~repro.service.frames` — the binary wire codec, the service's one
+  transport (raw little-endian arrays, routing key in a fixed preamble,
+  a ``hello`` frame checking the frame version per connection);
 * :mod:`~repro.service.cache` — content-addressed LRU result cache with
   JSONL spill or the cross-worker shared-directory L2 tier;
 * :mod:`~repro.service.batcher` — micro-batching by ``(shape, algorithm)``
@@ -19,8 +19,8 @@ front end over the batch engine and vectorized kernels:
   :class:`~repro.service.workers.WorkerPool` sharing one L2 directory;
 * :mod:`~repro.service.router` — the accept/route front process: stable
   content-key (rendezvous) routing, failover, merged fleet metrics;
-* :mod:`~repro.service.client` — the asyncio client with automatic wire
-  negotiation, and its blocking facade;
+* :mod:`~repro.service.client` — the asyncio client and its blocking
+  facade;
 * :mod:`~repro.service.loadgen` — the repeated-shape load generator
   (uniform or zipf-skewed) with served-vs-direct verification.
 

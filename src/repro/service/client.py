@@ -13,15 +13,11 @@ not be called from a thread whose event loop is already running; async
 code uses the core, or hands blocking work to a thread with
 ``asyncio.to_thread`` (as ``Router.stop`` does for ``WorkerPool.stop``).
 
-The client speaks either wire format of the service.  With ``wire="auto"``
-(the default) every connection opens with a binary ``hello`` frame
-(:mod:`repro.service.frames`): a frames-speaking server answers in frames
-and the connection is binary for its lifetime; a pre-frames server answers
-the hello with one JSON ``invalid`` line and the client silently falls
-back to NDJSON on the same connection.  ``wire="ndjson"`` skips the
-handshake; ``wire="binary"`` makes a fallback an error.  The negotiated
-format is exposed as ``wire`` and responses decode to
-:class:`ColorResponse` / :class:`RecolorResponse` objects either way.
+Every connection opens with a ``hello`` frame (:mod:`repro.service.frames`)
+that checks the server speaks this build's frame version; a reply that is
+not such a frame fails the connection with a
+:class:`ServiceConnectionError`.  Responses decode to
+:class:`ColorResponse` / :class:`RecolorResponse` objects.
 Service-level outcomes (``error``, ``timeout``, ``overloaded``…) are
 reported in the response ``status`` so callers can count and retry
 without exception plumbing.  Transport failures — a dropped TCP
@@ -63,9 +59,7 @@ import numpy as np
 from repro.resilience.faults import draw
 from repro.resilience.retry import RetryPolicy
 from repro.service.frames import (
-    FRAME_MAGIC,
     FRAME_VERSION,
-    OP_COLOR,
     OP_METRICS,
     OP_PING,
     OP_SHUTDOWN,
@@ -85,22 +79,8 @@ from repro.service.protocol import (
     STATUS_OK,
     UNKNOWN_SESSION_CODE,
     ColorRequest,
-    ProtocolError,
     RecolorRequest,
-    decode_message,
-    encode_message,
-    recolor_to_wire,
-    request_to_wire,
 )
-
-#: Accepted values of the clients' ``wire`` argument.
-WIRE_MODES = ("auto", "binary", "ndjson")
-
-
-def _check_wire(wire: str) -> str:
-    if wire not in WIRE_MODES:
-        raise ValueError(f"wire must be one of {WIRE_MODES}, got {wire!r}")
-    return wire
 
 
 class ServiceError(RuntimeError):
@@ -285,18 +265,17 @@ class PreparedColorRequest:
     The interactive STKDE pattern re-requests the same few grids over and
     over; re-canonicalizing, re-hashing, and re-serializing an unchanged
     grid on every send is pure waste.  ``prepare_color_request`` pays those
-    costs once — both wire encodings are cached lazily on first use — and
+    costs once — the frame is encoded lazily on first use — and
     :meth:`AsyncServiceClient.color_prepared` then sends pre-built bytes.
     Responses decode exactly as for :meth:`AsyncServiceClient.color`; the
     server cannot tell the difference.
     """
 
-    __slots__ = ("request", "_binary", "_ndjson")
+    __slots__ = ("request", "_frame")
 
     def __init__(self, request: ColorRequest):
         self.request = request
-        self._binary: Optional[bytes] = None
-        self._ndjson: Optional[bytes] = None
+        self._frame: Optional[bytes] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -310,14 +289,10 @@ class PreparedColorRequest:
     def key(self) -> str:
         return self.request.key
 
-    def wire_bytes(self, wire: str) -> bytes:
-        if wire == "binary":
-            if self._binary is None:
-                self._binary = encode_color_request(self.request)
-            return self._binary
-        if self._ndjson is None:
-            self._ndjson = encode_message(request_to_wire(self.request))
-        return self._ndjson
+    def frame(self) -> bytes:
+        if self._frame is None:
+            self._frame = encode_color_request(self.request)
+        return self._frame
 
 
 def prepare_color_request(
@@ -333,7 +308,7 @@ def prepare_color_request(
     """Build and pre-encode a color request for repeated sending.
 
     Client-independent: one prepared request can be sent through any
-    number of clients, blocking or asyncio, on either wire format.
+    number of clients, blocking or asyncio.
     """
     return PreparedColorRequest(ColorRequest(
         weights=np.ascontiguousarray(weights, dtype=np.int64),
@@ -365,16 +340,16 @@ class AsyncServiceClient:
         *,
         retry: Optional[RetryPolicy] = None,
         retry_seed: int = 0,
-        wire: str = "auto",
+        wire: str = "binary",
     ):
+        if wire != "binary":  # frames are the only wire; callers may name it
+            raise ValueError(f"wire must be 'binary', got {wire!r}")
         self.host = host
         self.port = port
         self.timeout = timeout
         self.retry = retry
         self.retries_used = 0
-        self.wire_preference = _check_wire(wire)
-        self.wire = "ndjson"  # per-connection; settled during connect()
-        self.server_worker_id = ""  # from the hello reply (binary only)
+        self.server_worker_id = ""  # from the hello reply
         self._rng = random.Random(retry_seed)
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
@@ -387,43 +362,33 @@ class AsyncServiceClient:
             self._reader, self._writer = await asyncio.open_connection(
                 self.host, self.port, limit=MAX_MESSAGE_BYTES
             )
-        self.wire = "ndjson"
-        if self.wire_preference != "ndjson":
-            await self._negotiate()
+        await self._hello()
         return self
 
-    async def _negotiate(self) -> None:
-        """Hello handshake: binary if the server answers in frames.
+    async def _hello(self) -> None:
+        """Check the server speaks this build's frame version.
 
-        A pre-frames server reads the hello as one garbage NDJSON line and
-        replies with a JSON ``invalid`` message — recognized by its first
-        byte (``{``, never the frame magic), discarded, and the connection
-        continues as NDJSON.  Only ``wire="binary"`` makes that an error.
+        Anything but a ``response`` frame listing :data:`FRAME_VERSION` —
+        other bytes, a closed connection, a timeout — is a
+        :class:`ServiceConnectionError` with request id ``"hello"``.
         """
         assert self._reader is not None
         try:
             await self._write(encode_hello())
             async with frame_timeout(self.timeout):
-                first = await self._reader.read(1)
-                if first == FRAME_MAGIC[:1]:
-                    frame = await read_frame_async(self._reader, first=first)
-                    header = frame.header if frame is not None else {}
-                    if header.get("status") == STATUS_OK and FRAME_VERSION in (
-                        header.get("frames", ())
-                    ):
-                        self.wire = "binary"
-                        self.server_worker_id = str(header.get("worker_id", ""))
-                        return
-                elif first:
-                    await self._reader.readline()  # the JSON 'invalid' reply
+                frame = await read_frame_async(self._reader)
         except (FrameError, *_TRANSPORT_ERRORS) as exc:
             raise self._connection_error(
-                f"wire negotiation failed: {type(exc).__name__}: {exc}", "hello"
+                f"hello failed: {type(exc).__name__}: {exc}", "hello"
             ) from exc
-        if self.wire_preference == "binary":
+        header = frame.header if frame is not None else {}
+        if header.get("status") != STATUS_OK or FRAME_VERSION not in header.get(
+            "frames", ()
+        ):
             raise self._connection_error(
-                "server does not speak binary frames", "hello"
+                f"server does not speak frames/v{FRAME_VERSION}", "hello"
             )
+        self.server_worker_id = str(header.get("worker_id", ""))
 
     async def close(self) -> None:
         writer, self._reader, self._writer = self._writer, None, None
@@ -462,68 +427,12 @@ class AsyncServiceClient:
         async with frame_timeout(self.timeout):
             await self._writer.drain()
 
-    def _encode_for_wire(
-        self,
-        message: dict[str, Any],
-        request: Optional[PreparedColorRequest | RecolorRequest],
-    ) -> bytes:
-        """The outgoing bytes for one op under the negotiated wire format.
-
-        A ``request`` is encoded directly — raw weight bytes on the binary
-        wire, the JSON weights list only when NDJSON is actually in use —
-        so binary connections never pay JSON array serialization.  A
-        :class:`PreparedColorRequest` reuses its cached encoding.
-        """
-        if isinstance(request, PreparedColorRequest):
-            return request.wire_bytes(self.wire)
-        if request is not None:
-            if self.wire == "binary":
-                return encode_recolor_request(request)
-            return encode_message(recolor_to_wire(request))
-        if self.wire == "binary":
-            return self._encode_op_frame(message)
-        return encode_message(message)
-
-    def _encode_op_frame(self, message: dict[str, Any]) -> bytes:
-        op = message.get("op")
-        request_id = str(message.get("id", ""))
-        if op == "ping":
-            return encode_frame(OP_PING, {"id": request_id})
-        if op == "metrics":
-            header: dict[str, Any] = {"id": request_id}
-            if message.get("state"):
-                header["state"] = True
-            return encode_frame(OP_METRICS, header)
-        if op == "shutdown":
-            return encode_frame(OP_SHUTDOWN, {"id": request_id})
-        if op == "color":
-            # A caller handed us a raw NDJSON color message.  Reframe it
-            # without validating — the server is the validator on either
-            # wire, so a bad message must still reach it and come back as
-            # a typed ``invalid`` response, not a client-side exception.
-            try:
-                weights = np.asarray(message.get("weights", []), dtype=np.int64)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ServiceError(
-                    f"color message cannot ride the binary wire: {exc}"
-                ) from None
-            header = {k: v for k, v in message.items() if k != "weights"}
-            header.setdefault("shape", list(weights.shape))
-            payload = np.ascontiguousarray(weights, dtype="<i8").tobytes()
-            return encode_frame(OP_COLOR, header, payload)
-        raise ServiceError(f"op {op!r} has no binary frame encoding")
-
     async def _roundtrip(
-        self,
-        message: dict[str, Any],
-        request_id: str = "",
-        fault_token: str = "",
-        request: Optional[PreparedColorRequest | RecolorRequest] = None,
+        self, payload: bytes, request_id: str = "", fault_token: str = ""
     ) -> dict[str, Any]:
         try:
             if self._writer is None:
                 await self.connect()
-            payload = self._encode_for_wire(message, request)
             fault = draw("client.send", fault_token)
             if fault is not None:
                 if fault.kind == "partial":
@@ -548,7 +457,7 @@ class AsyncServiceClient:
             ) from exc
 
     async def _read_response(self, request_id: str) -> dict[str, Any]:
-        """One response on the negotiated wire, as a message dict.
+        """One response frame, as a message dict.
 
         A torn frame or a closed connection is a retryable
         :class:`ServiceConnectionError` (the server died mid-send, and
@@ -556,42 +465,27 @@ class AsyncServiceClient:
         a :class:`ServiceError`.  The caller bounds the read.
         """
         assert self._reader is not None
-        if self.wire == "binary":
-            try:
-                frame = await read_frame_async(self._reader)
-            except TornFrameError as exc:
-                raise self._connection_error(
-                    f"torn response frame: {exc}", request_id
-                ) from None
-            except FrameError as exc:
-                raise ServiceError(f"bad response frame: {exc}") from None
-            if frame is None:
-                raise self._connection_error(
-                    "connection closed by server", request_id
-                )
-            return response_to_message(frame)
-        line = await self._reader.readline()
-        if not line:
-            raise self._connection_error("connection closed by server", request_id)
         try:
-            return decode_message(line)
-        except ProtocolError as exc:
+            frame = await read_frame_async(self._reader)
+        except TornFrameError as exc:
+            raise self._connection_error(
+                f"torn response frame: {exc}", request_id
+            ) from None
+        except FrameError as exc:
             raise ServiceError(f"bad response frame: {exc}") from None
+        if frame is None:
+            raise self._connection_error("connection closed by server", request_id)
+        return response_to_message(frame)
 
     async def _call(
-        self,
-        message: dict[str, Any],
-        request_id: str = "",
-        request: Optional[PreparedColorRequest | RecolorRequest] = None,
+        self, payload: bytes, op: str, request_id: str = ""
     ) -> dict[str, Any]:
         """One logical round trip, retried under the client's policy."""
         attempt = 0
         while True:
-            token = f"{request_id or message.get('op', '')}#{attempt}"
+            token = f"{request_id or op}#{attempt}"
             try:
-                return await self._roundtrip(
-                    message, request_id, fault_token=token, request=request
-                )
+                return await self._roundtrip(payload, request_id, token)
             except ServiceConnectionError:
                 if self.retry is None or not self.retry.should_retry(attempt):
                     raise
@@ -603,7 +497,9 @@ class AsyncServiceClient:
     async def ping(self) -> float:
         """Round-trip a ping; returns the latency in seconds."""
         t0 = time.perf_counter()
-        response = await self._call({"op": "ping", "id": "ping"}, "ping")
+        response = await self._call(
+            encode_frame(OP_PING, {"id": "ping"}), "ping", "ping"
+        )
         if response.get("status") != STATUS_OK:
             raise ServiceError(f"ping failed: {response}")
         return time.perf_counter() - t0
@@ -634,7 +530,7 @@ class AsyncServiceClient:
         """Send a :func:`prepare_color_request` product; decode the reply."""
         t0 = time.perf_counter()
         message = await self._call(
-            {"op": "color"}, prepared.request_id, request=prepared
+            prepared.frame(), "color", prepared.request_id
         )
         return _decode_color_response(
             message, prepared.shape, time.perf_counter() - t0
@@ -661,7 +557,7 @@ class AsyncServiceClient:
             if self._writer is None:
                 await self.connect()
             t0 = time.perf_counter()
-            await self._write(b"".join(p.wire_bytes(self.wire) for p in prepared))
+            await self._write(b"".join(p.frame() for p in prepared))
             responses: list[ColorResponse] = []
             async with frame_timeout(self.timeout):
                 for item in prepared:
@@ -702,7 +598,7 @@ class AsyncServiceClient:
         )
         t0 = time.perf_counter()
         message = await self._call(
-            {"op": "recolor"}, request.request_id, request=request
+            encode_recolor_request(request), "recolor", request.request_id
         )
         response = _decode_recolor_response(
             message, tuple(arr.shape), time.perf_counter() - t0
@@ -762,7 +658,7 @@ class AsyncServiceClient:
         retries_before = self.retries_used
         t0 = time.perf_counter()
         message = await self._call(
-            {"op": "recolor"}, request.request_id, request=request
+            encode_recolor_request(request), "recolor", request.request_id
         )
         response = _decode_recolor_response(
             message, None, time.perf_counter() - t0
@@ -821,10 +717,12 @@ class AsyncServiceClient:
     async def metrics(self, *, include_state: bool = False) -> dict[str, Any]:
         """The server's metrics snapshot (``include_state`` adds mergeable
         histogram state, the form ``merge_snapshots`` needs)."""
-        message: dict[str, Any] = {"op": "metrics", "id": "metrics"}
+        header: dict[str, Any] = {"id": "metrics"}
         if include_state:
-            message["state"] = True
-        response = await self._call(message, "metrics")
+            header["state"] = True
+        response = await self._call(
+            encode_frame(OP_METRICS, header), "metrics", "metrics"
+        )
         if response.get("status") != STATUS_OK:
             raise ServiceError(f"metrics failed: {response}")
         return response["metrics"]
@@ -832,7 +730,9 @@ class AsyncServiceClient:
     async def shutdown(self) -> None:
         """Ask the server to drain and stop (never retried — not idempotent
         to wait on: the server may be gone before a response arrives)."""
-        await self._roundtrip({"op": "shutdown", "id": "shutdown"}, "shutdown")
+        await self._roundtrip(
+            encode_frame(OP_SHUTDOWN, {"id": "shutdown"}), "shutdown"
+        )
 
 
 def _core_attribute(name: str) -> property:
@@ -869,7 +769,6 @@ class ServiceClient:
     port = _core_attribute("port")
     timeout = _core_attribute("timeout")
     retry = _core_attribute("retry")
-    wire = _core_attribute("wire")
     server_worker_id = _core_attribute("server_worker_id")
     retries_used = _core_attribute("retries_used")
     reseeds_used = _core_attribute("reseeds_used")
@@ -890,7 +789,7 @@ class ServiceClient:
         *,
         retry: Optional[RetryPolicy] = None,
         retry_seed: int = 0,
-        wire: str = "auto",
+        wire: str = "binary",
     ):
         self._core = AsyncServiceClient(
             host, port, timeout, retry=retry, retry_seed=retry_seed, wire=wire

@@ -1,11 +1,9 @@
-"""Binary wire frames: the service's high-throughput alternative to NDJSON.
+"""Binary wire frames: the one transport of the coloring service.
 
-NDJSON round-trips every ``int64`` weight and start value through decimal
-text — fine for a demo, ruinous for a tier serving thousands of grids per
-second.  A binary frame ships the same request/response vocabulary as the
-JSON protocol (:mod:`repro.service.protocol`) but with the bulk array data
-as raw little-endian bytes and a fixed preamble the router can parse
-without touching JSON at all.
+A frame ships one message of the protocol vocabulary
+(:mod:`repro.service.protocol`) with its bulk array data as raw
+little-endian bytes and a fixed preamble the router can parse without
+touching JSON at all.
 
 Frame layout (all integers little-endian)::
 
@@ -13,7 +11,7 @@ Frame layout (all integers little-endian)::
     ------  ----  -----------------------------------------------------
     0       2     magic  0xA9 0x27  (the 9-pt / 27-pt stencils)
     2       1     frame version (currently 1)
-    3       1     flags  (bit 0: one sacrificial ``\\n`` follows the frame)
+    3       1     flags  (bit 0: one ``\\n`` byte follows the frame)
     4       1     opcode (hello/color/metrics/ping/shutdown/response)
     5       20    routing key: raw ``content_key`` digest bytes (zeros if n/a)
     25      4     header length H
@@ -23,25 +21,25 @@ Frame layout (all integers little-endian)::
 
 The 37-byte preamble carries everything the accept/route front process
 needs — opcode and routing key — so the router forwards frames without
-decoding headers or weights.  The header mirrors the NDJSON message of the
-same operation minus the bulk field (``weights`` on requests, ``starts``
-on responses), which lives in the payload instead.  Decoded binary
-requests are *object-identical* to decoded NDJSON requests: both paths
-build the weight array and then run through the same
-:func:`~repro.service.protocol.request_from_fields` validation.
+decoding headers or weights.  The header is the message of the same
+operation minus the bulk field (``weights`` on requests, ``starts`` on
+responses), which lives in the payload instead.  Decoders build the array
+straight off the payload and then run the header through the protocol's
+field validation (:func:`~repro.service.protocol.request_from_fields`,
+:func:`~repro.service.protocol.recolor_from_arrays`).
 
-Negotiation
------------
-A client that wants binary frames opens the connection by sending a
-``hello`` frame (with the sacrificial-newline flag set, and a header
-padded so the raw bytes contain no ``0x0A``).  A frames-speaking server
-answers with a ``response`` frame listing the frame versions it speaks and
-its ``worker_id``; the connection is then binary for its lifetime.  A
-pre-frames server reads the hello as one garbage NDJSON line and answers
-with a JSON ``invalid`` message — the client sees ``{`` instead of the
-magic, discards that line, and falls back to NDJSON on the same
-connection.  NDJSON therefore remains the forever-compatible fallback; no
-server version ever breaks an old client or vice versa.
+The hello
+---------
+A client opens every connection with a ``hello`` frame listing the frame
+versions it speaks; the server answers with a ``response`` frame listing
+its own and its ``worker_id``.  The hello is the frame-version check:
+a reply that is not a frame, or that does not list this build's
+:data:`FRAME_VERSION`, fails the connection.  The hello keeps its
+fixed-size header and the trailing-newline flag, so its bytes never change.
+
+Readers check the magic as soon as its two bytes arrive: a peer that
+speaks anything else gets one ``invalid`` response frame and the
+connection closes, without waiting for a full preamble.
 
 Torn frames
 -----------
@@ -70,22 +68,26 @@ from repro.service.protocol import (
     ProtocolError,
     RecolorRequest,
     ServedResult,
+    check_api_version,
     recolor_from_arrays,
     request_from_fields,
 )
 
-#: First bytes of every frame; chosen so no frame can be mistaken for the
-#: start of a JSON message (NDJSON lines begin with ``{``).
+#: First bytes of every frame; not valid UTF-8, so no text protocol's
+#: opening bytes can pass for a frame.
 FRAME_MAGIC = b"\xa9\x27"
 
 #: The frame format version this build speaks.
 FRAME_VERSION = 1
 
-#: All frame versions this build can decode (negotiated via ``hello``).
+#: All frame versions this build can decode (checked by the ``hello``).
 SUPPORTED_FRAME_VERSIONS = (1,)
 
-#: Flag bit: one sacrificial ``\n`` byte follows the frame (set on hello
-#: frames so a pre-frames server's ``readline`` terminates).
+#: The protocol list servers, routers and ``serve --version`` advertise.
+WIRE_PROTOCOLS = tuple(f"frames/v{v}" for v in SUPPORTED_FRAME_VERSIONS)
+
+#: Flag bit: one ``\n`` byte follows the frame (set on hello frames only;
+#: readers skip it).
 FLAG_TRAILING_NEWLINE = 0x01
 
 #: Opcodes (one byte in the preamble; ``OP_RESPONSE`` covers every reply).
@@ -193,12 +195,11 @@ def encode_frame(
 
 
 def encode_hello() -> bytes:
-    """The client's opening negotiation frame.
+    """The client's opening frame: the frame versions it speaks.
 
-    Padded so the raw bytes contain no ``0x0A`` except the sacrificial
-    trailing newline — a pre-frames server reads exactly one garbage line
-    and answers with a JSON ``invalid`` message the client recognizes as
-    "fall back to NDJSON".
+    A fixed 64-byte header and the trailing-newline flag keep these bytes
+    identical across releases; the raw bytes contain no ``0x0A`` except
+    the trailing one.
     """
     header = {
         "op": "hello",
@@ -217,7 +218,7 @@ def encode_hello() -> bytes:
 
 
 def encode_hello_ok(worker_id: str = "") -> bytes:
-    """The server's negotiation reply: versions spoken plus identity."""
+    """The server's hello reply: versions spoken plus identity."""
     header = {
         "status": "ok",
         "op_echo": "hello",
@@ -259,36 +260,24 @@ def encode_color_request(request: ColorRequest) -> bytes:
     return encode_frame(OP_COLOR, header, payload, key=request.key)
 
 
-def decode_color_request(frame: Frame) -> ColorRequest:
-    """Validate and decode a ``color`` frame into a :class:`ColorRequest`.
-
-    Builds the weight array straight off the payload buffer, then runs the
-    *same* field validation as the NDJSON decoder
-    (:func:`~repro.service.protocol.request_from_fields`), so a request is
-    decoded identically regardless of which wire carried it.  The content
-    key is always recomputed from the weights — the preamble key is a
-    routing hint, never trusted for cache identity.
-    """
-    header = frame.header
-    api = header.get("api")
-    if api is not None and api != PROTOCOL_API_VERSION:
-        raise ProtocolError(
-            f"unsupported api version {api!r} (this server speaks "
-            f"{PROTOCOL_API_VERSION})"
-        )
-    shape = header.get("shape")
-    if not isinstance(shape, list) or not all(
-        isinstance(s, int) and s > 0 for s in shape
-    ):
-        raise ProtocolError("'shape' must be a list of positive integers")
-    if len(shape) not in (2, 3):
-        raise ProtocolError(f"expected a 2D or 3D shape, got {len(shape)} dims")
+def _check_dtype(header: dict) -> None:
     dtype = header.get("dtype", PAYLOAD_DTYPE)
     if dtype != PAYLOAD_DTYPE:
         raise ProtocolError(
             f"unsupported payload dtype {dtype!r} (this server speaks "
             f"{PAYLOAD_DTYPE!r})"
         )
+
+
+def _payload_grid(frame: Frame) -> np.ndarray:
+    """The header's ``shape`` and the payload as a weight grid, validated."""
+    shape = frame.header.get("shape")
+    if not isinstance(shape, list) or not all(
+        isinstance(s, int) and s > 0 for s in shape
+    ):
+        raise ProtocolError("'shape' must be a list of positive integers")
+    if len(shape) not in (2, 3):
+        raise ProtocolError(f"expected a 2D or 3D shape, got {len(shape)} dims")
     expected = int(np.prod([int(s) for s in shape])) * 8
     if len(frame.payload) != expected:
         raise ProtocolError(
@@ -296,13 +285,25 @@ def decode_color_request(frame: Frame) -> ColorRequest:
             f"got {len(frame.payload)}"
         )
     # .copy() detaches from the network buffer and yields a writable,
-    # C-contiguous array — the same object shape the NDJSON path builds.
-    arr = (
+    # C-contiguous array.
+    return (
         np.frombuffer(frame.payload, dtype=PAYLOAD_DTYPE)
         .reshape(tuple(shape))
         .copy()
     )
-    return request_from_fields(arr, header)
+
+
+def decode_color_request(frame: Frame) -> ColorRequest:
+    """Validate and decode a ``color`` frame into a :class:`ColorRequest`.
+
+    Builds the weight array straight off the payload buffer, then runs the
+    header through :func:`~repro.service.protocol.request_from_fields`.
+    The content key is always recomputed from the weights — the preamble
+    key is a routing hint, never trusted for cache identity.
+    """
+    check_api_version(frame.header)
+    _check_dtype(frame.header)
+    return request_from_fields(_payload_grid(frame), frame.header)
 
 
 def session_routing_key(session: str) -> str:
@@ -359,39 +360,14 @@ def encode_recolor_request(request: RecolorRequest) -> bytes:
 def decode_recolor_request(frame: Frame) -> RecolorRequest:
     """Validate and decode a ``recolor`` frame (either form).
 
-    Array building is the only wire-specific part; the field validation is
-    the shared :func:`~repro.service.protocol.recolor_from_arrays`, so a
-    recolor op decodes identically on either wire.
+    The arrays come off the payload; the header fields are validated by
+    :func:`~repro.service.protocol.recolor_from_arrays`.
     """
     header = frame.header
-    dtype = header.get("dtype", PAYLOAD_DTYPE)
-    if dtype != PAYLOAD_DTYPE:
-        raise ProtocolError(
-            f"unsupported payload dtype {dtype!r} (this server speaks "
-            f"{PAYLOAD_DTYPE!r})"
-        )
+    check_api_version(header)
+    _check_dtype(header)
     if "shape" in header:
-        shape = header.get("shape")
-        if not isinstance(shape, list) or not all(
-            isinstance(s, int) and s > 0 for s in shape
-        ):
-            raise ProtocolError("'shape' must be a list of positive integers")
-        if len(shape) not in (2, 3):
-            raise ProtocolError(
-                f"expected a 2D or 3D shape, got {len(shape)} dims"
-            )
-        expected = int(np.prod([int(s) for s in shape])) * 8
-        if len(frame.payload) != expected:
-            raise ProtocolError(
-                f"expected {expected} payload bytes for shape {tuple(shape)}, "
-                f"got {len(frame.payload)}"
-            )
-        arr = (
-            np.frombuffer(frame.payload, dtype=PAYLOAD_DTYPE)
-            .reshape(tuple(shape))
-            .copy()
-        )
-        return recolor_from_arrays(header, weights=arr)
+        return recolor_from_arrays(header, weights=_payload_grid(frame))
     count = header.get("delta")
     if not isinstance(count, int) or count < 0:
         raise ProtocolError("'delta' must be the non-negative update count")
@@ -468,10 +444,10 @@ def encode_result(
 
 
 def response_to_message(frame: Frame) -> dict[str, Any]:
-    """A response frame as the equivalent NDJSON message dict.
+    """A response frame as a message dict.
 
-    The payload (if any) becomes a ``starts`` ndarray — downstream client
-    code reshapes it exactly as it reshapes the JSON list.  A recolor-delta
+    The payload (if any) becomes a ``starts`` ndarray, which client code
+    reshapes to the request's grid.  A recolor-delta
     response (``"changed": K`` in the header) instead splits its payload
     into ``changed_idx`` / ``changed_starts`` arrays of ``K`` values each.
     """
@@ -562,29 +538,42 @@ def decode_frame(raw: bytes) -> Frame:
     return Frame(opcode, flags, key, header, payload)
 
 
-async def read_frame_async(
-    reader: asyncio.StreamReader, *, first: bytes = b""
-) -> Optional[Frame]:
-    """Read one frame from an asyncio stream.
+async def read_preamble(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next frame's raw preamble, or ``None`` on a clean EOF.
 
-    ``first`` is any preamble prefix already consumed (connection sniffing
-    hands the first bytes over).  Returns ``None`` on a clean EOF at a
-    frame boundary; raises :class:`TornFrameError` on truncation anywhere
-    else.
+    The magic is checked as soon as its two bytes arrive, so a peer that
+    speaks anything but frames gets a :class:`FrameError` at once instead
+    of a wait for 37 bytes it may never send.  EOF after at least one byte
+    raises :class:`TornFrameError`.
     """
-    head = bytes(first)
     try:
-        if not head:
-            head = await reader.readexactly(PREAMBLE_SIZE)
-        elif len(head) < PREAMBLE_SIZE:
-            head += await reader.readexactly(PREAMBLE_SIZE - len(head))
+        magic = await reader.readexactly(len(FRAME_MAGIC))
     except asyncio.IncompleteReadError as exc:
-        if not exc.partial and not first:
+        if not exc.partial:
             return None  # clean EOF between frames
         raise TornFrameError(
-            f"preamble truncated: {len(first) + len(exc.partial)} of "
+            f"preamble truncated: {len(exc.partial)} of {PREAMBLE_SIZE} bytes"
+        ) from None
+    if magic != FRAME_MAGIC:
+        raise FrameError(f"bad frame magic {magic!r}")
+    try:
+        return magic + await reader.readexactly(PREAMBLE_SIZE - len(magic))
+    except asyncio.IncompleteReadError as exc:
+        raise TornFrameError(
+            f"preamble truncated: {len(magic) + len(exc.partial)} of "
             f"{PREAMBLE_SIZE} bytes"
         ) from None
+
+
+async def read_frame_async(reader: asyncio.StreamReader) -> Optional[Frame]:
+    """Read one frame from an asyncio stream.
+
+    Returns ``None`` on a clean EOF at a frame boundary; raises
+    :class:`TornFrameError` on truncation anywhere else.
+    """
+    head = await read_preamble(reader)
+    if head is None:
+        return None
     _version, flags, opcode, key, header_len, payload_len = decode_preamble(head)
     tail = 1 if flags & FLAG_TRAILING_NEWLINE else 0
     try:

@@ -74,8 +74,6 @@ class LoadgenReport:
     latency_mean_ms: float = 0.0
     concurrency: int = 0
     verify: bool = False
-    wire: str = "ndjson"  # negotiated wire format the run actually used
-    wire_requested: str = "auto"
     zipf: float = 0.0  # popularity skew of the request schedule (0 = uniform)
     pipeline: int = 1  # frames in flight per connection before the first read
     workers_seen: dict = field(default_factory=dict)  # worker_id -> responses
@@ -107,8 +105,6 @@ class LoadgenReport:
             "latency_mean_ms": self.latency_mean_ms,
             "concurrency": self.concurrency,
             "verify": self.verify,
-            "wire": self.wire,
-            "wire_requested": self.wire_requested,
             "zipf": self.zipf,
             "pipeline": self.pipeline,
             "workers_seen": dict(self.workers_seen),
@@ -179,7 +175,6 @@ async def run_loadgen_async(
     fetch_metrics: bool = True,
     retry: Optional[RetryPolicy] = None,
     zipf: float = 0.0,
-    wire: str = "auto",
     pipeline: int = 1,
 ) -> LoadgenReport:
     """Fire ``requests`` sampled requests at the server; aggregate outcomes.
@@ -192,9 +187,6 @@ async def run_loadgen_async(
     order) is drawn with probability proportional to ``1 / r**zipf``, the
     classic popularity curve of repeated interactive queries.  ``zipf=0``
     keeps the historical uniform draw.  Both are deterministic in ``seed``.
-
-    ``wire`` pins the client wire format (``"auto"``, ``"binary"``, or
-    ``"ndjson"``); the negotiated result is recorded in the report.
 
     ``pipeline > 1`` keeps that many requests in flight per connection
     (wrk-style): each worker writes a burst of frames before reading the
@@ -227,7 +219,7 @@ async def run_loadgen_async(
     latencies: list[float] = []
     report = LoadgenReport(
         concurrency=concurrency, verify=verify,
-        wire_requested=wire, zipf=float(zipf or 0.0), pipeline=pipeline,
+        zipf=float(zipf or 0.0), pipeline=pipeline,
     )
 
     def record_lost(count: int, label: str, exc: Exception) -> None:
@@ -285,7 +277,6 @@ async def run_loadgen_async(
             timeout=request_timeout or 120.0,
             retry=retry,
             retry_seed=seed * 1009 + worker_index,
-            wire=wire,
         )
         try:
             while True:
@@ -301,7 +292,6 @@ async def run_loadgen_async(
                     except ServiceConnectionError as exc:
                         record_lost(len(burst), burst[0].label, exc)
                         continue
-                    report.wire = client.wire or report.wire
                     for item, response in zip(burst, responses):
                         if response.status == "overloaded":
                             report.overloaded_retries += 1
@@ -318,7 +308,6 @@ async def run_loadgen_async(
                 except ServiceConnectionError as exc:
                     record_lost(1, item.label, exc)
                     continue
-                report.wire = client.wire or report.wire
                 record(item, response)
         finally:
             report.connection_retries += client.retries_used
@@ -338,7 +327,7 @@ async def run_loadgen_async(
         ] * 1000.0
         report.latency_mean_ms = sum(ordered) / len(ordered) * 1000.0
     if fetch_metrics:
-        client = AsyncServiceClient(host, port, retry=retry, retry_seed=seed, wire=wire)
+        client = AsyncServiceClient(host, port, retry=retry, retry_seed=seed)
         try:
             report.metrics = await client.metrics()
         finally:
@@ -368,8 +357,7 @@ def format_report(report: LoadgenReport) -> str:
         f"{report.timeouts} timeouts, {report.errors} errors",
         f"transport  : {report.connection_retries} connection retries, "
         f"{report.connection_failures} requests lost to dead connections",
-        f"wire       : {report.wire} (requested {report.wire_requested}), "
-        f"zipf s={report.zipf:g}, pipeline depth {report.pipeline}",
+        f"schedule   : zipf s={report.zipf:g}, pipeline depth {report.pipeline}",
     ]
     if report.workers_seen:
         spread = ", ".join(
@@ -424,7 +412,6 @@ class RecolorStreamReport:
     cells_recomputed_total: int = 0
     algorithm: str = "GLF"
     shape: tuple = ()
-    wire: str = "ndjson"
     verify: bool = False
     error_samples: list = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
@@ -451,7 +438,6 @@ class RecolorStreamReport:
             "cells_recomputed_total": self.cells_recomputed_total,
             "algorithm": self.algorithm,
             "shape": list(self.shape),
-            "wire": self.wire,
             "verify": self.verify,
             "error_samples": self.error_samples[:5],
         }
@@ -469,7 +455,6 @@ def run_recolor_stream(
     max_weight: int = 100,
     seed: int = 0,
     verify: bool = True,
-    wire: str = "auto",
     retry: Optional[RetryPolicy] = None,
     fetch_metrics: bool = True,
 ) -> RecolorStreamReport:
@@ -496,9 +481,8 @@ def run_recolor_stream(
     )
     n = int(np.prod(shape))
     latencies: list[float] = []
-    client = ServiceClient(host, port, retry=retry, retry_seed=seed, wire=wire)
+    client = ServiceClient(host, port, retry=retry, retry_seed=seed)
     client.connect()
-    report.wire = client.wire
     try:
         names = [f"loadgen-s{i}" for i in range(sessions)]
         t0 = time.perf_counter()
@@ -595,8 +579,7 @@ def format_recolor_report(report: RecolorStreamReport) -> str:
         f"sessions   : {report.sessions} x {report.shape} {report.algorithm}, "
         f"seeded in {report.seed_seconds:.2f}s",
         f"deltas     : {report.deltas} x {report.delta_cells} cells in "
-        f"{report.duration_seconds:.2f}s ({report.deltas_per_second:.1f}/s) "
-        f"over {report.wire}",
+        f"{report.duration_seconds:.2f}s ({report.deltas_per_second:.1f}/s)",
         f"latency    : p50 {report.latency_p50_ms:.2f} ms, "
         f"p99 {report.latency_p99_ms:.2f} ms",
         f"served     : {report.ok} ok ({report.incremental} incremental, "

@@ -1,8 +1,10 @@
 """Typed request/response protocol of the online coloring service.
 
-Wire format: newline-delimited JSON (one message per line) over a stream
-transport.  Every request carries an ``op`` plus an optional client-chosen
-``id`` echoed back in the response; responses carry a ``status``:
+The service speaks binary frames (:mod:`repro.service.frames`) over a
+stream transport.  A frame's JSON header is a message dict of this module's
+vocabulary minus its bulk array, which rides raw in the payload.  Every
+request carries an ``op`` plus an optional client-chosen ``id`` echoed back
+in the response; responses carry a ``status``:
 
 ========== ============================================================
 ``op``      meaning
@@ -18,17 +20,16 @@ transport.  Every request carries an ``op`` plus an optional client-chosen
 ``invalid`` (malformed request), ``timeout`` (deadline expired), or
 ``overloaded`` (admission queue full — backpressure, retry later).
 
-The ``recolor`` op has two forms sharing one decoder
-(:func:`recolor_from_wire`): a **seed** (``session`` + ``shape`` +
-``weights`` + ``algorithm`` — the server colors the grid, stores it under
-the session id, and answers with the full starts) and a **delta**
-(``session`` + ``delta: {idx, weights}`` — *absolute* new weights at flat
-indices, so a retried delta is idempotent; the server patches the held
-coloring through :mod:`repro.incremental` and answers with only the
-changed cells).  A delta naming a session the server no longer holds is
-answered ``invalid`` with ``code: "unknown-session"`` on the *open*
-connection — it is a state miss, not a protocol breach, and the client
-recovers by re-seeding.
+The ``recolor`` op has two forms sharing one validator
+(:func:`recolor_from_arrays`): a **seed** (``session`` + ``shape`` +
+``algorithm`` plus the weight grid — the server colors the grid, stores it
+under the session id, and answers with the full starts) and a **delta**
+(``session`` plus flat indices and their *absolute* new weights, so a
+retried delta is idempotent; the server patches the held coloring through
+:mod:`repro.incremental` and answers with only the changed cells).  A
+delta naming a session the server no longer holds is answered ``invalid``
+with ``code: "unknown-session"`` on the *open* connection — it is a state
+miss, not a protocol breach, and the client recovers by re-seeding.
 
 Versioning
 ----------
@@ -39,7 +40,7 @@ and mirror :func:`repro.api.color`'s vocabulary: a top-level ``runtime``
 tiler, and a top-level ``validate``.  Legacy frames — no ``api`` field,
 ``options.fast`` instead of ``runtime`` — are accepted unchanged forever;
 an ``api`` value other than ``1`` is refused as ``invalid`` rather than
-half-understood.  ``docs/service.md`` tabulates the mapping.
+half-understood (:func:`check_api_version`).  ``docs/service.md`` tabulates the mapping.
 
 Content addressing
 ------------------
@@ -55,7 +56,6 @@ content collide (as they must).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -63,7 +63,7 @@ import numpy as np
 
 from repro.runtime.fingerprint import content_key
 
-#: Upper bound on one encoded message line (guards the server's readline).
+#: Upper bound on one frame payload (also the stream readers' buffer limit).
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 #: The canonical request-frame version this build speaks (``"api"`` field).
@@ -88,6 +88,19 @@ STATUS_OVERLOADED = "overloaded"
 
 class ProtocolError(ValueError):
     """A message that does not parse as a valid protocol frame."""
+
+
+def check_api_version(message: dict[str, Any]) -> None:
+    """Refuse a request whose ``api`` field names another protocol version.
+
+    A request without ``api`` is a legacy request and is accepted.
+    """
+    api = message.get("api")
+    if api is not None and api != PROTOCOL_API_VERSION:
+        raise ProtocolError(
+            f"unsupported api version {api!r} (this server speaks "
+            f"{PROTOCOL_API_VERSION})"
+        )
 
 
 # content_key (imported above, re-exported for existing callers) moved to
@@ -177,42 +190,8 @@ class RecolorRequest:
         return self.weights is not None
 
 
-def _decode_grid(message: dict[str, Any]) -> np.ndarray:
-    """The ``shape`` + flat ``weights`` fields as a grid array (shared by
-    the ``color`` and seed-``recolor`` decoders)."""
-    shape = message.get("shape")
-    if not isinstance(shape, list) or not all(
-        isinstance(s, int) and s > 0 for s in shape
-    ):
-        raise ProtocolError("'shape' must be a list of positive integers")
-    if len(shape) not in (2, 3):
-        raise ProtocolError(f"expected a 2D or 3D shape, got {len(shape)} dims")
-    weights = message.get("weights")
-    if not isinstance(weights, list):
-        raise ProtocolError("'weights' must be a flat list of integers")
-    expected = int(np.prod([int(s) for s in shape]))
-    if len(weights) != expected:
-        raise ProtocolError(
-            f"expected {expected} weights for shape {tuple(shape)}, got {len(weights)}"
-        )
-    try:
-        return np.asarray(weights, dtype=np.int64).reshape(tuple(shape))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ProtocolError(f"weights are not int64 grid data: {exc}") from None
-
-
 def recolor_session_fields(message: dict[str, Any]) -> tuple[str, str]:
-    """``(session, request_id)`` of a recolor message, validated.
-
-    Shared by the NDJSON decoder and the binary frame decoder so both
-    wires enforce the same session-id discipline.
-    """
-    api = message.get("api")
-    if api is not None and api != PROTOCOL_API_VERSION:
-        raise ProtocolError(
-            f"unsupported api version {api!r} (this server speaks "
-            f"{PROTOCOL_API_VERSION})"
-        )
+    """``(session, request_id)`` of a recolor message, validated."""
     session = message.get("session")
     if not isinstance(session, str) or not session:
         raise ProtocolError("'session' must be a non-empty string")
@@ -231,9 +210,8 @@ def recolor_from_arrays(
 ) -> RecolorRequest:
     """Build a :class:`RecolorRequest` from decoded arrays + header fields.
 
-    The back half shared by both wires — the NDJSON decoder builds the
-    arrays from JSON lists, the binary decoder from the payload buffer —
-    so a recolor op means exactly the same thing on either wire.
+    The frame decoder (:func:`repro.service.frames.decode_recolor_request`)
+    builds the arrays from the payload; the fields are validated here.
     """
     session, request_id = recolor_session_fields(message)
     if weights is not None:
@@ -268,53 +246,6 @@ def recolor_from_arrays(
     )
 
 
-def recolor_from_wire(message: dict[str, Any]) -> RecolorRequest:
-    """Validate and decode a ``recolor`` op NDJSON message (either form)."""
-    if "weights" in message or "shape" in message:
-        return recolor_from_arrays(message, weights=_decode_grid(message))
-    delta = message.get("delta")
-    if not isinstance(delta, dict):
-        raise ProtocolError(
-            "recolor needs 'weights' (seed form) or 'delta' (delta form)"
-        )
-    idx = delta.get("idx")
-    new = delta.get("weights")
-    if not isinstance(idx, list) or not isinstance(new, list):
-        raise ProtocolError("'delta' must carry 'idx' and 'weights' lists")
-    try:
-        idx_arr = np.asarray(idx, dtype=np.int64)
-        new_arr = np.asarray(new, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ProtocolError(f"delta is not int64 data: {exc}") from None
-    if idx_arr.ndim != 1 or new_arr.ndim != 1:
-        raise ProtocolError("delta idx and weights must be flat lists")
-    return recolor_from_arrays(
-        message, delta_idx=idx_arr, delta_weights=new_arr
-    )
-
-
-def recolor_to_wire(request: RecolorRequest) -> dict[str, Any]:
-    """The canonical NDJSON message for a recolor request (either form)."""
-    message: dict[str, Any] = {
-        "api": PROTOCOL_API_VERSION,
-        "op": "recolor",
-        "id": request.request_id,
-        "session": request.session,
-    }
-    if request.is_seed:
-        message["shape"] = [int(s) for s in request.weights.shape]
-        message["weights"] = (
-            np.ascontiguousarray(request.weights, dtype=np.int64).ravel().tolist()
-        )
-        message["algorithm"] = request.algorithm
-    else:
-        message["delta"] = {
-            "idx": np.asarray(request.delta_idx, dtype=np.int64).tolist(),
-            "weights": np.asarray(request.delta_weights, dtype=np.int64).tolist(),
-        }
-    return message
-
-
 @dataclass(frozen=True)
 class ServedResult:
     """The outcome of one request, as resolved by the batcher.
@@ -337,94 +268,15 @@ class ServedResult:
         return self.status == STATUS_OK
 
 
-# ------------------------------------------------------------------ encoding
-def encode_message(message: dict[str, Any]) -> bytes:
-    """One JSON message as a newline-terminated UTF-8 line."""
-    data = json.dumps(message, separators=(",", ":")).encode()
-    if len(data) + 1 > MAX_MESSAGE_BYTES:
-        raise ProtocolError(
-            f"message of {len(data)} bytes exceeds the {MAX_MESSAGE_BYTES} limit"
-        )
-    return data + b"\n"
-
-
-def decode_message(line: bytes | str) -> dict[str, Any]:
-    """Parse one wire line into a message dict."""
-    if isinstance(line, bytes):
-        line = line.decode("utf-8", errors="replace")
-    line = line.strip()
-    if not line:
-        raise ProtocolError("empty message")
-    try:
-        message = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"malformed JSON: {exc}") from None
-    if not isinstance(message, dict):
-        raise ProtocolError("message must be a JSON object")
-    return message
-
-
-def request_to_wire(request: ColorRequest) -> dict[str, Any]:
-    """A canonical (``"api": 1``) ``color`` op message for this request.
-
-    Servers since the same protocol version accept this shape; older
-    servers need the legacy shape (no ``api`` field, ``options.fast``),
-    which :func:`request_from_wire` still decodes but this encoder no
-    longer emits.
-    """
-    message: dict[str, Any] = {
-        "api": PROTOCOL_API_VERSION,
-        "op": "color",
-        "id": request.request_id,
-        "shape": list(request.shape),
-        "weights": np.ascontiguousarray(request.weights, dtype=np.int64).ravel().tolist(),
-        "algorithm": request.algorithm,
-    }
-    if request.tiled:
-        message["runtime"] = "tiled"
-    elif request.fast is not None:
-        message["runtime"] = "kernels" if request.fast else "reference"
-    if request.tile_shape is not None:
-        message["tiles"] = list(request.tile_shape)
-    if request.validate:
-        message["validate"] = True
-    if request.timeout is not None:
-        message["timeout_ms"] = request.timeout * 1000.0
-    return message
-
-
-def request_from_wire(message: dict[str, Any]) -> ColorRequest:
-    """Validate and decode a ``color`` op message.
-
-    Both frame generations decode here: canonical ``"api": 1`` frames
-    (top-level ``runtime`` / ``tiles`` / ``validate``) and legacy frames
-    (no ``api``, ``options.fast`` / ``options.validate``).  When a frame
-    mixes both vocabularies the canonical fields win.
-
-    Raises
-    ------
-    ProtocolError
-        On missing/ill-typed fields, an unsupported ``api`` version,
-        non-2D/3D shapes, shape/weight length mismatches, or negative
-        weights.
-    """
-    api = message.get("api")
-    if api is not None and api != PROTOCOL_API_VERSION:
-        raise ProtocolError(
-            f"unsupported api version {api!r} (this server speaks "
-            f"{PROTOCOL_API_VERSION})"
-        )
-    return request_from_fields(_decode_grid(message), message)
-
-
 def request_from_fields(arr: np.ndarray, message: dict[str, Any]) -> ColorRequest:
     """Build a :class:`ColorRequest` from a decoded weight array + fields.
 
-    The shared back half of request decoding: the NDJSON decoder
-    (:func:`request_from_wire`) builds ``arr`` from the ``weights`` list,
-    the binary decoder (:func:`repro.service.frames.decode_color_request`)
-    from the raw payload buffer — both then validate the remaining fields
-    here, so a request means exactly the same thing on either wire.
+    The frame decoder (:func:`repro.service.frames.decode_color_request`)
+    builds ``arr`` from the payload; the remaining fields are validated
+    here.  Both request generations decode: canonical ``"api": 1`` fields
+    (top-level ``runtime`` / ``tiles`` / ``validate``) and legacy ones
+    (``options.fast`` / ``options.validate``); when a request mixes both
+    vocabularies the canonical fields win.
     """
     shape = [int(s) for s in arr.shape]
     if arr.size and arr.min() < 0:
@@ -487,22 +339,3 @@ def request_from_fields(arr: np.ndarray, message: dict[str, Any]) -> ColorReques
         tiled=tiled,
         tile_shape=tile_shape,
     )
-
-
-def result_to_wire(
-    result: ServedResult, request_id: str, extra: Optional[dict[str, Any]] = None
-) -> dict[str, Any]:
-    """A response message for ``result`` (status-dependent fields)."""
-    message: dict[str, Any] = {"id": request_id, "status": result.status}
-    if result.ok:
-        assert result.starts is not None
-        message["starts"] = np.asarray(result.starts).ravel().tolist()
-        message["maxcolor"] = int(result.maxcolor or 0)
-        message["source"] = result.source
-        message["compute_ms"] = result.compute_seconds * 1000.0
-        message["batch_size"] = result.batch_size
-    elif result.error:
-        message["error"] = result.error
-    if extra:
-        message.update(extra)
-    return message

@@ -3,7 +3,7 @@
 ``stencil-ivc serve --workers N`` runs one :class:`ColoringRouter` in front
 of a :class:`~repro.service.workers.WorkerPool`.  The router owns the
 public TCP endpoint and stays deliberately tiny: it never colors, never
-caches results, and — on the binary wire — never parses a request body.
+caches results, and never parses a request body.
 
 **Content-key routing.**  Every color frame carries its request's
 ``content_key`` in the fixed preamble, so the router ranks workers with
@@ -12,9 +12,7 @@ forwards the frame verbatim to the top-ranked live worker.  Identical
 requests therefore always land on the same worker and its in-memory
 cache; the key is a routing *hint* only — workers recompute it from the
 weights, so a mis-keyed frame can degrade locality but never poison a
-cache entry.  NDJSON clients get the same routing: the router decodes the
-line (the compat path pays JSON once), reframes it as binary for the
-worker hop, and re-encodes the response as JSON.
+cache entry.
 
 **Session routing.**  ``recolor`` frames route the same way but by a
 *session*-derived key (:func:`repro.service.frames.session_routing_key`),
@@ -49,7 +47,6 @@ from typing import Any, Optional
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.service.frames import (
     FLAG_TRAILING_NEWLINE,
-    FRAME_MAGIC,
     OP_COLOR,
     OP_HELLO,
     OP_METRICS,
@@ -57,29 +54,20 @@ from repro.service.frames import (
     OP_RECOLOR,
     OP_RESPONSE,
     OP_SHUTDOWN,
-    PREAMBLE_SIZE,
+    WIRE_PROTOCOLS,
     FrameError,
     TornFrameError,
     decode_frame,
     decode_preamble,
-    encode_color_request,
     encode_frame,
     encode_hello_ok,
-    encode_recolor_request,
     frame_timeout,
-    response_to_message,
-    session_routing_key,
+    read_preamble,
 )
 from repro.service.protocol import (
     MAX_MESSAGE_BYTES,
     STATUS_ERROR,
     STATUS_INVALID,
-    STATUS_OK,
-    ProtocolError,
-    decode_message,
-    encode_message,
-    recolor_from_wire,
-    request_from_wire,
 )
 from repro.service.server import ServerConfig
 from repro.service.workers import WorkerPool
@@ -119,7 +107,7 @@ def rank_workers(key: str, count: int) -> list[int]:
 
 
 async def _read_raw_frame(
-    reader: asyncio.StreamReader, *, first: bytes = b""
+    reader: asyncio.StreamReader
 ) -> Optional[tuple[int, str, bytes]]:
     """One frame as ``(opcode, key, raw bytes)`` without parsing the body.
 
@@ -127,17 +115,9 @@ async def _read_raw_frame(
     header and payload stay opaque bytes.  Same EOF/truncation contract as
     :func:`~repro.service.frames.read_frame_async`.
     """
-    head = bytes(first)
-    try:
-        if len(head) < PREAMBLE_SIZE:
-            head += await reader.readexactly(PREAMBLE_SIZE - len(head))
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial and not first:
-            return None  # clean EOF between frames
-        raise TornFrameError(
-            f"preamble truncated: {len(first) + len(exc.partial)} of "
-            f"{PREAMBLE_SIZE} bytes"
-        ) from None
+    head = await read_preamble(reader)
+    if head is None:
+        return None
     _version, flags, opcode, key, header_len, payload_len = decode_preamble(head)
     tail = 1 if flags & FLAG_TRAILING_NEWLINE else 0
     try:
@@ -337,16 +317,7 @@ class ColoringRouter:
             self._connections.add(task)
             task.add_done_callback(self._connections.discard)
         try:
-            try:
-                first = await reader.readexactly(2)
-            except asyncio.IncompleteReadError as exc:
-                if exc.partial:
-                    self.metrics.counter("torn_lines").inc()
-                return
-            if first == FRAME_MAGIC:
-                await self._serve_binary(reader, writer, first)
-            else:
-                await self._serve_ndjson(reader, writer, first)
+            await self._serve(reader, writer)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -356,13 +327,10 @@ class ColoringRouter:
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
 
-    async def _serve_binary(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        first: bytes,
+    async def _serve(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Pipelined binary loop: forward immediately, respond in order.
+        """Pipelined frame loop: forward immediately, respond in order.
 
         Color frames are written to their rendezvous worker as soon as they
         are read; a pump task then reads worker responses in request order
@@ -377,6 +345,11 @@ class ColoringRouter:
         was written to; if it is gone by read time (worker death tears it
         down), the request is re-forwarded from its raw bytes, which is
         safe because color requests are content-addressed and idempotent.
+
+        A torn frame is counted in ``torn_frames``; any other framing error
+        — bytes that are not a frame included — is answered with one
+        ``invalid`` frame, counted in ``protocol_errors``, and ends the
+        connection.
         """
         self.metrics.counter("binary_connections").inc()
         conns: dict = {}
@@ -426,7 +399,7 @@ class ColoringRouter:
                 if client_gone:
                     break
                 try:
-                    framed = await _read_raw_frame(reader, first=first)
+                    framed = await _read_raw_frame(reader)
                 except TornFrameError:
                     self.metrics.counter("torn_frames").inc()
                     break
@@ -440,7 +413,6 @@ class ColoringRouter:
                         ))
                     )
                     break
-                first = b""
                 if framed is None:
                     break
                 opcode, key, raw = framed
@@ -600,136 +572,13 @@ class ColoringRouter:
             False,
         )
 
-    async def _serve_ndjson(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        pending: bytes,
-    ) -> None:
-        """NDJSON compatibility loop: decode, route, re-encode.
-
-        Same torn-trailing-line tolerance as the single-process server.
-        """
-        conns: dict = {}
-        try:
-            while True:
-                newline = pending.find(b"\n")
-                if newline >= 0:
-                    line, pending = pending[: newline + 1], pending[newline + 1 :]
-                else:
-                    try:
-                        rest = await reader.readline()
-                    except (asyncio.LimitOverrunError, ValueError):
-                        writer.write(
-                            encode_message(
-                                {"id": "", "status": STATUS_INVALID,
-                                 "error": "message exceeds size limit"}
-                            )
-                        )
-                        await writer.drain()
-                        break
-                    if not rest:
-                        if pending.strip():
-                            self.metrics.counter("torn_lines").inc()
-                        break
-                    line, pending = pending + rest, b""
-                    if not line.endswith(b"\n"):
-                        self.metrics.counter("torn_lines").inc()
-                        break
-                response = await self._handle_ndjson_message(line, conns)
-                writer.write(encode_message(response))
-                await writer.drain()
-                if response.get("op_effect") == "shutdown":
-                    break
-        finally:
-            for _reader, conn_writer, _port in conns.values():
-                conn_writer.close()
-
-    async def _handle_ndjson_message(self, line: bytes, conns: dict) -> dict:
-        try:
-            message = decode_message(line)
-        except ProtocolError as exc:
-            self.metrics.counter("protocol_errors").inc()
-            return {"id": "", "status": STATUS_INVALID, "error": str(exc)}
-        op = message.get("op")
-        request_id = str(message.get("id", ""))
-        if op == "ping":
-            return {"id": request_id, "status": "ok", "op_echo": "ping"}
-        if op == "metrics":
-            return {
-                "id": request_id,
-                "status": "ok",
-                "metrics": await self.snapshot(),
-            }
-        if op == "shutdown":
-            self.request_shutdown()
-            return {"id": request_id, "status": "ok", "op_effect": "shutdown"}
-        if op == "color":
-            try:
-                request = request_from_wire(message)
-            except ProtocolError as exc:
-                self.metrics.counter("protocol_errors").inc()
-                return {
-                    "id": request_id,
-                    "status": STATUS_INVALID,
-                    "error": str(exc),
-                }
-            raw = encode_color_request(request)
-            forwarded, error = await self._forward_raw(request.key, raw, conns)
-            if forwarded is None:
-                return {
-                    "id": request_id,
-                    "status": STATUS_ERROR,
-                    "error": f"all workers unreachable: {error}",
-                }
-            reply = response_to_message(decode_frame(forwarded))
-            if reply.get("starts") is not None:
-                reply["starts"] = [int(s) for s in reply["starts"]]
-            reply["id"] = request_id
-            return reply
-        if op == "recolor":
-            # Same decode/reframe/forward dance as "color", but routed by
-            # the session key so the stream stays on one worker.
-            try:
-                request = recolor_from_wire(message)
-            except ProtocolError as exc:
-                self.metrics.counter("protocol_errors").inc()
-                return {
-                    "id": request_id,
-                    "status": STATUS_INVALID,
-                    "error": str(exc),
-                }
-            raw = encode_recolor_request(request)
-            forwarded, error = await self._forward_raw(
-                session_routing_key(request.session), raw, conns
-            )
-            if forwarded is None:
-                return {
-                    "id": request_id,
-                    "status": STATUS_ERROR,
-                    "error": f"all workers unreachable: {error}",
-                }
-            reply = response_to_message(decode_frame(forwarded))
-            for name in ("starts", "changed_idx", "changed_starts"):
-                if reply.get(name) is not None:
-                    reply[name] = [int(v) for v in reply[name]]
-            reply["id"] = request_id
-            return reply
-        self.metrics.counter("protocol_errors").inc()
-        return {
-            "id": request_id,
-            "status": STATUS_INVALID,
-            "error": f"unknown op {op!r}",
-        }
-
     # ---------------------------------------------------------------- metrics
     async def _worker_snapshot(self, handle) -> Optional[dict]:
         """One worker's live snapshot with mergeable histogram state."""
         from repro.service.client import AsyncServiceClient, ServiceError
 
         client = AsyncServiceClient(
-            handle.host, handle.port,
-            timeout=self.config.forward_timeout, wire="binary",
+            handle.host, handle.port, timeout=self.config.forward_timeout
         )
         try:
             await client.connect()
@@ -775,7 +624,7 @@ class ColoringRouter:
         )
         snap["server"] = {
             "worker_id": "router",
-            "wire_protocols": ["ndjson", "frames/v1"],
+            "wire_protocols": list(WIRE_PROTOCOLS),
             **snap["router"],
         }
         return snap

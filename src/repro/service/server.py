@@ -1,7 +1,8 @@
 """The asyncio coloring server: admission control, deadlines, graceful drain.
 
 :class:`ColoringService` ties the protocol, cache, micro-batcher, and metrics
-together behind a line-delimited JSON TCP endpoint:
+together behind a TCP endpoint that speaks binary frames
+(:mod:`repro.service.frames`):
 
 * **Admission control / backpressure** — a request arriving while the batcher
   queue already holds ``queue_limit`` requests is answered ``overloaded``
@@ -38,7 +39,6 @@ from repro.service.batcher import MicroBatcher
 from repro.service.cache import ResultCache
 from repro.resilience.faults import inject
 from repro.service.frames import (
-    FRAME_MAGIC,
     OP_COLOR,
     OP_HELLO,
     OP_METRICS,
@@ -47,7 +47,7 @@ from repro.service.frames import (
     OP_RESPONSE,
     OP_SHUTDOWN,
     PAYLOAD_DTYPE,
-    SUPPORTED_FRAME_VERSIONS,
+    WIRE_PROTOCOLS,
     Frame,
     FrameError,
     TornFrameError,
@@ -71,11 +71,6 @@ from repro.service.protocol import (
     ProtocolError,
     RecolorRequest,
     ServedResult,
-    decode_message,
-    encode_message,
-    recolor_from_wire,
-    request_from_wire,
-    result_to_wire,
 )
 from repro.service.durability import SessionDurability
 from repro.service.sessions import SessionStore, UnknownSessionError
@@ -233,28 +228,45 @@ class ColoringService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Sniff the wire format off the first two bytes, then serve.
+        """Serve one connection's frames in order until EOF or shutdown.
 
-        Binary frames open with the magic ``0xA9 0x27``; every NDJSON
-        message opens with ``{``.  The sniffed bytes are handed to the
-        chosen loop so nothing is lost — one connection speaks exactly one
-        format for its lifetime.
+        A peer killed mid-frame surfaces as the typed
+        :class:`~repro.service.frames.TornFrameError`, is counted in
+        ``torn_frames``, and closes the connection quietly.  Any other
+        framing error — bytes that are not a frame at all included — is
+        answered once with an ``invalid`` frame (the stream position is
+        untrusted afterwards), counted in ``protocol_errors``, and also
+        closes the connection.
         """
         task = asyncio.current_task()
         if task is not None:
             self._connections.add(task)
             task.add_done_callback(self._connections.discard)
+        self.metrics.counter("binary_connections").inc()
         try:
-            try:
-                first = await reader.readexactly(2)
-            except asyncio.IncompleteReadError as exc:
-                if exc.partial:  # died after a single byte: torn, counted
-                    self.metrics.counter("torn_lines").inc()
-                return
-            if first == FRAME_MAGIC:
-                await self._serve_binary(reader, writer, first)
-            else:
-                await self._serve_ndjson(reader, writer, first)
+            while True:
+                try:
+                    frame = await read_frame_async(reader)
+                except TornFrameError:
+                    self.metrics.counter("torn_frames").inc()
+                    break
+                except FrameError as exc:
+                    self.metrics.counter("protocol_errors").inc()
+                    writer.write(
+                        encode_frame(
+                            OP_RESPONSE,
+                            {"id": "", "status": STATUS_INVALID, "error": str(exc)},
+                        )
+                    )
+                    await writer.drain()
+                    break
+                if frame is None:
+                    break  # clean EOF at a frame boundary
+                response, shutdown = await self._handle_frame(frame)
+                writer.write(response)
+                await writer.drain()
+                if shutdown:
+                    break
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -264,158 +276,8 @@ class ColoringService:
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
 
-    async def _serve_ndjson(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        pending: bytes,
-    ) -> None:
-        """The line-delimited JSON loop (``pending`` = sniffed bytes).
-
-        A connection dying mid-line is tolerated the way the run-log
-        reader tolerates a torn trailing line: the fragment is discarded
-        and counted (``torn_lines``), never parsed or logged as an error.
-        """
-        while True:
-            newline = pending.find(b"\n")
-            if newline >= 0:
-                line, pending = pending[: newline + 1], pending[newline + 1 :]
-            else:
-                try:
-                    rest = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(
-                        encode_message(
-                            {"id": "", "status": STATUS_INVALID,
-                             "error": "message exceeds size limit"}
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if not rest:
-                    if pending.strip():
-                        self.metrics.counter("torn_lines").inc()
-                    break
-                line, pending = pending + rest, b""
-                if not line.endswith(b"\n"):
-                    self.metrics.counter("torn_lines").inc()
-                    break
-            response = await self._handle_message(line)
-            writer.write(encode_message(response))
-            await writer.drain()
-            if response.get("op_effect") == "shutdown":
-                break
-
-    async def _serve_binary(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        first: bytes,
-    ) -> None:
-        """The binary-frames loop (``first`` = sniffed magic bytes).
-
-        A peer killed mid-frame surfaces as the typed
-        :class:`~repro.service.frames.TornFrameError`, is counted in
-        ``torn_frames``, and closes the connection quietly.  Any other
-        framing error is answered once (the stream position is untrusted
-        afterwards) and also closes the connection.
-        """
-        self.metrics.counter("binary_connections").inc()
-        while True:
-            try:
-                frame = await read_frame_async(reader, first=first)
-            except TornFrameError:
-                self.metrics.counter("torn_frames").inc()
-                break
-            except FrameError as exc:
-                self.metrics.counter("protocol_errors").inc()
-                writer.write(
-                    encode_frame(
-                        OP_RESPONSE,
-                        {"id": "", "status": STATUS_INVALID, "error": str(exc)},
-                    )
-                )
-                await writer.drain()
-                break
-            first = b""
-            if frame is None:
-                break  # clean EOF at a frame boundary
-            response, shutdown = await self._handle_frame(frame)
-            writer.write(response)
-            await writer.drain()
-            if shutdown:
-                break
-
-    async def _handle_message(self, line: bytes) -> dict:
-        try:
-            message = decode_message(line)
-        except ProtocolError as exc:
-            self.metrics.counter("protocol_errors").inc()
-            return {"id": "", "status": STATUS_INVALID, "error": str(exc)}
-        op = message.get("op")
-        request_id = str(message.get("id", ""))
-        if op == "ping":
-            return {"id": request_id, "status": "ok", "op_echo": "ping"}
-        if op == "metrics":
-            include_state = bool(message.get("state"))
-            return {
-                "id": request_id,
-                "status": "ok",
-                "metrics": self.snapshot(include_state=include_state),
-            }
-        if op == "shutdown":
-            self.request_shutdown()
-            return {"id": request_id, "status": "ok", "op_effect": "shutdown"}
-        if op == "color":
-            return await self._handle_color(message, request_id)
-        if op == "recolor":
-            try:
-                request = recolor_from_wire(message)
-            except ProtocolError as exc:
-                self.metrics.counter("invalid_requests").inc()
-                return {
-                    "id": request_id,
-                    "status": STATUS_INVALID,
-                    "error": str(exc),
-                }
-            header, starts, changed = await self._serve_recolor(request)
-            if starts is not None:
-                header["starts"] = starts.ravel().tolist()
-            if changed is not None:
-                idx, new = changed
-                header["changed"] = int(idx.size)
-                header["changed_idx"] = idx.tolist()
-                header["changed_starts"] = new.tolist()
-            return header
-        self.metrics.counter("protocol_errors").inc()
-        return {
-            "id": request_id,
-            "status": STATUS_INVALID,
-            "error": f"unknown op {op!r}",
-        }
-
-    async def _handle_color(self, message: dict, request_id: str) -> dict:
-        self.metrics.counter("requests_total").inc()
-        try:
-            request = request_from_wire(message)
-        except ProtocolError as exc:
-            self.metrics.counter("invalid_requests").inc()
-            return {"id": request_id, "status": STATUS_INVALID, "error": str(exc)}
-        result, total = await self._serve_color(request)
-        return result_to_wire(
-            result,
-            request_id,
-            extra={"total_ms": total * 1000.0, "worker": self.config.worker_id},
-        )
-
-    # -------------------------------------------------------- binary frames
     async def _handle_frame(self, frame: Frame) -> tuple[bytes, bool]:
-        """Serve one decoded frame; returns ``(response bytes, shutdown?)``.
-
-        The op vocabulary mirrors :meth:`_handle_message` exactly — same
-        counters, same status strings — so the two wires are two encodings
-        of one protocol, not two protocols.
-        """
+        """Serve one decoded frame; returns ``(response bytes, shutdown?)``."""
         request_id = frame.request_id
         if frame.opcode == OP_HELLO:
             return encode_hello_ok(self.config.worker_id), False
@@ -576,10 +438,10 @@ class ColoringService:
     async def _serve_color(self, request: ColorRequest) -> tuple[ServedResult, float]:
         """Admission, deadline, and compute for one parsed request.
 
-        Shared by both wire formats.  A content-key hit in the result
-        cache is answered *here* — before admission control and without
-        paying the batch window — which is what lets hot cached traffic
-        run at wire speed while misses still batch normally.
+        A content-key hit in the result cache is answered *here* — before
+        admission control and without paying the batch window — which is
+        what lets hot cached traffic run at wire speed while misses still
+        batch normally.
         """
         from repro.core.algorithms.registry import REGISTRY, UnknownAlgorithmError
 
@@ -645,8 +507,7 @@ class ColoringService:
     ) -> tuple[dict, Optional[np.ndarray], Optional[tuple]]:
         """Serve one recolor op; ``(header, full starts?, (idx, starts)?)``.
 
-        Wire-agnostic: the NDJSON handler JSON-encodes the arrays, the
-        binary handler ships them as payload bytes.  A seed colors the grid
+        The caller ships the arrays as payload bytes.  A seed colors the grid
         from scratch and stores the session; a delta patches the held
         coloring through :func:`repro.incremental.recolor_grid` and answers
         with only the cells whose start changed.  An unknown/expired
@@ -836,8 +697,7 @@ class ColoringService:
         snap["substrate"] = substrate_stats(self.context)
         snap["server"] = {
             "worker_id": self.config.worker_id,
-            "wire_protocols": ["ndjson"]
-            + [f"frames/v{v}" for v in SUPPORTED_FRAME_VERSIONS],
+            "wire_protocols": list(WIRE_PROTOCOLS),
             "uptime_seconds": time.monotonic() - self._started_at,
             "queue_depth": self.batcher.depth,
             "queue_limit": self.config.queue_limit,

@@ -199,7 +199,7 @@ class WorkerPool:
                 continue
             try:
                 with ServiceClient(
-                    handle.host, handle.port, timeout=timeout, wire="ndjson"
+                    handle.host, handle.port, timeout=timeout
                 ) as client:
                     client.shutdown()
             except (ServiceError, OSError):

@@ -62,6 +62,16 @@ class TestSolveExact:
         inst = IVCInstance.from_graph(cycle_graph(5), w)
         assert solve_exact(inst).maxcolor == odd_cycle_optimum(w)
 
+    def test_nine_cycle_proved_within_a_small_budget(self):
+        # Proving k = 36 infeasible here took over 2M nodes before the
+        # search kept to left-justified colorings; it now takes under 1000.
+        from repro.core.bounds import odd_cycle_optimum
+
+        w = [11, 13, 13, 13, 13, 12, 12, 13, 13]
+        inst = IVCInstance.from_graph(cycle_graph(9), w)
+        assert decide_coloring(inst, 36, node_budget=1_000) is None
+        assert solve_exact(inst, node_budget=1_000).maxcolor == odd_cycle_optimum(w)
+
     def test_matches_milp_on_random_2d(self):
         from repro.core.exact.milp import solve_milp
 

@@ -1,7 +1,7 @@
 """Property-based tests for the coloring algorithms and bounds."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.algorithms.registry import ALGORITHMS, color_with
@@ -60,6 +60,7 @@ def test_bdp_never_worse_than_bd(shape, seed):
         lambda w: len(w) % 2 == 1
     )
 )
+@example(weights=[11, 13, 13, 13, 13, 12, 12, 13, 13])  # once over 2M nodes
 @settings(max_examples=30, deadline=None)
 def test_odd_cycle_theorem_against_exact(weights):
     """Theorem 1 cross-checked against the independent CSP solver."""

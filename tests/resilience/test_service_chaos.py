@@ -28,6 +28,7 @@ from repro.service import (
     ServiceConnectionError,
 )
 from repro.service.cache import CacheEntry
+from repro.service.frames import encode_hello, encode_hello_ok
 from repro.service.loadgen import build_workload, run_loadgen
 from repro.service.server import ServerConfig, ServerThread
 
@@ -53,9 +54,9 @@ def facade(request):
         loop.close()
 
 
-@pytest.fixture
-def deaf_listener():
-    """Port of a TCP listener that accepts connections and never reads."""
+def _listener(answer_hello: bool):
+    """Port of a TCP listener that accepts connections and stops reading,
+    right away or after answering the client's hello."""
     server = socket.create_server(("127.0.0.1", 0))
     server.settimeout(0.05)
     held: list[socket.socket] = []
@@ -64,9 +65,17 @@ def deaf_listener():
     def accept() -> None:
         while not stop.is_set():
             try:
-                held.append(server.accept()[0])
+                conn = server.accept()[0]
             except OSError:
                 continue
+            held.append(conn)
+            if answer_hello:
+                conn.settimeout(5.0)
+                try:
+                    conn.recv(len(encode_hello()), socket.MSG_WAITALL)
+                    conn.sendall(encode_hello_ok())
+                except OSError:
+                    pass
 
     thread = threading.Thread(target=accept, daemon=True)
     thread.start()
@@ -78,6 +87,18 @@ def deaf_listener():
         for conn in held:
             conn.close()
         server.close()
+
+
+@pytest.fixture
+def deaf_listener():
+    """Port of a TCP listener that accepts connections and never reads."""
+    yield from _listener(answer_hello=False)
+
+
+@pytest.fixture
+def deaf_after_hello():
+    """Port of a listener that answers the hello, then never reads."""
+    yield from _listener(answer_hello=True)
 
 
 class TestLoadgenUnderChaos:
@@ -337,25 +358,28 @@ class TestPeerThatStopsReading:
         assert time.monotonic() - t0 < 5 * self.TIMEOUT
         return excinfo.value
 
-    @pytest.mark.parametrize("wire, request_id", [
-        ("auto", "hello"), ("ndjson", "ping"),
-    ])
-    def test_ping(self, facade, deaf_listener, wire, request_id):
+    # A peer deaf from the start times the hello out; one that answers the
+    # hello and then stops reading times the ping itself out.
+    @pytest.mark.parametrize("listener, request_id", [
+        ("deaf_listener", "hello"), ("deaf_after_hello", "ping"),
+    ], ids=["hello", "ping"])
+    def test_ping(self, facade, request, listener, request_id):
         make, run = facade
-        client = make("127.0.0.1", deaf_listener, timeout=self.TIMEOUT,
-                      wire=wire)
+        port = request.getfixturevalue(listener)
+        client = make("127.0.0.1", port, timeout=self.TIMEOUT)
         try:
             error = self._raises_in_time(run, client.ping)
         finally:
             run(client.close())
         assert (error.host, error.port, error.request_id) == (
-            "127.0.0.1", deaf_listener, request_id,
+            "127.0.0.1", port, request_id,
         )
 
-    def test_large_color_write(self, facade, deaf_listener):
+    def test_large_color_write(self, facade, deaf_after_hello):
+        # 32 MiB of payload cannot fit the socket buffers of a peer that
+        # stopped reading: the write itself must time out.
         make, run = facade
-        client = make("127.0.0.1", deaf_listener, timeout=self.TIMEOUT,
-                      wire="ndjson")
+        client = make("127.0.0.1", deaf_after_hello, timeout=self.TIMEOUT)
         weights = np.ones((2048, 2048), dtype=np.int64)
         try:
             error = self._raises_in_time(
@@ -364,5 +388,5 @@ class TestPeerThatStopsReading:
         finally:
             run(client.close())
         assert (error.host, error.port, error.request_id) == (
-            "127.0.0.1", deaf_listener, "big",
+            "127.0.0.1", deaf_after_hello, "big",
         )

@@ -109,21 +109,19 @@ class TestFromEnv:
 
     def test_service_knobs_from_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVICE_WORKERS", "4")
-        monkeypatch.setenv("REPRO_SERVICE_WIRE", "Binary")
         config = RuntimeConfig.from_env()
         assert config.service_workers == 4
-        assert config.service_wire == "binary"
 
     def test_service_knob_defaults(self):
         config = RuntimeConfig()
         assert config.service_workers == 1
-        assert config.service_wire == "auto"
 
     def test_service_knob_validation(self):
         with pytest.raises(ValueError, match="service_workers"):
             RuntimeConfig(service_workers=0)
-        with pytest.raises(ValueError, match="service_wire"):
-            RuntimeConfig(service_wire="carrier-pigeon")
+        # The service speaks binary frames only: there is no wire knob.
+        with pytest.raises(TypeError, match="service_wire"):
+            RuntimeConfig.from_env(service_wire="binary")
 
     def test_defaults_without_environment(self, monkeypatch):
         for name in (

@@ -422,7 +422,8 @@ class TestSessionStoreRecovery:
 
 
 class TestServerEndToEnd:
-    @pytest.fixture(params=["ndjson", "binary"])
+    # Frames are the one wire; the param names it the way callers may.
+    @pytest.fixture(params=["binary"])
     def wire(self, request):
         return request.param
 

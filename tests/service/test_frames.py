@@ -4,15 +4,15 @@ Three layers of assurance:
 
 * **Property round-trips** — hypothesis-generated headers, payloads, keys,
   and flags survive ``encode_frame`` → ``decode_frame`` bit-for-bit, and
-  color requests decode to the same validated :class:`ColorRequest` the
-  NDJSON path produces (same content key, same weights).
+  color requests decode back to the request that was encoded (same content
+  key, same weights).
 * **Truncation/corruption fuzz** — a valid frame cut at *every* byte
   boundary raises the typed :class:`TornFrameError`; corrupted preambles
   raise :class:`FrameError`; neither ever hangs or escapes as an untyped
   exception.
-* **Differential serving** — the same grid served over binary frames,
-  over NDJSON, and colored directly via :func:`repro.api.color` is
-  bit-identical (the acceptance bar of the scaled tier).
+* **Stream reads** — :func:`read_frame_async` stops at the first two
+  bytes that are not the magic, so a peer speaking another protocol is
+  refused without waiting for a full preamble.
 """
 
 import asyncio
@@ -31,7 +31,6 @@ from repro.service.frames import (
     KEY_SIZE,
     OP_COLOR,
     OP_HELLO,
-    OP_PING,
     OP_RESPONSE,
     PREAMBLE_SIZE,
     Frame,
@@ -48,11 +47,7 @@ from repro.service.frames import (
     read_frame_async,
     response_to_message,
 )
-from repro.service.protocol import (
-    ProtocolError,
-    ServedResult,
-    request_from_wire,
-)
+from repro.service.protocol import ColorRequest, ProtocolError, ServedResult
 
 # JSON-representable header values (what real headers are made of).
 _json_scalars = st.one_of(
@@ -74,18 +69,15 @@ _keys = st.one_of(
 _opcodes = st.sampled_from(frames._OPCODES)
 
 
-def _read_fed(raw: bytes, reads: int = 1, *, first: bytes = b"") -> list:
+def _read_fed(raw: bytes, reads: int = 1) -> list:
     """``reads`` frames read with :func:`read_frame_async` from a stream
-    reader fed ``raw`` and then EOF (``first`` goes to the first read)."""
+    reader fed ``raw`` and then EOF."""
 
     async def read():
         reader = asyncio.StreamReader()
         reader.feed_data(raw)
         reader.feed_eof()
-        out = [await read_frame_async(reader, first=first)]
-        for _ in range(reads - 1):
-            out.append(await read_frame_async(reader))
-        return out
+        return [await read_frame_async(reader) for _ in range(reads)]
 
     return asyncio.run(read())
 
@@ -126,10 +118,16 @@ class TestFrameRoundTrip:
         assert first == second == decode_frame(raw)
         assert third is None
 
-    def test_sniffed_prefix_is_honored(self):
-        raw = encode_frame(OP_PING, {"op": "ping"})
-        [frame] = _read_fed(raw[2:], first=raw[:2])
-        assert frame is not None and frame.opcode == OP_PING
+    def test_non_frame_bytes_fail_on_the_magic(self):
+        # Two bytes suffice: the reader never waits for a full preamble
+        # from a peer speaking something else (no EOF is fed here).
+        async def read():
+            reader = asyncio.StreamReader()
+            reader.feed_data(b'{"')
+            return await asyncio.wait_for(read_frame_async(reader), 5.0)
+
+        with pytest.raises(FrameError, match="magic"):
+            asyncio.run(read())
 
     def test_hello_is_newline_free_and_parseable(self):
         raw = encode_hello()
@@ -143,9 +141,11 @@ class TestFrameRoundTrip:
         assert FRAME_VERSION in reply.header["frames"]
 
     def test_magic_is_not_json(self):
-        # The sniffing dispatch depends on no JSON line starting with the
-        # magic bytes.
+        # A JSON (or any UTF-8 text) peer fails the magic check on its
+        # first two bytes.
         assert FRAME_MAGIC[0:1] not in (b"{", b"[", b" ")
+        with pytest.raises(UnicodeDecodeError):
+            FRAME_MAGIC.decode("utf-8")
 
 
 class TestColorRequestRoundTrip:
@@ -158,35 +158,27 @@ class TestColorRequestRoundTrip:
         algorithm=st.sampled_from(["GLL", "BDP", "GLF", "GCP"]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_binary_equals_ndjson_decode(self, shape, seed, algorithm):
+    def test_color_request_round_trip(self, shape, seed, algorithm):
         weights = np.random.default_rng(seed).integers(
             1, 100, size=shape, dtype=np.int64
         )
-        message = {
-            "op": "color",
-            "id": "prop",
-            "shape": list(shape),
-            "weights": weights.ravel().tolist(),
-            "algorithm": algorithm,
-        }
-        via_json = request_from_wire(message)
+        request = ColorRequest(weights=weights, algorithm=algorithm,
+                               request_id="prop")
         via_frame = decode_color_request(
-            decode_frame(encode_color_request(via_json))
+            decode_frame(encode_color_request(request))
         )
-        assert via_frame.key == via_json.key  # same content key → same cache entry
-        assert np.array_equal(via_frame.weights, via_json.weights)
-        assert via_frame.algorithm == via_json.algorithm
-        assert via_frame.shape == via_json.shape
+        assert via_frame.key == request.key  # same content key → same cache entry
+        assert np.array_equal(via_frame.weights, weights)
+        assert via_frame.algorithm == algorithm
+        assert via_frame.shape == shape
+        assert via_frame.request_id == "prop"
 
     def test_options_survive_the_frame(self):
         weights = np.arange(1, 26, dtype=np.int64).reshape(5, 5)
-        message = {
-            "op": "color", "id": "opts", "shape": [5, 5],
-            "weights": weights.ravel().tolist(), "algorithm": "GLL",
-            "runtime": "tiled", "tiles": [3, 3], "validate": True,
-            "timeout_ms": 1500.0,
-        }
-        direct = request_from_wire(message)
+        direct = ColorRequest(
+            weights=weights, algorithm="GLL", request_id="opts", tiled=True,
+            tile_shape=(3, 3), validate=True, timeout=1.5,
+        )
         framed = decode_color_request(decode_frame(encode_color_request(direct)))
         assert framed.tiled and framed.tile_shape == (3, 3)
         assert framed.validate
@@ -196,10 +188,7 @@ class TestColorRequestRoundTrip:
     def test_payload_length_must_match_shape(self):
         weights = np.ones((3, 3), dtype=np.int64)
         raw = encode_color_request(
-            request_from_wire({
-                "op": "color", "id": "x", "shape": [3, 3],
-                "weights": weights.ravel().tolist(), "algorithm": "GLL",
-            })
+            ColorRequest(weights=weights, algorithm="GLL", request_id="x")
         )
         frame = decode_frame(raw)
         lying = Frame(

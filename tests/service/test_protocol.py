@@ -1,18 +1,34 @@
-"""Tests for the service wire protocol and content addressing."""
+"""Tests for the service protocol and content addressing.
+
+Every message travels as a binary frame, so requests and responses are
+encoded and decoded here through :mod:`repro.service.frames`.
+"""
 
 import numpy as np
 import pytest
 
+from repro.service.frames import (
+    OP_COLOR,
+    OP_PING,
+    OP_RESPONSE,
+    PREAMBLE_SIZE,
+    FrameError,
+    decode_color_request,
+    decode_frame,
+    decode_preamble,
+    decode_recolor_request,
+    encode_color_request,
+    encode_frame,
+    encode_recolor_request,
+    encode_result,
+    response_to_message,
+)
 from repro.service.protocol import (
     ColorRequest,
     ProtocolError,
+    RecolorRequest,
     ServedResult,
     content_key,
-    decode_message,
-    encode_message,
-    request_from_wire,
-    request_to_wire,
-    result_to_wire,
 )
 
 
@@ -59,22 +75,64 @@ class TestContentKey:
         assert a.key == b.key
 
 
+def _with_header(raw: bytes, header: bytes) -> bytes:
+    """``raw`` with its JSON header replaced by ``header`` (lengths fixed)."""
+    header_len = decode_preamble(raw[:PREAMBLE_SIZE])[4]
+    preamble = bytearray(raw[:PREAMBLE_SIZE])
+    preamble[25:29] = len(header).to_bytes(4, "little")
+    return bytes(preamble) + header + raw[PREAMBLE_SIZE + header_len:]
+
+
 class TestFraming:
+    """The JSON header of a frame must be one JSON object."""
+
     def test_roundtrip(self):
-        message = {"op": "ping", "id": "x"}
-        assert decode_message(encode_message(message)) == message
+        header = {"op": "ping", "id": "x"}
+        assert decode_frame(encode_frame(OP_PING, header)).header == header
 
     def test_empty_rejected(self):
-        with pytest.raises(ProtocolError):
-            decode_message(b"\n")
+        with pytest.raises(FrameError):
+            decode_frame(_with_header(encode_frame(OP_PING, {}), b""))
 
     def test_non_object_rejected(self):
-        with pytest.raises(ProtocolError):
-            decode_message(b"[1,2,3]\n")
+        with pytest.raises(FrameError):
+            decode_frame(_with_header(encode_frame(OP_PING, {}), b"[1,2,3]"))
 
     def test_malformed_json_rejected(self):
-        with pytest.raises(ProtocolError):
-            decode_message(b"{not json\n")
+        with pytest.raises(FrameError):
+            decode_frame(_with_header(encode_frame(OP_PING, {}), b"{not json"))
+
+
+def _via_frame(request: ColorRequest) -> ColorRequest:
+    return decode_color_request(decode_frame(encode_color_request(request)))
+
+
+_GRID = np.ones((4, 4), dtype=np.int64)
+_BASES = {
+    "color": ColorRequest(weights=_GRID, algorithm="BDP", request_id="r"),
+    "seed": RecolorRequest(session="s", request_id="r", weights=_GRID),
+    "delta": RecolorRequest(
+        session="s", request_id="r",
+        delta_idx=np.array([1, 2]), delta_weights=np.array([3, 4]),
+    ),
+}
+
+
+def _refused_frame(patch: dict):
+    """A real frame of ``patch["form"]`` (default ``color``) with header
+    fields patched (``None`` deletes one) and, given ``payload``, that
+    ``int64`` payload instead of the encoded one."""
+    patch = dict(patch)
+    base = _BASES[patch.pop("form", "color")]
+    payload = patch.pop("payload", None)
+    if isinstance(base, ColorRequest):
+        frame = decode_frame(encode_color_request(base))
+    else:
+        frame = decode_frame(encode_recolor_request(base))
+    header = {k: v for k, v in {**frame.header, **patch}.items() if v is not None}
+    if payload is not None:
+        frame = frame._replace(payload=np.asarray(payload, "<i8").tobytes())
+    return frame._replace(header=header)
 
 
 class TestRequestWire:
@@ -82,7 +140,7 @@ class TestRequestWire:
         w = np.random.default_rng(0).integers(0, 9, size=(5, 7))
         request = ColorRequest(weights=w, algorithm="GLL", validate=True,
                                timeout=1.5, request_id="r1")
-        decoded = request_from_wire(request_to_wire(request))
+        decoded = _via_frame(request)
         assert np.array_equal(decoded.weights, w)
         assert decoded.algorithm == "GLL"
         assert decoded.validate is True
@@ -93,42 +151,56 @@ class TestRequestWire:
     def test_roundtrip_3d(self):
         w = np.random.default_rng(1).integers(0, 9, size=(3, 4, 5))
         request = ColorRequest(weights=w, algorithm="BDP", fast=True)
-        decoded = request_from_wire(request_to_wire(request))
+        decoded = _via_frame(request)
         assert decoded.weights.shape == (3, 4, 5)
         assert decoded.fast is True
         assert decoded.group == ((3, 4, 5), "BDP")
 
+    # Refusals of a color or recolor request, on a real frame through
+    # decode_color_request / decode_recolor_request (the api-version and
+    # runtime refusals are in test_protocol_v1.TestRefusals).
     @pytest.mark.parametrize(
         "patch,match",
         [
             ({"shape": [4]}, "2D or 3D"),
             ({"shape": "4x4"}, "positive integers"),
             ({"shape": [4, 0]}, "positive integers"),
-            ({"weights": [1, 2, 3]}, "expected 16 weights"),
-            ({"weights": "zzz"}, "flat list"),
+            ({"payload": [1, 2, 3]}, "expected 128 payload bytes"),
+            ({"shape": [4, 5]}, "expected 160 payload bytes"),
             ({"algorithm": ""}, "algorithm"),
             ({"algorithm": 7}, "algorithm"),
             ({"timeout_ms": -5}, "timeout_ms"),
             ({"options": [1]}, "options"),
             ({"options": {"fast": "yes"}}, "fast"),
+            ({"form": "seed", "api": 2}, "api version"),
+            ({"form": "seed", "session": None}, "session"),
+            ({"form": "seed", "session": ""}, "session"),
+            ({"form": "seed", "shape": [16]}, "2D or 3D"),
+            ({"form": "seed", "payload": [1, 2]}, "payload bytes"),
+            ({"form": "seed", "payload": [-1] + [1] * 15}, "non-negative"),
+            ({"form": "seed", "algorithm": ""}, "algorithm"),
+            ({"form": "delta", "api": 2}, "api version"),
+            ({"form": "delta", "delta": None}, "update count"),
+            ({"form": "delta", "delta": -1}, "update count"),
+            ({"form": "delta", "payload": [1, 2, 3]}, "2-cell delta"),
+            ({"form": "delta", "payload": [1, -2, 3, 4]}, "indices"),
+            ({"form": "delta", "payload": [1, 2, 3, -4]}, "delta weights"),
+            ({"form": "delta", "dtype": "<f8"}, "dtype"),
         ],
     )
     def test_invalid_fields_rejected(self, patch, match):
-        w = np.ones((4, 4), dtype=np.int64)
-        message = request_to_wire(ColorRequest(weights=w, algorithm="BDP"))
-        message.update(patch)
+        frame = _refused_frame(patch)
+        decode = (
+            decode_color_request if frame.opcode == OP_COLOR
+            else decode_recolor_request
+        )
         with pytest.raises(ProtocolError, match=match):
-            request_from_wire(message)
+            decode(frame)
 
     def test_negative_weights_rejected(self):
-        message = {
-            "op": "color",
-            "shape": [2, 2],
-            "weights": [1, -1, 1, 1],
-            "algorithm": "BDP",
-        }
+        frame = _refused_frame({"shape": [2, 2], "payload": [1, -1, 1, 1]})
         with pytest.raises(ProtocolError, match="non-negative"):
-            request_from_wire(message)
+            decode_color_request(frame)
 
 
 class TestResultWire:
@@ -137,16 +209,19 @@ class TestResultWire:
         result = ServedResult(status="ok", starts=starts, maxcolor=7,
                               source="computed", compute_seconds=0.01,
                               batch_size=4)
-        message = result_to_wire(result, "abc", extra={"total_ms": 3.0})
+        frame = decode_frame(encode_result(result, "abc", extra={"total_ms": 3.0}))
+        assert frame.opcode == OP_RESPONSE
+        message = response_to_message(frame)
         assert message["id"] == "abc"
-        assert message["starts"] == [0, 1, 2, 3]
+        assert message["starts"].tolist() == [0, 1, 2, 3]
         assert message["maxcolor"] == 7
         assert message["source"] == "computed"
         assert message["batch_size"] == 4
         assert message["total_ms"] == 3.0
 
     def test_error_result(self):
-        message = result_to_wire(
+        frame = decode_frame(encode_result(
             ServedResult(status="error", error="boom"), "abc"
-        )
+        ))
+        message = response_to_message(frame)
         assert message == {"id": "abc", "status": "error", "error": "boom"}

@@ -4,12 +4,17 @@ compatibility, tiled routing, and refusal of unknown versions."""
 import numpy as np
 import pytest
 
+from repro.service.frames import (
+    OP_COLOR,
+    Frame,
+    decode_color_request,
+    decode_frame,
+    encode_color_request,
+)
 from repro.service.protocol import (
     PROTOCOL_API_VERSION,
     ColorRequest,
     ProtocolError,
-    request_from_wire,
-    request_to_wire,
 )
 
 
@@ -18,33 +23,38 @@ def _weights(shape=(4, 4), seed=0):
     return rng.integers(1, 50, size=shape, dtype=np.int64)
 
 
-def _frame(**overrides):
+def _frame(**overrides) -> Frame:
+    """A color frame whose header is exactly ``overrides`` over the
+    legacy minimum (no ``api``, no ``runtime``)."""
     weights = overrides.pop("weights", _weights())
-    message = {
+    header = {
         "op": "color",
         "shape": list(weights.shape),
-        "weights": weights.ravel().tolist(),
         "algorithm": overrides.pop("algorithm", "GLL"),
     }
-    message.update(overrides)
-    return message
+    header.update(overrides)
+    return Frame(OP_COLOR, 0, "", header, np.asarray(weights, "<i8").tobytes())
+
+
+def _header(request: ColorRequest) -> dict:
+    return decode_frame(encode_color_request(request)).header
 
 
 class TestCanonicalFrames:
     def test_encoder_emits_api_version(self):
-        wire = request_to_wire(ColorRequest(weights=_weights(), algorithm="GLL"))
-        assert wire["api"] == PROTOCOL_API_VERSION
-        assert "options" not in wire  # legacy vocabulary is no longer emitted
+        header = _header(ColorRequest(weights=_weights(), algorithm="GLL"))
+        assert header["api"] == PROTOCOL_API_VERSION
+        assert "options" not in header  # legacy vocabulary is not emitted
 
     def test_round_trip_preserves_runtime_and_tiles(self):
         request = ColorRequest(
             weights=_weights(), algorithm="GLL",
             tiled=True, tile_shape=(2, 2), validate=True,
         )
-        wire = request_to_wire(request)
-        assert wire["runtime"] == "tiled"
-        assert wire["tiles"] == [2, 2]
-        decoded = request_from_wire(wire)
+        frame = decode_frame(encode_color_request(request))
+        assert frame.header["runtime"] == "tiled"
+        assert frame.header["tiles"] == [2, 2]
+        decoded = decode_color_request(frame)
         assert decoded.tiled and decoded.tile_shape == (2, 2)
         assert decoded.validate
         np.testing.assert_array_equal(decoded.weights, request.weights)
@@ -53,38 +63,40 @@ class TestCanonicalFrames:
                                               ("kernels", True),
                                               ("reference", False)])
     def test_runtime_maps_onto_fast(self, runtime, fast):
-        decoded = request_from_wire(_frame(api=1, runtime=runtime))
+        decoded = decode_color_request(_frame(api=1, runtime=runtime))
         assert decoded.fast is fast
         assert not decoded.tiled
 
     def test_fast_round_trips_as_runtime(self):
-        wire = request_to_wire(ColorRequest(weights=_weights(),
-                                            algorithm="GLL", fast=True))
-        assert wire["runtime"] == "kernels"
-        assert request_from_wire(wire).fast is True
+        frame = decode_frame(encode_color_request(
+            ColorRequest(weights=_weights(), algorithm="GLL", fast=True)
+        ))
+        assert frame.header["runtime"] == "kernels"
+        assert decode_color_request(frame).fast is True
 
     def test_tiles_hint_alone_implies_tiled(self):
-        decoded = request_from_wire(_frame(tiles=[2, 2]))
+        decoded = decode_color_request(_frame(tiles=[2, 2]))
         assert decoded.tiled and decoded.tile_shape == (2, 2)
 
     def test_cache_key_ignores_the_runtime(self):
         # Bit-identity means tiled and monolithic requests must share
         # content-addressed cache entries.
         weights = _weights(seed=1)
-        mono = request_from_wire(_frame(weights=weights, runtime="kernels"))
-        tiled = request_from_wire(_frame(weights=weights, runtime="tiled"))
+        mono = decode_color_request(_frame(weights=weights, runtime="kernels"))
+        tiled = decode_color_request(_frame(weights=weights, runtime="tiled"))
         assert mono.key == tiled.key
 
 
 class TestLegacyFrames:
     def test_legacy_options_fast_still_decodes(self):
-        decoded = request_from_wire(_frame(options={"fast": True,
-                                                    "validate": True}))
+        decoded = decode_color_request(
+            _frame(options={"fast": True, "validate": True})
+        )
         assert decoded.fast is True and decoded.validate
         assert not decoded.tiled
 
     def test_canonical_fields_beat_legacy_options(self):
-        decoded = request_from_wire(
+        decoded = decode_color_request(
             _frame(api=1, runtime="reference", validate=False,
                    options={"fast": True, "validate": True})
         )
@@ -95,20 +107,20 @@ class TestLegacyFrames:
 class TestRefusals:
     def test_unknown_api_version_refused(self):
         with pytest.raises(ProtocolError, match="api version"):
-            request_from_wire(_frame(api=2))
+            decode_color_request(_frame(api=2))
 
     def test_unknown_runtime_refused(self):
         with pytest.raises(ProtocolError, match="runtime"):
-            request_from_wire(_frame(api=1, runtime="turbo"))
+            decode_color_request(_frame(api=1, runtime="turbo"))
 
     def test_tiled_non_gll_refused(self):
         with pytest.raises(ProtocolError, match="GLL"):
-            request_from_wire(_frame(algorithm="BDP", runtime="tiled"))
+            decode_color_request(_frame(algorithm="BDP", runtime="tiled"))
 
     def test_tiles_rank_mismatch_refused(self):
         with pytest.raises(ProtocolError, match="tiles"):
-            request_from_wire(_frame(tiles=[2, 2, 2]))  # 2D grid, 3D hint
+            decode_color_request(_frame(tiles=[2, 2, 2]))  # 2D grid, 3D hint
 
     def test_tiles_must_be_positive(self):
         with pytest.raises(ProtocolError, match="tiles"):
-            request_from_wire(_frame(tiles=[0, 2]))
+            decode_color_request(_frame(tiles=[0, 2]))

@@ -2,8 +2,7 @@
 
 A server thread holds recolor sessions (one weights grid + one starts grid
 each); clients seed a session, stream sparse weight deltas, and must end up
-bit-identical to a cold full recolor — over both the NDJSON and the binary
-wire.  Unknown/expired sessions answer with a *typed* error frame on the
+bit-identical to a cold full recolor.  Unknown/expired sessions answer with a *typed* error frame on the
 live connection (never a disconnect), are counted in ``/metrics``, and the
 client transparently recovers from them by re-seeding from its mirror.
 """
@@ -117,7 +116,8 @@ def server():
         yield thread
 
 
-@pytest.fixture(params=["ndjson", "binary"])
+# Frames are the one wire; the param names it the way callers may.
+@pytest.fixture(params=["binary"])
 def client(server, request):
     with ServiceClient(
         "127.0.0.1", server.port, timeout=30.0, wire=request.param
@@ -126,8 +126,8 @@ def client(server, request):
 
 
 class TestRecolorVerb:
-    def test_seed_then_deltas_bit_identical_on_both_wires(self, client):
-        session = f"t-{client.wire}-stream"
+    def test_seed_then_deltas_bit_identical(self, client):
+        session = "t-stream"
         weights = _grid((16, 16), seed=3)
         seeded = client.recolor_open(session, weights, "GLF")
         assert seeded.ok and seeded.mode == "seed"
@@ -148,7 +148,7 @@ class TestRecolorVerb:
         assert np.array_equal(mirror_starts, full_recolor(current, "GLF"))
 
     def test_delta_response_carries_provenance(self, client):
-        session = f"t-{client.wire}-prov"
+        session = "t-prov"
         weights = _grid((12, 12), seed=5)
         assert client.recolor_open(session, weights, "GLF").ok
         response = client.recolor_delta(session, [17], [49])
@@ -158,7 +158,7 @@ class TestRecolorVerb:
         assert response.maxcolor is not None
 
     def test_3d_session(self, client):
-        session = f"t-{client.wire}-3d"
+        session = "t-3d"
         weights = _grid((6, 6, 6), seed=9)
         seeded = client.recolor_open(session, weights, "GLL")
         assert seeded.ok and seeded.starts.shape == (6, 6, 6)
@@ -170,7 +170,7 @@ class TestRecolorVerb:
         assert np.array_equal(mirror_starts, full_recolor(current, "GLL"))
 
     def test_dense_delta_reports_fallback(self, client):
-        session = f"t-{client.wire}-dense"
+        session = "t-dense"
         weights = _grid((16, 16), seed=11)
         assert client.recolor_open(session, weights, "GLF").ok
         idx = np.arange(weights.size)
@@ -211,7 +211,7 @@ class TestRecolorVerb:
         assert "live" in snap["sessions"]
 
     def test_out_of_range_delta_rejected(self, client):
-        session = f"t-{client.wire}-oob"
+        session = "t-oob"
         weights = _grid((4, 4), seed=13)
         assert client.recolor_open(session, weights, "GLL").ok
         response = client.recolor_delta(

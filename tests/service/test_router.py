@@ -20,9 +20,13 @@ from repro.core.algorithms.registry import color_with
 from repro.core.problem import IVCInstance
 from repro.incremental.engine import full_recolor
 from repro.service.client import ServiceClient
-from repro.service.frames import session_routing_key
+from repro.service.frames import WIRE_PROTOCOLS, session_routing_key
 from repro.service.router import RouterConfig, RouterThread, rank_workers
 from repro.service.server import ServerConfig
+from tests.service.conftest import (
+    assert_non_frame_peer_refused,
+    assert_preamble_death_counted,
+)
 
 
 @pytest.fixture(scope="module")
@@ -96,14 +100,26 @@ class TestRouting:
         assert owners == {"w0", "w1"}
 
     def test_ndjson_through_router(self, router):
-        weights = _grid((7, 7), seed=4)
-        with ServiceClient("127.0.0.1", router.port, wire="ndjson") as c:
-            response = c.color(weights, "GLL")
-            assert c.wire == "ndjson"
-        assert response.ok
-        direct = color_with(IVCInstance.from_grid_2d(weights), "GLL")
-        assert np.array_equal(response.starts.ravel(), direct.starts)
-        assert response.worker in ("w0", "w1")
+        # An NDJSON client is not forwarded: the router answers its first
+        # line with one invalid frame and hangs up.
+        assert_non_frame_peer_refused(router.port)
+
+    def test_peer_dying_in_the_preamble_is_torn(self, router):
+        assert_preamble_death_counted(router.port)
+
+    def test_one_advertised_protocol_list(self, client, capsys):
+        # Router, workers (servers) and `serve --version` read one constant.
+        from repro.cli import main
+
+        snap = client.metrics()
+        assert main(["serve", "--version"]) == 0
+        printed = capsys.readouterr().out.strip().split(": ", 1)[1]
+        assert printed.split(", ") == list(WIRE_PROTOCOLS)
+        assert snap["server"]["wire_protocols"] == list(WIRE_PROTOCOLS)
+        for worker_snap in snap["workers"].values():
+            assert worker_snap["server"]["wire_protocols"] == list(
+                WIRE_PROTOCOLS
+            )
 
     def test_pipelined_bursts_through_router_verify(self, router):
         # The router's pipelined forward path: many frames in flight per
@@ -123,7 +139,6 @@ class TestRouting:
         assert report.ok == 60
         assert report.divergences == 0
         assert report.errors == 0
-        assert report.wire == "binary"
         assert len(report.workers_seen) == 2  # both workers served traffic
 
     def test_merged_metrics_name_every_worker(self, client):
@@ -190,7 +205,7 @@ class TestRecolorRouting:
             current.ravel()[idx] = vals
         return current
 
-    @pytest.mark.parametrize("wire", ["binary", "ndjson"])
+    @pytest.mark.parametrize("wire", ["binary"])  # the one wire, named
     def test_session_streams_through_router_bit_identical(self, router, wire):
         # The recolor verb pipelines through the router exactly like color,
         # but routed by the session key so every delta of a session lands

@@ -16,9 +16,13 @@ import pytest
 
 from repro.core.algorithms.registry import color_with
 from repro.core.problem import IVCInstance
-from repro.service.client import AsyncServiceClient, ServiceClient, ServiceError
+from repro.service.client import AsyncServiceClient, ServiceClient
 from repro.service.loadgen import build_workload, run_loadgen
 from repro.service.server import ServerConfig, ServerThread
+from tests.service.conftest import (
+    assert_non_frame_peer_refused,
+    assert_preamble_death_counted,
+)
 
 
 @pytest.fixture(scope="module")
@@ -86,24 +90,22 @@ class TestServing:
         assert "did you mean" in response.error and "BDP" in response.error
 
     def test_invalid_request_rejected(self, client):
+        # The client does not validate; the server answers a typed invalid.
+        response = client.color(np.array([[1, -2], [3, 4]]), "GLL")
+        assert response.status == "invalid"
+        assert "non-negative" in response.error
+
+    def test_unknown_op_rejected(self, client):
+        # A response opcode sent as a request is answered ``invalid`` on
+        # the open connection.
+        from repro.service.frames import OP_RESPONSE, encode_frame
+
         response = client._run(client._core._roundtrip(
-            {"op": "color", "id": "x", "shape": [2, 2],
-             "weights": [1, -2, 3, 4], "algorithm": "GLL"}
+            encode_frame(OP_RESPONSE, {"id": "y"}), "y"
         ))
         assert response["status"] == "invalid"
-        assert "non-negative" in response["error"]
-
-    def test_unknown_op_rejected(self, server):
-        # The NDJSON wire carries arbitrary op strings; the server answers
-        # them with a typed ``invalid`` status.
-        with ServiceClient("127.0.0.1", server.port, wire="ndjson") as c:
-            response = c._run(c._core._roundtrip({"op": "frobnicate", "id": "y"}))
-        assert response["status"] == "invalid"
-        # The binary wire has a fixed opcode set, so an unknown op is a
-        # typed client-side error before any bytes are sent.
-        with ServiceClient("127.0.0.1", server.port, wire="binary") as c:
-            with pytest.raises(ServiceError, match="frobnicate"):
-                c._run(c._core._roundtrip({"op": "frobnicate", "id": "y"}))
+        assert "unexpected opcode" in response["error"]
+        assert client.ping() < 5.0
 
     def test_tiled_request_bit_identical_and_shares_cache(self, client):
         weights = _grid((14, 12), seed=11)
@@ -140,32 +142,24 @@ class TestServing:
         assert "hits" in snap["substrate"]["substrates"]
         assert snap["server"]["queue_limit"] == 64
 
-    def test_binary_ndjson_and_direct_api_bit_identical(self, server):
-        # The acceptance bar of the dual-wire tier: the same grid served
-        # over binary frames, over NDJSON, and colored in-process via
+    def test_binary_and_direct_api_bit_identical(self, client):
+        # The same grid served over frames and colored in-process via
         # repro.api.color must agree bit for bit.
         from repro.api import color as api_color
 
         weights = _grid((13, 9), seed=21)
-        with ServiceClient("127.0.0.1", server.port, wire="binary") as c:
-            binary = c.color(weights, "GLL")
-            assert c.wire == "binary"
-        with ServiceClient("127.0.0.1", server.port, wire="ndjson") as c:
-            ndjson = c.color(weights, "GLL")
-            assert c.wire == "ndjson"
+        served = client.color(weights, "GLL")
         direct = api_color(weights, algorithm="GLL")
-        assert binary.ok and ndjson.ok
-        assert np.array_equal(binary.starts, ndjson.starts)
-        assert np.array_equal(binary.starts, np.asarray(direct.starts))
-        assert binary.maxcolor == ndjson.maxcolor == direct.maxcolor
+        assert served.ok
+        assert np.array_equal(served.starts, np.asarray(direct.starts))
+        assert served.maxcolor == direct.maxcolor
 
     def test_response_carries_worker_identity(self, client):
         response = client.color(_grid((5, 5), seed=22), "GLL")
         assert response.ok and response.worker == "w0"
         snap = client.metrics()
         assert snap["server"]["worker_id"] == "w0"
-        assert "frames/v1" in snap["server"]["wire_protocols"]
-        assert "ndjson" in snap["server"]["wire_protocols"]
+        assert snap["server"]["wire_protocols"] == ["frames/v1"]
 
     def test_torn_binary_frame_counted_not_fatal(self, server):
         from repro.service.frames import OP_COLOR, encode_frame
@@ -179,12 +173,14 @@ class TestServing:
         assert snap["counters"].get("torn_frames", 0) >= 1
 
     def test_torn_ndjson_line_counted_not_fatal(self, server):
-        with socket.create_connection(("127.0.0.1", server.port)) as sock:
-            sock.sendall(b'{"op": "ping", "id": "torn-line"')  # no newline
-        time.sleep(0.2)
-        with ServiceClient("127.0.0.1", server.port) as c:
-            snap = c.metrics()
-        assert snap["counters"].get("torn_lines", 0) >= 1
+        # A JSON line, cut before its newline or not, is not a frame: one
+        # invalid frame, counted, and the server serves the next client.
+        assert_non_frame_peer_refused(
+            server.port, b'{"op": "ping", "id": "torn-line"'
+        )
+
+    def test_peer_dying_in_the_preamble_is_torn(self, server):
+        assert_preamble_death_counted(server.port)
 
     def test_coalescing_identical_concurrent_requests(self, server):
         weights = _grid((10, 10), seed=6)
@@ -240,7 +236,6 @@ class TestLoadgen:
         assert report.cached > 0  # repeated-shape workload must hit the cache
         assert report.metrics["counters"]["responses_ok"] >= 40
         assert report.throughput_rps > 0
-        assert report.wire == "binary"  # auto-negotiated against this server
         assert report.workers_seen == {"w0": 40}
 
     def test_zipf_schedule_is_skewed_and_deterministic(self, server):
@@ -256,15 +251,6 @@ class TestLoadgen:
         # the skew concentrates traffic: far fewer cold computes than the
         # pool has items' worth of uniform traffic would produce.
         assert first.cache_hit_rate > 0.5
-
-    def test_ndjson_wire_pins_the_run(self, server):
-        workload = build_workload([(6, 6)], distinct=2, algorithm="GLL", seed=4)
-        report = run_loadgen(
-            "127.0.0.1", server.port, workload,
-            requests=10, concurrency=2, seed=4, wire="ndjson",
-        )
-        assert report.ok == 10
-        assert report.wire == "ndjson" and report.wire_requested == "ndjson"
 
     def test_pipelined_bursts_stay_bit_identical(self, server):
         # pipeline=4: each connection writes 4 frames before its first
@@ -282,17 +268,6 @@ class TestLoadgen:
         assert report.divergences == 0
         assert report.errors == 0
         assert report.to_json()["pipeline"] == 4
-
-    def test_pipelined_ndjson_also_works(self, server):
-        workload = build_workload([(7, 7)], distinct=3, algorithm="GLL", seed=5)
-        report = run_loadgen(
-            "127.0.0.1", server.port, workload,
-            requests=18, concurrency=2, verify=True, seed=5,
-            pipeline=3, wire="ndjson",
-        )
-        assert report.ok == 18
-        assert report.divergences == 0
-        assert report.wire == "ndjson"
 
 
 class TestGracefulShutdown:
@@ -335,3 +310,11 @@ class TestGracefulShutdown:
                 assert served.ok
                 assert served.cached  # warm-started from the spill index
                 assert np.array_equal(served.starts, first.starts)
+
+
+@pytest.mark.parametrize("client_class", [ServiceClient, AsyncServiceClient])
+def test_wire_keyword_accepts_only_binary(client_class):
+    client_class(wire="binary")
+    for wire in ("auto", "ndjson"):
+        with pytest.raises(ValueError, match="binary"):
+            client_class(wire=wire)
