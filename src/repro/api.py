@@ -255,10 +255,11 @@ def recolor(
 
     Instead of recoloring the whole grid, recompute only what can differ
     (:mod:`repro.incremental`): under GLL, the grid from the first dirty
-    column (plane in 3D) on, in one band pass; under GZO and GLF, the
-    dependency cone of the changed cells.  The result is **bit-identical**
-    to ``color(weights, algorithm)`` — other algorithms, and GZO/GLF
-    deltas whose cone outgrows ``max_cone_fraction`` of the grid,
+    column (plane in 3D) on, in one band pass; under GZO, the Morton
+    schedule from the first dirty cell's Kahn level on, in one pass; under
+    GLF, the dependency cone of the changed cells.  The result is
+    **bit-identical** to ``color(weights, algorithm)`` — other algorithms,
+    and GLF deltas whose cone outgrows ``max_cone_fraction`` of the grid,
     transparently take a full recolor (``mode="incremental-fallback"``).
 
     Parameters
@@ -267,8 +268,9 @@ def recolor(
         The grid's **new** weights (2D or 3D array).
     base:
         The prior coloring of the *old* weights with the same
-        ``algorithm``: a :class:`ColoringResult` or a grid-shaped starts
-        array.
+        ``algorithm``: a :class:`ColoringResult` (whose ``algorithm`` must
+        match; ``ValueError`` otherwise) or a grid-shaped starts array
+        (unchecked: it carries no algorithm).
     dirty:
         Flat C-order integer indices of the cells whose weight changed
         (``np.flatnonzero(mask)`` turns a boolean mask into them).  Omit it
@@ -285,7 +287,7 @@ def recolor(
     validate / max_cone_fraction:
         Overrides for the context's
         :class:`~repro.runtime.config.IncrementalConfig` — diff against a
-        full recolor / GZO and GLF cone budget as a grid fraction.
+        full recolor / GLF cone budget as a grid fraction.
 
     Returns
     -------
@@ -307,7 +309,14 @@ def recolor(
             f"ExecutionContext; got {type(runtime).__name__}"
         )
 
-    base_starts = base.starts if isinstance(base, ColoringResult) else base
+    base_starts = base
+    if isinstance(base, ColoringResult):
+        if base.algorithm != algorithm:
+            raise ValueError(
+                f"base coloring was made with {base.algorithm}, "
+                f"not {algorithm}; pass algorithm={base.algorithm!r}"
+            )
+        base_starts = base.starts
     if base_starts is None:
         raise ValueError("base coloring carries no starts (digest-only?)")
     if dirty is None:

@@ -1,7 +1,7 @@
 """Policy layer of the dirty-region recolor engine: :func:`recolor_grid`.
 
-The cone walk (:mod:`repro.incremental.cone`) is order-agnostic; this module
-decides *which* orders it may be applied to and when to give up:
+This module decides, per algorithm, how a weight delta is patched and
+when to give up:
 
 Supported algorithms
 --------------------
@@ -18,32 +18,37 @@ Supported algorithms
     Its cost is at most one kernel pass, so GLL has no cone budget and
     never falls back.
 ``GZO``
-    Kahn batch indices of the Morton order via the shared substrate.  The
-    order is weight-independent, so the schedule is cached across deltas
-    (one Kahn construction per shape) and seeds are just the dirty cells.
+    No cone walk either: one pass over the *suffix* of the Morton order's
+    Kahn schedule.  The order does not depend on the weights, so its
+    schedule ``(verts, ptr)`` is cached per shape in the substrate.  Kahn
+    levels respect every predecessor edge, so every cell below ``L0``,
+    the level of the first dirty cell in the schedule, is unchanged.  The
+    pass resets the scheduled cells from ``ptr[L0]`` on to ``UNCOLORED``
+    and runs the batch loop over the remaining levels with the full
+    stencil: a later neighbour reads as uncolored, as in a fresh scan.
+    Like GLL's pass it costs at most one kernel pass: no budget, no
+    fallback.
 ``GLF``
-    The heaviest-first order is a stable ``argsort(-weights)`` — i.e. the
-    lexicographic order ``(weight desc, flat index asc)`` — so its level
-    function is analytic too: ``level = -new_weight``, with the flat index
-    breaking ties between adjacent equal-weight cells
-    (``index_tiebreak=True`` in the cone walk).  No schedule, no argsort,
-    no Kahn rebuild per delta.  A weight delta can only move dirty cells
-    relative to their neighbors — two clean cells never swap — so seeds
-    are the dirty cells **plus their neighbors** (whose predecessor sets
-    may have gained or lost a dirty cell).
+    The cone walk (:mod:`repro.incremental.cone`).  The heaviest-first
+    order is a stable ``argsort(-weights)``, so the walk derives its
+    levels from the new weights: no schedule, no argsort, no Kahn rebuild
+    per delta.  A weight delta can only move dirty cells relative to
+    their neighbors — two clean cells never swap — so seeds are the dirty
+    cells **plus their neighbors** (whose predecessor sets may have gained
+    or lost a dirty cell).
 
 Everything else — GSL's cascading smallest-last removal can reorder distant
 pairs, BD/BDP are not single-pass greedy scans — takes the always-correct
 fallback: a full from-scratch recolor through the ordinary registry path,
-still bit-identical by definition.  GZO and GLF also fall back once the
-cone exceeds ``max_cone_fraction`` of the grid (``"cone-budget"``), at
-which point one monolithic kernel pass is cheaper than continuing the
-walk; a delta whose seeds alone exceed the budget falls back without
-walking at all.
+still bit-identical by definition.  GLF also falls back once its cone
+exceeds ``max_cone_fraction`` of the grid (``"cone-budget"``), at which
+point one monolithic kernel pass is cheaper than continuing the walk; a
+delta whose seeds alone exceed the budget falls back without walking at
+all.
 
 Metrics (on the context registry): ``recolor_calls``, ``recolor_cone_cells``
-(cells recomputed by cone walks and GLL band passes), ``recolor_fallbacks``,
-and the ``recolor_splice_seconds`` latency histogram.
+(cells recomputed by GLF cone walks and the GLL/GZO suffix passes),
+``recolor_fallbacks``, and the ``recolor_splice_seconds`` latency histogram.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ from repro.kernels.substrate import (
     shared_geometry_2d,
     shared_geometry_3d,
 )
+from repro.kernels.wavefront import UNCOLORED, first_fit_wavefronts
 
 __all__ = [
     "SUPPORTED_ALGORITHMS",
@@ -71,7 +77,8 @@ __all__ = [
     "recolor_grid",
 ]
 
-#: Algorithms whose scan the cone walk can replay incrementally.
+#: Algorithms patched without a full recolor: GLL and GZO by one suffix
+#: pass, GLF by the cone walk.
 SUPPORTED_ALGORITHMS = frozenset({"GLL", "GZO", "GLF"})
 
 
@@ -116,6 +123,8 @@ def _as_grid(name: str, array, shape=None) -> np.ndarray:
         raise ValueError(f"{name} must be 2D or 3D, got {grid.ndim}D")
     if shape is not None and grid.shape != shape:
         raise ValueError(f"{name} shape {grid.shape} != weights shape {shape}")
+    if name == "weights" and grid.size and grid.min() < 0:
+        raise ValueError("weights must be non-negative")
     return grid
 
 
@@ -179,38 +188,48 @@ def _gll_suffix_pass(
     )
 
 
-def _seeds(
-    algorithm: str, layout: StencilLayout, dirty_idx: np.ndarray
-) -> np.ndarray:
-    """The cells whose start or predecessor set a delta may have changed."""
-    if algorithm != "GLF":
-        return dirty_idx
-    # A dirty cell may have moved across its neighbors in the weight order,
-    # changing *their* predecessor sets without any start moving yet — seed
-    # the neighbors too.  (Stable argsort: clean pairs never swap, so no
-    # seed beyond the dirty 1-ring is ever needed.)
-    n = layout.interior.size
-    seeded = np.zeros(n + 1, dtype=bool)  # slot n: off-grid neighbours
-    seeded[layout.neighbors(dirty_idx)] = True
-    seeded[dirty_idx] = True
-    return np.flatnonzero(seeded[:n])
-
-
-def _levels(algorithm: str, weights: np.ndarray, context) -> tuple[np.ndarray, bool]:
-    """``(levels, index_tiebreak)`` of the *new* GZO or GLF order."""
-    if algorithm == "GLF":
-        return -weights.ravel(), True
-
+def _gzo_suffix_pass(
+    weights: np.ndarray, base: np.ndarray, dirty_idx: np.ndarray, context
+) -> ConeResult:
+    """GZO starts recomputed from the first dirty Kahn level onward."""
     from repro.core.orderings import zorder_order
 
     instance = _instance_for(weights)
     substrate = get_substrate(instance.geometry, context=context)
     verts, ptr = substrate.wavefront_for(zorder_order(instance))
-    levels = np.empty(weights.size, dtype=np.int64)
-    levels[verts] = np.repeat(
-        np.arange(len(ptr) - 1, dtype=np.int64), np.diff(ptr)
+    dirty = np.zeros(weights.size, dtype=bool)
+    dirty[dirty_idx] = True
+    first = int(np.argmax(dirty[verts]))  # schedule position of the first dirty cell
+    level = int(np.searchsorted(ptr, first, side="right")) - 1
+    cut = int(ptr[level])
+    old = base.ravel()
+    starts = old.copy()
+    starts[verts[cut:]] = UNCOLORED
+    starts = first_fit_wavefronts(
+        substrate.layout, weights.ravel(), verts, ptr[level:], starts=starts
     )
-    return levels, False
+    return ConeResult(
+        starts=starts,
+        cells_recomputed=weights.size - cut,
+        cells_changed=int(np.count_nonzero(starts != old)),
+        levels_touched=len(ptr) - 1 - level,
+        spliced=False,
+    )
+
+
+def _seeds(layout: StencilLayout, dirty_idx: np.ndarray) -> np.ndarray:
+    """GLF's seeds: the dirty cells and their 1-ring.
+
+    A dirty cell may have moved across its neighbors in the weight order,
+    changing *their* predecessor sets without any start moving yet.
+    (Stable argsort: clean pairs never swap, so no seed beyond the dirty
+    1-ring is ever needed.)
+    """
+    n = layout.interior.size
+    seeded = np.zeros(n + 1, dtype=bool)  # slot n: off-grid neighbours
+    seeded[layout.neighbors(dirty_idx)] = True
+    seeded[dirty_idx] = True
+    return np.flatnonzero(seeded[:n])
 
 
 def recolor_grid(
@@ -246,9 +265,9 @@ def recolor_grid(
         :class:`RecolorValidationError` on divergence (default from
         ``context.config.incremental.validate``).
     max_cone_fraction:
-        Cone budget override (default from config); a GZO or GLF walk
-        aborts into the fallback once more than this fraction of cells was
-        recomputed.  GLL's band pass has no budget.
+        Cone budget override (default from config); a GLF walk aborts into
+        the fallback once more than this fraction of cells was recomputed.
+        The GLL and GZO suffix passes have no budget.
     """
     from repro.runtime.context import get_context
 
@@ -273,71 +292,53 @@ def recolor_grid(
     cone: Optional[ConeResult] = None
     fallback_reason: Optional[str] = None
     if not dirty_idx.size:
-        pass  # empty delta: the base coloring is the answer for any algorithm
+        # Empty delta: the base coloring is the answer for any algorithm.
+        cone = ConeResult(base.ravel(), 0, 0, 0, spliced=True)
     elif algorithm not in SUPPORTED_ALGORITHMS:
         fallback_reason = "unsupported-algorithm"
     elif algorithm == "GLL":
         cone = _gll_suffix_pass(
             weights, base, dirty_idx, _layout(weights.shape, ctx)
         )
+    elif algorithm == "GZO":
+        cone = _gzo_suffix_pass(weights, base, dirty_idx, ctx)
     else:
         layout = _layout(weights.shape, ctx)
-        seeds = _seeds(algorithm, layout, dirty_idx)
+        seeds = _seeds(layout, dirty_idx)
         budget = max(1, int(fraction * n))
         # Every seed is recomputed at least once, so a seed set past the
         # budget would abort the walk anyway.
         if seeds.size <= budget:
-            levels, tiebreak = _levels(algorithm, weights, ctx)
             dirty_mask = np.zeros(n, dtype=bool)
             dirty_mask[dirty_idx] = True
             cone = propagate_cone(
-                levels, layout.neighbors, base.ravel(), weights.ravel(),
-                seeds, dirty_mask, budget, index_tiebreak=tiebreak,
+                layout.neighbors, base.ravel(), weights.ravel(),
+                seeds, dirty_mask, budget,
             )
         if cone is None:
             fallback_reason = "cone-budget"
 
-    if fallback_reason is not None:
-        ctx.metrics.counter("recolor_fallbacks").inc()
-        new_starts = full_recolor(weights, algorithm, context=ctx)
-        outcome = RecolorOutcome(
-            starts=new_starts,
-            maxcolor=int((new_starts + weights).max()) if n else 0,
-            algorithm=algorithm,
-            mode="fallback",
-            cells_dirty=int(dirty_idx.size),
-            cells_recomputed=0,
-            cells_changed=int(np.count_nonzero(new_starts != base)),
-            levels_touched=0,
-            spliced=False,
-            fallback_reason=fallback_reason,
-            elapsed=perf_counter() - t0,
-        )
+    if fallback_reason is None:
+        ctx.metrics.counter("recolor_cone_cells").inc(cone.cells_recomputed)
     else:
-        if cone is None:  # empty delta: the base coloring is the answer
-            new_starts = base
-            recomputed = changed = touched = 0
-            spliced = True
-        else:
-            new_starts = cone.starts.reshape(weights.shape)
-            recomputed = cone.cells_recomputed
-            changed = cone.cells_changed
-            touched = cone.levels_touched
-            spliced = cone.spliced
-        ctx.metrics.counter("recolor_cone_cells").inc(recomputed)
-        outcome = RecolorOutcome(
-            starts=new_starts,
-            maxcolor=int((new_starts + weights).max()) if n else 0,
-            algorithm=algorithm,
-            mode="incremental",
-            cells_dirty=int(dirty_idx.size),
-            cells_recomputed=recomputed,
-            cells_changed=changed,
-            levels_touched=touched,
-            spliced=spliced,
-            fallback_reason=None,
-            elapsed=perf_counter() - t0,
-        )
+        ctx.metrics.counter("recolor_fallbacks").inc()
+        starts = full_recolor(weights, algorithm, context=ctx).ravel()
+        changed = int(np.count_nonzero(starts != base.ravel()))
+        cone = ConeResult(starts, 0, changed, 0, spliced=False)
+    new_starts = cone.starts.reshape(weights.shape)
+    outcome = RecolorOutcome(
+        starts=new_starts,
+        maxcolor=int((new_starts + weights).max()) if n else 0,
+        algorithm=algorithm,
+        mode="incremental" if fallback_reason is None else "fallback",
+        cells_dirty=int(dirty_idx.size),
+        cells_recomputed=cone.cells_recomputed,
+        cells_changed=cone.cells_changed,
+        levels_touched=cone.levels_touched,
+        spliced=cone.spliced,
+        fallback_reason=fallback_reason,
+        elapsed=perf_counter() - t0,
+    )
     ctx.metrics.histogram("recolor_splice_seconds").observe(outcome.elapsed)
 
     if validate:

@@ -36,7 +36,7 @@ variable                        field                     values
 ``REPRO_TILE_CELLS``            ``tiling.tile_cells``     int (cells per tile)
 ``REPRO_TILING_MIN_CELLS``      ``tiling.min_cells``      int (auto threshold)
 ``REPRO_TILING_BUDGET_MB``      ``tiling.memory_budget_mb``  int (0 = none)
-``REPRO_INCR_CONE_FRACTION``    ``incremental.max_cone_fraction``  float in (0, 1]
+``REPRO_INCR_CONE_FRACTION``    ``incremental.max_cone_fraction``  float in (0, 1] (GLF only)
 ``REPRO_INCR_VALIDATE``         ``incremental.validate``  bool
 ``REPRO_INCR_SESSION_LIMIT``    ``incremental.session_limit``  int (sessions)
 ``REPRO_INCR_SESSION_TTL``      ``incremental.session_ttl``  float (seconds)
@@ -197,10 +197,11 @@ class IncrementalConfig:
     Attributes
     ----------
     max_cone_fraction:
-        Fall back to a full recolor once the dependency cone has recomputed
-        more than this fraction of the grid's cells.  Past that point the
-        sparse propagation loop costs more than one monolithic kernel pass,
-        and the fallback is always-correct by construction.
+        Fall back to a full recolor once a GLF dependency cone has
+        recomputed more than this fraction of the grid's cells.  Past that
+        point the sparse propagation loop costs more than one monolithic
+        kernel pass, and the fallback is always-correct by construction.
+        GLL and GZO deltas run one suffix pass and have no budget.
     validate:
         When true, every incremental recolor is diffed against a full
         from-scratch recolor and a divergence raises

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.api import ColoringResult, color
+from repro.api import ColoringResult, color, recolor
 from repro.core.algorithms.registry import color_with
 from repro.core.problem import IVCInstance
 from repro.data import SyntheticWeightSource
@@ -116,6 +116,18 @@ class TestFacadeContracts:
     def test_bad_grid_rank_rejected(self):
         with pytest.raises(ValueError, match="2D or 3D"):
             color(np.arange(5), "GLL")
+
+    def test_recolor_rejects_a_base_of_another_algorithm(self):
+        weights = _weights((32, 32))
+        base = color(weights, "BDP")
+        new_weights = weights.copy()
+        new_weights.ravel()[100] += 3
+        with pytest.raises(ValueError, match="BDP.*GLL"):
+            recolor(new_weights, base, dirty=[100])
+        patched = recolor(new_weights, base, dirty=[100], algorithm="BDP")
+        np.testing.assert_array_equal(
+            patched.starts, color(new_weights, "BDP").starts
+        )
 
 
 class TestKernelPathBuildsNoCSR:

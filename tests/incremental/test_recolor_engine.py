@@ -78,22 +78,31 @@ class TestRecolorGrid:
         assert outcome.fallback_reason == "cone-budget"
         assert np.array_equal(outcome.starts, full_recolor(new_weights, "GLF"))
 
-    def test_walk_past_budget_falls_back(self):
-        # Few seeds, but the cascade outgrows a 2-cell budget mid-walk.
+    def test_walk_past_budget_falls_back(self, monkeypatch):
+        # The dirty cell's 1-ring (9 seeds) fits a 16-cell budget, but the
+        # cascade (42 cells with an open budget) outgrows it mid-walk.
+        from repro.incremental import engine
+
+        results = []
+        real = engine.propagate_cone
+        monkeypatch.setattr(
+            engine, "propagate_cone",
+            lambda *a, **k: results.append(real(*a, **k)) or results[-1],
+        )
         weights = _grid((16, 16))
         new_weights = weights.copy()
-        new_weights.ravel()[0] = 19
-        base = full_recolor(weights, "GZO")
+        new_weights.ravel()[17] = 19
+        base = full_recolor(weights, "GLF")
         outcome = recolor_grid(
-            new_weights, base, [0], algorithm="GZO",
-            max_cone_fraction=2 / weights.size,
+            new_weights, base, [17], algorithm="GLF",
+            max_cone_fraction=16 / weights.size,
         )
+        assert results == [None]
         assert outcome.fallback_reason == "cone-budget"
-        assert np.array_equal(outcome.starts, full_recolor(new_weights, "GZO"))
+        assert np.array_equal(outcome.starts, full_recolor(new_weights, "GLF"))
 
-    @pytest.mark.parametrize("algorithm", ["GLF", "GZO"])
     def test_dense_delta_routes_to_full_recolor_without_walking(
-        self, algorithm, monkeypatch
+        self, monkeypatch
     ):
         from repro.incremental import engine
 
@@ -105,20 +114,21 @@ class TestRecolorGrid:
         weights = _grid((16, 16))
         dirty = np.arange(0, weights.size, 3)  # 86 seeds > 25% of 256
         new_weights = _delta(weights, dirty)
-        base = full_recolor(weights, algorithm, context=ctx)
+        base = full_recolor(weights, "GLF", context=ctx)
         outcome = recolor_grid(
-            new_weights, base, dirty, algorithm=algorithm, context=ctx
+            new_weights, base, dirty, algorithm="GLF", context=ctx
         )
         assert outcome.mode == "fallback"
         assert outcome.fallback_reason == "cone-budget"
         assert np.array_equal(
-            outcome.starts, full_recolor(new_weights, algorithm)
+            outcome.starts, full_recolor(new_weights, "GLF")
         )
         assert ctx.metrics.snapshot()["counters"].get("recolor_cone_cells", 0) == 0
 
     def test_glf_seeds_include_the_ring_for_the_budget(self, monkeypatch):
         # 20 scattered dirty cells are under a 64-cell budget, but with
-        # their 1-rings they are not: GLF routes up front, GZO walks.
+        # their 1-rings they are not: GLF routes up front without walking.
+        # GZO never walks: it recolors its schedule suffix.
         from repro.incremental import engine
 
         weights = _grid((16, 16))
@@ -130,36 +140,40 @@ class TestRecolorGrid:
             engine, "propagate_cone",
             lambda *a, **k: walked.append(1) or real(*a, **k),
         )
-        for algorithm, walks in (("GLF", 0), ("GZO", 1)):
+        for algorithm, mode in (("GLF", "fallback"), ("GZO", "incremental")):
             walked.clear()
             base = full_recolor(weights, algorithm)
             outcome = recolor_grid(new_weights, base, dirty, algorithm=algorithm)
-            assert len(walked) == walks
+            assert walked == []
+            assert outcome.mode == mode
             assert np.array_equal(
                 outcome.starts, full_recolor(new_weights, algorithm)
             )
 
     def test_gll_never_falls_back(self):
-        # GLL recolors the suffix from the first dirty column in one band
-        # pass: no cone budget, even a tiny one, and no fallback.
+        # GLL and GZO recolor a suffix (of the outer axis, of the Morton
+        # schedule) in one pass: no cone budget, even a tiny one, and no
+        # fallback.
         ctx = ExecutionContext()
-        for shape, dirty in (
+        deltas = (
             ((16, 16), np.arange(256)),
             ((16, 16), [3]),
             ((6, 5, 4), [0, 119]),
-        ):
-            weights = _grid(shape)
-            new_weights = _delta(weights, dirty)
-            base = full_recolor(weights, "GLL")
-            outcome = recolor_grid(
-                new_weights, base, dirty, algorithm="GLL",
-                max_cone_fraction=0.01, context=ctx,
-            )
-            assert outcome.mode == "incremental"
-            assert outcome.fallback_reason is None
-            assert np.array_equal(
-                outcome.starts, full_recolor(new_weights, "GLL")
-            )
+        )
+        for algorithm in ("GLL", "GZO"):
+            for shape, dirty in deltas:
+                weights = _grid(shape)
+                new_weights = _delta(weights, dirty)
+                base = full_recolor(weights, algorithm)
+                outcome = recolor_grid(
+                    new_weights, base, dirty, algorithm=algorithm,
+                    max_cone_fraction=0.01, context=ctx,
+                )
+                assert outcome.mode == "incremental"
+                assert outcome.fallback_reason is None
+                assert np.array_equal(
+                    outcome.starts, full_recolor(new_weights, algorithm)
+                )
         assert ctx.metrics.snapshot()["counters"].get("recolor_fallbacks", 0) == 0
 
     def test_gll_recomputes_the_suffix_from_the_first_dirty_column(self):
@@ -236,6 +250,15 @@ class TestRecolorGrid:
         mask = (new_weights != weights).ravel()
         patched = api.recolor(new_weights, base, dirty=np.flatnonzero(mask))
         assert np.array_equal(patched.starts, full_recolor(new_weights, "GLL"))
+
+    @pytest.mark.parametrize("algorithm", ["GLL", "GZO", "GLF"])
+    def test_negative_weights_rejected(self, algorithm):
+        weights = _grid((64, 64))
+        base = full_recolor(weights, algorithm)
+        new_weights = weights.copy()
+        new_weights.ravel()[100] = -5
+        with pytest.raises(ValueError, match="non-negative"):
+            recolor_grid(new_weights, base, [100], algorithm=algorithm)
 
     def test_shape_mismatch_rejected(self):
         weights = _grid((4, 4))

@@ -4,13 +4,14 @@ Hypothesis drives random grids (2D and 3D, zero weights included), random
 sparse dirty sets, and every registry algorithm that declares a fast path
 through :func:`repro.incremental.engine.recolor_grid`, requiring the result
 to be bit-identical to a cold :func:`full_recolor` of the new weights.  The
-supported algorithms exercise the incremental paths (the GZO/GLF cone walk,
-GLL's suffix band pass); the rest must take the always-correct fallback.
+supported algorithms exercise the incremental paths (GLF's cone walk, the
+GLL and GZO suffix passes); the rest must take the always-correct fallback.
 Edge cases get dedicated properties: a delta touching the grid boundary, a
 delta rewriting the whole grid with the cone budget opened wide enough that
 the cone — not the fallback — must reproduce the from-scratch answer, GLL
-deltas placed in the first, the last or every outer-axis index of grids as
-thin as one cell, and streams of deltas each patching the last answer.
+and GZO deltas placed in the first, the last or every outer-axis index of
+grids as thin as one cell, and streams of deltas each patching the last
+answer.
 """
 
 import numpy as np
@@ -18,11 +19,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.algorithms.registry import REGISTRY
+from repro.core.orderings import zorder_order
+from repro.core.problem import IVCInstance
 from repro.incremental.engine import (
     SUPPORTED_ALGORITHMS,
     full_recolor,
     recolor_grid,
 )
+from repro.kernels.substrate import get_substrate
 
 FAST_ALGORITHMS = tuple(
     spec.name for spec in REGISTRY.specs() if spec.fast_fn is not None
@@ -174,6 +178,44 @@ def test_gll_band_pass_matches_full_recolor(shape, seed, delta_seed, placement):
     outer = shape[-1]
     c0 = int((dirty % outer).min())
     assert outcome.cells_recomputed == weights.size // outer * (outer - c0)
+
+
+@given(
+    shape=thin_grids,
+    seed=seeds,
+    delta_seed=seeds,
+    placement=st.sampled_from(["first", "last", "every", "anywhere"]),
+)
+@example(shape=(1, 9), seed=0, delta_seed=1, placement="last")
+@example(shape=(7, 5), seed=0, delta_seed=1, placement="anywhere")
+@example(shape=(3, 4, 5), seed=0, delta_seed=1, placement="every")
+@settings(max_examples=80, deadline=None)
+def test_gzo_suffix_pass_matches_full_recolor(shape, seed, delta_seed, placement):
+    weights = _weights(shape, seed)
+    rng = np.random.default_rng(delta_seed)
+    dirty = _placed(shape, placement, rng)
+    new_weights = _mutate(weights, dirty, delta_seed)
+    # The tightest budget: GZO has none, so it never falls back.
+    outcome = _check_identical(
+        "GZO", weights, new_weights, dirty, max_cone_fraction=0.01
+    )
+    assert outcome.mode == "incremental"
+    # Every cell scheduled before the first dirty cell's Kahn level keeps
+    # its base start; the rest is recomputed.
+    make = IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d
+    instance = make(weights)
+    verts, ptr = get_substrate(instance.geometry).wavefront_for(
+        zorder_order(instance)
+    )
+    position = np.empty(weights.size, dtype=np.int64)
+    position[verts] = np.arange(weights.size)
+    level = int(np.searchsorted(ptr, position[dirty].min(), side="right")) - 1
+    assert outcome.cells_recomputed == weights.size - ptr[level]
+    assert outcome.levels_touched == len(ptr) - 1 - level
+    assert not outcome.spliced
+    kept = verts[: ptr[level]]
+    base = full_recolor(weights, "GZO")
+    assert np.array_equal(outcome.starts.ravel()[kept], base.ravel()[kept])
 
 
 @given(
