@@ -361,7 +361,7 @@ for _spec in (
         "GLF", greedy_largest_first, needs_geometry=False,
         description="greedy, heaviest-vertex-first order",
         fast_fn=_lazy_fast("glf_fast"),
-        kernel_from=256,
+        kernel_from=144,
     ),
     AlgorithmSpec(
         "GKF", greedy_largest_clique_first,
@@ -392,12 +392,12 @@ for _spec in (
     AlgorithmSpec(
         "GLF+P", _glf_post, is_extension=True,
         description="GLF followed by the BDP post-optimization sweep",
-        kernel_from=128,
+        kernel_from=144,
     ),
     AlgorithmSpec(
         "BD+IP", _bd_iterated, is_extension=True,
         description="BD with post-optimization iterated to a fixed point",
-        kernel_from=64,
+        kernel_from=128,
     ),
     AlgorithmSpec(
         "SGK-ws", _sgk_weight_sorted, is_extension=True,
@@ -411,7 +411,7 @@ for _spec in (
     AlgorithmSpec(
         "GLF+LS", _glf_local_search, needs_geometry=False, is_extension=True,
         description="GLF improved by iterated-greedy local search",
-        kernel_from=128,
+        kernel_from=144,
     ),
 ):
     REGISTRY.register(_spec)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.problem import IVCInstance
-from repro.stencil.zorder import morton_argsort_2d, morton_argsort_3d
 
 
 def identity_order(n: int) -> np.ndarray:
@@ -32,13 +31,14 @@ def line_by_line_order(instance: IVCInstance) -> np.ndarray:
 
 
 def zorder_order(instance: IVCInstance) -> np.ndarray:
-    """Morton (Z-order) traversal of the stencil grid (GZO)."""
+    """Morton (Z-order) traversal of the stencil grid (GZO).
+
+    The geometry's cached, read-only permutation: one argsort per shape.
+    """
     geo = instance.geometry
     if geo is None:
         raise ValueError("Z-order requires a stencil geometry")
-    if instance.is_2d:
-        return morton_argsort_2d(geo.shape)
-    return morton_argsort_3d(geo.shape)
+    return geo.zorder_order
 
 
 def largest_first_order(instance: IVCInstance) -> np.ndarray:

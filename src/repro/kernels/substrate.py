@@ -112,9 +112,9 @@ class StencilLayout:
         so a per-delta pass over all cells is one contiguous slice."""
         return int(self.interior[0]), int(self.interior[-1]) + 1
 
-    def pad(self, values, fill: int) -> np.ndarray:
-        """Flat per-cell ``values`` as padded ``int64``, ``fill`` on the border."""
-        out = np.full(len(self.unpad), fill, dtype=np.int64)
+    def pad(self, values, fill: int, dtype=np.int64) -> np.ndarray:
+        """Flat per-cell ``values`` as padded ``dtype``, ``fill`` on the border."""
+        out = np.full(len(self.unpad), fill, dtype=dtype)
         out[self.interior] = values
         return out
 
@@ -219,6 +219,16 @@ def _kahn_wavefront(layout: StencilLayout, rank: np.ndarray) -> Wavefront:
 
     The rounds run in padded ids (sorted like flat ids): border cells rank
     after everything and hold an indegree that never reaches 0.
+
+    Each round's frontier is its ready targets sorted, with repeats dropped
+    by a neighbour compare, so every batch is in increasing id order.  This
+    replaced ``np.unique``: numpy 2.4's hash-based ``unique`` measured
+    slower than the sort at every ready-array size from 1 to 341 elements
+    (2.4 vs 2.1 µs at 1, 37 vs 7 µs at 341) and ~10x slower at 87k, so no
+    size threshold keeps it.  Whole GLF schedules went from 294–319 to
+    135–172 ms at 768² (best of 5, two interleaved rounds, 2-CPU host),
+    and GZO's, whose ~25k rounds at 64³ are small, did not slow down at
+    any shape from 128² to 768² and 32³ to 64³.
     """
     n = len(rank)
     rank_pad = layout.pad(rank, n)
@@ -238,7 +248,14 @@ def _kahn_wavefront(layout: StencilLayout, rank: np.ndarray) -> Wavefront:
         rows = frontier[:, None] + layout.deltas
         targets = rows[rank_pad[rows] > rank_pad[frontier][:, None]]
         np.subtract.at(indeg_pad, targets, 1)
-        frontier = np.unique(targets[indeg_pad[targets] == 0])
+        # A vertex becomes ready once per frontier neighbour: sort the
+        # ready targets and keep the first of each run of equal ids.
+        ready = targets[indeg_pad[targets] == 0]
+        ready.sort()
+        keep = np.empty(len(ready), dtype=bool)
+        keep[:1] = True
+        np.not_equal(ready[1:], ready[:-1], out=keep[1:])
+        frontier = ready[keep]
     verts = layout.unpad[np.concatenate(batches)]
     ptr = np.zeros(len(batches) + 1, dtype=np.int64)
     np.cumsum([len(b) for b in batches], out=ptr[1:])

@@ -38,7 +38,9 @@ schedule a cell's start depends on its earlier neighbours alone, so its
 later-level neighbours — still ``UNCOLORED`` in a fresh pass, anything at
 all in a suffix pass — are never read.  The recolor pass
 and Kahn schedules always gather the full stencil, since there a later
-neighbour's old start constrains the cell.
+neighbour's old start constrains the cell.  The loop computes in
+``int32`` whenever a guard on the weights and given starts shows that no
+value can reach its void, and in ``int64`` otherwise.
 """
 
 from __future__ import annotations
@@ -54,15 +56,11 @@ from repro.kernels.substrate import StencilLayout, Substrate, get_substrate
 UNCOLORED = -1
 
 #: Stands in for ``UNCOLORED`` (and for zero weights) inside
-#: :func:`first_fit_wavefronts`: below every real start, and negative when
-#: added to any weight or to itself, without overflowing ``int64``.
-_VOID = -(1 << 61)
-
-
-def _void(starts) -> np.ndarray:
-    """``starts`` with ``UNCOLORED`` replaced by ``_VOID``."""
-    starts = np.asarray(starts, dtype=np.int64)
-    return np.where(starts == UNCOLORED, _VOID, starts)
+#: :func:`first_fit_wavefronts`, per loop dtype: below every real start, and
+#: negative when added to any weight, to any start or to itself, without
+#: overflowing the dtype.  The ``int32`` void holds that only for starts and
+#: weights below ``2**29``, which the loop's guard ensures.
+_VOID = {np.int64: -(1 << 61), np.int32: -(1 << 29)}
 
 
 def first_fit_intervals(
@@ -105,7 +103,7 @@ def _first_fit_columns(
 ) -> np.ndarray:
     """:func:`first_fit_intervals` on column-major ``(d, b)`` lower and
     upper ends, ignored slots at ``hi <= 0``; ``cols`` starts with
-    ``arange(b)``."""
+    ``arange(b)``.  Computes in the dtype of ``hi``."""
     d, b = lo.shape
     # Sort neighbor intervals by lower end.  Ties need no secondary key: the
     # scan's outcome at a tied lower end is independent of the tie order.
@@ -114,7 +112,7 @@ def _first_fit_columns(
     flat += cols[:b]
     lo = lo.take(flat)
     # ends[c] = max(0, hi[0..c-1]) over the sorted intervals.
-    ends = np.empty((d + 1, b), dtype=np.int64)
+    ends = np.empty((d + 1, b), dtype=hi.dtype)
     ends[0] = 0
     hi.take(flat, out=ends[1:])
     np.maximum.accumulate(ends, axis=0, out=ends)
@@ -151,10 +149,33 @@ def first_fit_wavefronts(
     ``start + weight``, and every ignored slot's is negative — ignored like
     the ``0`` that :func:`first_fit_intervals` gives it.  A ``_VOID`` lower
     end never fits, as ``UNCOLORED`` never does.
+
+    The pass runs in ``int32`` (void ``-2**29``) when
+    ``len(deltas) * max(weights) < 2**29`` and, given ``starts``,
+    ``max(starts) + max(weights) < 2**29``; otherwise in ``int64`` (void
+    ``-2**61``).  The guard suffices: each sorted interval moves the
+    scan's frontier up by less than ``w`` plus its own width, so a new
+    start is below ``2 * len(deltas) * max(weights) < 2**30``; every end
+    stays below ``3 * 2**29``, every lower end minus a frontier above
+    ``-2**31``, and a given start plus the void (a zero-weight cell's
+    stale start) at most 0.  Halving the padded arrays and the batch
+    temporaries took GLF's loop from 360–414 to 225–241 ms at 768² and
+    from 273–381 to 226–247 ms at 64³ (weights 1–999, best of 5, two
+    interleaved rounds, 2-CPU host).  The output is ``int64`` either way.
     """
     deltas = (layout.deltas if deltas is None else deltas)[:, None]
-    starts_pad = layout.pad(_VOID if starts is None else _void(starts), _VOID)
-    weights_void = layout.pad(np.where(weights > 0, weights, _VOID), _VOID)
+    weights = np.asarray(weights)
+    top = int(weights.max(initial=0))
+    reach = len(deltas) * top
+    if starts is not None:
+        starts = np.asarray(starts, dtype=np.int64)
+        reach = max(reach, int(starts.max(initial=0)) + top)
+    dtype = np.int32 if reach < -_VOID[np.int32] else np.int64
+    void = _VOID[dtype]
+    starts_pad = layout.pad(
+        void if starts is None else np.where(starts == UNCOLORED, void, starts), void, dtype
+    )
+    weights_void = layout.pad(np.where(weights > 0, weights, void), void, dtype)
     padded = layout.interior[verts]
     placed = np.maximum(weights_void[padded], 0)  # scheduled cells' weights
     cols = np.arange(np.diff(ptr).max(initial=0))
@@ -167,7 +188,8 @@ def first_fit_wavefronts(
             lo, lo + weights_void[rows], placed[ptr[b] : ptr[b + 1]], cols
         )
     out = starts_pad[layout.interior]
-    return np.maximum(out, UNCOLORED, out=out)
+    np.maximum(out, UNCOLORED, out=out)
+    return out.astype(np.int64, copy=False)
 
 
 def _is_line_by_line(order: np.ndarray, shape: tuple[int, ...]) -> bool:

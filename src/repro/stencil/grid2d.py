@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.stencil.generic import CSRGraph
+from repro.stencil.zorder import morton_argsort_2d
 
 #: Moore neighborhood offsets (8 neighbors).
 OFFSETS_9PT = tuple(
@@ -194,6 +195,17 @@ class StencilGrid2D:
             np.arange(self.X, dtype=np.int64), np.arange(self.Y, dtype=np.int64), indexing="ij"
         )
         return self.vertex_id(i.T.ravel(), j.T.ravel())
+
+    @cached_property
+    def zorder_order(self) -> np.ndarray:
+        """Vertex permutation in Morton (Z-order) traversal (paper's GZO).
+
+        Computed once per geometry and shared by every instance of the
+        shape, so the array is read-only.
+        """
+        order = morton_argsort_2d(self.shape)
+        order.flags.writeable = False
+        return order
 
     def weights_as_grid(self, weights: np.ndarray) -> np.ndarray:
         """Reshape a flat weight vector to the ``(X, Y)`` grid."""

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.stencil.generic import CSRGraph
 from repro.stencil.grid2d import StencilGrid2D
+from repro.stencil.zorder import morton_argsort_3d
 
 #: 26 neighbor offsets of the 27-pt stencil.
 OFFSETS_27PT = tuple(
@@ -210,6 +211,17 @@ class StencilGrid3D:
             indexing="ij",
         )
         return self.vertex_id(i.ravel(), j.ravel(), k.ravel())
+
+    @cached_property
+    def zorder_order(self) -> np.ndarray:
+        """Vertex permutation in Morton (Z-order) traversal (paper's GZO).
+
+        Computed once per geometry and shared by every instance of the
+        shape, so the array is read-only.
+        """
+        order = morton_argsort_3d(self.shape)
+        order.flags.writeable = False
+        return order
 
     def weights_as_grid(self, weights: np.ndarray) -> np.ndarray:
         """Reshape a flat weight vector to the ``(X, Y, Z)`` grid."""

@@ -32,6 +32,18 @@ class TestOrders:
             order = zorder_order(inst)
             assert sorted(order.tolist()) == list(range(inst.num_vertices))
 
+    def test_zorder_computed_once_per_shape_and_read_only(self):
+        # Instances of one shape share a geometry, so they share the order;
+        # a caller writing into it would corrupt every later GZO call.
+        for shape in ((5, 7), (3, 4, 2)):
+            make = IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d
+            first = zorder_order(make(np.ones(shape, dtype=np.int64)))
+            again = zorder_order(make(np.full(shape, 3, dtype=np.int64)))
+            assert again is first
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0] = first[1]
+
     def test_zorder_requires_geometry(self):
         inst = IVCInstance.from_graph(path_graph(3), [1, 1, 1])
         with pytest.raises(ValueError, match="geometry"):

@@ -4,8 +4,9 @@
 sequential sort-and-scan, slot by slot.  The loop tests diff the cases the
 loop treats specially against the reference loops or monolithic GLL:
 recolor passes whose zero-weight cells enter with stale or ``UNCOLORED``
-starts, a region led by a carry of arbitrary starts, and the half-stencil
-gather of fresh GLL passes on 1-wide and 3D grids.
+starts, the ``int32`` narrowing on either side of its guard, a region led
+by a carry of arbitrary starts, and the half-stencil gather of fresh GLL
+passes on 1-wide and 3D grids.
 """
 
 import dataclasses
@@ -167,6 +168,59 @@ def test_recolor_pass_with_stale_zero_weight_starts(shape, order_name, entry):
     assert np.array_equal(wavefront_recolor_pass(inst, base, order), want)
     if entry == "stale":
         assert np.array_equal(greedy_recolor_pass(inst, base, order, fast=False), want)
+
+
+# -- the int32 narrowing -----------------------------------------------------
+
+GUARD = 1 << 29
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["int32", "int64"])
+@pytest.mark.parametrize("case", ["fresh", "uncolored", "high_starts"])
+@pytest.mark.parametrize("shape", [(5, 6), (3, 4, 3)])
+def test_int32_narrowing_at_its_guard(shape, case, over, monkeypatch):
+    # The loop narrows to int32 while ``len(deltas) * max(w)`` and, given
+    # starts, ``max(starts) + max(w)`` stay below 2**29.  ``over=0`` puts the
+    # deciding term at 2**29 - 1 (or just under it), ``over=1`` at the
+    # smallest value that fails.  Zero weights throughout, some holding
+    # stale starts; random orders gather the full stencil.
+    rng = np.random.default_rng(len(shape) * 10 + len(case) + over)
+    d = 8 if len(shape) == 2 else 26
+    top = (GUARD - 1) // d + over if case != "high_starts" else 40
+    weights = rng.integers(top // 2, top + 1, size=shape)
+    weights[rng.random(size=shape) < 0.25] = 0
+    weights.flat[0] = top
+    inst = _instance(weights)
+    order = rng.permutation(inst.num_vertices).astype(np.int64)
+    zero = np.flatnonzero(inst.weights == 0)
+    if case == "fresh":
+        base = None
+        want = greedy_color(inst, order, fast=False).starts
+    elif case == "uncolored":
+        base = np.full(inst.num_vertices, UNCOLORED, dtype=np.int64)
+        stale = rng.random(inst.num_vertices) < 0.5
+        base[stale] = rng.integers(0, top, size=stale.sum())
+        want = _reference_pass(inst, base, order)
+    else:
+        base = greedy_color(inst, random_order(inst, seed=3), fast=False).starts
+        base = base + (GUARD - 1 + over - top - base.max())
+        base[zero[0]] = base.max()  # a zero-weight cell at the top start
+        want = greedy_recolor_pass(inst, base, order, fast=False)
+    dtypes = set()
+    columns = wavefront._first_fit_columns
+
+    def spy(lo, hi, w, cols):
+        dtypes.add(hi.dtype)
+        return columns(lo, hi, w, cols)
+
+    monkeypatch.setattr(wavefront, "_first_fit_columns", spy)
+    if base is None:
+        got = wavefront_greedy_color(inst, order)
+    else:
+        got = wavefront_recolor_pass(inst, base, order)
+    assert dtypes == {np.dtype(np.int64 if over else np.int32)}
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 # -- the carry --------------------------------------------------------------
