@@ -15,9 +15,6 @@ Subcommands
                 optimum (Section VI.D).
 ``stkde``       Run the STKDE integration experiment (Section VII).
 ``npc``         Demonstrate the NAE-3SAT reduction (Section IV).
-``bench-kernels``  Time the vectorized kernels against the reference loops
-                and write ``BENCH_kernels.json`` (exits nonzero if any
-                kernel coloring diverges from the reference).
 ``tile``        Color a large grid out-of-core: one streaming pass over
                 outer-axis bands, digested per tile, bit-identical
                 to the monolithic GLL kernel.
@@ -150,13 +147,13 @@ def cmd_algorithms(args: argparse.Namespace) -> int:
     config = get_context().config
 
     def fast_column(spec) -> str:
-        """Kernel binding availability + what the active config does with it.
+        """Whether the spec has kernels + what the active config does with
+        them.
 
-        Sourced from the registry (``fast_fn``, ``kernel_from``) and the
-        context's :class:`~repro.runtime.config.RuntimeConfig` — no module
-        probing.
+        Sourced from the registry (``kernel_from``) and the context's
+        :class:`~repro.runtime.config.RuntimeConfig` — no module probing.
         """
-        if spec.fast_fn is None:
+        if spec.kernel_from is None:
             return "-"
         if config.fast_paths == "off":
             return "kernel (off)"
@@ -217,7 +214,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
     result = run_suite(
         instances,
         jobs=args.jobs,
-        fast_paths=_resolve_runtime(args),
+        fast_paths={"kernels": True, "reference": False}.get(args.runtime),
         log_path=args.run_log or None,
         on_error="record",
         max_cell_retries=args.retries,
@@ -369,46 +366,6 @@ def cmd_gantt(args: argparse.Namespace) -> int:
     print(f"maxcolor {coloring.maxcolor}, makespan {trace.makespan:.1f}, "
           f"critical path {trace.critical_path:.1f}")
     print(f"gantt chart saved to {args.output}")
-    return 0
-
-
-def _parse_sizes(text: str) -> list[int]:
-    sizes = [int(part) for part in text.split(",") if part.strip()]
-    if any(n <= 0 for n in sizes):
-        raise argparse.ArgumentTypeError(f"grid sizes must be positive: {text!r}")
-    return sizes
-
-
-def cmd_bench_kernels(args: argparse.Namespace) -> int:
-    from repro.kernels.bench import (
-        DEFAULT_ALGORITHMS,
-        format_report,
-        run_kernel_benchmark,
-        summary_line,
-        write_benchmark,
-    )
-
-    algorithms = (
-        [a.strip() for a in args.algorithms.split(",") if a.strip()]
-        if args.algorithms
-        else list(DEFAULT_ALGORITHMS)
-    )
-    report = run_kernel_benchmark(
-        sizes_2d=args.sizes,
-        sizes_3d=args.sizes_3d,
-        algorithms=algorithms,
-        reps=args.reps,
-        seed=args.seed,
-        runtime=args.runtime or "auto",
-    )
-    print(format_report(report))
-    if args.out:
-        path = write_benchmark(report, args.out)
-        print(f"report written to {path}")
-    print(summary_line(report))
-    if not report["all_identical"]:
-        print("error: kernel coloring diverged from the reference", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -1037,20 +994,6 @@ def cmd_campaign_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_runtime_option(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--runtime", choices=("auto", "kernels", "reference"), default=None,
-        help="which implementation colors the cells: 'kernels' forces the "
-             "vectorized fast paths, 'reference' the Python loops, 'auto' "
-             "(default) picks per instance size",
-    )
-
-
-def _resolve_runtime(args: argparse.Namespace):
-    """The per-call ``fast`` preference named by ``--runtime``."""
-    return {"kernels": True, "reference": False}.get(args.runtime)
-
-
 def _add_jobs_option(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--jobs", type=int, default=0, metavar="N",
@@ -1130,7 +1073,13 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "suite":
             p.add_argument("--data-dir", default="",
                            help="directory of x,y,t CSVs to use instead of the synthetic datasets")
-            _add_runtime_option(p)
+            p.add_argument(
+                "--runtime", choices=("auto", "kernels", "reference"),
+                default=None,
+                help="which implementation colors the cells: 'kernels' "
+                     "forces the vectorized fast paths, 'reference' the "
+                     "Python loops, 'auto' (default) picks per instance size",
+            )
             _add_run_log_option(p)
             p.add_argument(
                 "--resume", action="store_true",
@@ -1183,30 +1132,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_option(p)
     _add_run_log_option(p)
     p.set_defaults(func=cmd_stkde)
-
-    p = sub.add_parser(
-        "bench-kernels",
-        help="time the vectorized kernels against the reference loops",
-        description="Benchmark the wavefront/chain kernels against the "
-                    "reference Python loops on random square 2D and cubic 3D "
-                    "grids, verifying that both produce identical colorings. "
-                    "Exits nonzero on any divergence.",
-        epilog="Example: stencil-ivc bench-kernels --sizes 128,512 "
-               "--sizes-3d 32 --out BENCH_kernels.json",
-    )
-    p.add_argument("--sizes", type=_parse_sizes, default=[128, 256, 512],
-                   metavar="N,N,...", help="square 2D grid sides (default 128,256,512)")
-    p.add_argument("--sizes-3d", type=_parse_sizes, default=[16, 32, 40],
-                   metavar="N,N,...", help="cubic 3D grid sides (default 16,32,40)")
-    p.add_argument("--algorithms", default="",
-                   help="comma-separated registry names (default GLL,GLF,BD,BDP)")
-    p.add_argument("--reps", type=int, default=3,
-                   help="timing repetitions per cell; the minimum is reported")
-    p.add_argument("--seed", type=int, default=0, help="random weight seed")
-    p.add_argument("--out", default="BENCH_kernels.json",
-                   help="JSON report path ('' skips the file)")
-    _add_runtime_option(p)
-    p.set_defaults(func=cmd_bench_kernels)
 
     p = sub.add_parser(
         "tile",

@@ -89,18 +89,19 @@ class AlgorithmSpec:
     description:
         One-line summary shown by ``stencil-ivc algorithms``.
     fast_fn:
-        Optional vectorized fast-path implementation (see
-        :mod:`repro.kernels.colorings`).  Must produce starts identical to
-        ``fn`` — the differential test suite enforces this.  Used by
-        :func:`color_with` when fast paths are enabled and the instance has a
-        stencil geometry (:meth:`runs_kernel`); generic graphs always fall
-        back to ``fn``.
+        Optional kernel binding (see :mod:`repro.kernels.colorings`), run
+        instead of ``fn`` whenever :meth:`runs_kernel` holds.  Must produce
+        starts identical to ``fn`` — the differential test suite enforces
+        this.  It only picks which binding runs: a spec without one still
+        reaches kernels through the primitives underneath ``fn``.
     kernel_from:
-        Auto-mode crossover in vertices: from this instance size up the
-        kernels run (``fast_fn``, and the kernels of the primitives
-        underneath ``fn``), below it the reference loops do.  The default
-        registry's values are the measured crossovers of
-        ``BENCH_crossover.json``; ``0`` means the kernels always run.
+        Whether the spec has kernels, and its auto-mode crossover in
+        vertices: from this instance size up the kernels run (``fast_fn``,
+        or the kernels of the primitives underneath ``fn``), below it the
+        reference loops do.  ``None`` (the default) means the spec reaches
+        no kernel, so it always runs the reference loops; ``0`` means the
+        kernels always run.  The default registry's values are the measured
+        crossovers of ``BENCH_crossover.json``.
     """
 
     name: str
@@ -110,7 +111,13 @@ class AlgorithmSpec:
     is_extension: bool = False
     description: str = ""
     fast_fn: Optional[AlgorithmFn] = None
-    kernel_from: int = 0
+    kernel_from: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.fast_fn is not None and self.kernel_from is None:
+            raise ValueError(
+                f"algorithm {self.name!r} has a fast_fn but no kernel_from"
+            )
 
     def supports(self, instance: IVCInstance) -> bool:
         """Whether this heuristic can run on ``instance``."""
@@ -130,7 +137,8 @@ class AlgorithmSpec:
     ) -> bool:
         """The fast-path decision for one call: an explicit ``fast``, else an
         enclosing ``fast_paths()`` block, else the config mode, where auto
-        means ``instance.num_vertices >= kernel_from``.
+        means ``instance.num_vertices >= kernel_from`` (never, for a spec
+        without kernels).
 
         This is the only place the auto-mode size rule is applied;
         :func:`color_with` scopes the result over the whole call.
@@ -139,7 +147,10 @@ class AlgorithmSpec:
 
         decided = resolve_fast_for(fast, context)
         if decided is None:
-            return instance.num_vertices >= self.kernel_from
+            return (
+                self.kernel_from is not None
+                and instance.num_vertices >= self.kernel_from
+            )
         return decided
 
     def runs_kernel(
@@ -148,13 +159,15 @@ class AlgorithmSpec:
         fast: Optional[bool] = None,
         context: Optional["ExecutionContext"] = None,
     ) -> bool:
-        """Whether :func:`color_with` dispatches :attr:`fast_fn`.
+        """Whether a call runs kernels: :attr:`fast_fn` if the spec has one,
+        else ``fn`` with its primitives on their kernels.
 
-        :meth:`wants_fast` alone is only a request: specs without a kernel
-        and instances without a stencil geometry take ``fn`` regardless.
+        :meth:`wants_fast` alone is only a request: specs without kernels
+        (``kernel_from is None``) and instances without a stencil geometry
+        run the reference loops regardless.
         """
         return (
-            self.fast_fn is not None
+            self.kernel_from is not None
             and instance.geometry is not None
             and self.wants_fast(instance, fast, context)
         )
@@ -322,9 +335,7 @@ def _lazy_fast(attr: str) -> AlgorithmFn:
     call time.
 
     Keeps ``core`` free of module-level imports of the (higher-layer)
-    kernels package — the layering lint enforces that — while ``fast_fn is
-    not None`` still advertises the binding to capability probes like the
-    ``stencil-ivc algorithms`` fast-path column.
+    kernels package — the layering lint enforces that.
     """
 
     def call(instance: IVCInstance) -> Coloring:
@@ -458,13 +469,14 @@ def color_with(
     Parameters
     ----------
     fast:
-        Use the vectorized kernel fast path when the spec declares one and
-        the instance has a stencil geometry (automatic fallback to the
-        reference implementation otherwise).  ``None`` (default) follows an
-        enclosing ``fast_paths()`` block, else the context's
-        :class:`~repro.runtime.config.RuntimeConfig` fast-path mode, whose
-        auto mode runs the kernels from the spec's measured
-        ``kernel_from`` vertex count up (:meth:`AlgorithmSpec.wants_fast`).
+        Use the vectorized kernels when the spec has them and the instance
+        has a stencil geometry (automatic fallback to the reference
+        implementation otherwise, see :meth:`AlgorithmSpec.runs_kernel`).
+        ``None`` (default) follows an enclosing ``fast_paths()`` block, else
+        the context's :class:`~repro.runtime.config.RuntimeConfig`
+        fast-path mode, whose auto mode runs the kernels from the spec's
+        measured ``kernel_from`` vertex count up
+        (:meth:`AlgorithmSpec.wants_fast`).
         The resolved value is scoped over the whole call, so every
         primitive the algorithm touches follows it without a second size
         check.
@@ -486,7 +498,7 @@ def color_with(
     spec = REGISTRY.get(name)
     use_fast = spec.wants_fast(instance, fast, ctx)
     kernel = spec.runs_kernel(instance, use_fast)
-    fn = spec.fast_fn if kernel else spec.fn
+    fn = spec.fast_fn if kernel and spec.fast_fn is not None else spec.fn
     ctx.metrics.counter("registry.dispatch").inc()
     ctx.metrics.counter(
         "registry.dispatch_fast" if kernel else "registry.dispatch_reference"

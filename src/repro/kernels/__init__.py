@@ -16,10 +16,10 @@ Python loops in :mod:`repro.core`:
 
 Whether a call takes the kernels is decided by
 :mod:`repro.runtime.fastpath` (``REPRO_FAST_PATHS=0`` disables
-everything); the registry wrappers in
-:mod:`repro.kernels.colorings` bind the kernels to algorithm names; and
-:mod:`repro.kernels.bench` measures kernel-vs-reference speedups
-(``stencil-ivc bench-kernels``).
+everything), and the registry wrappers in
+:mod:`repro.kernels.colorings` bind the kernels to algorithm names.  The
+kernel-vs-reference timings are ``BENCH_crossover.json``
+(``tools/kernel_crossover.py``).
 """
 
 from repro.kernels.substrate import (

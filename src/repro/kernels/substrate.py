@@ -326,8 +326,8 @@ class _ShapeCache:
     """A tiny thread-safe LRU keyed by ``(stencil type, shape)``.
 
     Tracks hit/miss/eviction counters (monotonic over the cache lifetime,
-    surviving :meth:`clear`) so the service ``/metrics`` snapshot and
-    ``bench-kernels`` can report substrate-cache effectiveness.  The same
+    surviving :meth:`clear`) so the service ``/metrics`` snapshot can
+    report substrate-cache effectiveness.  The same
     events are mirrored into the owning context's metrics registry under
     ``<name>.hits`` / ``<name>.misses`` / ``<name>.evictions``.
     """
@@ -487,8 +487,7 @@ def substrate_stats(
 
     Counters are cache-lifetime monotonic (``clear_caches`` drops entries
     but not counters), so rates computed from deltas are meaningful.  Exposed
-    in the coloring service ``metrics`` snapshot and the ``bench-kernels``
-    report.
+    in the coloring service ``metrics`` snapshot.
     """
     state = _state(context)
     return {

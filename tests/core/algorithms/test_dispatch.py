@@ -16,7 +16,12 @@ import numpy as np
 import pytest
 
 from repro.api import color
-from repro.core.algorithms.registry import ALGORITHMS, REGISTRY, color_with
+from repro.core.algorithms.registry import (
+    ALGORITHMS,
+    EXTENDED_ALGORITHMS,
+    REGISTRY,
+    color_with,
+)
 from repro.core.problem import IVCInstance
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.context import ExecutionContext
@@ -24,7 +29,9 @@ from repro.runtime.context import ExecutionContext
 REPO_ROOT = Path(__file__).resolve().parents[3]
 BENCH = REPO_ROOT / "BENCH_crossover.json"
 
-KERNEL_SPECS = [spec.name for spec in REGISTRY.specs() if spec.fast_fn is not None]
+KERNEL_SPECS = [
+    spec.name for spec in REGISTRY.specs() if spec.kernel_from is not None
+]
 
 
 def _instance(n, seed=0):
@@ -110,6 +117,51 @@ class TestPrimitivesFollowTheScope:
     def test_reference_decision_reaches_every_primitive(self, kernel_calls):
         color_with(_grid((40, 40)), "GLF+P", fast=False)
         assert kernel_calls == []
+
+
+#: Every entry point by which a coloring reaches the wavefront or chain
+#: kernels; the primitives import them at call time, so a spy sees each call.
+KERNEL_ENTRY_POINTS = {
+    "repro.kernels.wavefront": ("wavefront_greedy_color", "wavefront_recolor_pass"),
+    "repro.kernels.chains": ("bd_starts_2d", "bd_starts_3d", "bdp_recolor_order_fast"),
+}
+
+
+@pytest.fixture
+def kernels_ran(monkeypatch):
+    """Names of the kernel entry points called, in call order."""
+    ran = []
+    for module_name, attrs in KERNEL_ENTRY_POINTS.items():
+        module = importlib.import_module(module_name)
+        for attr in attrs:
+            real = getattr(module, attr)
+
+            def spy(*args, _real=real, _attr=attr, **kwargs):
+                ran.append(_attr)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, spy)
+    return ran
+
+
+@pytest.mark.parametrize("mode", ["on", "off", "auto"])
+@pytest.mark.parametrize("shape", [(8, 8), (48, 48), (6, 6, 6)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_provenance_fast_is_whether_a_kernel_ran(kernels_ran, mode, shape):
+    """For every registered algorithm, ``provenance["fast"]`` and the
+    dispatch counter say "kernel" exactly when a kernel entry point ran —
+    through a ``fast_fn`` binding or through the primitives under ``fn``."""
+    instance = _grid(shape)
+    for name in EXTENDED_ALGORITHMS:
+        kernels_ran.clear()
+        ctx = ExecutionContext(RuntimeConfig(fast_paths=mode))
+        result = color(instance, name, runtime=ctx)
+        ran = bool(kernels_ran)
+        assert result.provenance["fast"] is ran, (name, kernels_ran)
+        counted = "registry.dispatch_fast" if ran else "registry.dispatch_reference"
+        assert _counters(ctx)[counted] == 1, name
+        if mode == "off" or REGISTRY.get(name).kernel_from is None:
+            assert not ran, (name, kernels_ran)
 
 
 SHAPES = [(s, s) for s in (8, 12, 16, 24, 32, 48, 64)] + [

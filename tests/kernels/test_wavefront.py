@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import greedy_engine
-from repro.core.algorithms.registry import ALGORITHMS, REGISTRY, color_with
+from repro.core.algorithms.registry import EXTENDED_ALGORITHMS, REGISTRY, color_with
 from repro.core.greedy_engine import greedy_color, greedy_recolor_pass
 from repro.core.orderings import (
     identity_order,
@@ -196,12 +196,15 @@ def test_wavefront_schedule_cached_per_order():
     assert first[0] is again[0] and first[1] is again[1]
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 6), (3, 4, 2)])
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 7), (5, 6), (3, 4, 2), (48, 48), (10, 10, 10)]
+)
 def test_every_registry_algorithm_identical_with_fast_paths(shape):
     # The registry-level contract: color_with(fast=True) — fast_fn or not —
-    # must reproduce the reference coloring for every registered algorithm.
+    # must reproduce the reference coloring for every registered algorithm,
+    # the paper's seven and the extensions alike.
     inst = _instance(shape, seed=11)
-    for name in ALGORITHMS:
+    for name in EXTENDED_ALGORITHMS:
         ref = color_with(inst, name, fast=False)
         fast = color_with(inst, name, fast=True)
         assert np.array_equal(ref.starts, fast.starts), name

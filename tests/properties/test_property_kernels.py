@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.algorithms.clique_first import _best_permutation_fill, _sorted_blocks
 from repro.core.algorithms.post_opt import bdp_recolor_order
-from repro.core.algorithms.registry import ALGORITHMS, color_with
+from repro.core.algorithms.registry import EXTENDED_ALGORITHMS, color_with
 from repro.core.coloring import Coloring
 from repro.core.greedy_engine import (
     UNCOLORED,
@@ -75,7 +75,7 @@ def test_recolor_kernel_matches_reference(shape, seed, order_seed):
 @settings(max_examples=15, deadline=None)
 def test_registry_fast_paths_identical_for_every_algorithm(shape, seed):
     inst = _instance(shape, seed)
-    for name in ALGORITHMS:
+    for name in EXTENDED_ALGORITHMS:
         ref = color_with(inst, name, fast=False)
         fast = color_with(inst, name, fast=True)
         assert np.array_equal(ref.starts, fast.starts), name

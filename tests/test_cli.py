@@ -244,11 +244,10 @@ class TestStkde:
 
 
 class TestRuntimeFlag:
-    def test_runtime_choices_on_suite_and_bench(self):
+    def test_runtime_choices_on_suite(self):
         parser = build_parser()
-        for cmd in ("suite", "bench-kernels"):
-            assert parser.parse_args([cmd, "--runtime", "kernels"]).runtime == "kernels"
-            assert parser.parse_args([cmd]).runtime is None
+        assert parser.parse_args(["suite", "--runtime", "kernels"]).runtime == "kernels"
+        assert parser.parse_args(["suite"]).runtime is None
         with pytest.raises(SystemExit):
             parser.parse_args(["suite", "--runtime", "turbo"])
 
@@ -258,13 +257,6 @@ class TestRuntimeFlag:
         help_text = capsys.readouterr().out
         assert "--runtime" in help_text
         assert "--fast-path" not in help_text
-
-    def test_bench_kernels_single_runtime(self, capsys):
-        rc = main(["bench-kernels", "--sizes", "24", "--sizes-3d", "8",
-                   "--reps", "1", "--runtime", "kernels", "--out", ""])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "kernels only, not compared" in out
 
 
 class TestTile:
