@@ -40,9 +40,8 @@ def bdp_recolor_order(
     if geo is None:
         raise ValueError("the BDP order requires a stencil geometry")
     starts = np.asarray(starts, dtype=np.int64)
-    blocks = geo.k4_blocks if instance.is_2d else geo.k8_blocks
     n = instance.num_vertices
-    if len(blocks) == 0:
+    if min(geo.shape) < 2:
         return np.arange(n, dtype=np.int64)
     sums = geo.block_weight_sums(instance.weights)
     from repro.runtime.fastpath import resolve_fast_for
@@ -50,7 +49,8 @@ def bdp_recolor_order(
     if resolve_fast_for(fast) is not False:
         from repro.kernels.chains import bdp_recolor_order_fast
 
-        return bdp_recolor_order_fast(blocks, sums, starts, n)
+        return bdp_recolor_order_fast(geo.shape, sums, starts)
+    blocks = geo.k4_blocks if instance.is_2d else geo.k8_blocks
     block_order = np.argsort(-sums, kind="stable")
     seen = np.zeros(n, dtype=bool)
     order = np.empty(n, dtype=np.int64)

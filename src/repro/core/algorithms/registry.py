@@ -366,7 +366,7 @@ for _spec in (
         "GZO", greedy_zorder,
         description="greedy, Morton Z-order traversal",
         fast_fn=_lazy_fast("gzo_fast"),
-        kernel_from=2304,
+        kernel_from=1024,
     ),
     AlgorithmSpec(
         "GLF", greedy_largest_first, needs_geometry=False,
@@ -398,17 +398,17 @@ for _spec in (
         "GSL", _greedy_smallest_last, needs_geometry=False, is_extension=True,
         description="greedy, Matula–Beck smallest-last order",
         fast_fn=_lazy_fast("gsl_fast"),
-        kernel_from=1024,
+        kernel_from=512,
     ),
     AlgorithmSpec(
         "GLF+P", _glf_post, is_extension=True,
         description="GLF followed by the BDP post-optimization sweep",
-        kernel_from=144,
+        kernel_from=128,
     ),
     AlgorithmSpec(
         "BD+IP", _bd_iterated, is_extension=True,
         description="BD with post-optimization iterated to a fixed point",
-        kernel_from=128,
+        kernel_from=64,
     ),
     AlgorithmSpec(
         "SGK-ws", _sgk_weight_sorted, is_extension=True,
@@ -422,7 +422,7 @@ for _spec in (
     AlgorithmSpec(
         "GLF+LS", _glf_local_search, needs_geometry=False, is_extension=True,
         description="GLF improved by iterated-greedy local search",
-        kernel_from=144,
+        kernel_from=128,
     ),
 ):
     REGISTRY.register(_spec)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.stencil.grid2d import corner_windows
+
 
 def bd_starts_2d(grid: np.ndarray) -> tuple[np.ndarray, int]:
     """Vectorized 2D Bipartite Decomposition.
@@ -66,13 +68,24 @@ def bd_starts_3d(grid: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def bdp_recolor_order_fast(
-    blocks: np.ndarray, block_weight_sums: np.ndarray, starts: np.ndarray, n: int
+    shape: tuple[int, ...], block_weight_sums: np.ndarray, starts: np.ndarray
 ) -> np.ndarray:
     """Vectorized clique-guided recolor order (Section V.B).
 
     Blocks by non-increasing weight sum (stable), vertices within a block by
     increasing current start (stable), first occurrence kept, block-less
     vertices appended in id order — identical to the reference Python loop.
+    ``block_weight_sums`` are the sums of the grid's ``shape`` in block-id
+    order (C order over block corners); ``starts`` are flat.
+
+    No block table is read.  A vertex is kept at the first block, by rank,
+    that holds it, and its block columns list ids in increasing order, so
+    the reference order is the vertices sorted by (rank of their first
+    block, start, id).  Every vertex lies in one of the ``2**D`` blocks at
+    its corner, so that rank is a minimum over ``2**D`` shifted windows
+    of the block-rank grid; a grid with an axis below 2 has no blocks and
+    keeps id order.  The three keys are one ``int64`` when they fit, sorted
+    plain (the ids make it stable), and a ``lexsort`` otherwise.
 
     When every sum lies in ``[0, 2**15)`` — as it does whenever block size
     × max weight is below ``2**15`` — the negated sums are sorted as
@@ -80,21 +93,36 @@ def bdp_recolor_order_fast(
     order, 94 → 18 ms at 768² and 30 → 4 ms at 64³ (weights 1–999, 2-CPU
     host).
     """
-    if len(blocks) == 0:
+    shape = tuple(int(d) for d in shape)
+    n = int(np.prod(shape))
+    if min(shape) < 2:
         return np.arange(n, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
     key = -np.asarray(block_weight_sums)
     if -(1 << 15) < key.min() and key.max() <= 0:
         key = key.astype(np.int16)
-    ordered = blocks[np.argsort(key, kind="stable")]
-    inner = np.argsort(starts[ordered], axis=1, kind="stable")
-    flat = np.take_along_axis(ordered, inner, axis=1).ravel()
-    # First occurrence of every vertex without a sort: the smallest position
-    # each id appears at (``len(flat)`` if none), then keep those positions.
-    positions = np.arange(len(flat), dtype=np.int64)
-    first = np.full(n, len(flat), dtype=np.int64)
-    np.minimum.at(first, flat, positions)
-    order = flat[first[flat] == positions]
-    if len(order) < n:
-        order = np.concatenate([order, np.flatnonzero(first == len(flat))])
-    return order.astype(np.int64)
+    blocks = len(key)
+    rank = np.empty(blocks, dtype=np.int32 if blocks < 1 << 31 else np.int64)
+    rank[np.argsort(key, kind="stable")] = np.arange(blocks, dtype=rank.dtype)
+    # The rank grid with a border of ``blocks`` (after every rank); vertex
+    # ``v``'s blocks are the window cells at ``v`` plus a corner in {0, 1}^D.
+    grid = np.full(tuple(d + 1 for d in shape), blocks, dtype=rank.dtype)
+    grid[(slice(1, -1),) * len(shape)] = rank.reshape(tuple(d - 1 for d in shape))
+    windows = corner_windows(grid, shape)
+    first = next(windows).copy()
+    for window in windows:
+        np.minimum(first, window, out=first)
+    first = first.ravel()
+    low = int(starts.min())
+    span = int(starts.max()) - low + 1
+    if blocks * span * n >= 1 << 63:
+        return np.lexsort((starts, first))
+    order = first.astype(np.int64)
+    order *= span
+    order += starts
+    order -= low
+    order *= n
+    order += np.arange(n, dtype=np.int64)
+    order.sort()
+    order %= n
+    return order

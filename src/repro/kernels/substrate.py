@@ -2,8 +2,8 @@
 
 Stencil instances of the same shape share everything except their weights:
 the padded-offset :class:`StencilLayout` every kernel gathers neighbours
-through, the :math:`K_4`/:math:`K_8` block tables, and the wavefront
-schedules.  Benchmark suites construct hundreds of instances over a handful
+through, the wavefront schedules, and the geometry with its
+:math:`K_4`/:math:`K_8` block tables (for the reference loops).  Benchmark suites construct hundreds of instances over a handful
 of shapes, and the batch engine replays the same shapes in every worker
 process — so this module memoizes all of it behind two small LRU caches,
 keyed by ``(stencil type, grid shape)``:
@@ -286,13 +286,6 @@ class Substrate:
     @property
     def num_vertices(self) -> int:
         return self.geometry.num_vertices
-
-    @property
-    def blocks(self) -> np.ndarray:
-        """The :math:`K_4` / :math:`K_8` block table of the geometry."""
-        if isinstance(self.geometry, StencilGrid2D):
-            return self.geometry.k4_blocks
-        return self.geometry.k8_blocks
 
     def wavefront_for(self, order: np.ndarray) -> Wavefront:
         """The batch schedule replaying ``order``, cached per distinct order.

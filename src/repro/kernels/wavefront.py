@@ -12,9 +12,10 @@ members are pairwise non-adjacent and respect the order's dependency DAG (see
    :class:`~repro.kernels.substrate.StencilLayout` (no table, no mask),
    laid out column-major — one row per stencil offset — so every later
    step is a handful of vector ops over the whole batch,
-2. ``np.argsort`` the intervals along the offset axis (the paper's sort
-   step, for the whole batch at once) and reorder them with one flat
-   ``take`` each,
+2. sort the intervals along the offset axis (the paper's sort step, for
+   the whole batch at once): each interval is one ``int64`` word with its
+   start in the high half and its end in the low half, so one in-place
+   ``sort`` orders them by lower end and needs no ``argsort`` or reorder,
 3. replace the paper's sequential scan with its closed form: the frontier
    before the ``c``-th sorted interval is the prefix maximum of the earlier
    interval ends, and it never decreases, so the first fit is the smallest
@@ -45,6 +46,7 @@ value can reach its void, and in ``int64`` otherwise.
 
 from __future__ import annotations
 
+import sys
 from typing import Optional
 
 import numpy as np
@@ -61,6 +63,10 @@ UNCOLORED = -1
 #: overflowing the dtype.  The ``int32`` void holds that only for starts and
 #: weights below ``2**29``, which the loop's guard ensures.
 _VOID = {np.int64: -(1 << 61), np.int32: -(1 << 29)}
+
+#: Indices of a packed interval's end (low) and start (high) word in the
+#: ``int32`` view of its ``int64``.
+_END, _START = (0, 1) if sys.byteorder == "little" else (1, 0)
 
 
 def first_fit_intervals(
@@ -120,6 +126,29 @@ def _first_fit_columns(
     return np.minimum.reduce(np.where(lo - frontier >= w, frontier, ends[-1]), axis=0)
 
 
+def _first_fit_packed(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """:func:`_first_fit_columns` on column-major ``(d, b)`` packed
+    intervals, ``start << 32 | uint32(end)``, ignored slots at ``end <= 0``.
+
+    Sorting the packed words sorts by lower end (ties by end, which the
+    scan ignores), so the intervals need no argsort and no reordering
+    ``take``: their ends and lower ends are the two halves of ``g`` seen
+    as ``int32``.  Sorts ``g`` in place; returns ``int32``.
+    """
+    g.sort(axis=0)
+    d, b = g.shape
+    words = g.view(np.int32).reshape(d, b, 2)
+    ends = np.empty((d + 1, b), dtype=np.int32)
+    ends[0] = 0
+    ends[1:] = words[..., _END]
+    np.maximum.accumulate(ends, axis=0, out=ends)
+    # Where the gap before an interval is too narrow its frontier does not
+    # count: put the largest end there (broadcast along each row).
+    frontier = ends[:-1]
+    np.putmask(frontier, words[..., _START] - frontier < w, ends[-1])
+    return frontier.min(axis=0)
+
+
 def first_fit_wavefronts(
     layout: StencilLayout,
     weights: np.ndarray,
@@ -158,10 +187,13 @@ def first_fit_wavefronts(
     start is below ``2 * len(deltas) * max(weights) < 2**30``; every end
     stays below ``3 * 2**29``, every lower end minus a frontier above
     ``-2**31``, and a given start plus the void (a zero-weight cell's
-    stale start) at most 0.  Halving the padded arrays and the batch
-    temporaries took GLF's loop from 360–414 to 225–241 ms at 768² and
-    from 273–381 to 226–247 ms at 64³ (weights 1–999, best of 5, two
-    interleaved rounds, 2-CPU host).  The output is ``int64`` either way.
+    stale start) at most 0.  The output is ``int64`` either way.
+
+    Under the guard every cell's interval is one ``int64`` word, its start
+    in the high half and its end in the low one (:func:`_first_fit_packed`),
+    so a batch is one gather, one in-place sort and two ``int32`` scatters
+    of its new starts and ends.  Past the guard the loop keeps separate
+    padded starts and weights (:func:`_first_fit_columns`).
     """
     deltas = (layout.deltas if deltas is None else deltas)[:, None]
     weights = np.asarray(weights)
@@ -172,22 +204,41 @@ def first_fit_wavefronts(
         reach = max(reach, int(starts.max(initial=0)) + top)
     dtype = np.int32 if reach < -_VOID[np.int32] else np.int64
     void = _VOID[dtype]
-    starts_pad = layout.pad(
-        void if starts is None else np.where(starts == UNCOLORED, void, starts), void, dtype
-    )
     weights_void = layout.pad(np.where(weights > 0, weights, void), void, dtype)
     padded = layout.interior[verts]
-    placed = np.maximum(weights_void[padded], 0)  # scheduled cells' weights
-    cols = np.arange(np.diff(ptr).max(initial=0))
+    voided = weights_void[padded]  # scheduled cells' weights, or the void
+    placed = np.maximum(voided, 0)
     ptr = ptr.tolist()
-    for b in range(len(ptr) - 1):
-        batch = padded[ptr[b] : ptr[b + 1]]
-        rows = deltas + batch
-        lo = starts_pad[rows]
-        starts_pad[batch] = _first_fit_columns(
-            lo, lo + weights_void[rows], placed[ptr[b] : ptr[b + 1]], cols
+    if dtype is np.int32:
+        # Both halves are written through the int32 view, so building the
+        # packed state takes no int64 temporaries.
+        packed = np.empty(len(layout.unpad), dtype=np.int64)
+        words = packed.view(np.int32).reshape(-1, 2)
+        starts_half, ends_half = words[:, _START], words[:, _END]
+        starts_half[:] = void
+        if starts is not None:
+            starts_half[layout.interior] = np.where(starts == UNCOLORED, void, starts)
+        np.add(starts_half, weights_void, out=ends_half)
+        del weights_void
+        for b in range(len(ptr) - 1):
+            batch = padded[ptr[b] : ptr[b + 1]]
+            new = _first_fit_packed(packed[deltas + batch], placed[ptr[b] : ptr[b + 1]])
+            starts_half[batch] = new
+            ends_half[batch] = new + voided[ptr[b] : ptr[b + 1]]
+        out = starts_half[layout.interior]
+    else:
+        starts_pad = layout.pad(
+            void if starts is None else np.where(starts == UNCOLORED, void, starts), void, dtype
         )
-    out = starts_pad[layout.interior]
+        cols = np.arange(np.diff(ptr).max(initial=0))
+        for b in range(len(ptr) - 1):
+            batch = padded[ptr[b] : ptr[b + 1]]
+            rows = deltas + batch
+            lo = starts_pad[rows]
+            starts_pad[batch] = _first_fit_columns(
+                lo, lo + weights_void[rows], placed[ptr[b] : ptr[b + 1]], cols
+            )
+        out = starts_pad[layout.interior]
     np.maximum(out, UNCOLORED, out=out)
     return out.astype(np.int64, copy=False)
 

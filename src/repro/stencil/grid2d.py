@@ -30,6 +30,30 @@ OFFSETS_9PT = tuple(
 OFFSETS_5PT = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 
+def corner_windows(grid: np.ndarray, shape: tuple[int, ...]):
+    """The ``2**D`` views of ``grid`` of ``shape`` whose origins are the
+    corners of the unit cube, ``{0, 1}**D``: window ``c`` holds
+    ``grid[p + c]`` at ``p``."""
+    for corner in np.ndindex(*(2,) * grid.ndim):
+        yield grid[tuple(slice(c, c + d) for c, d in zip(corner, shape))]
+
+
+def block_sums(grid: np.ndarray) -> np.ndarray:
+    """Flat sums of ``grid`` over every unit block (``2**D`` corners), in
+    C order of the block's lowest corner: the :math:`K_4` / :math:`K_8`
+    block ids.  One shifted slice add per corner, no block table.
+
+    Accumulates in the dtype ``np.sum`` would, so small integer weights
+    cannot overflow.
+    """
+    grid = grid.astype(np.sum(grid[:0]).dtype, copy=False)
+    inner = tuple(max(d - 1, 0) for d in grid.shape)
+    sums = np.zeros(inner, dtype=grid.dtype)
+    for window in corner_windows(grid, inner):
+        sums += window
+    return sums.ravel()
+
+
 class StencilGrid2D:
     """Geometry and adjacency of an ``X×Y`` 9-pt stencil.
 
@@ -161,11 +185,8 @@ class StencilGrid2D:
         )
 
     def block_weight_sums(self, weights: np.ndarray) -> np.ndarray:
-        """Sum of ``weights`` over each :math:`K_4` block (vectorized)."""
-        weights = np.asarray(weights)
-        if len(self.k4_blocks) == 0:
-            return np.empty(0, dtype=weights.dtype)
-        return weights[self.k4_blocks].sum(axis=1)
+        """Sum of ``weights`` over each :math:`K_4` block, in block-id order."""
+        return block_sums(self.weights_as_grid(weights))
 
     # ------------------------------------------------------------------- rows
     def row_ids(self, j: int) -> np.ndarray:

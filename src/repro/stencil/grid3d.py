@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.stencil.generic import CSRGraph
-from repro.stencil.grid2d import StencilGrid2D
+from repro.stencil.grid2d import StencilGrid2D, block_sums
 from repro.stencil.zorder import morton_argsort_3d
 
 #: 26 neighbor offsets of the 27-pt stencil.
@@ -168,11 +168,8 @@ class StencilGrid3D:
         return np.column_stack(corners)
 
     def block_weight_sums(self, weights: np.ndarray) -> np.ndarray:
-        """Sum of ``weights`` over each :math:`K_8` block (vectorized)."""
-        weights = np.asarray(weights)
-        if len(self.k8_blocks) == 0:
-            return np.empty(0, dtype=weights.dtype)
-        return weights[self.k8_blocks].sum(axis=1)
+        """Sum of ``weights`` over each :math:`K_8` block, in block-id order."""
+        return block_sums(self.weights_as_grid(weights))
 
     # ----------------------------------------------------------------- layers
     def layer_ids(self, k: int) -> np.ndarray:

@@ -1,10 +1,11 @@
 """The batched first fit, directly and at the hazards of its batch loop.
 
-``first_fit_intervals`` is checked against a test-local copy of the
-sequential sort-and-scan, slot by slot.  The loop tests diff the cases the
+``first_fit_intervals`` and the packed batch body are checked against a
+test-local copy of the sequential sort-and-scan, slot by slot.  The loop tests diff the cases the
 loop treats specially against the reference loops or monolithic GLL:
 recolor passes whose zero-weight cells enter with stale or ``UNCOLORED``
-starts, the ``int32`` narrowing on either side of its guard, a region led
+starts, the ``int32`` narrowing on either side of its guard and the edges
+of its packed intervals (negative low words, a 1×1 grid), a region led
 by a carry of arbitrary starts, and the half-stencil gather of fresh GLL
 passes on 1-wide and 3D grids.
 """
@@ -112,6 +113,33 @@ def test_zero_weight_neighbour_does_not_raise_the_frontier():
     assert first_fit_intervals(s, wn, np.array([4])).tolist() == [2]
 
 
+def _pack(s, wn):
+    """Column-major packed words as the batch loop keeps them, by arithmetic:
+    ``start << 32 | uint32(end)``, with the int32 void for ignored slots."""
+    void = wavefront._VOID[np.int32]
+    lo = np.where(s == UNCOLORED, void, s)
+    hi = lo + np.where(wn > 0, wn, void)
+    return np.ascontiguousarray(((lo << 32) | (hi & 0xFFFFFFFF)).T)
+
+
+@given(_batches(), st.integers(0, 1 << 28))
+@settings(max_examples=200, deadline=None)
+@example((np.array([[4, 4, 4, 0]]), np.array([[2, 0, 3, 4]]), np.array([0])), 0)
+@example((np.array([[UNCOLORED, 3]]), np.array([[5, 0]]), np.array([3])), 0)
+def test_packed_fit_matches_sequential_scan(batch, shift):
+    # Ignored slots have a negative low word, which sorts as a large
+    # unsigned one among tied starts; ``shift`` moves real starts up to
+    # the int32 guard.
+    s, wn, w = batch
+    if s.shape[1] == 0:
+        return
+    s = np.where(s == UNCOLORED, s, s + shift)
+    want = [_scan(s[r], wn[r], int(w[r])) for r in range(len(w))]
+    got = wavefront._first_fit_packed(_pack(s, wn), w.astype(np.int32))
+    assert got.dtype == np.int32
+    assert got.tolist() == want
+
+
 # -- recolor passes ---------------------------------------------------------
 
 
@@ -206,21 +234,66 @@ def test_int32_narrowing_at_its_guard(shape, case, over, monkeypatch):
         base = base + (GUARD - 1 + over - top - base.max())
         base[zero[0]] = base.max()  # a zero-weight cell at the top start
         want = greedy_recolor_pass(inst, base, order, fast=False)
-    dtypes = set()
-    columns = wavefront._first_fit_columns
+    # Which body ran: the packed int32 one under the guard (its ends are
+    # the int32 low halves of the packed words), the int64 one past it.
+    bodies = set()
+    packed, columns = wavefront._first_fit_packed, wavefront._first_fit_columns
 
-    def spy(lo, hi, w, cols):
-        dtypes.add(hi.dtype)
+    def packed_spy(g, w):
+        bodies.add(("packed", g.dtype, w.dtype))
+        return packed(g, w)
+
+    def columns_spy(lo, hi, w, cols):
+        bodies.add(("columns", hi.dtype, w.dtype))
         return columns(lo, hi, w, cols)
 
-    monkeypatch.setattr(wavefront, "_first_fit_columns", spy)
+    monkeypatch.setattr(wavefront, "_first_fit_packed", packed_spy)
+    monkeypatch.setattr(wavefront, "_first_fit_columns", columns_spy)
     if base is None:
         got = wavefront_greedy_color(inst, order)
     else:
         got = wavefront_recolor_pass(inst, base, order)
-    assert dtypes == {np.dtype(np.int64 if over else np.int32)}
+    if over:
+        assert bodies == {("columns", np.dtype(np.int64), np.dtype(np.int64))}
+    else:
+        assert bodies == {("packed", np.dtype(np.int64), np.dtype(np.int32))}
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(6, 7), (3, 4, 3)])
+@pytest.mark.parametrize("edge", ["stale_top", "tied_void"])
+def test_packed_edges_in_recolor_passes(shape, edge):
+    # ``stale_top``: zero-weight cells enter at the largest start, so their
+    # packed end is that start plus the void.  ``tied_void``: zero-weight
+    # and uncolored cells share starts with real neighbours, so equal high
+    # words meet negative low words in the sort.
+    rng = np.random.default_rng(len(shape) * 3 + len(edge))
+    weights = rng.integers(1, 30, size=shape)
+    weights[rng.random(size=shape) < 0.3] = 0
+    inst = _instance(weights)
+    base = greedy_color(inst, random_order(inst, seed=5), fast=False).starts.copy()
+    zero = inst.weights == 0
+    if edge == "stale_top":
+        base[zero] = base.max() + 1
+    else:
+        live = np.flatnonzero(~zero)
+        base[zero] = base[rng.choice(live, zero.sum())]
+        base[rng.choice(live, len(live) // 5, replace=False)] = UNCOLORED
+    order = rng.permutation(inst.num_vertices).astype(np.int64)
+    assert np.array_equal(
+        wavefront_recolor_pass(inst, base, order), _reference_pass(inst, base, order)
+    )
+
+
+@pytest.mark.parametrize("weight", [0, 5])
+def test_packed_single_cell_grid(weight):
+    inst = _instance(np.array([[weight]]))
+    order = np.zeros(1, dtype=np.int64)
+    assert wavefront_greedy_color(inst, order).tolist() == [0]
+    for stale in (UNCOLORED, 0, 7):
+        got = wavefront_recolor_pass(inst, np.array([stale]), order)
+        assert got.tolist() == [0]
 
 
 # -- the carry --------------------------------------------------------------

@@ -10,6 +10,7 @@ covered explicitly.
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core import greedy_engine
 from repro.core.algorithms.registry import EXTENDED_ALGORITHMS, REGISTRY, color_with
 from repro.core.greedy_engine import greedy_color, greedy_recolor_pass
@@ -208,6 +209,48 @@ def test_every_registry_algorithm_identical_with_fast_paths(shape):
         ref = color_with(inst, name, fast=False)
         fast = color_with(inst, name, fast=True)
         assert np.array_equal(ref.starts, fast.starts), name
+
+
+@pytest.mark.parametrize("algorithm", ["GLL", "GLF", "GZO", "BDP"])
+@pytest.mark.parametrize("shape", [(48, 48), (10, 10, 10)])
+def test_int64_body_identical_past_the_guard(shape, algorithm, monkeypatch):
+    # Weights up to 2**28 put every pass past the int32 guard (even GLL's
+    # half stencil: 4 * 2**28 >= 2**29), so the int64 body runs over the
+    # schedules of real orders, not only the guard test's tiny grids.
+    rng = np.random.default_rng(len(shape) + len(algorithm))
+    weights = rng.integers(1, 1 << 28, size=shape)
+    weights[rng.random(size=shape) < 0.2] = 0
+    inst = (IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d)(weights)
+    dtypes = set()
+    columns = wavefront._first_fit_columns
+
+    def spy(lo, hi, w, cols):
+        dtypes.add(hi.dtype)
+        return columns(lo, hi, w, cols)
+
+    def packed(g, w):
+        raise AssertionError("the packed int32 body ran past the guard")
+
+    monkeypatch.setattr(wavefront, "_first_fit_columns", spy)
+    monkeypatch.setattr(wavefront, "_first_fit_packed", packed)
+    fast = color_with(inst, algorithm, fast=True)
+    assert dtypes == {np.dtype(np.int64)}
+    assert np.array_equal(fast.starts, color_with(inst, algorithm, fast=False).starts)
+
+
+@pytest.mark.parametrize("shape", [(12, 9), (5, 4, 6)])
+def test_kernel_bdp_builds_no_block_table(shape):
+    # The kernel BDP order reads block sums from shifted slices and ranks
+    # from shifted windows; the block table is for the reference loops.
+    weights = np.random.default_rng(sum(shape)).integers(1, 50, size=shape)
+    ctx = ExecutionContext(RuntimeConfig(fast_paths="on"))
+    result = api.color(weights, "BDP", runtime=ctx)
+    assert result.provenance["fast"]
+    geometry = result.coloring.instance.geometry
+    assert "k4_blocks" not in geometry.__dict__
+    assert "k8_blocks" not in geometry.__dict__
+    inst = (IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d)(weights)
+    assert np.array_equal(result.coloring.starts, color_with(inst, "BDP", fast=False).starts)
 
 
 def test_generic_graph_falls_back_to_reference():

@@ -2,8 +2,9 @@
 
 Hypothesis drives random grid shapes, weights (including zeros), and vertex
 orders through both code paths and requires bit-identical starts.  The
-layout's stencil validation and the vectorized BDP order are held to the
-same standard against the CSR edge list and the reference loop.  The SGK
+layout's stencil validation, the vectorized BDP order and the slice block
+sums are held to the same standard against the CSR edge list, the
+reference loop and the block table.  The SGK
 block-fill optimization is checked against a naive re-implementation that
 rebuilds every neighbor snapshot inside the permutation loop — the exact
 semantics the hoisted version must preserve.
@@ -36,13 +37,15 @@ grids = st.one_of(grids_2d, grids_3d)
 seeds = st.integers(0, 100_000)
 
 
-def _instance(shape, seed):
-    # Weights from 0: zero-weight vertices are always present eventually.
-    rng = np.random.default_rng(seed)
-    weights = rng.integers(0, 12, size=shape)
-    if len(shape) == 2:
+def _instance_of(weights):
+    if weights.ndim == 2:
         return IVCInstance.from_grid_2d(weights)
     return IVCInstance.from_grid_3d(weights)
+
+
+def _instance(shape, seed):
+    # Weights from 0: zero-weight vertices are always present eventually.
+    return _instance_of(np.random.default_rng(seed).integers(0, 12, size=shape))
 
 
 @given(shape=grids, seed=seeds, order_seed=seeds)
@@ -97,45 +100,81 @@ def test_layout_conflicts_match_csr_edge_scan(shape, seed, span):
     assert np.array_equal(Coloring(inst, starts).violations(), expected)
 
 
-@given(shape=grids, seed=seeds, span=st.integers(1, 30))
-@settings(max_examples=40, deadline=None)
-def test_bdp_order_kernel_matches_reference_loop(shape, seed, span):
-    # Thin grids exercise the block-less append; a small ``span`` gives
-    # tied starts inside blocks (the stable tie-break) and repeated vertices
-    # across blocks (the first-occurrence rule).
-    inst = _instance(shape, seed)
-    starts = np.random.default_rng(seed + 2).integers(0, span, size=inst.num_vertices)
-    fast = bdp_recolor_order(inst, starts, fast=True)
+# Thin shapes (2×N, N×2, 2×2×N, 1×N) put every vertex in one or two blocks,
+# or in none.
+bdp_grids = st.one_of(
+    grids,
+    st.tuples(st.just(2), st.integers(1, 9)),
+    st.tuples(st.integers(1, 9), st.just(2)),
+    st.tuples(st.just(2), st.just(2), st.integers(1, 6)),
+    st.tuples(st.just(1), st.integers(1, 9)),
+)
+
+
+@given(
+    shape=bdp_grids,
+    seed=seeds,
+    top=st.integers(0, 3),
+    span=st.one_of(st.integers(1, 30), st.just(1 << 60)),
+)
+@settings(max_examples=80, deadline=None)
+def test_bdp_order_kernel_matches_reference_loop(shape, seed, top, span):
+    # Weights up to ``top`` make equal block sums common (all equal at 0);
+    # a small ``span`` ties starts inside blocks (the stable tie-break) and
+    # zero-weight cells sit at 0 as in a real coloring.  A ``span`` of
+    # 2**60 overflows the one-key sort on all but the smallest grids.
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(0, top + 1, size=shape)
+    inst = _instance_of(weights)
+    starts = rng.integers(0, span, size=inst.num_vertices)
+    starts[(inst.weights == 0) & (rng.random(inst.num_vertices) < 0.5)] = 0
     ref = bdp_recolor_order(inst, starts, fast=False)
-    assert fast.dtype == ref.dtype == np.int64
-    assert np.array_equal(fast, ref)
+    sums = inst.geometry.block_weight_sums(inst.weights)
+    got = bdp_recolor_order_fast(shape, sums, starts)
+    assert got.dtype == ref.dtype == np.int64
+    assert np.array_equal(got, ref)
+    assert np.array_equal(bdp_recolor_order(inst, starts, fast=True), ref)
 
 
-@given(shape=grids, seed=seeds)
-@settings(max_examples=30, deadline=None)
+@given(shape=bdp_grids, seed=seeds)
+@settings(max_examples=40, deadline=None)
 def test_bdp_order_kernel_appends_blockless_vertices(shape, seed):
-    # A real grid puts every vertex in a block (or has no blocks at all);
-    # a random subset of blocks leaves some out, so they are appended in
-    # id order after the block scan.
-    inst = _instance(shape, seed)
-    geo = inst.geometry
-    blocks = geo.k4_blocks if inst.is_2d else geo.k8_blocks
-    rng = np.random.default_rng(seed + 3)
-    blocks = blocks[rng.random(len(blocks)) < 0.3]
+    # Block sums need not come from the weights: the order of any sums,
+    # ties included, is the block scan's over the whole block table.  A
+    # grid with an axis below 2 has no blocks, so every vertex is appended
+    # in id order.
+    rng = np.random.default_rng(seed)
+    geo = _instance_of(np.ones(shape, dtype=np.int64)).geometry
+    blocks = geo.k4_blocks if len(shape) == 2 else geo.k8_blocks
     sums = rng.integers(0, 5, size=len(blocks))
-    starts = rng.integers(0, 4, size=inst.num_vertices)
-    n = inst.num_vertices
+    n = geo.num_vertices
+    starts = rng.integers(0, 4, size=n)
     seen, expected = set(), []
     for b in np.argsort(-sums, kind="stable"):
         for v in blocks[b][np.argsort(starts[blocks[b]], kind="stable")].tolist():
             if v not in seen:
                 seen.add(v)
                 expected.append(v)
-    if len(blocks):
-        expected += [v for v in range(n) if v not in seen]
-    else:
-        expected = list(range(n))
-    assert bdp_recolor_order_fast(blocks, sums, starts, n).tolist() == expected
+    expected += [v for v in range(n) if v not in seen]
+    if min(shape) < 2:
+        assert expected == list(range(n))
+    assert bdp_recolor_order_fast(shape, sums, starts).tolist() == expected
+
+
+@given(
+    shape=bdp_grids,
+    seed=seeds,
+    dtype=st.sampled_from([np.int64, np.int32, np.bool_]),
+)
+@settings(max_examples=60, deadline=None)
+def test_block_sums_from_slices_match_the_block_table(shape, seed, dtype):
+    weights = np.random.default_rng(seed).integers(0, 1000, size=shape).astype(dtype)
+    geo = _instance_of(np.ones(shape, dtype=np.int64)).geometry
+    blocks = geo.k4_blocks if len(shape) == 2 else geo.k8_blocks
+    got = geo.block_weight_sums(weights.ravel())
+    want = weights.ravel()[blocks].sum(axis=1)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def _naive_best_permutation_fill(instance, starts, block):
