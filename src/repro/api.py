@@ -30,6 +30,7 @@ from repro.core.coloring import Coloring
 from repro.core.problem import IVCInstance
 from repro.data.weights import WeightSource
 from repro.incremental.engine import recolor_grid
+from repro.kernels import native
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.context import ExecutionContext, get_context
 from repro.runtime.fingerprint import config_fingerprint
@@ -143,7 +144,10 @@ def color(
         Bit-identical starts to the legacy entry point for the same
         algorithm and runtime — this facade changes how you ask, never the
         answer.  Monolithic runs set ``provenance["fast"]`` to whether the
-        vectorized kernel actually ran.
+        vectorized kernel actually ran.  ``provenance["first_fit"]`` names
+        the first-fit loop the kernels use: ``"native"`` (the compiled
+        loop of :mod:`repro.kernels.native`) or ``"reference"`` (no kernel
+        ran, or no C compiler was found and the same scan ran in Python).
     """
     runtime_str: Optional[str] = None
     if runtime is None:
@@ -194,6 +198,7 @@ def color(
             "algorithm": "GLL",
             "mode": "tiled",
             "runtime": config_fingerprint(ctx.config),
+            "first_fit": native.path(),
             "tiles": tiled.plan.num_tiles,
             "tile_shape": tiled.plan.tile_shape,
             "digest": tiled.digest,
@@ -222,11 +227,13 @@ def color(
     )
     if shape is not None:
         starts = starts.reshape(shape)
+    ran_kernel = REGISTRY.get(algorithm).runs_kernel(instance, fast, ctx)
     provenance = {
         "algorithm": algorithm,
         "mode": "monolithic",
         "runtime": config_fingerprint(ctx.config),
-        "fast": REGISTRY.get(algorithm).runs_kernel(instance, fast, ctx),
+        "fast": ran_kernel,
+        "first_fit": native.path() if ran_kernel else "reference",
         "shape": shape,
     }
     return ColoringResult(
@@ -254,10 +261,9 @@ def recolor(
     """Patch an existing coloring for a sparse weight delta.
 
     Instead of recoloring the whole grid, recompute only what can differ
-    (:mod:`repro.incremental`): under GLL, the grid from the first dirty
-    column (plane in 3D) on, in one band pass; under GZO, the Morton
-    schedule from the first dirty cell's Kahn level on, in one pass; under
-    GLF, the dependency cone of the changed cells.  The result is
+    (:mod:`repro.incremental`): under GLL and GZO, the order from the
+    first dirty cell on, in one pass; under GLF, the dependency cone of
+    the changed cells.  The result is
     **bit-identical** to ``color(weights, algorithm)`` — other algorithms,
     and GLF deltas whose cone outgrows ``max_cone_fraction`` of the grid,
     transparently take a full recolor (``mode="incremental-fallback"``).
@@ -293,8 +299,8 @@ def recolor(
     -------
     ColoringResult
         ``provenance["recolor"]`` carries the delta provenance: cells
-        dirtied, cells recomputed, cells changed, wavefront levels
-        touched, whether the cone spliced back early, and the fallback
+        dirtied, cells recomputed, cells changed, levels the GLF cone
+        walk touched (0 for the GLL and GZO suffix passes), whether the cone spliced back early, and the fallback
         reason if one engaged.
     """
     if runtime is None:

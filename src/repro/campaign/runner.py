@@ -35,7 +35,6 @@ from repro.campaign.errors import CampaignError, HarvestError, ResumeMismatchErr
 from repro.campaign.plan import RunPlan, compile_plan
 from repro.campaign.spec import CampaignSpec
 from repro.engine import run_grid
-from repro.engine.runlog import read_run_log
 from repro.runtime.context import ExecutionContext, get_context
 
 __all__ = ["CampaignRunResult", "run_campaign", "read_manifest", "MANIFEST_VERSION"]
@@ -105,23 +104,6 @@ def read_manifest(out_dir: str | Path) -> dict:
             f"(this build reads {MANIFEST_VERSION})"
         )
     return manifest
-
-
-def _compact_run_log(runs_path: Path) -> None:
-    """Drop a torn trailing line before appending to a resumed log.
-
-    A SIGKILL mid-append leaves a truncated last line, which
-    :func:`~repro.engine.runlog.read_run_log` tolerates *only at the end of
-    the file* — appending a new session after it would turn the tear into
-    mid-file corruption.  Rewriting the clean prefix atomically keeps the
-    log strict-readable for harvests while losing only the record that
-    never finished writing (its cell re-executes)."""
-    records = read_run_log(runs_path)
-    text = "".join(json.dumps(r.to_json()) + "\n" for r in records)
-    if text != runs_path.read_text():
-        tmp = runs_path.with_suffix(".jsonl.tmp")
-        tmp.write_text(text)
-        tmp.replace(runs_path)
 
 
 def run_campaign(
@@ -198,9 +180,6 @@ def run_campaign(
     )
     ctx = ExecutionContext(config)
     ctx.install_faults()
-
-    if resume and runs_path.is_file():
-        _compact_run_log(runs_path)
 
     run_cfg = spec.run
     effective_jobs = jobs if jobs is not None else run_cfg.get("jobs", 1)

@@ -1175,8 +1175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="run the online coloring service",
-        description="Serve coloring requests over line-delimited JSON TCP: "
-                    "requests are micro-batched by (shape, algorithm) so one "
+        description="Serve coloring requests over TCP in binary frames "
+                    "(see docs/service.md): requests are micro-batched by (shape, algorithm) so one "
                     "geometry/substrate build serves a whole batch, results "
                     "are cached by content hash, and the queue is bounded "
                     "(requests beyond --queue-limit get an immediate "

@@ -360,19 +360,19 @@ for _spec in (
         "GLL", greedy_line_by_line, needs_geometry=False,
         description="greedy, line-by-line (lexicographic) order",
         fast_fn=_lazy_fast("gll_fast"),
-        kernel_from=128,
+        kernel_from=8,
     ),
     AlgorithmSpec(
         "GZO", greedy_zorder,
         description="greedy, Morton Z-order traversal",
         fast_fn=_lazy_fast("gzo_fast"),
-        kernel_from=1024,
+        kernel_from=8,
     ),
     AlgorithmSpec(
         "GLF", greedy_largest_first, needs_geometry=False,
         description="greedy, heaviest-vertex-first order",
         fast_fn=_lazy_fast("glf_fast"),
-        kernel_from=144,
+        kernel_from=8,
     ),
     AlgorithmSpec(
         "GKF", greedy_largest_clique_first,
@@ -392,23 +392,23 @@ for _spec in (
         "BDP", bipartite_decomposition_post,
         description="BD followed by the recoloring post-optimization sweep",
         fast_fn=_lazy_fast("bdp_fast"),
-        kernel_from=128,
+        kernel_from=8,
     ),
     AlgorithmSpec(
         "GSL", _greedy_smallest_last, needs_geometry=False, is_extension=True,
         description="greedy, Matula–Beck smallest-last order",
         fast_fn=_lazy_fast("gsl_fast"),
-        kernel_from=512,
+        kernel_from=8,
     ),
     AlgorithmSpec(
         "GLF+P", _glf_post, is_extension=True,
         description="GLF followed by the BDP post-optimization sweep",
-        kernel_from=128,
+        kernel_from=16,
     ),
     AlgorithmSpec(
         "BD+IP", _bd_iterated, is_extension=True,
         description="BD with post-optimization iterated to a fixed point",
-        kernel_from=64,
+        kernel_from=8,
     ),
     AlgorithmSpec(
         "SGK-ws", _sgk_weight_sorted, is_extension=True,
@@ -422,7 +422,7 @@ for _spec in (
     AlgorithmSpec(
         "GLF+LS", _glf_local_search, needs_geometry=False, is_extension=True,
         description="GLF improved by iterated-greedy local search",
-        kernel_from=128,
+        kernel_from=8,
     ),
 ):
     REGISTRY.register(_spec)

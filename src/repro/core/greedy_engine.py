@@ -19,9 +19,10 @@ Zero-weight vertices occupy empty intervals: they are always assigned start 0
 and never constrain anyone.
 
 On stencil instances :func:`greedy_color` and :func:`greedy_recolor_pass`
-dispatch to the wavefront-batched kernels of :mod:`repro.kernels.wavefront`
-(identical starts, differentially tested) unless fast paths are disabled; the
-per-vertex loops below remain the reference semantics.
+dispatch to the passes of :mod:`repro.kernels.wavefront`, one call of a
+compiled first-fit loop each (identical starts, differentially tested),
+unless fast paths are disabled; the per-vertex loops below remain the
+reference semantics.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _check_permutation(order: np.ndarray, n: int) -> None:
 
 
 def _is_permutation(order: np.ndarray, n: int) -> bool:
-    """Cheap permutation test used to gate the wavefront kernels."""
+    """Cheap permutation test used to gate the first-fit kernels."""
     if len(order) != n:
         return False
     if n == 0:
@@ -149,7 +150,7 @@ def greedy_color(
     first_fit:
         First-fit primitive (swappable for the ablation benchmark).
     fast:
-        Use the wavefront-batched kernel (stencil instances only; identical
+        Use the compiled first-fit kernel (stencil instances only; identical
         starts, differentially tested).  ``None`` follows
         :func:`repro.runtime.fastpath.resolve_fast_for` (a scoped block,
         else the config mode; auto mode takes the kernel, since the

@@ -8,6 +8,7 @@ by cell for quality-regression checks between code revisions.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import IO, Iterable, Optional
 
@@ -21,7 +22,9 @@ class RunLogWriter:
     record line in a single buffered write and flushes it, so concurrent
     readers (``tail -f``, a monitoring job) see completed cells immediately
     and a killed process leaves at most one truncated trailing line — which
-    :func:`read_run_log` tolerates.
+    :func:`read_run_log` tolerates.  Opening an existing log cuts such a
+    torn tail back to its last newline, so the next record starts a line
+    of its own instead of turning the tear into mid-file corruption.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -30,6 +33,7 @@ class RunLogWriter:
 
     def open(self) -> "RunLogWriter":
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        _cut_torn_tail(self.path)
         self._handle = self.path.open("a")
         return self
 
@@ -50,6 +54,27 @@ class RunLogWriter:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _cut_torn_tail(path: Path, chunk: int = 1 << 16) -> None:
+    """Truncate ``path`` after its last newline (a no-op if it ends in one)."""
+    try:
+        handle = path.open("rb+")
+    except FileNotFoundError:
+        return
+    with handle:
+        end = pos = handle.seek(0, os.SEEK_END)
+        while pos > 0:
+            step = min(pos, chunk)
+            handle.seek(pos - step)
+            data = handle.read(step)
+            newline = data.rfind(b"\n")
+            if newline >= 0:
+                if pos - step + newline + 1 < end:
+                    handle.truncate(pos - step + newline + 1)
+                return
+            pos -= step
+        handle.truncate(0)
 
 
 def read_run_log(path: str | Path, *, strict: bool = False) -> list[RunRecord]:

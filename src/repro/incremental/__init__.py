@@ -13,10 +13,8 @@ the dirty ones:
   fixpoint where the recomputed starts rejoin the old coloring.
 * :mod:`repro.incremental.engine` — :func:`recolor_grid`, the policy layer:
   algorithm support (GLF walks the cone; GLL, whose changes cascade to the
-  last column, reruns the grid from the first dirty column in one band
-  pass; GZO reruns its cached Morton schedule from the first dirty cell's
-  Kahn level in one pass; everything else falls back to an always-correct
-  full recolor), GLF's ``max_cone_fraction`` budget, the ``validate=``
+  last column, and GZO rerun their order from the first dirty cell in one
+  pass; everything else falls back to an always-correct full recolor), GLF's ``max_cone_fraction`` budget, the ``validate=``
   diff mode, and per-context metrics.
 
 Layering: this package may depend on ``repro.kernels`` and ``repro.core``

@@ -5,29 +5,19 @@ when to give up:
 
 Supported algorithms
 --------------------
-``GLL``
-    No cone walk: one band pass over the *suffix* of the grid.  Under the
-    line-by-line scan a cell's earlier neighbours never sit at a larger
-    outer-axis index (the last axis: a column in 2D, a plane in 3D), and a
-    first-fit change cascades to the last column almost always.  So the
-    pass recolors every cell from the first dirty outer index ``c0`` to
-    the end with :func:`repro.kernels.halo.gll_suffix` (the tiler's band
-    kernel resumes the scan the same way), gathering only the earlier
-    half of the stencil from the base starts: an earlier neighbour is
-    either before ``c0`` (unchanged, so final) or already recomputed.
-    Its cost is at most one kernel pass, so GLL has no cone budget and
-    never falls back.
-``GZO``
-    No cone walk either: one pass over the *suffix* of the Morton order's
-    Kahn schedule.  The order does not depend on the weights, so its
-    schedule ``(verts, ptr)`` is cached per shape in the substrate.  Kahn
-    levels respect every predecessor edge, so every cell below ``L0``,
-    the level of the first dirty cell in the schedule, is unchanged.  The
-    pass resets the scheduled cells from ``ptr[L0]`` on to ``UNCOLORED``
-    and runs the batch loop over the remaining levels with the full
-    stencil: a later neighbour reads as uncolored, as in a fresh scan.
-    Like GLL's pass it costs at most one kernel pass: no budget, no
-    fallback.
+``GLL`` and ``GZO``
+    No cone walk: one pass over the *suffix* of the order.  Neither order
+    depends on the weights, so every cell before the first dirty cell's
+    position ``pos`` in the order sees the same weights and the same
+    earlier neighbours as in the base coloring, and keeps its start.  The
+    pass resets the cells from ``pos`` on to ``UNCOLORED`` and places them
+    in order with one call of the compiled first-fit loop: a later
+    neighbour reads as uncolored, as in a fresh scan.  GLL goes through
+    :func:`repro.kernels.halo.gll_suffix` (the tiler's band kernel resumes
+    the scan the same way) and reads only the earlier half of the
+    stencil; GZO reads the full stencil over the cached Morton order.
+    Each costs at most one kernel pass, so neither has a cone budget or
+    falls back, and ``levels_touched`` is 0.
 ``GLF``
     The cone walk (:mod:`repro.incremental.cone`).  The heaviest-first
     order is a stable ``argsort(-weights)``, so the walk derives its
@@ -60,14 +50,14 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.incremental.cone import ConeResult, propagate_cone
-from repro.kernels.halo import gll_suffix
+from repro.kernels.halo import gll_positions, gll_suffix
 from repro.kernels.substrate import (
     StencilLayout,
     get_substrate,
     shared_geometry_2d,
     shared_geometry_3d,
 )
-from repro.kernels.wavefront import UNCOLORED, first_fit_wavefronts
+from repro.kernels.wavefront import first_fit_pass
 
 __all__ = [
     "SUPPORTED_ALGORITHMS",
@@ -174,16 +164,15 @@ def _layout(shape: tuple[int, ...], context) -> StencilLayout:
 def _gll_suffix_pass(
     weights: np.ndarray, base: np.ndarray, dirty_idx: np.ndarray, layout: StencilLayout
 ) -> ConeResult:
-    """GLL starts recomputed from the first dirty outer-axis index onward."""
-    outer = weights.shape[-1]
-    c0 = int((dirty_idx % outer).min())
+    """GLL starts recomputed from the first dirty position of the order on."""
+    pos = int(gll_positions(dirty_idx, weights.shape).min())
     old = base.ravel()
-    starts, batches = gll_suffix(layout, weights, old, c0)
+    starts = gll_suffix(layout, weights, old, pos)
     return ConeResult(
         starts=starts,
-        cells_recomputed=weights.size // outer * (outer - c0),
+        cells_recomputed=weights.size - pos,
         cells_changed=int(np.count_nonzero(starts != old)),
-        levels_touched=batches,
+        levels_touched=0,
         spliced=False,
     )
 
@@ -191,28 +180,24 @@ def _gll_suffix_pass(
 def _gzo_suffix_pass(
     weights: np.ndarray, base: np.ndarray, dirty_idx: np.ndarray, context
 ) -> ConeResult:
-    """GZO starts recomputed from the first dirty Kahn level onward."""
+    """GZO starts recomputed from the first dirty position of the order on."""
     from repro.core.orderings import zorder_order
 
     instance = _instance_for(weights)
-    substrate = get_substrate(instance.geometry, context=context)
-    verts, ptr = substrate.wavefront_for(zorder_order(instance))
+    layout = get_substrate(instance.geometry, context=context).layout
+    order = zorder_order(instance)
     dirty = np.zeros(weights.size, dtype=bool)
     dirty[dirty_idx] = True
-    first = int(np.argmax(dirty[verts]))  # schedule position of the first dirty cell
-    level = int(np.searchsorted(ptr, first, side="right")) - 1
-    cut = int(ptr[level])
+    pos = int(np.argmax(dirty[order]))
     old = base.ravel()
-    starts = old.copy()
-    starts[verts[cut:]] = UNCOLORED
-    starts = first_fit_wavefronts(
-        substrate.layout, weights.ravel(), verts, ptr[level:], starts=starts
+    starts = first_fit_pass(
+        layout, weights.ravel(), layout.interior[order[pos:]], old, fresh=True
     )
     return ConeResult(
         starts=starts,
-        cells_recomputed=weights.size - cut,
+        cells_recomputed=weights.size - pos,
         cells_changed=int(np.count_nonzero(starts != old)),
-        levels_touched=len(ptr) - 1 - level,
+        levels_touched=0,
         spliced=False,
     )
 

@@ -1,16 +1,18 @@
-"""Vectorized stencil coloring kernels (the repo's perf subsystem).
+"""Stencil coloring kernels (the repo's perf subsystem).
 
-Three layers, all differentially tested to be bit-identical to the reference
+Four layers, all differentially tested to be bit-identical to the reference
 Python loops in :mod:`repro.core`:
 
-* :mod:`repro.kernels.substrate` — per-shape LRU caches of geometry, the
-  padded-offset :class:`StencilLayout` every neighbourhood read goes
-  through (``p + deltas``: no adjacency table, no bounds mask), and
-  wavefront schedules;
-* :mod:`repro.kernels.wavefront` — wavefront-batched first-fit coloring and
-  recoloring (the ``O(E log E)`` primitive, without the per-vertex loop),
-  in one batch loop that :mod:`repro.kernels.halo` shares to resume a GLL
-  scan from an outer index (the tiler's bands, GLL recolor deltas);
+* :mod:`repro.kernels.substrate` — per-shape LRU caches of geometry and of
+  the padded-offset :class:`StencilLayout` every neighbourhood read goes
+  through (``p + deltas``: no adjacency table, no bounds mask);
+* :mod:`repro.kernels.native` — the compiled first-fit loop
+  (``firstfit.c``, built on first use and loaded through :mod:`ctypes`),
+  with a Python scan in its place when no C compiler is found;
+* :mod:`repro.kernels.wavefront` — first-fit coloring and recoloring
+  passes, each one call of that loop in any visit order, which
+  :mod:`repro.kernels.halo` shares to resume a GLL scan from any position
+  (the tiler's bands, GLL recolor deltas);
 * :mod:`repro.kernels.chains` — vectorized Bipartite Decomposition chain
   assembly and the clique-guided recolor order.
 

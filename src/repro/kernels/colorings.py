@@ -1,6 +1,6 @@
 """Registry-facing fast-path implementations of the coloring heuristics.
 
-Thin wrappers binding each heuristic's vertex order to the wavefront/chain
+Thin wrappers binding each heuristic's vertex order to the first-fit/chain
 kernels with ``fast=True`` pinned and the redundant permutation re-check
 skipped (the orders are permutations by construction).  These are what
 :class:`~repro.core.algorithms.registry.AlgorithmSpec.fast_fn` points at;
@@ -24,7 +24,7 @@ from repro.core.problem import IVCInstance
 
 
 def gll_fast(instance: IVCInstance) -> Coloring:
-    """GLL through the wavefront kernel (analytic line-by-line batches)."""
+    """GLL through the first-fit kernel (half-stencil reads)."""
     return greedy_color(
         instance, line_by_line_order(instance), algorithm="GLL",
         fast=True, check_order=False,
@@ -32,7 +32,7 @@ def gll_fast(instance: IVCInstance) -> Coloring:
 
 
 def gzo_fast(instance: IVCInstance) -> Coloring:
-    """GZO through the wavefront kernel (Morton-order batches)."""
+    """GZO through the first-fit kernel (cached Morton order)."""
     return greedy_color(
         instance, zorder_order(instance), algorithm="GZO",
         fast=True, check_order=False,
@@ -40,7 +40,7 @@ def gzo_fast(instance: IVCInstance) -> Coloring:
 
 
 def glf_fast(instance: IVCInstance) -> Coloring:
-    """GLF through the wavefront kernel (weight-order batches)."""
+    """GLF through the first-fit kernel (heaviest-first order)."""
     return greedy_color(
         instance, largest_first_order(instance), algorithm="GLF",
         fast=True, check_order=False,
@@ -48,7 +48,7 @@ def glf_fast(instance: IVCInstance) -> Coloring:
 
 
 def gsl_fast(instance: IVCInstance) -> Coloring:
-    """GSL through the wavefront kernel (the order itself stays sequential)."""
+    """GSL through the first-fit kernel (the order itself stays sequential)."""
     return greedy_color(
         instance, smallest_last_order(instance), algorithm="GSL",
         fast=True, check_order=False,
@@ -62,7 +62,7 @@ def bd_fast(instance: IVCInstance) -> Coloring:
 
 
 def bdp_fast(instance: IVCInstance) -> Coloring:
-    """BDP: chain-kernel BD + vectorized order + wavefront recolor pass."""
+    """BDP: chain-kernel BD + vectorized order + first-fit recolor pass."""
     from repro.core.algorithms.post_opt import bdp_recolor_order
 
     coloring, _bound = bd_with_bound(instance, fast=True)

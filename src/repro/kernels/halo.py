@@ -1,28 +1,26 @@
-"""GLL from an outer index on, given final starts before it.
+"""GLL from any position of its order on, given final starts before it.
 
-Under the paper's line-by-line order (GLL) the predecessors of a cell are
-exactly its neighbours with a smaller analytic wavefront level (``i + 2j``,
-``i + 2j + 4k`` — see :func:`repro.kernels.substrate.analytic_wavefront`).
-The outer axis (the last one: a column in 2D, a plane in 3D) weighs most
-in the level, so a neighbour at a smaller outer index always precedes a
-cell, and one at a larger outer index always follows it.  A GLL scan can
-therefore resume at any outer index ``c0``: :func:`gll_suffix` colors the
-cells from ``c0`` on in the analytic wavefront of that sub-shape (local
-and global levels differ by a constant), given final starts before
-``c0``.  Each cell gathers only the earlier half of its stencil
-(``StencilLayout.earlier_deltas``): an earlier neighbour is either before
-``c0`` (final) or was placed in an earlier batch, and later neighbours are
-never read, whatever ``starts`` holds there.
+Under the paper's line-by-line order (GLL) the outer axis (the last one: a
+column in 2D, a plane in 3D) varies slowest and axis 0 fastest, so the
+order's position of a cell is its C-order id in the reversed shape
+(:func:`gll_positions`).  A neighbour at a smaller outer index always
+precedes a cell, and one at a larger outer index always follows it.
+
+:func:`gll_suffix` resumes the scan at any position ``pos``, given final
+starts before it: the cells from ``pos`` on are reset to ``UNCOLORED`` and
+placed by one call of the compiled first-fit loop
+(:func:`repro.kernels.wavefront.first_fit_pass`), each reading only the
+earlier half of its stencil (``StencilLayout.earlier_deltas``).  An
+earlier neighbour is either before ``pos`` (final) or was placed before
+it; later neighbours are never read, whatever ``starts`` held there.
 
 Two callers resume a scan this way: the tiler's band kernel
 (:func:`color_region`, whose first column/plane is the previous band's
 *carry*) and the incremental engine's GLL delta pass (from the first dirty
-outer index of a recolored grid).  Both run the same batch loop as the
-monolithic kernels (:func:`repro.kernels.wavefront.first_fit_wavefronts`)
-over a padded-offset :class:`~repro.kernels.substrate.StencilLayout`:
-``O(cells)`` of index arrays, never the ``cells × degree`` table a
-materialized adjacency would cost (half a gigabyte for one streamed
-16384-wide band).
+position of a recolored grid).  Both work over a padded-offset
+:class:`~repro.kernels.substrate.StencilLayout`: ``O(cells)`` of index
+arrays, never the ``cells × degree`` table a materialized adjacency would
+cost (half a gigabyte for one streamed 16384-wide band).
 """
 
 from __future__ import annotations
@@ -31,38 +29,37 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels.substrate import StencilLayout, analytic_wavefront
-from repro.kernels.wavefront import first_fit_wavefronts
+from repro.kernels.substrate import StencilLayout
+from repro.kernels.wavefront import first_fit_pass
 
-__all__ = ["color_region", "gll_suffix"]
+__all__ = ["color_region", "gll_positions", "gll_suffix"]
+
+
+def gll_positions(cells: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The line-by-line order's position of every flat id of ``cells``."""
+    coords = np.unravel_index(np.asarray(cells, dtype=np.int64), shape)
+    return np.ravel_multi_index(coords[::-1], shape[::-1])
 
 
 def gll_suffix(
     layout: StencilLayout,
     weights: np.ndarray,
     starts: Optional[np.ndarray],
-    c0: int,
-) -> tuple[np.ndarray, int]:
-    """GLL first-fit starts of a grid from outer index ``c0`` on.
+    pos: int,
+) -> np.ndarray:
+    """GLL first-fit starts of a grid from position ``pos`` of its order on.
 
     ``weights`` is the grid (``layout``'s shape) and ``starts`` its flat
-    starts, final at every outer index before ``c0``; entries from ``c0``
-    on are never read (``None`` when ``c0`` is 0).  Returns the flat
-    starts with every cell from ``c0`` on recolored, and the number of
-    wavefront batches run.
-
-    A local id ``r * m + t`` of the suffix sub-shape (``m`` outer indices)
-    is the global id ``r * outer + c0 + t``.
+    starts, final at every cell before ``pos`` in the line-by-line order;
+    entries from ``pos`` on are never read (``None`` when ``pos`` is 0).
+    Returns the flat starts with every cell from ``pos`` on recolored.
     """
-    shape = weights.shape
-    m = shape[-1] - c0
-    verts, ptr = analytic_wavefront(shape[:-1] + (m,))
-    verts += (verts // m + 1) * c0
-    out = first_fit_wavefronts(
-        layout, weights.ravel(), verts, ptr, starts=starts,
+    # The padded ids in line-by-line order: C order of the reversed shape.
+    cells = layout.interior.reshape(weights.shape).T.ravel()[pos:]
+    return first_fit_pass(
+        layout, weights.ravel(), cells, starts, fresh=True,
         deltas=layout.earlier_deltas,
     )
-    return out, len(ptr) - 1
 
 
 def color_region(
@@ -99,7 +96,8 @@ def color_region(
         starts = np.zeros(shape, dtype=np.int64)
         starts[..., 0] = carry
         starts = starts.ravel()
-    out, _ = gll_suffix(
-        StencilLayout.of(shape), weights, starts, 0 if carry is None else 1
+    out = gll_suffix(
+        StencilLayout.of(shape), weights, starts,
+        0 if carry is None else weights.size // shape[-1],
     )
     return out.reshape(shape)

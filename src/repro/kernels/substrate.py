@@ -1,10 +1,10 @@
 """Shared per-shape substrate: cached geometry, stencil layout, and schedules.
 
 Stencil instances of the same shape share everything except their weights:
-the padded-offset :class:`StencilLayout` every kernel gathers neighbours
-through, the wavefront schedules, and the geometry with its
-:math:`K_4`/:math:`K_8` block tables (for the reference loops).  Benchmark suites construct hundreds of instances over a handful
-of shapes, and the batch engine replays the same shapes in every worker
+the padded-offset :class:`StencilLayout` every kernel reads neighbours
+through, and the geometry with its :math:`K_4`/:math:`K_8` block tables
+(for the reference loops).  Benchmark suites construct hundreds of
+instances over a handful of shapes, and the batch engine replays the same shapes in every worker
 process — so this module memoizes all of it behind two small LRU caches,
 keyed by ``(stencil type, grid shape)``:
 
@@ -14,7 +14,12 @@ keyed by ``(stencil type, grid shape)``:
   walk it — are built at most once and shared by every instance of that
   shape (``IVCInstance.from_grid_2d/3d`` call this);
 * :func:`get_substrate` — the kernel-facing :class:`Substrate` bundling the
-  shape's :class:`StencilLayout` and a per-order wavefront-schedule cache.
+  shape's :class:`StencilLayout` and a per-order cache of wavefront
+  schedules.  The schedules (:meth:`Substrate.wavefront_for`, the Kahn
+  and analytic builders) batch an order into levels of pairwise
+  non-adjacent cells; no first-fit pass reads them since the passes run
+  the compiled loop of :mod:`repro.kernels.native`, and they stay only for
+  the traced benchmark, which binds ``Substrate.wavefront_for`` by name.
 
 A 9-pt (27-pt) stencil gives every cell the same 8 (26) offset neighbours,
 clipped at the grid border.  The layout embeds the grid in one with a
@@ -112,9 +117,9 @@ class StencilLayout:
         so a per-delta pass over all cells is one contiguous slice."""
         return int(self.interior[0]), int(self.interior[-1]) + 1
 
-    def pad(self, values, fill: int, dtype=np.int64) -> np.ndarray:
-        """Flat per-cell ``values`` as padded ``dtype``, ``fill`` on the border."""
-        out = np.full(len(self.unpad), fill, dtype=dtype)
+    def pad(self, values, fill: int) -> np.ndarray:
+        """Flat per-cell ``values`` as padded ``int64``, ``fill`` on the border."""
+        out = np.full(len(self.unpad), fill, dtype=np.int64)
         out[self.interior] = values
         return out
 
@@ -182,10 +187,8 @@ def analytic_wavefront(shape: tuple[int, ...]) -> Wavefront:
     """The GLL wavefront schedule of a grid shape, from the closed form.
 
     Unlike :meth:`Substrate.wavefront_for` this needs no order array, no
-    digest, and — crucially for the tiler — no materialized adjacency: the
-    schedule is derived purely from the level sets of ``i + 2j (+ 4k)``.
-    Cost and memory are ``O(cells)``, so it is safe to call per region on
-    arbitrarily large streamed bands.
+    digest and no materialized adjacency: the schedule is derived purely
+    from the level sets of ``i + 2j (+ 4k)``, in ``O(cells)``.
     """
     return _levels_to_wavefront(_line_by_line_levels(tuple(int(d) for d in shape)))
 
@@ -303,7 +306,7 @@ class Substrate:
                 self._wavefronts.move_to_end(digest)
                 return cached
         if np.array_equal(order, self.geometry.line_by_line_order()):
-            wavefront = _levels_to_wavefront(_line_by_line_levels(self.geometry.shape))
+            wavefront = analytic_wavefront(self.geometry.shape)
         else:
             rank = np.empty(len(order), dtype=np.int64)
             rank[order] = np.arange(len(order), dtype=np.int64)

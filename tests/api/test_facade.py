@@ -43,9 +43,9 @@ class TestFacadeIdentity:
         )
         assert result.provenance["fast"] is fast
 
-    @pytest.mark.parametrize("side,ran_kernel", [(128, True), (8, False)])
+    @pytest.mark.parametrize("side,ran_kernel", [(128, True), (2, False)])
     def test_provenance_fast_says_whether_the_kernel_ran(self, side, ran_kernel):
-        # Default config: auto mode, kernels from GLL's kernel_from (128) up.
+        # Default config: auto mode, kernels from GLL's kernel_from (8) up.
         result = color(_weights((side, side)), "GLL", runtime=RuntimeConfig())
         assert result.provenance["fast"] is ran_kernel
 

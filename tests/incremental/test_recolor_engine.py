@@ -182,10 +182,32 @@ class TestRecolorGrid:
         new_weights = _delta(weights, dirty)
         base = full_recolor(weights, "GLL")
         outcome = recolor_grid(new_weights, base, dirty, algorithm="GLL")
-        assert outcome.cells_recomputed == 16 * (16 - 9)
+        # The scan reaches (5, 9) at position 9 * 16 + 5 of its order.
+        assert outcome.cells_recomputed == 16 * 16 - (9 * 16 + 5)
+        assert outcome.levels_touched == 0
         assert not outcome.spliced
         assert np.array_equal(outcome.starts[:, :9], base[:, :9])
         assert np.array_equal(outcome.starts, full_recolor(new_weights, "GLL"))
+
+    @pytest.mark.parametrize("algorithm", ["GLL", "GZO"])
+    @pytest.mark.parametrize("shape", [(4, 5), (1, 7), (3, 2, 3)])
+    def test_suffix_pass_from_every_position_matches_full_recolor(self, algorithm, shape):
+        # One dirty cell at each position of the order in turn, zero
+        # weights included: the pass starts exactly there.
+        from repro.core.orderings import line_by_line_order, zorder_order
+        from repro.core.problem import IVCInstance
+
+        weights = _grid(shape, seed=5)
+        weights.ravel()[::4] = 0
+        make = IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d
+        pick = line_by_line_order if algorithm == "GLL" else zorder_order
+        order = np.asarray(pick(make(weights)))
+        base = full_recolor(weights, algorithm)
+        for pos, cell in enumerate(order.tolist()):
+            new_weights = _delta(weights, [cell], seed=pos, high=9)
+            outcome = recolor_grid(new_weights, base, [cell], algorithm=algorithm)
+            assert outcome.cells_recomputed == weights.size - pos
+            assert np.array_equal(outcome.starts, full_recolor(new_weights, algorithm)), pos
 
     def test_maxcolor_matches_starts_plus_weights(self):
         weights = _grid((12, 12))

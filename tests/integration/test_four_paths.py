@@ -5,7 +5,9 @@ four routes to a coloring:
 
 1. **direct** — ``color_with(..., fast=False)``: the reference loops;
 2. **kernels** — ``color_with(..., fast=True)``: vectorized fast paths
-   (automatic fallback to reference where no kernel is registered);
+   (automatic fallback to reference where no kernel is registered), with
+   every first-fit pass in the compiled loop of
+   :mod:`repro.kernels.native` and again on its no-compiler Python scan;
 3. **engine** — ``run_grid(..., jobs=2, capture_starts=True)``: the
    supervised process pool, workers rebuilding contexts from the shipped
    ``RuntimeConfig``;
@@ -23,6 +25,7 @@ import pytest
 from repro.core.algorithms.registry import REGISTRY, color_with
 from repro.core.problem import IVCInstance
 from repro.engine import run_grid
+from repro.kernels import native
 from repro.runtime.context import ExecutionContext
 from repro.service.client import ServiceClient
 from repro.service.server import ServerConfig, ServerThread
@@ -59,7 +62,7 @@ def client(server):
 
 
 @pytest.mark.parametrize("weights,from_grid", CASES)
-def test_four_paths_bit_identical(weights, from_grid, client):
+def test_four_paths_bit_identical(weights, from_grid, client, monkeypatch):
     instance = from_grid(weights)
     names = REGISTRY.select(instance, include_extensions=True)
     assert len(names) >= 7  # the paper's seven at minimum
@@ -75,8 +78,16 @@ def test_four_paths_bit_identical(weights, from_grid, client):
     for name in names:
         kernel = color_with(instance, name, fast=True, context=ExecutionContext())
         assert np.array_equal(kernel.starts, reference[name]), (
-            f"kernel path diverged for {name}"
+            f"kernel path ({native.path()} first fit) diverged for {name}"
         )
+    with monkeypatch.context() as patch:
+        patch.setattr(native, "_library", lambda: None)
+        assert native.path() == "reference"
+        for name in names:
+            kernel = color_with(instance, name, fast=True, context=ExecutionContext())
+            assert np.array_equal(kernel.starts, reference[name]), (
+                f"kernel path (reference first fit) diverged for {name}"
+            )
 
     # Path 3: the process-pool engine (workers rebuild their own contexts).
     records = run_grid(

@@ -1,13 +1,14 @@
-"""The batched first fit, directly and at the hazards of its batch loop.
+"""The first-fit primitives, directly and at the hazards of their passes.
 
-``first_fit_intervals`` and the packed batch body are checked against a
-test-local copy of the sequential sort-and-scan, slot by slot.  The loop tests diff the cases the
-loop treats specially against the reference loops or monolithic GLL:
-recolor passes whose zero-weight cells enter with stale or ``UNCOLORED``
-starts, the ``int32`` narrowing on either side of its guard and the edges
-of its packed intervals (negative low words, a 1×1 grid), a region led
-by a carry of arbitrary starts, and the half-stencil gather of fresh GLL
-passes on 1-wide and 3D grids.
+``first_fit_intervals`` (the cone walk's batch fit) and one cell of the
+compiled loop are checked against a test-local copy of the sequential
+sort-and-scan, slot by slot.  The pass tests diff the cases a pass treats
+specially against the reference loops or monolithic GLL: recolor passes
+whose zero-weight cells enter with stale or ``UNCOLORED`` starts, weights
+and starts on either side of ``2**29`` (where 32-bit arithmetic would
+overflow), zero-weight and uncolored cells tied with real starts, a 1×1
+grid, a region led by a carry of arbitrary starts, and the half-stencil
+read of fresh GLL passes on 1-wide and 3D grids.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core.greedy_engine import first_fit_start, greedy_color, greedy_recolor_pass
 from repro.core.orderings import line_by_line_order, random_order, zorder_order
 from repro.core.problem import IVCInstance
-from repro.kernels import wavefront
+from repro.kernels import native, wavefront
 from repro.kernels.halo import color_region
 from repro.kernels.substrate import StencilLayout
 from repro.kernels.wavefront import (
@@ -113,31 +114,24 @@ def test_zero_weight_neighbour_does_not_raise_the_frontier():
     assert first_fit_intervals(s, wn, np.array([4])).tolist() == [2]
 
 
-def _pack(s, wn):
-    """Column-major packed words as the batch loop keeps them, by arithmetic:
-    ``start << 32 | uint32(end)``, with the int32 void for ignored slots."""
-    void = wavefront._VOID[np.int32]
-    lo = np.where(s == UNCOLORED, void, s)
-    hi = lo + np.where(wn > 0, wn, void)
-    return np.ascontiguousarray(((lo << 32) | (hi & 0xFFFFFFFF)).T)
-
-
-@given(_batches(), st.integers(0, 1 << 28))
+@given(_batches(), st.integers(0, 1 << 40))
 @settings(max_examples=200, deadline=None)
 @example((np.array([[4, 4, 4, 0]]), np.array([[2, 0, 3, 4]]), np.array([0])), 0)
 @example((np.array([[UNCOLORED, 3]]), np.array([[5, 0]]), np.array([3])), 0)
-def test_packed_fit_matches_sequential_scan(batch, shift):
-    # Ignored slots have a negative low word, which sorts as a large
-    # unsigned one among tied starts; ``shift`` moves real starts up to
-    # the int32 guard.
+@example((np.zeros((2, 0), np.int64), np.zeros((2, 0), np.int64), np.array([0, 4])), 0)
+def test_native_fit_matches_sequential_scan(batch, shift):
+    # One cell per row, its neighbours the row's slots: a flat array of
+    # the ``d`` slots and then the cell, read through offsets ``-d..-1``.
+    # ``shift`` moves real starts up to 2**40.
     s, wn, w = batch
-    if s.shape[1] == 0:
-        return
+    d = s.shape[1]
     s = np.where(s == UNCOLORED, s, s + shift)
-    want = [_scan(s[r], wn[r], int(w[r])) for r in range(len(w))]
-    got = wavefront._first_fit_packed(_pack(s, wn), w.astype(np.int32))
-    assert got.dtype == np.int32
-    assert got.tolist() == want
+    for r in range(len(w)):
+        starts = np.append(s[r], UNCOLORED)
+        weights = np.append(wn[r], w[r])
+        native.first_fit(starts, weights, np.array([d]), np.arange(-d, 0))
+        assert starts[:d].tolist() == s[r].tolist()
+        assert starts[d] == _scan(s[r], wn[r], int(w[r]))
 
 
 # -- recolor passes ---------------------------------------------------------
@@ -198,7 +192,7 @@ def test_recolor_pass_with_stale_zero_weight_starts(shape, order_name, entry):
         assert np.array_equal(greedy_recolor_pass(inst, base, order, fast=False), want)
 
 
-# -- the int32 narrowing -----------------------------------------------------
+# -- 32-bit limits -----------------------------------------------------------
 
 GUARD = 1 << 29
 
@@ -206,12 +200,14 @@ GUARD = 1 << 29
 @pytest.mark.parametrize("over", [0, 1], ids=["int32", "int64"])
 @pytest.mark.parametrize("case", ["fresh", "uncolored", "high_starts"])
 @pytest.mark.parametrize("shape", [(5, 6), (3, 4, 3)])
-def test_int32_narrowing_at_its_guard(shape, case, over, monkeypatch):
-    # The loop narrows to int32 while ``len(deltas) * max(w)`` and, given
-    # starts, ``max(starts) + max(w)`` stay below 2**29.  ``over=0`` puts the
+def test_int32_narrowing_at_its_guard(shape, case, over):
+    # A pass whose ``len(deltas) * max(w)`` or, given starts,
+    # ``max(starts) + max(w)`` reaches 2**29 has starts and ends that an
+    # int32 loop with a negative void would overflow.  ``over=0`` puts the
     # deciding term at 2**29 - 1 (or just under it), ``over=1`` at the
-    # smallest value that fails.  Zero weights throughout, some holding
-    # stale starts; random orders gather the full stencil.
+    # smallest value past it; the int64 loop is exact on both sides.  Zero
+    # weights throughout, some holding stale starts; random orders read
+    # the full stencil.
     rng = np.random.default_rng(len(shape) * 10 + len(case) + over)
     d = 8 if len(shape) == 2 else 26
     top = (GUARD - 1) // d + over if case != "high_starts" else 40
@@ -222,41 +218,20 @@ def test_int32_narrowing_at_its_guard(shape, case, over, monkeypatch):
     order = rng.permutation(inst.num_vertices).astype(np.int64)
     zero = np.flatnonzero(inst.weights == 0)
     if case == "fresh":
-        base = None
+        got = wavefront_greedy_color(inst, order)
         want = greedy_color(inst, order, fast=False).starts
     elif case == "uncolored":
         base = np.full(inst.num_vertices, UNCOLORED, dtype=np.int64)
         stale = rng.random(inst.num_vertices) < 0.5
         base[stale] = rng.integers(0, top, size=stale.sum())
+        got = wavefront_recolor_pass(inst, base, order)
         want = _reference_pass(inst, base, order)
     else:
         base = greedy_color(inst, random_order(inst, seed=3), fast=False).starts
         base = base + (GUARD - 1 + over - top - base.max())
         base[zero[0]] = base.max()  # a zero-weight cell at the top start
-        want = greedy_recolor_pass(inst, base, order, fast=False)
-    # Which body ran: the packed int32 one under the guard (its ends are
-    # the int32 low halves of the packed words), the int64 one past it.
-    bodies = set()
-    packed, columns = wavefront._first_fit_packed, wavefront._first_fit_columns
-
-    def packed_spy(g, w):
-        bodies.add(("packed", g.dtype, w.dtype))
-        return packed(g, w)
-
-    def columns_spy(lo, hi, w, cols):
-        bodies.add(("columns", hi.dtype, w.dtype))
-        return columns(lo, hi, w, cols)
-
-    monkeypatch.setattr(wavefront, "_first_fit_packed", packed_spy)
-    monkeypatch.setattr(wavefront, "_first_fit_columns", columns_spy)
-    if base is None:
-        got = wavefront_greedy_color(inst, order)
-    else:
         got = wavefront_recolor_pass(inst, base, order)
-    if over:
-        assert bodies == {("columns", np.dtype(np.int64), np.dtype(np.int64))}
-    else:
-        assert bodies == {("packed", np.dtype(np.int64), np.dtype(np.int32))}
+        want = greedy_recolor_pass(inst, base, order, fast=False)
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
 
@@ -264,10 +239,10 @@ def test_int32_narrowing_at_its_guard(shape, case, over, monkeypatch):
 @pytest.mark.parametrize("shape", [(6, 7), (3, 4, 3)])
 @pytest.mark.parametrize("edge", ["stale_top", "tied_void"])
 def test_packed_edges_in_recolor_passes(shape, edge):
-    # ``stale_top``: zero-weight cells enter at the largest start, so their
-    # packed end is that start plus the void.  ``tied_void``: zero-weight
-    # and uncolored cells share starts with real neighbours, so equal high
-    # words meet negative low words in the sort.
+    # ``stale_top``: zero-weight cells enter above every real start, an
+    # interval the scan must skip though its lower end sorts last.
+    # ``tied_void``: zero-weight and uncolored cells share starts with
+    # real neighbours, so skipped and real intervals tie in the sort.
     rng = np.random.default_rng(len(shape) * 3 + len(edge))
     weights = rng.integers(1, 30, size=shape)
     weights[rng.random(size=shape) < 0.3] = 0
@@ -349,14 +324,13 @@ def test_gll_half_gather_matches_reference(shape, monkeypatch):
     inst = _instance(weights)
     order = np.asarray(line_by_line_order(inst), dtype=np.int64)
     gathered = []
-    loop = wavefront.first_fit_wavefronts
+    loop = native.first_fit
 
-    def spy(layout, *args, **kwargs):
-        deltas = kwargs.get("deltas")
-        gathered.append(len(layout.deltas if deltas is None else deltas))
-        return loop(layout, *args, **kwargs)
+    def spy(starts, weights, cells, deltas):
+        gathered.append(len(deltas))
+        return loop(starts, weights, cells, deltas)
 
-    monkeypatch.setattr(wavefront, "first_fit_wavefronts", spy)
+    monkeypatch.setattr(native, "first_fit", spy)
     got = wavefront_greedy_color(inst, order)
     assert gathered == [4 if len(shape) == 2 else 13]
     assert np.array_equal(got, greedy_color(inst, order, fast=False).starts)

@@ -4,7 +4,8 @@ A region's first column (2D) or plane (3D) may be a *carry* of known
 starts: every carry cell precedes every other cell of the region in the
 GLL scan, so taking the carry at its monolithic starts must reproduce the
 monolithic coloring of the region exactly.  ``gll_suffix`` resumes the
-scan at any outer index and must never read the starts it recolors.
+scan at any position of the line-by-line order and must never read the
+starts it recolors.
 """
 
 import numpy as np
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core.algorithms.registry import color_with
 from repro.core.problem import IVCInstance
-from repro.kernels.halo import color_region, gll_suffix
+from repro.core.orderings import line_by_line_order
+from repro.kernels.halo import color_region, gll_positions, gll_suffix
 from repro.kernels.substrate import StencilLayout
 
 
@@ -77,19 +79,32 @@ _shapes = st.one_of(
 @given(shape=_shapes, seed=st.integers(0, 10_000), data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_gll_suffix_never_reads_the_cells_it_recolors(shape, seed, data):
-    # Final starts before c0 and garbage from c0 on: the result is the
+    # Final starts before pos and garbage from pos on: the result is the
     # monolithic coloring, whatever the garbage.
     rng = np.random.default_rng(seed)
     weights = rng.integers(1, 30, size=shape)
     weights[rng.random(size=shape) < 0.3] = 0
-    truth = _gll(weights)
-    c0 = data.draw(st.integers(0, shape[-1] - 1), label="c0")
+    truth = _gll(weights).ravel()
+    n = weights.size
+    pos = data.draw(st.integers(0, n - 1), label="pos")
     layout = StencilLayout.of(shape)
-    suffix = (..., slice(c0, None))
-    levels = sum(a << k for k, a in enumerate(np.indices(truth[suffix].shape)))
-    for garbage in (-1, 10**9, rng.integers(-1, 99, size=truth[suffix].shape)):
+    suffix = gll_positions(np.arange(n), shape) >= pos
+    for garbage in (-1, 10**9, rng.integers(-1, 99, size=n)):
         starts = truth.copy()
-        starts[suffix] = garbage
-        got, batches = gll_suffix(layout, weights, starts.ravel(), c0)
-        assert np.array_equal(got.reshape(shape), truth)
-        assert batches == np.unique(levels).size
+        starts[suffix] = np.broadcast_to(garbage, n)[suffix]
+        got = gll_suffix(layout, weights, starts, pos)
+        assert np.array_equal(got, truth)
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (5, 1), (1, 6), (3, 2, 4), (2, 3, 1)])
+def test_gll_suffix_from_every_position_matches_a_full_pass(shape):
+    weights = _weights(shape, seed=4)
+    truth = _gll(weights).ravel()
+    inst = (IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d)(weights)
+    order = np.asarray(line_by_line_order(inst))
+    assert gll_positions(order, shape).tolist() == list(range(weights.size))
+    layout = StencilLayout.of(shape)
+    for pos in range(weights.size):
+        stale = truth.copy()
+        stale[order[pos:]] += 7
+        assert np.array_equal(gll_suffix(layout, weights, stale, pos), truth), pos

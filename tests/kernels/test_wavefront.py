@@ -1,4 +1,4 @@
-"""Differential tests: wavefront kernels vs the sequential reference loops.
+"""Differential tests: the kernel passes vs the sequential reference loops.
 
 Every test here compares ``fast=True`` against ``fast=False`` on the *same*
 instance and order and requires bit-identical starts — the kernel contract
@@ -23,7 +23,7 @@ from repro.core.orderings import (
     zorder_order,
 )
 from repro.core.problem import IVCInstance
-from repro.kernels import wavefront
+from repro.kernels import native, wavefront
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.context import ExecutionContext, get_context
 from repro.runtime.fastpath import fast_paths, resolve_fast_for
@@ -214,27 +214,24 @@ def test_every_registry_algorithm_identical_with_fast_paths(shape):
 @pytest.mark.parametrize("algorithm", ["GLL", "GLF", "GZO", "BDP"])
 @pytest.mark.parametrize("shape", [(48, 48), (10, 10, 10)])
 def test_int64_body_identical_past_the_guard(shape, algorithm, monkeypatch):
-    # Weights up to 2**28 put every pass past the int32 guard (even GLL's
-    # half stencil: 4 * 2**28 >= 2**29), so the int64 body runs over the
-    # schedules of real orders, not only the guard test's tiny grids.
+    # Weights up to 2**40 put starts and ends far past 32 bits (a 26-cell
+    # neighbourhood of such weights spans ~2**45), so the first-fit loop
+    # must be int64 throughout, over the orders of real algorithms.
     rng = np.random.default_rng(len(shape) + len(algorithm))
-    weights = rng.integers(1, 1 << 28, size=shape)
+    weights = rng.integers(1, 1 << 40, size=shape)
     weights[rng.random(size=shape) < 0.2] = 0
     inst = (IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d)(weights)
     dtypes = set()
-    columns = wavefront._first_fit_columns
+    loop = native.first_fit
 
-    def spy(lo, hi, w, cols):
-        dtypes.add(hi.dtype)
-        return columns(lo, hi, w, cols)
+    def spy(starts, weights, cells, deltas):
+        dtypes.add((starts.dtype, weights.dtype))
+        return loop(starts, weights, cells, deltas)
 
-    def packed(g, w):
-        raise AssertionError("the packed int32 body ran past the guard")
-
-    monkeypatch.setattr(wavefront, "_first_fit_columns", spy)
-    monkeypatch.setattr(wavefront, "_first_fit_packed", packed)
+    monkeypatch.setattr(native, "first_fit", spy)
     fast = color_with(inst, algorithm, fast=True)
-    assert dtypes == {np.dtype(np.int64)}
+    assert dtypes == {(np.dtype(np.int64), np.dtype(np.int64))}
+    assert fast.maxcolor > 1 << 40
     assert np.array_equal(fast.starts, color_with(inst, algorithm, fast=False).starts)
 
 

@@ -172,7 +172,7 @@ class TestSubstrateCounters:
         "side,algorithm,fast,counted",
         [
             (128, "GLL", None, "registry.dispatch_fast"),
-            (8, "GLL", None, "registry.dispatch_reference"),
+            (2, "GLL", None, "registry.dispatch_reference"),
             # GKF has no kernel: a kernel request still runs the reference.
             (12, "GKF", True, "registry.dispatch_reference"),
         ],

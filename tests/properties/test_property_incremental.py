@@ -19,14 +19,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.algorithms.registry import REGISTRY
-from repro.core.orderings import zorder_order
+from repro.core.orderings import line_by_line_order, zorder_order
 from repro.core.problem import IVCInstance
 from repro.incremental.engine import (
     SUPPORTED_ALGORITHMS,
     full_recolor,
     recolor_grid,
 )
-from repro.kernels.substrate import get_substrate
 
 FAST_ALGORITHMS = tuple(
     spec.name for spec in REGISTRY.specs() if spec.fast_fn is not None
@@ -175,9 +174,12 @@ def test_gll_band_pass_matches_full_recolor(shape, seed, delta_seed, placement):
         "GLL", weights, new_weights, dirty, max_cone_fraction=0.01
     )
     assert outcome.mode == "incremental"
-    outer = shape[-1]
-    c0 = int((dirty % outer).min())
-    assert outcome.cells_recomputed == weights.size // outer * (outer - c0)
+    # The pass starts at the first dirty cell of the line-by-line order.
+    make = IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d
+    order = np.asarray(line_by_line_order(make(weights)))
+    pos = int(np.flatnonzero(np.isin(order, dirty))[0])
+    assert outcome.cells_recomputed == weights.size - pos
+    assert outcome.levels_touched == 0
 
 
 @given(
@@ -200,20 +202,15 @@ def test_gzo_suffix_pass_matches_full_recolor(shape, seed, delta_seed, placement
         "GZO", weights, new_weights, dirty, max_cone_fraction=0.01
     )
     assert outcome.mode == "incremental"
-    # Every cell scheduled before the first dirty cell's Kahn level keeps
-    # its base start; the rest is recomputed.
+    # Every cell before the first dirty cell of the Morton order keeps its
+    # base start; the rest is recomputed.
     make = IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d
-    instance = make(weights)
-    verts, ptr = get_substrate(instance.geometry).wavefront_for(
-        zorder_order(instance)
-    )
-    position = np.empty(weights.size, dtype=np.int64)
-    position[verts] = np.arange(weights.size)
-    level = int(np.searchsorted(ptr, position[dirty].min(), side="right")) - 1
-    assert outcome.cells_recomputed == weights.size - ptr[level]
-    assert outcome.levels_touched == len(ptr) - 1 - level
+    order = np.asarray(zorder_order(make(weights)))
+    pos = int(np.flatnonzero(np.isin(order, dirty))[0])
+    assert outcome.cells_recomputed == weights.size - pos
+    assert outcome.levels_touched == 0
     assert not outcome.spliced
-    kept = verts[: ptr[level]]
+    kept = order[:pos]
     base = full_recolor(weights, "GZO")
     assert np.array_equal(outcome.starts.ravel()[kept], base.ravel()[kept])
 

@@ -1,8 +1,9 @@
 """Property-based differential tests: vectorized kernels vs reference loops.
 
 Hypothesis drives random grid shapes, weights (including zeros), and vertex
-orders through both code paths and requires bit-identical starts.  The
-layout's stencil validation, the vectorized BDP order and the slice block
+orders through both code paths and requires bit-identical starts; the
+compiled first-fit loop also runs from ``UNCOLORED`` and stale starts with
+weights up to ``2**40``.  The layout's stencil validation, the vectorized BDP order and the slice block
 sums are held to the same standard against the CSR edge list, the
 reference loop and the block table.  The SGK
 block-fill optimization is checked against a naive re-implementation that
@@ -30,6 +31,7 @@ from repro.core.interval import edge_overlaps
 from repro.core.problem import IVCInstance
 from repro.kernels.chains import bdp_recolor_order_fast
 from repro.kernels.substrate import StencilLayout
+from repro.kernels.wavefront import wavefront_greedy_color, wavefront_recolor_pass
 
 grids_2d = st.tuples(st.integers(1, 6), st.integers(1, 6))
 grids_3d = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))
@@ -72,6 +74,51 @@ def test_recolor_kernel_matches_reference(shape, seed, order_seed):
         greedy_recolor_pass(inst, base, order, fast=False),
         greedy_recolor_pass(inst, base, order, fast=True),
     )
+
+
+def _sequential_pass(inst, starts, order):
+    """The reference first-fit loop from any ``starts``, ``UNCOLORED``
+    entries included (``greedy_recolor_pass`` refuses those)."""
+    out = np.array(starts, dtype=np.int64)
+    indptr, indices, weights = inst.graph.indptr, inst.graph.indices, inst.weights
+    for v in order.tolist():
+        nbs = indices[indptr[v] : indptr[v + 1]]
+        live = [u for u in nbs if out[u] != UNCOLORED and weights[u] > 0]
+        out[v] = first_fit_start(
+            [out[u] for u in live], [out[u] + weights[u] for u in live], int(weights[v])
+        )
+    return out
+
+
+@given(
+    shape=grids,
+    seed=seeds,
+    top=st.sampled_from([1, 12, 1 << 29, 1 << 40]),
+    entry=st.sampled_from(["fresh", "colored", "uncolored", "stale"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_native_pass_matches_reference_from_any_starts(shape, seed, top, entry):
+    # The compiled loop, fresh or over given starts, against the sequential
+    # reference: zero weights, ``UNCOLORED`` entries, stale starts on
+    # zero-weight and live cells, and weights up to 2**40.
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(1, top + 1, size=shape)
+    weights[rng.random(size=shape) < 0.25] = 0
+    inst = _instance_of(weights)
+    n = inst.num_vertices
+    order = rng.permutation(n).astype(np.int64)
+    if entry == "fresh":
+        got = wavefront_greedy_color(inst, order)
+        assert np.array_equal(got, greedy_color(inst, order, fast=False).starts)
+        return
+    base = greedy_color(inst, rng.permutation(n), fast=False).starts.copy()
+    if entry == "uncolored":
+        base[rng.random(n) < 0.4] = UNCOLORED
+    elif entry == "stale":
+        stale = rng.random(n) < 0.4
+        base[stale] = rng.integers(0, 3 * top, size=int(stale.sum()))
+    got = wavefront_recolor_pass(inst, base, order)
+    assert np.array_equal(got, _sequential_pass(inst, base, order))
 
 
 @given(shape=grids, seed=seeds)
