@@ -1,10 +1,15 @@
 """The compiled first-fit loop (``firstfit.c``), built on first use.
 
 Every first-fit pass of the kernel tier runs :func:`first_fit`: one
-sequential sort-and-scan per cell, over the padded grid of a
-:class:`~repro.kernels.substrate.StencilLayout`, in any visit order.  The
-loop is ~40 lines of C, so it is compiled from the package's own source
-rather than shipped as a binary:
+sequential pass over the padded grid of a
+:class:`~repro.kernels.substrate.StencilLayout`, in any visit order.  Per
+cell it sweeps the neighbour intervals without sorting them, jumping the
+candidate start past each one that blocks it until a sweep moves nothing,
+which is the lowest feasible start that the sort-and-scan of
+:func:`~repro.core.greedy_engine.first_fit_start` returns; it prefetches
+the stencil rows of the cell 16 places on in the order.  The loop is ~100
+lines of C, so it is compiled from the package's own source rather than
+shipped as a binary:
 
 * **Compile.** On the first call in a process, with the C compiler Python
   was built with (``sysconfig``'s ``CC``; the ``CC`` environment variable
@@ -156,7 +161,7 @@ def first_fit(
         raise ValueError(f"at most {MAX_DEGREE} offsets, got {len(deltas)}")
     if len(weights) != len(starts):
         raise ValueError("first_fit needs starts and weights of one grid")
-    # Every read and write must land inside the padded grid.
+    # Every read, write and prefetch must land inside the padded grid.
     if len(cells) and (
         cells.min() + min(deltas.min(initial=0), 0) < 0
         or cells.max() + max(deltas.max(initial=0), 0) >= len(starts)

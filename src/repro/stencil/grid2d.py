@@ -212,10 +212,7 @@ class StencilGrid2D:
         increasing ``j``.  (Any lexicographic scan realizes the paper's GLL;
         this one matches the row decomposition above.)
         """
-        i, j = np.meshgrid(
-            np.arange(self.X, dtype=np.int64), np.arange(self.Y, dtype=np.int64), indexing="ij"
-        )
-        return self.vertex_id(i.T.ravel(), j.T.ravel())
+        return np.arange(self.X * self.Y, dtype=np.int64).reshape(self.X, self.Y).T.ravel()
 
     @cached_property
     def zorder_order(self) -> np.ndarray:

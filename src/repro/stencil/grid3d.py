@@ -201,13 +201,8 @@ class StencilGrid3D:
         Vertices are visited by increasing ``i`` within a line, lines by
         increasing ``j`` within a plane, planes by increasing ``k``.
         """
-        k, j, i = np.meshgrid(
-            np.arange(self.Z, dtype=np.int64),
-            np.arange(self.Y, dtype=np.int64),
-            np.arange(self.X, dtype=np.int64),
-            indexing="ij",
-        )
-        return self.vertex_id(i.ravel(), j.ravel(), k.ravel())
+        ids = np.arange(self.X * self.Y * self.Z, dtype=np.int64)
+        return ids.reshape(self.X, self.Y, self.Z).transpose(2, 1, 0).ravel()
 
     @cached_property
     def zorder_order(self) -> np.ndarray:

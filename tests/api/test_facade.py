@@ -1,6 +1,7 @@
 """The ``repro.api`` facade: one entry point, bit-identical to every
 legacy call style, with the old top-level shims gone."""
 
+import gc
 import warnings
 
 import numpy as np
@@ -184,3 +185,19 @@ class TestDeprecationShims:
             result = repro.color(_weights((5, 5), seed=8), "GLL")
         assert result.maxcolor > 0
         assert "color" in repro.__all__ and "api" in repro.__all__
+
+
+@pytest.mark.parametrize("alg", ["GLL", "GLF", "GZO", "BDP"])
+@pytest.mark.parametrize("shape", [(40, 40), (12, 12, 12)])
+def test_color_leaves_no_reference_cycle(shape, alg):
+    # Every array of a color call is freed by reference counting: with the
+    # cyclic collector off, nothing is left for it to find, so peak memory
+    # does not depend on when it runs.
+    weights = np.random.default_rng(len(shape)).integers(1, 1000, size=shape)
+    gc.collect()
+    gc.disable()
+    try:
+        color(weights, alg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -59,6 +59,19 @@ class TestOrders:
         order = largest_first_order(inst)
         assert order.tolist() == [3, 0, 1, 2]
 
+    @pytest.mark.parametrize("top", [0, 2**15 - 1, 2**15, 2**40])
+    @pytest.mark.parametrize("shape", [(9, 11), (5, 4, 6)])
+    def test_largest_first_matches_a_stable_argsort(self, top, shape):
+        # Weights up to 2**15 - 1 are sorted as int16, heavier ones as
+        # int64; both give the stable argsort's permutation, ties by id.
+        rng = np.random.default_rng(top % 97 + len(shape))
+        values = np.array([0, 1, top // 2, max(top - 1, 0), top], dtype=np.int64)
+        weights = rng.choice(values, size=shape)
+        make = IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d
+        order = largest_first_order(make(weights))
+        assert order.dtype == np.int64
+        assert order.tolist() == np.argsort(-weights.ravel(), kind="stable").tolist()
+
     def test_random_order_deterministic_per_seed(self, small_2d):
         a = random_order(small_2d, seed=3)
         b = random_order(small_2d, seed=3)

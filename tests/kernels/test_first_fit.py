@@ -2,7 +2,11 @@
 
 ``first_fit_intervals`` (the cone walk's batch fit) and one cell of the
 compiled loop are checked against a test-local copy of the sequential
-sort-and-scan, slot by slot.  The pass tests diff the cases a pass treats
+sort-and-scan, slot by slot, and the loop's sort-free sweeps are checked
+against ``first_fit_start`` on one stencil cell at their hazards:
+staircases that take every sweep, exact gaps, tied lower ends, all
+neighbours live, zero weights, ``UNCOLORED`` neighbours and starts near
+``2**40``.  The pass tests diff the cases a pass treats
 specially against the reference loops or monolithic GLL: recolor passes
 whose zero-weight cells enter with stale or ``UNCOLORED`` starts, weights
 and starts on either side of ``2**29`` (where 32-bit arithmetic would
@@ -132,6 +136,115 @@ def test_native_fit_matches_sequential_scan(batch, shift):
         native.first_fit(starts, weights, np.array([d]), np.arange(-d, 0))
         assert starts[:d].tolist() == s[r].tolist()
         assert starts[d] == _scan(s[r], wn[r], int(w[r]))
+
+
+# -- the sort-free scan at its hazards --------------------------------------
+
+
+def _place(dim, s, wn, w):
+    """The compiled loop's start for the centre of a 3×3(×3) grid whose
+    ``k``-th stencil neighbour holds start ``s[k]`` and weight ``wn[k]``,
+    checked against ``first_fit_start`` over the live neighbours."""
+    layout = StencilLayout.of((3,) * dim)
+    centre = int(layout.interior[len(layout.interior) // 2])
+    starts = layout.pad(np.full(3**dim, UNCOLORED), UNCOLORED)
+    weights = layout.pad(np.zeros(3**dim), 0)
+    starts[centre + layout.deltas] = s
+    weights[centre + layout.deltas] = wn
+    weights[centre] = w
+    native.first_fit(starts, weights, np.array([centre]), layout.deltas)
+    live = [(a, a + b) for a, b in zip(s, wn) if a != UNCOLORED and b > 0]
+    want = first_fit_start([a for a, _ in live], [b for _, b in live], w)
+    assert starts[centre] == want
+    return int(starts[centre])
+
+
+def _staircase(d, width, base=0):
+    """Abutting intervals whose lower ends fall in stencil order: one sweep
+    moves past one of them, so a fit above them all takes ``d + 1``."""
+    lows = base + width * np.arange(d - 1, -1, -1, dtype=np.int64)
+    return lows, np.full(d, width, dtype=np.int64)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("base", [0, 2**40])
+def test_staircase_takes_every_sweep(dim, base):
+    d = 3**dim - 1
+    s, wn = _staircase(d, 3, base)
+    assert _place(dim, s, wn, base + 1) == base + 3 * d  # climbs every step
+    s[: d - 3] += 2  # an exact gap [base + 9, base + 11) above the third step
+    assert _place(dim, s, wn, 2) == (9 if base == 0 else 0)
+    assert _place(dim, s, wn, 3) == (3 * d + 2 if base == 0 else 0)
+    assert _place(dim, s, wn, base + 2) == (9 if base == 0 else base + 3 * d + 2)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_staircase_gaps_of_every_width(dim):
+    d = 3**dim - 1
+    s, wn = _staircase(d, 5)
+    s = s + 2 * np.arange(d - 1, -1, -1)  # a gap of 2 above every step
+    assert _place(dim, s, wn, 2) == 5
+    assert _place(dim, s, wn, 3) == s[0] + 5
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_exact_fit_is_not_blocked(dim):
+    # [0, 3) and [5, 8): a width-2 cell fits exactly in [3, 5).
+    d = 3**dim - 1
+    s = np.full(d, UNCOLORED, dtype=np.int64)
+    wn = np.ones(d, dtype=np.int64)
+    s[-1], wn[-1] = 0, 3
+    s[0], wn[0] = 5, 3
+    assert _place(dim, s, wn, 2) == 3
+    assert _place(dim, s, wn, 3) == 8
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("base", [5, 2**40 - 7])
+def test_equal_lower_ends(dim, base):
+    d = 3**dim - 1
+    s = np.full(d, base, dtype=np.int64)
+    wn = np.arange(d, 0, -1, dtype=np.int64)
+    assert _place(dim, s, wn, base) == 0  # fits exactly below them
+    assert _place(dim, s, wn, base + 1) == base + d  # past the longest
+    s[::2] = 0  # two tied groups, at 0 and at ``base``
+    _place(dim, s, wn, 1)
+    _place(dim, s, wn, base)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_zero_weights_and_uncolored_neighbours(dim):
+    d = 3**dim - 1
+    s, wn = _staircase(d, 2)
+    # Zero-weight neighbours inside the staircase's gaps do not block.
+    wn[1::3] = 0
+    got = _place(dim, s, wn, 2)
+    assert got < 2 * d
+    # Uncolored neighbours do not block, whatever their weight.
+    s[::2] = UNCOLORED
+    wn[::2] = 10**6
+    _place(dim, s, wn, 2)
+    # A zero-weight cell lands at 0 over any neighbourhood.
+    assert _place(dim, *_staircase(d, 2), 0) == 0
+    assert _place(dim, np.zeros(d, np.int64), np.full(d, 9, np.int64), 0) == 0
+
+
+@given(
+    st.sampled_from([2, 3]),
+    st.data(),
+    st.sampled_from([0, 2**40 - 3, 2**40]),
+)
+@settings(max_examples=150, deadline=None)
+def test_all_neighbours_live_in_any_order(dim, data, shift):
+    # Abutting or near-abutting intervals, every neighbour live, in a drawn
+    # stencil order: the orders the sweeps are slowest on.
+    d = 3**dim - 1
+    widths = np.array(data.draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+    gaps = np.array(data.draw(st.lists(st.integers(0, 2), min_size=d, max_size=d)))
+    lows = np.cumsum(widths + gaps) - widths - gaps
+    perm = np.array(data.draw(st.permutations(range(d))))
+    w = data.draw(st.integers(1, 6))
+    _place(dim, (lows + shift)[perm], widths[perm], w)
 
 
 # -- recolor passes ---------------------------------------------------------

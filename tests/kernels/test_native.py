@@ -3,10 +3,13 @@
 The passes themselves are diffed against the reference loops elsewhere
 (``test_first_fit``, ``test_wavefront``, the hypothesis suites); here the
 build is: a library keyed by the source hash, published whole while
-processes race the first compile, and a missing compiler that leaves every
-pass on the Python scan with provenance saying so.
+processes race the first compile, a missing compiler that leaves every
+pass on the Python scan with provenance saying so, and the loop's
+prefetches, recorded by a build with a probe in place of
+``__builtin_prefetch``.
 """
 
+import ctypes
 import os
 import shlex
 import subprocess
@@ -23,7 +26,10 @@ from repro.core.greedy_engine import greedy_color
 from repro.core.orderings import random_order
 from repro.core.problem import IVCInstance
 from repro.kernels import native
+from repro.kernels.substrate import StencilLayout
 from repro.kernels.wavefront import wavefront_greedy_color
+from repro.stencil.grid2d import OFFSETS_9PT
+from repro.stencil.grid3d import OFFSETS_27PT
 
 #: The compiler Python was built with, ignoring any ``CC`` override (the
 #: no-compiler CI step sets ``CC=false``).
@@ -127,3 +133,81 @@ def test_first_fit_rejects_arrays_it_cannot_pass():
     with pytest.raises(IndexError):
         native.first_fit(starts, weights, np.array([3]), np.array([1]))
     assert starts.tolist() == [-1] * 4  # nothing was written
+
+
+#: Compiled in front of ``firstfit.c``: every prefetch records its address.
+PROBE = """
+#include <stdint.h>
+int64_t ivc_probe[1 << 14];
+int64_t ivc_probes;
+#define __builtin_prefetch(p) (ivc_probe[ivc_probes++ & ((1 << 14) - 1)] = (int64_t)(intptr_t)(p))
+"""
+
+
+def _expected_rows(offsets):
+    """The stencil rows as ``(first, last)`` offsets: ``offsets`` grouped by
+    all but their last axis (the contiguous one), in order."""
+    rows = {}
+    for off in offsets:
+        rows.setdefault(tuple(off[:-1]), []).append(off[-1])
+    return [(prefix + (min(ks),), prefix + (max(ks),)) for prefix, ks in rows.items()]
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["full", "earlier"])
+@pytest.mark.parametrize(
+    "shape", [(6, 7), (1, 30), (20, 1), (4, 1), (3, 4, 5), (1, 1, 20), (18, 1, 1)]
+)
+def test_prefetch_reads_the_stencil_rows_ahead(tmp_path, shape, half):
+    # Every prefetch of the pass at cell ``i`` lands on the first and last
+    # cell of each stencil row of cell ``i + 16``, in ``starts`` and
+    # ``weights``, so none leaves the range the bounds check covers.
+    _needs_compiler(tmp_path)
+    probe = tmp_path / "probe.h"
+    probe.write_text(PROBE)
+    lib = ctypes.CDLL(str(native.library_path(
+        cache_dir=tmp_path / "cache", compiler=[*COMPILER, "-include", str(probe)],
+    )))
+    layout = StencilLayout.of(shape)
+    offsets = np.asarray(OFFSETS_9PT if len(shape) == 2 else OFFSETS_27PT)
+    strides = np.cumprod((1,) + layout.padded[:0:-1])[::-1]
+    if half:
+        offsets = offsets[np.isin(offsets @ strides, layout.earlier_deltas)]
+    deltas = offsets @ strides
+    rows = [
+        (int(np.dot(first, strides)), int(np.dot(last, strides)))
+        for first, last in _expected_rows([tuple(o) for o in offsets.tolist()])
+    ]
+    n = int(np.prod(shape))
+    rng = np.random.default_rng(n)
+    weights = layout.pad(rng.integers(0, 9, size=n), 0)
+    starts = layout.pad(np.full(n, native.UNCOLORED), native.UNCOLORED)
+    cells = layout.interior[rng.permutation(n)]
+    counter = ctypes.c_int64.in_dll(lib, "ivc_probes")
+    counter.value = 0
+    lib.ivc_first_fit(
+        ctypes.c_void_p(starts.ctypes.data), ctypes.c_void_p(weights.ctypes.data),
+        ctypes.c_void_p(cells.ctypes.data), ctypes.c_int64(n),
+        ctypes.c_void_p(deltas.ctypes.data), ctypes.c_int64(len(deltas)),
+    )
+    per_cell = 4 * len(rows)
+    assert counter.value == per_cell * max(n - 16, 0)
+    addresses = np.ctypeslib.as_array(
+        (ctypes.c_int64 * (1 << 14)).in_dll(lib, "ivc_probe")
+    )[: counter.value]
+    base = {"starts": starts.ctypes.data, "weights": weights.ctypes.data}
+    for i in range(n - 16):
+        a = int(cells[i + 16])
+        got = sorted(
+            (name, (int(x) - at) // 8)
+            for x in addresses[i * per_cell : (i + 1) * per_cell]
+            for name, at in base.items()
+            if 0 <= int(x) - at < 8 * len(starts)
+        )
+        want = sorted(
+            (name, a + off) for name in base for row in rows for off in row
+        )
+        assert got == want, i
+    # The probed build places cells exactly as the shipped one.
+    again = layout.pad(np.full(n, native.UNCOLORED), native.UNCOLORED)
+    native.first_fit(again, weights, cells, deltas)
+    assert np.array_equal(again, starts)

@@ -159,6 +159,15 @@ class TestRowsAndOrders:
         # Row j=0 first (ids 0, 2, 4), then row j=1 (ids 1, 3, 5).
         assert order.tolist() == [0, 2, 4, 1, 3, 5]
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 2), (5, 8)])
+    def test_line_by_line_equals_the_coordinate_construction(self, shape):
+        g = StencilGrid2D(*shape)
+        i, j = np.meshgrid(np.arange(g.X), np.arange(g.Y), indexing="ij")
+        want = g.vertex_id(i.T.ravel(), j.T.ravel())
+        order = g.line_by_line_order()
+        assert order.dtype == np.int64
+        assert order.tolist() == want.tolist()
+
     def test_weights_as_grid(self):
         g = StencilGrid2D(2, 3)
         w = np.arange(6)

@@ -149,6 +149,17 @@ class TestLayers:
         ks = [int(g.coords(v)[2]) for v in order]
         assert ks == [0, 0, 0, 0, 1, 1, 1, 1]
 
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 1), (1, 1, 6), (6, 1, 1), (1, 6, 1), (1, 3, 4), (2, 3, 4), (4, 3, 2)]
+    )
+    def test_line_by_line_equals_the_coordinate_construction(self, shape):
+        g = StencilGrid3D(*shape)
+        k, j, i = np.meshgrid(np.arange(g.Z), np.arange(g.Y), np.arange(g.X), indexing="ij")
+        want = g.vertex_id(i.ravel(), j.ravel(), k.ravel())
+        order = g.line_by_line_order()
+        assert order.dtype == np.int64
+        assert order.tolist() == want.tolist()
+
     def test_weights_as_grid(self):
         g = StencilGrid3D(2, 2, 2)
         w = np.arange(8)
