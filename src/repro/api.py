@@ -124,9 +124,9 @@ def color(
     runtime:
         How to run:
 
-        * ``None`` / ``"auto"`` — the ambient context decides (kernel fast
-          paths from each algorithm's measured ``kernel_from`` size, the
-          tiler per ``config.tiling``);
+        * ``None`` / ``"auto"`` — the ambient context decides (kernels
+          unless ``config.fast_paths`` is off, the tiler per
+          ``config.tiling``);
         * ``"kernels"`` — force the vectorized kernels;
         * ``"reference"`` — force the reference loops;
         * ``"tiled"`` — force the out-of-core tiler;

@@ -147,19 +147,12 @@ def cmd_algorithms(args: argparse.Namespace) -> int:
     config = get_context().config
 
     def fast_column(spec) -> str:
-        """Whether the spec has kernels + what the active config does with
-        them.
-
-        Sourced from the registry (``kernel_from``) and the context's
-        :class:`~repro.runtime.config.RuntimeConfig` — no module probing.
-        """
-        if spec.kernel_from is None:
+        """Whether the spec has kernels, and whether the active config
+        runs them (sourced from the registry and the context's
+        :class:`~repro.runtime.config.RuntimeConfig`)."""
+        if not spec.kernels:
             return "-"
-        if config.fast_paths == "off":
-            return "kernel (off)"
-        if config.fast_paths == "on":
-            return "kernel (on)"
-        return f"kernel (auto ≥{spec.kernel_from})"
+        return "kernel" if config.fast_paths else "kernel (off)"
 
     specs = REGISTRY.specs(include_extensions=not args.paper_only)
     rows = [
@@ -1078,7 +1071,8 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="which implementation colors the cells: 'kernels' "
                      "forces the vectorized fast paths, 'reference' the "
-                     "Python loops, 'auto' (default) picks per instance size",
+                     "Python loops, 'auto' (default) follows the runtime "
+                     "config (kernels unless REPRO_FAST_PATHS=0)",
             )
             _add_run_log_option(p)
             p.add_argument(

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.coloring import Coloring
 from repro.core.greedy_engine import greedy_recolor_pass
 from repro.core.problem import IVCInstance
-from repro.runtime.fastpath import resolve_fast_for
+from repro.runtime.context import resolve_fast
 
 
 def chain_color(weights: np.ndarray) -> tuple[np.ndarray, int]:
@@ -100,7 +100,7 @@ def bd_with_bound(
     """
     if not (instance.is_2d or instance.is_3d):
         raise ValueError("Bipartite Decomposition requires a stencil geometry")
-    if resolve_fast_for(fast) is not False:
+    if resolve_fast(fast):
         from repro.kernels.chains import bd_starts_2d, bd_starts_3d
 
         kernel = bd_starts_2d if instance.is_2d else bd_starts_3d

@@ -44,9 +44,9 @@ def bdp_recolor_order(
     if min(geo.shape) < 2:
         return np.arange(n, dtype=np.int64)
     sums = geo.block_weight_sums(instance.weights)
-    from repro.runtime.fastpath import resolve_fast_for
+    from repro.runtime.context import resolve_fast
 
-    if resolve_fast_for(fast) is not False:
+    if resolve_fast(fast):
         from repro.kernels.chains import bdp_recolor_order_fast
 
         return bdp_recolor_order_fast(geo.shape, sums, starts)

@@ -19,10 +19,7 @@ import difflib
 import time
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.context import ExecutionContext
+from typing import Callable, Iterable, Optional
 
 from repro.core.algorithms.bipartite_decomposition import (
     bipartite_decomposition,
@@ -39,6 +36,12 @@ from repro.core.algorithms.greedy import (
 )
 from repro.core.coloring import Coloring
 from repro.core.problem import IVCInstance
+from repro.runtime.context import (
+    ExecutionContext,
+    get_context,
+    resolve_fast,
+    use_context,
+)
 
 AlgorithmFn = Callable[[IVCInstance], Coloring]
 
@@ -94,14 +97,10 @@ class AlgorithmSpec:
         starts identical to ``fn`` — the differential test suite enforces
         this.  It only picks which binding runs: a spec without one still
         reaches kernels through the primitives underneath ``fn``.
-    kernel_from:
-        Whether the spec has kernels, and its auto-mode crossover in
-        vertices: from this instance size up the kernels run (``fast_fn``,
-        or the kernels of the primitives underneath ``fn``), below it the
-        reference loops do.  ``None`` (the default) means the spec reaches
-        no kernel, so it always runs the reference loops; ``0`` means the
-        kernels always run.  The default registry's values are the measured
-        crossovers of ``BENCH_crossover.json``.
+    kernels:
+        Whether the spec reaches a kernel (``fast_fn``, or the kernels of
+        the primitives underneath ``fn``).  ``False`` (the default) means
+        it always runs the reference loops.
     """
 
     name: str
@@ -111,13 +110,11 @@ class AlgorithmSpec:
     is_extension: bool = False
     description: str = ""
     fast_fn: Optional[AlgorithmFn] = None
-    kernel_from: Optional[int] = None
+    kernels: bool = False
 
     def __post_init__(self) -> None:
-        if self.fast_fn is not None and self.kernel_from is None:
-            raise ValueError(
-                f"algorithm {self.name!r} has a fast_fn but no kernel_from"
-            )
+        if self.fast_fn is not None and not self.kernels:
+            raise ValueError(f"algorithm {self.name!r} has a fast_fn but no kernels")
 
     def supports(self, instance: IVCInstance) -> bool:
         """Whether this heuristic can run on ``instance``."""
@@ -129,47 +126,23 @@ class AlgorithmSpec:
             return 3 in self.supported_dims
         return not self.needs_geometry  # pragma: no cover - unknown geometry
 
-    def wants_fast(
-        self,
-        instance: IVCInstance,
-        fast: Optional[bool] = None,
-        context: Optional["ExecutionContext"] = None,
-    ) -> bool:
-        """The fast-path decision for one call: an explicit ``fast``, else an
-        enclosing ``fast_paths()`` block, else the config mode, where auto
-        means ``instance.num_vertices >= kernel_from`` (never, for a spec
-        without kernels).
-
-        This is the only place the auto-mode size rule is applied;
-        :func:`color_with` scopes the result over the whole call.
-        """
-        from repro.runtime.fastpath import resolve_fast_for
-
-        decided = resolve_fast_for(fast, context)
-        if decided is None:
-            return (
-                self.kernel_from is not None
-                and instance.num_vertices >= self.kernel_from
-            )
-        return decided
-
     def runs_kernel(
         self,
         instance: IVCInstance,
         fast: Optional[bool] = None,
-        context: Optional["ExecutionContext"] = None,
+        context: Optional[ExecutionContext] = None,
     ) -> bool:
         """Whether a call runs kernels: :attr:`fast_fn` if the spec has one,
         else ``fn`` with its primitives on their kernels.
 
-        :meth:`wants_fast` alone is only a request: specs without kernels
-        (``kernel_from is None``) and instances without a stencil geometry
-        run the reference loops regardless.
+        It does when the spec has :attr:`kernels`, the instance has a
+        stencil geometry, and the decision is for kernels: an explicit
+        ``fast``, else the context's ``config.fast_paths``.
         """
         return (
-            self.kernel_from is not None
+            self.kernels
             and instance.geometry is not None
-            and self.wants_fast(instance, fast, context)
+            and resolve_fast(fast, context)
         )
 
 
@@ -360,19 +333,19 @@ for _spec in (
         "GLL", greedy_line_by_line, needs_geometry=False,
         description="greedy, line-by-line (lexicographic) order",
         fast_fn=_lazy_fast("gll_fast"),
-        kernel_from=8,
+        kernels=True,
     ),
     AlgorithmSpec(
         "GZO", greedy_zorder,
         description="greedy, Morton Z-order traversal",
         fast_fn=_lazy_fast("gzo_fast"),
-        kernel_from=8,
+        kernels=True,
     ),
     AlgorithmSpec(
         "GLF", greedy_largest_first, needs_geometry=False,
         description="greedy, heaviest-vertex-first order",
         fast_fn=_lazy_fast("glf_fast"),
-        kernel_from=8,
+        kernels=True,
     ),
     AlgorithmSpec(
         "GKF", greedy_largest_clique_first,
@@ -386,29 +359,29 @@ for _spec in (
         "BD", bipartite_decomposition,
         description="bipartite decomposition (2-approx 2D / 4-approx 3D)",
         fast_fn=_lazy_fast("bd_fast"),
-        kernel_from=8,
+        kernels=True,
     ),
     AlgorithmSpec(
         "BDP", bipartite_decomposition_post,
         description="BD followed by the recoloring post-optimization sweep",
         fast_fn=_lazy_fast("bdp_fast"),
-        kernel_from=8,
+        kernels=True,
     ),
     AlgorithmSpec(
         "GSL", _greedy_smallest_last, needs_geometry=False, is_extension=True,
         description="greedy, Matula–Beck smallest-last order",
         fast_fn=_lazy_fast("gsl_fast"),
-        kernel_from=8,
+        kernels=True,
     ),
     AlgorithmSpec(
         "GLF+P", _glf_post, is_extension=True,
         description="GLF followed by the BDP post-optimization sweep",
-        kernel_from=16,
+        kernels=True,
     ),
     AlgorithmSpec(
         "BD+IP", _bd_iterated, is_extension=True,
         description="BD with post-optimization iterated to a fixed point",
-        kernel_from=8,
+        kernels=True,
     ),
     AlgorithmSpec(
         "SGK-ws", _sgk_weight_sorted, is_extension=True,
@@ -417,12 +390,12 @@ for _spec in (
     AlgorithmSpec(
         "BD-ax", _bd_best_axis, is_extension=True,
         description="BD across all decomposition axes, keeping the best",
-        kernel_from=8,
+        kernels=True,
     ),
     AlgorithmSpec(
         "GLF+LS", _glf_local_search, needs_geometry=False, is_extension=True,
         description="GLF improved by iterated-greedy local search",
-        kernel_from=8,
+        kernels=True,
     ),
 ):
     REGISTRY.register(_spec)
@@ -458,7 +431,7 @@ def color_with(
     name: str,
     *,
     fast: Optional[bool] = None,
-    context: Optional["ExecutionContext"] = None,
+    context: Optional[ExecutionContext] = None,
 ) -> Coloring:
     """Run the named heuristic, timing it.
 
@@ -469,17 +442,14 @@ def color_with(
     Parameters
     ----------
     fast:
-        Use the vectorized kernels when the spec has them and the instance
-        has a stencil geometry (automatic fallback to the reference
-        implementation otherwise, see :meth:`AlgorithmSpec.runs_kernel`).
-        ``None`` (default) follows an enclosing ``fast_paths()`` block, else
-        the context's :class:`~repro.runtime.config.RuntimeConfig`
-        fast-path mode, whose auto mode runs the kernels from the spec's
-        measured ``kernel_from`` vertex count up
-        (:meth:`AlgorithmSpec.wants_fast`).
-        The resolved value is scoped over the whole call, so every
-        primitive the algorithm touches follows it without a second size
-        check.
+        Run the kernels (``True``) or the reference loops (``False``).
+        ``None`` (default) follows the context's
+        :class:`~repro.runtime.config.RuntimeConfig` ``fast_paths``.  Specs
+        without kernels and instances without a stencil geometry run the
+        reference loops regardless (:meth:`AlgorithmSpec.runs_kernel`).  A
+        ``fast`` that differs from the config runs the call under a child
+        context carrying it, which shares the caller's substrate caches and
+        metrics, so every primitive the algorithm touches follows it.
     context:
         The :class:`~repro.runtime.context.ExecutionContext` governing this
         call (fast-path config, substrate caches, metrics).  ``None`` uses
@@ -491,20 +461,18 @@ def color_with(
     UnknownAlgorithmError
         If ``name`` is not registered (with a closest-match suggestion).
     """
-    from repro.runtime.context import get_context, use_context
-    from repro.runtime.fastpath import fast_paths
-
     ctx = context if context is not None else get_context()
     spec = REGISTRY.get(name)
-    use_fast = spec.wants_fast(instance, fast, ctx)
-    kernel = spec.runs_kernel(instance, use_fast)
+    if fast is not None and bool(fast) != ctx.config.fast_paths:
+        ctx = ctx.child(config=ctx.config.with_overrides(fast_paths=bool(fast)))
+    kernel = spec.runs_kernel(instance, context=ctx)
     fn = spec.fast_fn if kernel and spec.fast_fn is not None else spec.fn
     ctx.metrics.counter("registry.dispatch").inc()
     ctx.metrics.counter(
         "registry.dispatch_fast" if kernel else "registry.dispatch_reference"
     ).inc()
     t0 = time.perf_counter()
-    with use_context(ctx), fast_paths(use_fast):
+    with use_context(ctx):
         coloring = fn(instance)
     elapsed = time.perf_counter() - t0
     ctx.metrics.histogram("registry.color_seconds").observe(elapsed)

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.coloring import Coloring
 from repro.core.problem import IVCInstance
-from repro.runtime.fastpath import resolve_fast_for
+from repro.runtime.context import resolve_fast
 
 #: Sentinel start value for not-yet-colored vertices.
 UNCOLORED = -1
@@ -151,12 +151,10 @@ def greedy_color(
         First-fit primitive (swappable for the ablation benchmark).
     fast:
         Use the compiled first-fit kernel (stencil instances only; identical
-        starts, differentially tested).  ``None`` follows
-        :func:`repro.runtime.fastpath.resolve_fast_for` (a scoped block,
-        else the config mode; auto mode takes the kernel, since the
-        per-algorithm size rule is applied once by ``color_with``); generic
-        graphs and custom ``first_fit`` primitives always take the
-        reference loop.
+        starts, differentially tested).  ``None`` follows the current
+        context's ``config.fast_paths``
+        (:func:`repro.runtime.context.resolve_fast`); generic graphs and
+        custom ``first_fit`` primitives always take the reference loop.
     check_order:
         Validate that ``order`` is a permutation (O(n)).  Callers generating
         orders by construction — tight recolor/search loops — pass ``False``.
@@ -168,7 +166,7 @@ def greedy_color(
     elif len(order) != n:
         raise ValueError("order must be a permutation of all vertices")
     if (
-        resolve_fast_for(fast) is not False
+        resolve_fast(fast)
         and instance.geometry is not None
         and first_fit is first_fit_start
     ):
@@ -238,7 +236,7 @@ def greedy_recolor_pass(
     else:
         order = np.asarray(order, dtype=np.int64)
     if (
-        resolve_fast_for(fast) is not False
+        resolve_fast(fast)
         and instance.geometry is not None
         and first_fit is first_fit_start
         and _is_permutation(order, n)

@@ -596,7 +596,7 @@ def run_grid(
         :func:`~repro.core.algorithms.registry.color_with`: ``True``/``False``
         forces the vectorized kernels on/off in every worker, ``None``
         (default) follows the run context's
-        :class:`~repro.runtime.config.RuntimeConfig` fast-path mode (the
+        :class:`~repro.runtime.config.RuntimeConfig` ``fast_paths`` (the
         explicit argument always beats the config, which beats the
         environment).
     log_path:

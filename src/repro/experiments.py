@@ -247,7 +247,7 @@ def run_suite(
         Force the vectorized stencil kernels on (``True``) or off
         (``False``) in every engine worker; ``None`` (default) follows the
         run context's :class:`~repro.runtime.config.RuntimeConfig`
-        fast-path mode (explicit argument beats config beats environment).
+        ``fast_paths`` (explicit argument beats config beats environment).
     log_path:
         Stream per-cell :class:`~repro.engine.records.RunRecord` JSONL to
         this path as the run progresses.

@@ -16,12 +16,12 @@ Python loops in :mod:`repro.core`:
 * :mod:`repro.kernels.chains` — vectorized Bipartite Decomposition chain
   assembly and the clique-guided recolor order.
 
-Whether a call takes the kernels is decided by
-:mod:`repro.runtime.fastpath` (``REPRO_FAST_PATHS=0`` disables
-everything), and the registry wrappers in
-:mod:`repro.kernels.colorings` bind the kernels to algorithm names.  The
-kernel-vs-reference timings are ``BENCH_crossover.json``
-(``tools/kernel_crossover.py``).
+Whether a call takes the kernels is one boolean: an explicit per-call
+``fast=``, else ``RuntimeConfig.fast_paths`` (``REPRO_FAST_PATHS=0``
+disables everything; see :func:`repro.runtime.context.resolve_fast`).
+The registry wrappers in :mod:`repro.kernels.colorings` bind the kernels
+to algorithm names.  Per-pass timings of the native loop are in
+``docs/performance.md``.
 """
 
 from repro.kernels.substrate import (

@@ -22,9 +22,7 @@ Environment variables
 ============================== ========================= ====================
 variable                        field                     values
 ============================== ========================= ====================
-``REPRO_FAST_PATHS``            ``fast_paths``            ``0``/``off`` → off,
-                                                          ``on``/``force`` → on,
-                                                          else → auto
+``REPRO_FAST_PATHS``            ``fast_paths``            bool (kernels)
 ``REPRO_SUBSTRATE_CACHE_SIZE``  ``substrate_cache_size``  int (shapes)
 ``REPRO_WAVEFRONT_CACHE_SIZE``  ``wavefront_cache_size``  int (orders/shape)
 ``REPRO_FAULTS``                ``fault_spec``            fault spec string
@@ -57,29 +55,19 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional, Union
+from typing import Optional
 
 __all__ = [
     "RuntimeConfig",
     "TilingConfig",
     "IncrementalConfig",
     "DurabilityConfig",
-    "FastPathMode",
     "TilingMode",
     "env_str",
     "env_int",
     "env_float",
     "env_bool",
 ]
-
-#: The tri-state fast-path mode: ``"auto"`` engages the vectorized kernels
-#: from each algorithm's measured crossover size up
-#: (``AlgorithmSpec.kernel_from``), ``"on"`` forces them regardless of size,
-#: ``"off"`` disables them.
-FastPathMode = str
-
-_FAST_PATH_MODES = ("auto", "on", "off")
-
 
 def env_str(name: str, default: str) -> str:
     """``os.environ[name]`` with a default (the sanctioned env accessor)."""
@@ -324,21 +312,6 @@ class DurabilityConfig:
         return replace(self, **changes) if changes else self
 
 
-def _parse_fast_path_mode(raw: str) -> FastPathMode:
-    """Map a ``REPRO_FAST_PATHS`` value onto the tri-state mode.
-
-    Historically the variable was boolean (``0`` disables, anything else
-    enables auto mode); ``on``/``force`` were added with the tri-state to
-    force kernels below each algorithm's crossover size.
-    """
-    text = raw.strip().lower()
-    if text in ("0", "off", "false", "no"):
-        return "off"
-    if text in ("on", "force"):
-        return "on"
-    return "auto"
-
-
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Every runtime knob, explicit.  Frozen (use :meth:`with_overrides`) and
@@ -347,11 +320,8 @@ class RuntimeConfig:
     Attributes
     ----------
     fast_paths:
-        Tri-state kernel mode (see :data:`FastPathMode`).  Legacy boolean
-        values are normalized: ``True`` → ``"on"``, ``False`` → ``"off"``,
-        ``None`` → ``"auto"``.  In ``"auto"`` mode each algorithm engages
-        its kernels from its own measured crossover
-        (``AlgorithmSpec.kernel_from``, see ``BENCH_crossover.json``).
+        Whether algorithms with kernels run them (``True``, the default) or
+        the reference loops (``False``).  A per-call ``fast=`` wins.
     substrate_cache_size:
         Shapes kept per substrate LRU cache (geometries and substrates
         cached separately, each with this capacity).
@@ -385,7 +355,7 @@ class RuntimeConfig:
         A plain dict is accepted and normalized.
     """
 
-    fast_paths: FastPathMode = "auto"
+    fast_paths: bool = True
     substrate_cache_size: int = 32
     wavefront_cache_size: int = 8
     fault_spec: str = ""
@@ -417,16 +387,8 @@ class RuntimeConfig:
             raise ValueError(
                 f"durability must be a DurabilityConfig, got {type(self.durability)!r}"
             )
-        mode: Union[FastPathMode, bool, None] = self.fast_paths
-        if mode is None:
-            mode = "auto"
-        elif isinstance(mode, bool):
-            mode = "on" if mode else "off"
-        if mode not in _FAST_PATH_MODES:
-            raise ValueError(
-                f"fast_paths must be one of {_FAST_PATH_MODES}, got {mode!r}"
-            )
-        object.__setattr__(self, "fast_paths", mode)
+        if not isinstance(self.fast_paths, bool):
+            raise ValueError(f"fast_paths must be a bool, got {self.fast_paths!r}")
         for name in (
             "substrate_cache_size",
             "wavefront_cache_size",
@@ -446,7 +408,7 @@ class RuntimeConfig:
         per-call ``fast=None`` convention everywhere else).
         """
         values = {
-            "fast_paths": _parse_fast_path_mode(env_str("REPRO_FAST_PATHS", "1")),
+            "fast_paths": env_bool("REPRO_FAST_PATHS", True),
             "substrate_cache_size": env_int("REPRO_SUBSTRATE_CACHE_SIZE", 32),
             "wavefront_cache_size": env_int("REPRO_WAVEFRONT_CACHE_SIZE", 8),
             "fault_spec": env_str("REPRO_FAULTS", ""),

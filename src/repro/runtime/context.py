@@ -44,6 +44,7 @@ from repro.runtime.config import RuntimeConfig
 __all__ = [
     "ExecutionContext",
     "get_context",
+    "resolve_fast",
     "use_context",
     "set_default_context",
 ]
@@ -148,6 +149,21 @@ def get_context() -> ExecutionContext:
             if _default is None:
                 _default = ExecutionContext.from_env()
     return _default
+
+
+def resolve_fast(
+    fast: Optional[bool] = None, context: Optional[ExecutionContext] = None
+) -> bool:
+    """The kernel decision of one call: an explicit ``fast`` wins, else the
+    context's ``config.fast_paths`` (the current context when ``None``).
+
+    :func:`~repro.core.algorithms.registry.color_with` runs a call whose
+    ``fast`` differs from the config under a child context carrying it, so
+    the primitives underneath, which pass ``fast=None``, follow the call.
+    """
+    if fast is not None:
+        return bool(fast)
+    return (context if context is not None else get_context()).config.fast_paths
 
 
 def set_default_context(ctx: Optional[ExecutionContext]) -> None:

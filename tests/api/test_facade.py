@@ -44,11 +44,12 @@ class TestFacadeIdentity:
         )
         assert result.provenance["fast"] is fast
 
-    @pytest.mark.parametrize("side,ran_kernel", [(128, True), (2, False)])
-    def test_provenance_fast_says_whether_the_kernel_ran(self, side, ran_kernel):
-        # Default config: auto mode, kernels from GLL's kernel_from (8) up.
-        result = color(_weights((side, side)), "GLL", runtime=RuntimeConfig())
-        assert result.provenance["fast"] is ran_kernel
+    @pytest.mark.parametrize("side,fast_paths", [(128, True), (2, True), (2, False)])
+    def test_provenance_fast_says_whether_the_kernel_ran(self, side, fast_paths):
+        # The config decides, at every size: no size rule picks for it.
+        config = RuntimeConfig(fast_paths=fast_paths)
+        result = color(_weights((side, side)), "GLL", runtime=config)
+        assert result.provenance["fast"] is fast_paths
 
     def test_kernel_request_without_a_kernel_reports_reference(self):
         ctx = ExecutionContext()

@@ -125,6 +125,17 @@ def test_unknown_runtime_field(tmp_path):
         load_spec(path)
 
 
+def test_fast_paths_must_be_a_toml_bool(tmp_path):
+    path = write_spec(
+        tmp_path,
+        '[campaign]\nname = "x"\n\n[scenario]\nkind = "scaling_grids"\n\n'
+        '[runtime]\nfast_paths = "off"\n',
+        "x.toml",
+    )
+    with pytest.raises(SpecError, match="fast_paths must be a bool"):
+        load_spec(path)
+
+
 def test_unknown_run_key(tmp_path):
     path = write_spec(
         tmp_path,

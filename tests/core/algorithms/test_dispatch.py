@@ -1,16 +1,15 @@
-"""Auto-mode kernel dispatch: one per-algorithm crossover, applied once.
+"""Kernel dispatch: one boolean, decided once per call.
 
-``AlgorithmSpec.kernel_from`` is the vertex count from which auto mode runs
-an algorithm's kernels.  The decision is made by the spec alone; ``color_with``
-scopes it over the call, so the primitives underneath follow it without a
-second size check, and ``provenance["fast"]`` / ``registry.dispatch_*``
-name the path that ran.  The values come from the committed sweep in
-``BENCH_crossover.json`` (``tools/kernel_crossover.py``).
+An algorithm runs its kernels when its spec has them (``kernels=True``),
+the instance has a stencil geometry, and the decision is for kernels: an
+explicit ``fast=``, else ``RuntimeConfig.fast_paths``.  There is no size
+rule, so the degenerate grids run the kernels too.  ``color_with`` runs a
+``fast`` that differs from the config under a child context carrying it, so
+the primitives underneath follow the call, and ``provenance["fast"]`` /
+``registry.dispatch_*`` name the path that ran.
 """
 
-import importlib.util
-import json
-from pathlib import Path
+import importlib
 
 import numpy as np
 import pytest
@@ -26,18 +25,7 @@ from repro.core.problem import IVCInstance
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.context import ExecutionContext
 
-REPO_ROOT = Path(__file__).resolve().parents[3]
-BENCH = REPO_ROOT / "BENCH_crossover.json"
-
-KERNEL_SPECS = [
-    spec.name for spec in REGISTRY.specs() if spec.kernel_from is not None
-]
-
-
-def _instance(n, seed=0):
-    """A 1 x n grid: a stencil instance of exactly ``n`` vertices."""
-    weights = np.random.default_rng(seed).integers(1, 30, size=(1, n))
-    return IVCInstance.from_grid_2d(weights)
+REFERENCE_SPECS = [spec.name for spec in REGISTRY.specs() if not spec.kernels]
 
 
 def _grid(shape, seed=0):
@@ -51,39 +39,37 @@ def _counters(ctx):
     return ctx.metrics.snapshot()["counters"]
 
 
-@pytest.mark.parametrize("name", KERNEL_SPECS)
-@pytest.mark.parametrize("offset", [-1, 0])
-def test_auto_mode_switches_at_kernel_from(name, offset):
-    """Just below ``kernel_from`` the reference runs, at it the kernel —
-    for ``color_with`` and ``api.color`` alike, with provenance and the
-    dispatch counters naming that path."""
+def test_specs_without_kernels_are_the_clique_stackers():
+    assert REFERENCE_SPECS == ["GKF", "SGK", "SGK-ws"]
+
+
+#: Grids below every crossover the size rule used to apply (8 vertices, 16
+#: for GLF+P): single cells, lines, one K4 and one 2x2x1 slab.
+DEGENERATE = [(1, 1), (1, 3), (2, 2), (1, 1, 1), (2, 2, 1)]
+
+
+@pytest.mark.parametrize("name", list(EXTENDED_ALGORITHMS))
+@pytest.mark.parametrize(
+    "shape", DEGENERATE + [(2, 2, 2)], ids=lambda s: "x".join(map(str, s))
+)
+def test_degenerate_grids_run_the_kernels_by_default(shape, name):
+    """Under the default config, with no ``fast=``, every spec with kernels
+    reports ``provenance["fast"]`` and matches the reference starts; the
+    clique stackers report the reference loops."""
+    weights = np.random.default_rng(sum(shape)).integers(0, 30, size=shape)
+    make = IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d
     spec = REGISTRY.get(name)
-    n = spec.kernel_from + offset
-    if n < 1:
-        pytest.skip(f"{name} runs its kernel from every size")
-    kernel = offset == 0
-    instance = _instance(n)
-    reference = color_with(instance, name, fast=False)
-
     ctx = ExecutionContext(RuntimeConfig())
-    direct = color_with(instance, name, context=ctx)
-    counted = "registry.dispatch_fast" if kernel else "registry.dispatch_reference"
+    result = color(weights, name, runtime=ctx)
+    assert result.provenance["fast"] is spec.kernels
+    counted = "registry.dispatch_fast" if spec.kernels else "registry.dispatch_reference"
     assert _counters(ctx)[counted] == 1
-    assert spec.runs_kernel(instance, context=ctx) is kernel
-
-    ctx = ExecutionContext(RuntimeConfig())
-    result = color(instance, name, runtime=ctx)
-    assert result.provenance["fast"] is kernel
-    assert _counters(ctx)[counted] == 1
-    assert _counters(ctx)["registry.dispatch"] == 1
-
-    assert np.array_equal(direct.starts, reference.starts)
+    reference = color_with(make(weights), name, fast=False)
     assert np.array_equal(result.starts.ravel(), reference.starts)
 
 
 class TestPrimitivesFollowTheScope:
-    """Inside ``color_with`` the primitives take the scoped decision, with
-    no second size check of their own."""
+    """Inside ``color_with`` the primitives take the call's decision."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -101,15 +87,19 @@ class TestPrimitivesFollowTheScope:
 
     @pytest.mark.parametrize("mode", ["on", "auto"])
     def test_tiny_glf_post_reaches_the_kernel_when_decided(self, kernel_calls, mode):
-        """GLF+P has no ``fast_fn``; its GLF pass runs the wavefront kernel
-        whenever the spec decided for kernels, however small the grid."""
-        spec = REGISTRY.get("GLF+P")
+        """GLF+P has no ``fast_fn``; its GLF pass runs the kernel on a 3x3
+        grid both when the call asks (``on``: ``fast=True`` on a context
+        whose config is off) and when the default config decides
+        (``auto``: no ``fast=``)."""
         instance = _grid((3, 3))
-        ctx = ExecutionContext(RuntimeConfig(fast_paths=mode))
-        decided = spec.wants_fast(instance, context=ctx)
-        assert decided is (mode == "on" or instance.num_vertices >= spec.kernel_from)
-        result = color_with(instance, "GLF+P", context=ctx)
-        assert kernel_calls == ([9] if decided else [])
+        if mode == "on":
+            ctx, fast = ExecutionContext(RuntimeConfig(fast_paths=False)), True
+        else:
+            ctx, fast = ExecutionContext(RuntimeConfig()), None
+        assert REGISTRY.get("GLF+P").runs_kernel(instance, fast, ctx)
+        result = color_with(instance, "GLF+P", fast=fast, context=ctx)
+        assert kernel_calls == [9]
+        assert _counters(ctx)["registry.dispatch_fast"] == 1
         assert np.array_equal(
             result.starts, color_with(instance, "GLF+P", fast=False).starts
         )
@@ -144,7 +134,7 @@ def kernels_ran(monkeypatch):
     return ran
 
 
-@pytest.mark.parametrize("mode", ["on", "off", "auto"])
+@pytest.mark.parametrize("mode", [True, False], ids=["on", "off"])
 @pytest.mark.parametrize("shape", [(8, 8), (48, 48), (6, 6, 6)],
                          ids=lambda s: "x".join(map(str, s)))
 def test_provenance_fast_is_whether_a_kernel_ran(kernels_ran, mode, shape):
@@ -160,8 +150,7 @@ def test_provenance_fast_is_whether_a_kernel_ran(kernels_ran, mode, shape):
         assert result.provenance["fast"] is ran, (name, kernels_ran)
         counted = "registry.dispatch_fast" if ran else "registry.dispatch_reference"
         assert _counters(ctx)[counted] == 1, name
-        if mode == "off" or REGISTRY.get(name).kernel_from is None:
-            assert not ran, (name, kernels_ran)
+        assert ran is (mode and REGISTRY.get(name).kernels), (name, kernels_ran)
 
 
 SHAPES = [(s, s) for s in (8, 12, 16, 24, 32, 48, 64)] + [
@@ -171,56 +160,10 @@ SHAPES = [(s, s) for s in (8, 12, 16, 24, 32, 48, 64)] + [
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
 def test_auto_mode_starts_equal_reference(shape):
-    """Whatever auto mode picks, every paper algorithm's starts are the
-    reference loops' starts, on each side of every crossover."""
+    """``runtime="auto"`` (the config decides: kernels) gives every paper
+    algorithm the reference loops' starts."""
     instance = _grid(shape, seed=len(shape))
     for name in ALGORITHMS:
-        auto = color_with(instance, name, context=ExecutionContext(RuntimeConfig()))
+        auto = color(instance, name, runtime="auto")
         reference = color_with(instance, name, fast=False)
-        assert np.array_equal(auto.starts, reference.starts), name
-
-
-# ---------------------------------------------------------------- the sweep
-def _crossover_tool():
-    spec = importlib.util.spec_from_file_location(
-        "kernel_crossover", REPO_ROOT / "tools" / "kernel_crossover.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def sweep():
-    return json.loads(BENCH.read_text())
-
-
-def test_every_kernel_algorithm_was_swept(sweep):
-    assert set(KERNEL_SPECS) <= set(sweep["algorithms"])
-
-
-@pytest.mark.parametrize("name", sorted(json.loads(BENCH.read_text())["algorithms"]))
-def test_kernel_from_is_the_measured_crossover(sweep, name):
-    """The registry copies the sweep's threshold, which the tool's rule
-    derives from the committed points, with the violations it records."""
-    tool = _crossover_tool()
-    entry = sweep["algorithms"][name]
-    assert REGISTRY.get(name).kernel_from == entry["kernel_from"]
-    assert tool.choose_kernel_from(entry["points"]) == entry["kernel_from"]
-    assert tool.violations(entry["points"], entry["kernel_from"]) == entry["violations"]
-
-
-def test_crossover_rule_on_planted_points():
-    tool = _crossover_tool()
-
-    def point(n, kernel_s, reference_s):
-        return {"n": n, "kernel_s": kernel_s, "reference_s": reference_s}
-
-    points = [point(64, 2.0, 1.0), point(256, 1.0, 1.05), point(1024, 1.0, 4.0)]
-    # 256 is a near tie; either side of it is within tolerance, and taking
-    # the kernel there costs least relative to the best path.
-    assert tool.choose_kernel_from(points) == 256
-    assert tool.violations(points, 64) == [points[0]]
-    assert tool.violations(points, 2048) == [points[2]]
-    never = [point(64, 2.0, 1.0), point(128, 3.0, 1.0)]
-    assert tool.choose_kernel_from(never) == 129
+        assert np.array_equal(auto.starts.ravel(), reference.starts), name

@@ -91,11 +91,12 @@ class TestTypedRegistry:
         with pytest.raises(ValueError, match="already registered"):
             REGISTRY.register(AlgorithmSpec("GLF", lambda i: None))
 
-    def test_fast_fn_needs_a_kernel_from(self):
-        # kernel_from=None means "no kernels", so a fast_fn without a
-        # crossover could never run.
-        with pytest.raises(ValueError, match="no kernel_from"):
+    def test_fast_fn_needs_kernels(self):
+        # kernels=False means the reference loops always run, so a fast_fn
+        # on such a spec could never run.
+        with pytest.raises(ValueError, match="no kernels"):
             AlgorithmSpec("X", lambda i: None, fast_fn=lambda i: None)
+        assert AlgorithmSpec("X", len, fast_fn=len, kernels=True).kernels
 
     def test_register_and_unregister(self, small_2d):
         fresh = Registry()

@@ -25,8 +25,7 @@ from repro.core.orderings import (
 from repro.core.problem import IVCInstance
 from repro.kernels import native, wavefront
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.context import ExecutionContext, get_context
-from repro.runtime.fastpath import fast_paths, resolve_fast_for
+from repro.runtime.context import ExecutionContext
 from repro.kernels.substrate import get_substrate
 
 SHAPES_2D = [(1, 1), (1, 5), (5, 1), (2, 2), (4, 7), (6, 6)]
@@ -62,33 +61,19 @@ def _line(n):
     return IVCInstance.from_grid_2d(np.ones((1, n), dtype=np.int64))
 
 
-def test_auto_mode_follows_each_spec_crossover():
-    # Auto mode (fast=None) engages a kernel from the spec's own kernel_from
-    # vertices up; explicit True/False and a scoped block win regardless.
-    ctx = get_context()
-    assert ctx.config.fast_paths == "auto"
-    spec = REGISTRY.get("GLL")
-    below, at = _line(spec.kernel_from - 1), _line(spec.kernel_from)
-    assert spec.runs_kernel(at) is True
-    assert spec.runs_kernel(below) is False
-    assert spec.runs_kernel(below, True) is True
-    assert spec.runs_kernel(at, False) is False
-    with fast_paths(True):
-        assert spec.runs_kernel(below) is True
-        assert resolve_fast_for(None) is True
-    with fast_paths(False):
-        assert spec.runs_kernel(at) is False
-        assert spec.runs_kernel(below, True) is True
-
-
 def test_fast_paths_switch_roundtrip():
-    off = ExecutionContext(RuntimeConfig(fast_paths="off"))
+    # An explicit fast= beats the config, at every size, and leaves it be.
+    off, on = ExecutionContext(RuntimeConfig(fast_paths=False)), ExecutionContext()
     spec = REGISTRY.get("GLL")
-    at = _line(spec.kernel_from)
-    assert not spec.runs_kernel(at, context=off)
-    with fast_paths(True):
-        assert spec.runs_kernel(at, context=off)
-    assert not spec.runs_kernel(at, context=off)
+    for n in (1, 2, 7):
+        line = _line(n)
+        assert not spec.runs_kernel(line, context=off)
+        assert spec.runs_kernel(line, True, context=off)
+        assert spec.runs_kernel(line, context=on)
+        assert not spec.runs_kernel(line, False, context=on)
+        result = api.color(line.weight_grid(), "GLL", runtime=off)
+        assert result.provenance["fast"] is False
+    assert off.config.fast_paths is False
 
 
 @pytest.mark.parametrize("order_name", sorted(ORDERINGS))
@@ -240,7 +225,7 @@ def test_kernel_bdp_builds_no_block_table(shape):
     # The kernel BDP order reads block sums from shifted slices and ranks
     # from shifted windows; the block table is for the reference loops.
     weights = np.random.default_rng(sum(shape)).integers(1, 50, size=shape)
-    ctx = ExecutionContext(RuntimeConfig(fast_paths="on"))
+    ctx = ExecutionContext(RuntimeConfig(fast_paths=True))
     result = api.color(weights, "BDP", runtime=ctx)
     assert result.provenance["fast"]
     geometry = result.coloring.instance.geometry

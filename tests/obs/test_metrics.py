@@ -172,7 +172,8 @@ class TestSubstrateCounters:
         "side,algorithm,fast,counted",
         [
             (128, "GLL", None, "registry.dispatch_fast"),
-            (2, "GLL", None, "registry.dispatch_reference"),
+            (2, "GLL", None, "registry.dispatch_fast"),
+            (2, "GLL", False, "registry.dispatch_reference"),
             # GKF has no kernel: a kernel request still runs the reference.
             (12, "GKF", True, "registry.dispatch_reference"),
         ],
@@ -187,7 +188,7 @@ class TestSubstrateCounters:
         weights = np.random.default_rng(0).integers(
             1, 50, (side, side), dtype=np.int64
         )
-        ctx = ExecutionContext()  # default config: auto from GLL's kernel_from
+        ctx = ExecutionContext()  # default config: kernels at every size
         color_with(IVCInstance.from_grid_2d(weights), algorithm, fast=fast,
                    context=ctx)
         counters = ctx.metrics.snapshot()["counters"]

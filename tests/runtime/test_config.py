@@ -18,7 +18,7 @@ from repro.runtime.config import (
 class TestDefaults:
     def test_field_defaults(self):
         config = RuntimeConfig()
-        assert config.fast_paths == "auto"
+        assert config.fast_paths is True
         assert config.substrate_cache_size == 32
         assert config.wavefront_cache_size == 8
         assert config.fault_spec == ""
@@ -26,24 +26,24 @@ class TestDefaults:
         assert config.seed == 0
 
     def test_direct_construction_ignores_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST_PATHS", "off")
+        monkeypatch.setenv("REPRO_FAST_PATHS", "0")
         monkeypatch.setenv("REPRO_WAVEFRONT_CACHE_SIZE", "99")
         config = RuntimeConfig()
-        assert config.fast_paths == "auto"
+        assert config.fast_paths is True
         assert config.wavefront_cache_size == 8
 
     def test_picklable(self):
         import pickle
 
-        config = RuntimeConfig(fast_paths="on", seed=7)
+        config = RuntimeConfig(fast_paths=False, seed=7)
         assert pickle.loads(pickle.dumps(config)) == config
 
 
 class TestNormalization:
-    def test_legacy_booleans_map_to_tristate(self):
-        assert RuntimeConfig(fast_paths=True).fast_paths == "on"
-        assert RuntimeConfig(fast_paths=False).fast_paths == "off"
-        assert RuntimeConfig(fast_paths=None).fast_paths == "auto"
+    @pytest.mark.parametrize("value", ["on", "auto", None, 1, 0])
+    def test_non_bool_fast_paths_rejected(self, value):
+        with pytest.raises(ValueError, match="fast_paths"):
+            RuntimeConfig(fast_paths=value)
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="fast_paths"):
@@ -65,7 +65,7 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_MAX_CELL_RETRIES", "9")
         monkeypatch.setenv("REPRO_SEED", "42")
         config = RuntimeConfig.from_env()
-        assert config.fast_paths == "off"
+        assert config.fast_paths is False
         assert config.substrate_cache_size == 5
         assert config.wavefront_cache_size == 3
         assert config.fault_spec == "seed=1;engine.cell:crash=0.5,max=1"
@@ -73,22 +73,27 @@ class TestFromEnv:
         assert config.seed == 42
 
     @pytest.mark.parametrize(
-        "raw,mode",
+        "raw,enabled",
         [
-            ("0", "off"), ("off", "off"), ("false", "off"), ("no", "off"),
-            ("on", "on"), ("force", "on"),
-            ("1", "auto"), ("yes", "auto"), ("auto", "auto"),
+            ("0", False), ("off", False), ("false", False), ("no", False),
+            ("", False), ("OFF", False),
+            ("1", True), ("on", True), ("force", True), ("yes", True),
+            ("auto", True),
         ],
+        ids=lambda value: ("on" if value else "off") if isinstance(value, bool) else value,
     )
-    def test_fast_path_mode_parsing(self, monkeypatch, raw, mode):
+    def test_fast_path_mode_parsing(self, monkeypatch, raw, enabled):
+        """``REPRO_FAST_PATHS`` is read like every other ``env_bool``: the
+        empty string is off too, and the retired ``auto``/``force`` values
+        read as on."""
         monkeypatch.setenv("REPRO_FAST_PATHS", raw)
-        assert RuntimeConfig.from_env().fast_paths == mode
+        assert RuntimeConfig.from_env().fast_paths is enabled
 
     def test_explicit_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST_PATHS", "off")
+        monkeypatch.setenv("REPRO_FAST_PATHS", "0")
         monkeypatch.setenv("REPRO_SEED", "42")
-        config = RuntimeConfig.from_env(fast_paths="on", seed=7)
-        assert config.fast_paths == "on"
+        config = RuntimeConfig.from_env(fast_paths=True, seed=7)
+        assert config.fast_paths is True
         assert config.seed == 7
 
     def test_none_override_falls_through_to_environment(self, monkeypatch):
@@ -100,8 +105,8 @@ class TestFromEnv:
             RuntimeConfig.from_env(wavefronts=2)
 
     def test_no_global_kernel_size_knob(self, monkeypatch):
-        """The auto-mode crossover is per algorithm (``kernel_from``), not a
-        config field or an environment variable."""
+        """The kernel decision has no size rule: no config field and no
+        environment variable sets one."""
         monkeypatch.setenv("REPRO_FAST_PATHS_MIN_SIZE", "128")
         assert RuntimeConfig.from_env() == RuntimeConfig()
         with pytest.raises(TypeError, match="fast_paths_min_size"):

@@ -10,10 +10,10 @@ from repro.runtime.config import RuntimeConfig
 from repro.runtime.context import (
     ExecutionContext,
     get_context,
+    resolve_fast,
     set_default_context,
     use_context,
 )
-from repro.runtime.fastpath import resolve_fast_for
 
 
 @pytest.fixture(autouse=True)
@@ -91,9 +91,9 @@ class TestChild:
 
     def test_child_can_swap_config(self):
         parent = ExecutionContext()
-        child = parent.child(config=RuntimeConfig(fast_paths="off"))
-        assert child.config.fast_paths == "off"
-        assert parent.config.fast_paths == "auto"
+        child = parent.child(config=RuntimeConfig(fast_paths=False))
+        assert child.config.fast_paths is False
+        assert parent.config.fast_paths is True
 
 
 class TestScopedState:
@@ -164,16 +164,15 @@ class TestInstallFaults:
 
 class TestResolveFast:
     def test_follows_config_mode(self):
-        on = ExecutionContext(RuntimeConfig(fast_paths="on"))
-        off = ExecutionContext(RuntimeConfig(fast_paths="off"))
-        auto = ExecutionContext(RuntimeConfig(fast_paths="auto"))
-        assert resolve_fast_for(None, context=on) is True
-        assert resolve_fast_for(None, context=off) is False
-        # Auto mode leaves the size rule to AlgorithmSpec.kernel_from.
-        assert resolve_fast_for(None, context=auto) is None
+        on = ExecutionContext(RuntimeConfig(fast_paths=True))
+        off = ExecutionContext(RuntimeConfig(fast_paths=False))
+        assert resolve_fast(None, context=on) is True
+        assert resolve_fast(None, context=off) is False
+        with use_context(off):
+            assert resolve_fast() is False
 
     def test_explicit_argument_wins(self):
-        off = ExecutionContext(RuntimeConfig(fast_paths="off"))
-        assert resolve_fast_for(True, context=off) is True
-        on = ExecutionContext(RuntimeConfig(fast_paths="on"))
-        assert resolve_fast_for(False, context=on) is False
+        off = ExecutionContext(RuntimeConfig(fast_paths=False))
+        assert resolve_fast(True, context=off) is True
+        on = ExecutionContext(RuntimeConfig(fast_paths=True))
+        assert resolve_fast(False, context=on) is False

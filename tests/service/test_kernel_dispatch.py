@@ -2,8 +2,8 @@
 the reference loops with identical starts when the kernel attempt fails.
 
 The paper's workloads are small grids; serve-mixed's fresh requests are
-48^2 BDP.  The worker's ``color_with(fast=None)`` follows BDP's own measured
-crossover (``AlgorithmSpec.kernel_from``), which sits well below 48^2.
+48^2 BDP.  The worker's ``color_with(fast=None)`` follows the runtime
+config, which runs the kernels.
 """
 
 import numpy as np
@@ -44,7 +44,7 @@ def reference(weights):
 
 
 def test_fresh_48x48_bdp_runs_the_kernel(weights, reference):
-    assert weights.size >= REGISTRY.get("BDP").kernel_from
+    assert REGISTRY.get("BDP").kernels
     served, counters = _serve_once(weights)
     assert served.ok and served.source == "computed"
     assert counters["registry.dispatch_fast"] == 1

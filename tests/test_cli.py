@@ -63,6 +63,25 @@ class TestAlgorithms:
             assert name in out
         assert "extension" in out and "paper" in out
 
+    @pytest.mark.parametrize("env,kernel", [(None, "kernel"), ("0", "kernel (off)")])
+    def test_kernel_column_follows_the_config(self, capsys, monkeypatch, env, kernel):
+        if env is None:
+            monkeypatch.delenv("REPRO_FAST_PATHS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_FAST_PATHS", env)
+        assert main(["algorithms"]) == 0
+        rows = {
+            line.split()[0]: line
+            for line in capsys.readouterr().out.splitlines()
+            if line.strip()
+        }
+        for name in ("GLL", "BDP", "GLF+P"):
+            assert f" {kernel} " in rows[name], rows[name]
+        for name in ("GKF", "SGK", "SGK-ws"):
+            assert " kernel" not in rows[name] and " - " in rows[name], rows[name]
+        if env is None:
+            assert "kernel (off)" not in "".join(rows.values())
+
     def test_paper_only(self, capsys):
         rc = main(["algorithms", "--paper-only"])
         assert rc == 0
