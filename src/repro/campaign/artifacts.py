@@ -20,9 +20,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional
 
+from repro.resilience import durable
 from repro.runtime.config import env_str
 
-__all__ = ["artifact_root", "campaign_dir", "bench_dir", "slug"]
+__all__ = ["artifact_root", "campaign_dir", "bench_dir", "publish_json", "slug"]
 
 
 def artifact_root(override: Optional[str | Path] = None) -> Path:
@@ -49,3 +50,10 @@ def bench_dir(root: Optional[str | Path] = None) -> Path:
 def slug(title: str) -> str:
     """Filename slug for a report title (legacy ``benchmarks/out`` rule)."""
     return title.lower().replace(" ", "_").replace("/", "-")
+
+
+def publish_json(path: Path, text: str) -> None:
+    """Replace ``path`` with the JSON document ``text`` plus a newline."""
+    text += "\n"
+    if not durable.publish(path, text, lambda tmp: tmp.read_text() == text):
+        raise OSError(f"{path}: the written copy did not read back")

@@ -30,11 +30,13 @@ from pathlib import Path
 from typing import Optional
 
 from repro.campaign.errors import HarvestError
-from repro.campaign.runner import read_manifest
+from repro.campaign.artifacts import publish_json
+from repro.campaign.runner import _now, read_manifest
 from repro.engine import RunRecord
 from repro.engine.runlog import read_run_log
 from repro.experiments import InstanceHandle, SuiteResult, suite_result_from_records
 from repro.obs.metrics import merge_snapshots
+from repro.resilience import durable
 
 __all__ = [
     "HARVEST_VERSION",
@@ -45,23 +47,6 @@ __all__ = [
 ]
 
 HARVEST_VERSION = 1
-
-
-def _read_sessions(path: Path) -> list[dict]:
-    """sessions.jsonl, tolerating a torn final line (SIGKILL mid-write)."""
-    if not path.is_file():
-        return []
-    sessions = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                sessions.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue  # torn tail
-    return sessions
 
 
 def harvest_campaign(
@@ -115,7 +100,10 @@ def harvest_campaign(
     for rec in ordered:
         rec.pop("starts", None)  # never persisted into harvests
 
-    sessions = _read_sessions(out / "sessions.jsonl")
+    # A torn or damaged session line is skipped: sessions only feed counters.
+    sessions = [
+        s for s in durable.read(out / "sessions.jsonl").records if isinstance(s, dict)
+    ]
     metrics = merge_snapshots(
         (s["metrics"] for s in sessions if s.get("metrics")), include_state=False
     )
@@ -143,17 +131,8 @@ def harvest_campaign(
         "metrics": metrics,
     }
     if write:
-        path = out / "harvest.json"
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(harvest, sort_keys=True) + "\n")
-        tmp.replace(path)
+        publish_json(out / "harvest.json", json.dumps(harvest, sort_keys=True))
     return harvest
-
-
-def _now() -> str:
-    from datetime import datetime, timezone
-
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 def load_harvest(path: str | Path) -> dict:

@@ -30,11 +30,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-from repro.campaign.artifacts import campaign_dir
+from repro.campaign.artifacts import campaign_dir, publish_json
 from repro.campaign.errors import CampaignError, HarvestError, ResumeMismatchError
 from repro.campaign.plan import RunPlan, compile_plan
 from repro.campaign.spec import CampaignSpec
 from repro.engine import run_grid
+from repro.resilience import durable
 from repro.runtime.context import ExecutionContext, get_context
 
 __all__ = ["CampaignRunResult", "run_campaign", "read_manifest", "MANIFEST_VERSION"]
@@ -170,9 +171,7 @@ def run_campaign(
             "instances": [_handle_json(h) for h in plan.handles()],
             "num_cells": plan.num_cells,
         }
-        tmp = manifest_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        tmp.replace(manifest_path)
+        publish_json(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
 
     base = context if context is not None else get_context()
     config = (
@@ -216,7 +215,6 @@ def run_campaign(
         "git": _git_info(spec.source.parent if spec.source else None),
         "metrics": getattr(records, "metrics", {}),
     }
-    with open(out / "sessions.jsonl", "a") as fh:
-        fh.write(json.dumps(session, sort_keys=True) + "\n")
+    durable.append(out / "sessions.jsonl", json.dumps(session, sort_keys=True))
 
     return CampaignRunResult(out_dir=out, plan=plan, records=records, session=session)

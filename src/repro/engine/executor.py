@@ -675,47 +675,35 @@ def run_grid(
             if writer is not None:
                 writer.write(record)
 
-    try:
-        if not cells:
-            pass  # fully resumed — nothing to execute
-        elif jobs == 1:
-            _init_worker(
-                instances,
-                validate,
-                cell_timeout,
-                capture_starts,
-                fast_paths,
-                context=ctx,
-            )
-            try:
-                # Stream cell by cell (chunk_size 1 unless asked otherwise)
-                # so the run log grows as cells complete — a killed serial
-                # run leaves an adoptable prefix, same as a killed pool.
-                for chunk in _chunked(cells, chunk_size or 1):
-                    store(_run_chunk(chunk))
-            finally:
-                global _STATE
-                _STATE = None
-        else:
-            if chunk_size is None:
-                chunk_size = max(1, math.ceil(len(cells) / (jobs * 4)))
-            run_supervised(
-                _chunked(cells, chunk_size),
-                task=_run_chunk,
-                initializer=_init_worker,
-                initargs=(instances, validate, cell_timeout, capture_starts,
-                          fast_paths, ctx.config),
-                jobs=jobs,
-                max_cell_retries=max(0, int(retries)),
-                store=store,
-                crash_record=lambda cell, exc: _crash_record(
-                    cell, instances, exc
-                ),
-                counters=result,
-            )
-    finally:
-        if writer is not None:
-            writer.close()
+    if not cells:
+        pass  # fully resumed — nothing to execute
+    elif jobs == 1:
+        _init_worker(instances, validate, cell_timeout, capture_starts, fast_paths,
+                     context=ctx)
+        try:
+            # Stream cell by cell (chunk_size 1 unless asked otherwise)
+            # so the run log grows as cells complete — a killed serial
+            # run leaves an adoptable prefix, same as a killed pool.
+            for chunk in _chunked(cells, chunk_size or 1):
+                store(_run_chunk(chunk))
+        finally:
+            global _STATE
+            _STATE = None
+    else:
+        if chunk_size is None:
+            chunk_size = max(1, math.ceil(len(cells) / (jobs * 4)))
+        run_supervised(
+            _chunked(cells, chunk_size),
+            task=_run_chunk,
+            initializer=_init_worker,
+            initargs=(instances, validate, cell_timeout, capture_starts,
+                      fast_paths, ctx.config),
+            jobs=jobs,
+            max_cell_retries=max(0, int(retries)),
+            store=store,
+            crash_record=lambda cell, exc: _crash_record(cell, instances, exc),
+            counters=result,
+        )
 
     assert all(r is not None for r in records)
     result.metrics = merge_snapshots(

@@ -1,109 +1,67 @@
 """JSONL persistence for :class:`~repro.engine.records.RunRecord` streams.
 
-One record per line, appended and flushed as cells complete, so a killed run
-still leaves a readable prefix.  :func:`diff_run_logs` compares two logs cell
-by cell for quality-regression checks between code revisions.
+One record per line, appended through :func:`repro.resilience.durable.append`
+as cells complete, so a killed run still leaves a readable prefix: the
+append heals a torn tail left by a killed writer (a whole record gets its
+newline, a torn one is cut) and :func:`read_run_log` drops that same torn
+tail.  :func:`diff_run_logs` compares two logs cell by cell for
+quality-regression checks between code revisions.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-from typing import IO, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.engine.records import RunRecord
+from repro.resilience import durable
 
 
 class RunLogWriter:
-    """Append-mode JSONL writer, usable as a context manager.
+    """Append-only JSONL writer, usable as a context manager.
 
-    Parent directories are created on open; each :meth:`write` emits the full
-    record line in a single buffered write and flushes it, so concurrent
-    readers (``tail -f``, a monitoring job) see completed cells immediately
-    and a killed process leaves at most one truncated trailing line — which
-    :func:`read_run_log` tolerates.  Opening an existing log cuts such a
-    torn tail back to its last newline, so the next record starts a line
-    of its own instead of turning the tear into mid-file corruption.
+    Parent directories are created up front; each :meth:`write` appends the
+    full record line and flushes it, so concurrent readers (``tail -f``, a
+    monitoring job) see completed cells immediately.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._handle: Optional[IO[str]] = None
-
-    def open(self) -> "RunLogWriter":
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        _cut_torn_tail(self.path)
-        self._handle = self.path.open("a")
-        return self
 
     def write(self, record: RunRecord) -> None:
-        if self._handle is None:
-            self.open()
-        assert self._handle is not None
-        self._handle.write(json.dumps(record.to_json()) + "\n")
-        self._handle.flush()
+        durable.append(self.path, json.dumps(record.to_json()))
 
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+    def open(self) -> "RunLogWriter":
+        return self
 
-    def __enter__(self) -> "RunLogWriter":
-        return self.open()
+    def close(self, *exc_info: object) -> None:
+        """Nothing to release: each write opens, appends and closes."""
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def _cut_torn_tail(path: Path, chunk: int = 1 << 16) -> None:
-    """Truncate ``path`` after its last newline (a no-op if it ends in one)."""
-    try:
-        handle = path.open("rb+")
-    except FileNotFoundError:
-        return
-    with handle:
-        end = pos = handle.seek(0, os.SEEK_END)
-        while pos > 0:
-            step = min(pos, chunk)
-            handle.seek(pos - step)
-            data = handle.read(step)
-            newline = data.rfind(b"\n")
-            if newline >= 0:
-                if pos - step + newline + 1 < end:
-                    handle.truncate(pos - step + newline + 1)
-                return
-            pos -= step
-        handle.truncate(0)
+    __enter__, __exit__ = open, close
 
 
 def read_run_log(path: str | Path, *, strict: bool = False) -> list[RunRecord]:
     """Load every record of a JSONL run log (blank lines skipped).
 
-    A process killed mid-:meth:`RunLogWriter.write` (or a crash before the
-    final flush reached disk) leaves a truncated last line.  By default that
-    trailing partial line is silently dropped — the readable prefix is the
-    run log — while a malformed line *before* the end still raises
-    :class:`ValueError` (real corruption, not an interrupted append).  Pass
-    ``strict=True`` to raise on any malformed line including the last.
+    A process killed mid-append leaves a torn last line; by default it is
+    dropped (the readable prefix is the run log), while a malformed line
+    *before* the end raises :class:`ValueError` (real corruption, not an
+    interrupted append).  Pass ``strict=True`` to raise on the torn last
+    line too.
     """
-    lines = Path(path).read_text().splitlines()
-    last_content = -1
-    for idx, line in enumerate(lines):
-        if line.strip():
-            last_content = idx
-    records: list[RunRecord] = []
-    for idx, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
+    lines = durable.read(path)
+    bad = lines.damaged + ([lines.torn] if strict and lines.torn else [])
+    if bad:
+        raise ValueError(f"corrupt run log {path}: line {bad[0]} is not JSON")
+    records = []
+    for number, payload in enumerate(lines.records, 1):
         try:
-            records.append(RunRecord.from_json(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            if idx == last_content and not strict:
-                break  # truncated trailing append — keep the clean prefix
+            records.append(RunRecord.from_json(payload))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
-                f"corrupt run log {path}: line {idx + 1} is not a RunRecord ({exc})"
+                f"corrupt run log {path}: record {number} is not a RunRecord ({exc})"
             ) from exc
     return records
 

@@ -6,11 +6,13 @@
   engine workers, the service connection path, and the cache spill I/O.
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy` exponential backoff
   with seeded jitter, shared by the service clients and the load generator.
+* :mod:`~repro.resilience.durable` — the one append, read and verified
+  publish behind every durable JSONL record (run, tile and campaign logs,
+  session journals).
 
 The recovery paths these drive (pool supervision + resume in
 :func:`repro.engine.run_grid`, reconnecting clients, the server's degraded
-mode) are implemented in their home modules; this package only owns the
-fault model and the retry math.
+mode) are implemented in their home modules.
 """
 
 from repro.resilience.faults import (

@@ -29,11 +29,15 @@ site               kinds honoured          where
 ``cache.spill.write`` corrupt, torn        result-cache spill append
 ``service.recolor`` crash, error, slow     recolor verb, before seed/delta
                                            state is mutated (retry-safe)
+``tiling.band``    crash, error, slow      tiler band pass, before each band:
+                                           ``error`` fails that band and the
+                                           rest (earlier bands stay logged)
 ``durability.journal.append`` torn, error  session WAL append: ``torn``
                                            writes half the record then
                                            raises (the un-acked delta is
                                            re-sent and re-journaled),
                                            ``error`` fails before writing
+                                           (drawn by ``durable.append``)
 ``durability.checkpoint.write`` corrupt, stale  session checkpoint
                                            compaction: ``corrupt`` damages
                                            the snapshot so read-back

@@ -22,21 +22,19 @@ Per session, two files under ``<spill-dir>/sessions/``:
 
 ``<sid>.checkpoint.json``
     Periodic compaction: the full colored grid (weights + starts) as of
-    ``seq``, blake2b-fingerprinted.  A checkpoint is written to a temp
-    file, **read back and fingerprint-verified**, and only then atomically
-    published (``os.replace``) and the journal truncated — a checkpoint
-    that fails verification keeps both the previous checkpoint and the
-    whole journal, so compaction can never lose acknowledged state.
+    ``seq``, blake2b-fingerprinted and **verified on a read-back copy**
+    before :func:`repro.resilience.durable.publish` replaces the old one
+    and the journal is truncated — a checkpoint that fails verification
+    keeps both the previous checkpoint and the whole journal.
 
 Recovery loads the checkpoint (ignored on fingerprint mismatch), replays
 journal deltas with ``seq`` greater than the checkpoint's through the
 incremental engine (:func:`~repro.incremental.engine.recolor_grid`, the
 same call the live server makes — bit-identity follows from the engine's
-proven determinism), skipping unparsable lines the way the run-log readers
-tolerate torn trailing writes.  Appends themselves heal torn tails: before
-each record the writer checks the file ends in a newline and inserts one
-if a previous write (or process death) tore it, so a client's idempotent
-re-send after a failed append lands as a clean, parseable record.
+proven determinism), skipping and counting damaged lines.  Appends go
+through :func:`repro.resilience.durable.append`, which heals the tail with
+the reader's rule (a whole last record gets its newline, a torn one is
+cut), so a client's re-send after a failed append lands as a clean record.
 
 Fault sites (see :mod:`repro.resilience.faults`): ``durability.journal.
 append`` (``torn`` tears the record mid-line and raises, ``error`` fails
@@ -45,16 +43,15 @@ the snapshot so verification rejects it, ``stale`` skips compaction
 entirely — the journal simply keeps growing).
 
 Multiple workers may append to one session's journal across a failover
-window; O_APPEND line writes keep records whole, replay's seq ordering
-drops duplicates, and rendezvous routing converges traffic back to a
-single owner.
+window: the append lock keeps one worker's heal from cutting a sibling's
+in-flight record, replay's seq ordering drops duplicates, and rendezvous
+routing converges traffic back to a single owner.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,7 +59,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.resilience.faults import InjectedFault, draw
+from repro.resilience import durable
+from repro.resilience.faults import draw
 from repro.runtime.config import DurabilityConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -147,46 +145,17 @@ class SessionDurability:
 
     # ----------------------------------------------------------- appends
     def _append(self, path: Path, record: dict, token: str) -> None:
-        """Append one JSON record as a line, healing a torn tail first.
-
-        The ``durability.journal.append`` fault site tears the write
-        mid-line (``torn``) or fails it outright (``error``); both raise,
-        so the delta is *not* acknowledged and the client's idempotent
-        re-send lands as a fresh complete record.
-        """
-        line = json.dumps(record, separators=(",", ":")) + "\n"
-        fault = draw("durability.journal.append", token)
-        if fault is not None and fault.kind == "error":
-            raise InjectedFault(
-                f"injected durability.journal.append fault for {token!r}"
-            )
-        torn = fault is not None and fault.kind == "torn"
-        with path.open("ab") as fh:
-            if fh.tell() and not self._tail_is_clean(path):
-                fh.write(b"\n")
-            payload = line.encode()
-            if torn:
-                payload = payload[: max(1, len(payload) // 2)]
-            fh.write(payload)
-            fh.flush()
-            if self.config.fsync == "always":
-                os.fsync(fh.fileno())
-        self._count("journal_records")
-        if torn:
-            self._count("journal_torn_appends")
-            raise InjectedFault(
-                f"injected durability.journal.append torn write for {token!r}"
-            )
-
-    @staticmethod
-    def _tail_is_clean(path: Path) -> bool:
-        """True when the journal's last byte is a newline (or it is empty)."""
+        """Append one JSON record; a ``torn`` or ``error`` fault raises, so
+        the delta is *not* acknowledged and the client re-sends it."""
+        line = json.dumps(record, separators=(",", ":"))
         try:
-            with path.open("rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                return fh.read(1) == b"\n"
-        except (OSError, ValueError):
-            return True
+            durable.append(path, line, fsync=self.config.fsync == "always",
+                           site="durability.journal.append", token=token)
+        except durable.TornWrite:
+            self._count("journal_records")
+            self._count("journal_torn_appends")
+            raise
+        self._count("journal_records")
 
     # ------------------------------------------------------- WAL surface
     def record_seed(self, session: "RecolorSession") -> None:
@@ -196,11 +165,7 @@ class SessionDurability:
         checkpoint and journal are dropped first — replay must never mix
         records across seed epochs.
         """
-        ck = self.checkpoint_path(session.session_id)
-        try:
-            ck.unlink()
-        except FileNotFoundError:
-            pass
+        self.checkpoint_path(session.session_id).unlink(missing_ok=True)
         journal = self.journal_path(session.session_id)
         with journal.open("wb"):
             pass  # truncate: new epoch
@@ -276,26 +241,17 @@ class SessionDurability:
         payload = json.dumps(snapshot, separators=(",", ":"))
         if fault is not None and fault.kind == "corrupt":
             payload = payload[: max(1, len(payload) // 2)]
-        final = self.checkpoint_path(session.session_id)
-        tmp = self.root / f".{final.stem}.{os.getpid()}.tmp"
         try:
-            with tmp.open("w") as fh:
-                fh.write(payload)
-                fh.flush()
-                if self.config.fsync in ("checkpoint", "always"):
-                    os.fsync(fh.fileno())
-            if self._load_checkpoint_file(tmp) is None:
-                self._count("checkpoint_verify_failures")
-                return False
-            os.replace(tmp, final)
+            published = durable.publish(
+                self.checkpoint_path(session.session_id), payload,
+                lambda tmp: self._load_checkpoint_file(tmp) is not None,
+                fsync=self.config.fsync in ("checkpoint", "always"))
         except OSError:
             self._count("checkpoint_write_errors")
             return False
-        finally:
-            try:
-                tmp.unlink()
-            except FileNotFoundError:
-                pass
+        if not published:
+            self._count("checkpoint_verify_failures")
+            return False
         # Published and verified: acknowledged state ≤ seq now lives in the
         # checkpoint, so the journal can restart empty.  (A crash landing
         # between the publish and this truncate is benign — replay skips
@@ -312,10 +268,7 @@ class SessionDurability:
             self.journal_path(session_id),
             self.checkpoint_path(session_id),
         ):
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
+            path.unlink(missing_ok=True)
 
     # ---------------------------------------------------------- recovery
     def _load_checkpoint_file(self, path: Path) -> Optional[dict]:
@@ -338,34 +291,15 @@ class SessionDurability:
         return snapshot
 
     def _read_journal(self, path: Path) -> tuple[list[dict], int]:
-        """All parseable journal records, in file order, plus skip count.
-
-        Torn lines — a trailing one from a crash mid-append, or an interior
-        one from a torn write whose delta the client then re-sent — are
-        skipped and counted, exactly like the engine run-log readers.
-        """
-        records: list[dict] = []
-        skipped = 0
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return records, skipped
-        for line in raw.splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                skipped += 1
-                continue
-            if isinstance(record, dict) and record.get("t") in (
-                "seed",
-                "delta",
-            ):
-                records.append(record)
-            else:
-                skipped += 1
-        return records, skipped
+        """The journal's seed and delta records in file order, and how many
+        damaged lines (torn tail included) or unknown records it skipped."""
+        lines = durable.read(path)
+        records = [
+            r for r in lines.records
+            if isinstance(r, dict) and r.get("t") in ("seed", "delta")
+        ]
+        skipped = len(lines.damaged) + (lines.torn is not None)
+        return records, skipped + len(lines.records) - len(records)
 
     def recover(self, session_id: str) -> Optional[RecoveredSession]:
         """Rebuild ``session_id`` from its checkpoint + journal, or ``None``.

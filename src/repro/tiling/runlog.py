@@ -8,25 +8,30 @@ resume.
 
 After the header come one :class:`TileRecord` per tile and, as each
 outer-axis band completes, one *band record* holding the blake2b digest of
-the band's carry (its last column/plane).  The carry itself is checkpointed
-next to the log as ``<log>.carry.npy``: written to a temp file, read back
-and checked against the band record's digest, then published with
-``os.replace`` — so the checkpoint on disk is always a whole, verified
-carry of some logged band.  :func:`read_band_resume` adopts the longest
-prefix of completed bands whose recorded digest matches that checkpoint.
+the band's carry (its last column/plane).  Records are appended through
+:func:`repro.resilience.durable.append`; a torn line is skipped on read, as
+the band-prefix rule stops adoption at the first missing tile anyway.  The
+carry is checkpointed next to the log as ``<log>.carry.npy`` through
+:func:`~repro.resilience.durable.publish`, which checks a read-back copy
+against the band record's digest, so the checkpoint on disk is always a
+whole, verified carry of some logged band.  :func:`read_band_resume` adopts
+the longest prefix of completed bands whose digest matches it, and a
+resumed run publishes its log whole (header, adopted records, band record)
+before its first append: a crash leaves either the old log or the new one.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from repro.resilience import durable
 from repro.tiling.plan import TilePlan
 
 __all__ = [
@@ -95,7 +100,11 @@ def _load_carry(path: Path) -> Optional[np.ndarray]:
 
 
 class TileLogWriter:
-    """Append-only JSONL writer, header first, one record per line."""
+    """The JSONL tile log of one run, published whole, then appended to.
+
+    A resumed run passes its ``adopted`` records and the ``carry`` of their
+    last ``band``, which are published with the header.
+    """
 
     def __init__(
         self,
@@ -104,72 +113,70 @@ class TileLogWriter:
         plan_fingerprint: str,
         source_fingerprint: str,
         algorithm: str = "GLL",
+        adopted: Sequence[TileRecord] = (),
+        band: int = -1,
+        carry: Optional[np.ndarray] = None,
     ) -> None:
         self.path = Path(path)
-        self._fh = open(self.path, "w", buffering=1)
-        header = {
-            "kind": _HEADER_KIND,
-            "plan": plan_fingerprint,
-            "source": source_fingerprint,
-            "algorithm": algorithm,
-        }
-        self._fh.write(json.dumps(header, sort_keys=True) + "\n")
+        header = {"kind": _HEADER_KIND, "plan": plan_fingerprint,
+                  "source": source_fingerprint, "algorithm": algorithm}
+        lines = [json.dumps(header, sort_keys=True)]
+        lines += [record.to_json() for record in adopted]
+        if carry is not None:
+            lines.append(_band_line(band, _publish_carry(self.path, carry)))
+        text = "".join(line + "\n" for line in lines)
+        if not durable.publish(self.path, text, lambda tmp: tmp.read_text() == text):
+            raise OSError(f"tile log {self.path} failed its read-back check")
 
     def write(self, record: TileRecord) -> None:
-        self._fh.write(record.to_json() + "\n")
+        durable.append(self.path, record.to_json())
 
     def commit_band(self, band: int, carry: np.ndarray) -> None:
         """Log band ``band`` as complete and checkpoint its carry.
 
-        The band record (with the carry's digest) is written first; the
-        carry then goes to a temp file that is read back and checked
-        against that digest before it replaces the checkpoint.  If the
-        check fails, the previous checkpoint stays, and a resume falls back
-        to the band it belongs to.
+        The band record (with the carry's digest) is appended first; the
+        carry is then published only if its read-back copy matches that
+        digest.  If the check fails, the previous checkpoint stays, and a
+        resume falls back to the band it belongs to.
         """
-        digest = _carry_digest(carry)
-        line = {"kind": _BAND_KIND, "band": int(band), "carry": digest}
-        self._fh.write(json.dumps(line, sort_keys=True) + "\n")
-        final = carry_path(self.path)
-        tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
-        try:
-            with tmp.open("wb") as fh:
-                np.save(fh, np.ascontiguousarray(carry))
-            stored = _load_carry(tmp)
-            if stored is not None and _carry_digest(stored) == digest:
-                os.replace(tmp, final)
-        finally:
-            tmp.unlink(missing_ok=True)
+        durable.append(self.path, _band_line(band, _carry_digest(carry)))
+        _publish_carry(self.path, carry)
 
-    def close(self) -> None:
-        self._fh.close()
+
+def _band_line(band: int, digest: str) -> str:
+    return json.dumps({"kind": _BAND_KIND, "band": int(band), "carry": digest}, sort_keys=True)
+
+
+def _publish_carry(log_path: Path, carry: np.ndarray) -> str:
+    """Checkpoint ``carry`` if a read-back copy matches; its digest."""
+    digest = _carry_digest(carry)
+    buf = io.BytesIO()
+    np.save(buf, np.ascontiguousarray(carry))
+
+    def verify(tmp: Path) -> bool:
+        stored = _load_carry(tmp)
+        return stored is not None and _carry_digest(stored) == digest
+
+    durable.publish(carry_path(log_path), buf.getvalue(), verify)
+    return digest
 
 
 def _read_log(
     path: Union[str, Path], plan_fingerprint: str, source_fingerprint: str
 ) -> tuple[dict[int, TileRecord], dict[int, str]]:
     """Completed tiles and band carry digests of a matching log."""
-    try:
-        text = Path(path).read_text()
-    except OSError:
+    payloads = durable.read(path).records
+    if not payloads or not (
+        isinstance(payloads[0], dict)
+        and payloads[0].get("kind") == _HEADER_KIND
+        and payloads[0].get("plan") == plan_fingerprint
+        and payloads[0].get("source") == source_fingerprint
+    ):
         return {}, {}
     adopted: dict[int, TileRecord] = {}
     carries: dict[int, str] = {}
-    for lineno, line in enumerate(text.splitlines()):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if lineno == 0:
-            if not (
-                payload.get("kind") == _HEADER_KIND
-                and payload.get("plan") == plan_fingerprint
-                and payload.get("source") == source_fingerprint
-            ):
-                return {}, {}
+    for payload in payloads[1:]:
+        if not isinstance(payload, dict):
             continue
         if payload.get("kind") == _BAND_KIND:
             band, carry = payload.get("band"), payload.get("carry")

@@ -183,22 +183,19 @@ def color_tiled(
             log_path,
             plan_fingerprint=plan.fingerprint(),
             source_fingerprint=source.fingerprint(),
+            adopted=[adopted[pos] for pos in sorted(adopted)],
+            band=start_band - 1,
+            carry=carry,
         )
         if log_path is not None
         else None
     )
     try:
-        if writer is not None and adopted:
-            for pos in sorted(adopted):
-                writer.write(adopted[pos])
-            writer.commit_band(start_band - 1, carry)
         seam = seam_pass(
             source, plan, out=target, log=writer,
             start_band=start_band, carry=carry, context=ctx,
         )
     finally:
-        if writer is not None:
-            writer.close()
         if isinstance(target, np.memmap):
             target.flush()
 

@@ -107,6 +107,19 @@ def test_resume_after_torn_tail(tmp_path):
     assert harvest_digest(harvest_campaign(out)) == clean
 
 
+def test_torn_session_line_keeps_the_next_session(tmp_path):
+    """A session line torn by a crash must not swallow the next one."""
+    spec, out = _run_tiny(tmp_path)
+    run_campaign(spec, out_dir=out, resume=True)
+    sessions = out / "sessions.jsonl"
+    lines = sessions.read_text().splitlines(keepends=True)
+    sessions.write_text(lines[0] + lines[1][: len(lines[1]) // 2])
+    before = harvest_campaign(out)["sessions"]
+    assert before == 1
+    run_campaign(spec, out_dir=out, resume=True)
+    assert harvest_campaign(out)["sessions"] == before + 1
+
+
 def harvest_campaign_reference(tmp_path):
     """An uninterrupted run of the tiny plan in a fresh dir."""
     spec = load_spec(write_spec(tmp_path))

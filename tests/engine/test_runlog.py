@@ -123,15 +123,18 @@ class TestTornTail:
             writer.write(_record(4))
         assert [r.instance_index for r in read_run_log(path, strict=True)] == [4]
 
-    def test_tear_longer_than_one_read_chunk(self, tmp_path):
-        from repro.engine.runlog import _cut_torn_tail
+    def test_tear_longer_than_one_read_chunk(self, tmp_path, monkeypatch):
+        from repro.resilience import durable
 
+        monkeypatch.setattr(durable, "_CHUNK", 7)
         path = tmp_path / "run.jsonl"
-        path.write_text("a\nbc\n" + "x" * 50)
-        _cut_torn_tail(path, chunk=7)
-        assert path.read_text() == "a\nbc\n"
-        _cut_torn_tail(path, chunk=7)  # a clean log is left alone
-        assert path.read_text() == "a\nbc\n"
+        path.write_text("1\n2\n" + "x" * 50)
+        durable.append(path, "3")  # the torn tail is cut
+        assert path.read_text() == "1\n2\n3\n"
+        whole = '"' + "y" * 50 + '"'
+        path.write_text("1\n" + whole)
+        durable.append(path, "3")  # a whole record gets its newline
+        assert path.read_text() == f"1\n{whole}\n3\n"
 
     def test_run_grid_resumed_onto_its_own_torn_log_twice(self, tmp_path):
         # ``stencil-ivc suite --run-log X --resume``: the log is both the

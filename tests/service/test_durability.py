@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.incremental.engine import full_recolor
 from repro.obs.metrics import MetricsRegistry
+from repro.resilience import durable
 from repro.resilience.faults import (
     InjectedFault,
     clear_plan,
@@ -306,15 +307,18 @@ class TestTornRecords:
         finally:
             clear_plan()
         assert metrics.counter("journal_torn_appends").value == 1
-        # The un-acked client re-sends; the append heals the torn tail
-        # (inserts the missing newline) so the retry parses cleanly.
+        # The un-acked client re-sends; the append cuts the torn fragment
+        # so the retry lands as the journal's one clean delta.
         store.record_delta("s", 1, idx, vals)
         recovered = store.recover("s")
         assert recovered.deltas_applied == 1
         expected = weights.copy()
         expected.ravel()[idx] = vals
         assert np.array_equal(recovered.weights, expected)
-        assert metrics.counter("journal_skipped_records").value >= 1
+        journal = durable.read(store.journal_path("s"))
+        assert [r["t"] for r in journal.records] == ["seed", "delta"]
+        assert journal.damaged == [] and journal.torn is None
+        assert metrics.counter("journal_skipped_records").value == 0
 
     def test_truncated_checkpoint_falls_back(self, tmp_path):
         store = SessionDurability(

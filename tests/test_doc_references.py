@@ -8,6 +8,7 @@ at least one file.  A change that deletes a file must drop the docs' mentions
 of it in the same change.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -77,3 +78,41 @@ def test_scanner_finds_and_expands_references():
 @pytest.mark.parametrize("doc", DOCS, ids=lambda p: p.relative_to(REPO_ROOT).as_posix())
 def test_every_named_path_exists(doc):
     assert missing_references(doc.read_text(encoding="utf-8")) == []
+
+
+def _sites_in_source() -> set[str]:
+    """String literals passed to ``draw(``/``inject(`` or as ``site=`` in src/."""
+    sites = set()
+    for path in (REPO_ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            args = [node.args[0]] if name in ("draw", "inject") and node.args else []
+            args += [kw.value for kw in node.keywords if kw.arg == "site"]
+            sites.update(
+                a.value for a in args
+                if isinstance(a, ast.Constant) and isinstance(a.value, str)
+            )
+    return sites
+
+
+def _robustness_table_sites() -> set[str]:
+    text = (REPO_ROOT / "docs" / "robustness.md").read_text(encoding="utf-8")
+    table = text.split("| site | kinds |", 1)[1].split("\n\n", 1)[0]
+    return set(re.findall(r"^\| `([\w.]+)` \|", table, re.MULTILINE))
+
+
+def _faults_docstring_sites() -> set[str]:
+    from repro.resilience import faults
+
+    table = faults.__doc__.split("Hook sites compiled into the tree", 1)[1]
+    table = table.split("Activation", 1)[0]
+    return set(re.findall(r"^``([\w.]+)``", table, re.MULTILINE))
+
+
+@pytest.mark.parametrize("table", [_robustness_table_sites, _faults_docstring_sites],
+                         ids=["docs/robustness.md", "resilience/faults.py"])
+def test_fault_site_tables_match_the_source(table):
+    assert table() == _sites_in_source()

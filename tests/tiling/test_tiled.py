@@ -207,6 +207,34 @@ class TestResume:
         assert again.seam_cells == 0
         assert again.digest == clean.digest
 
+    def test_crash_while_a_resume_rewrites_its_log(self, tmp_path, monkeypatch):
+        # A resume writes the adopted records into its log before coloring;
+        # a kill at that first write must not forfeit the completed bands.
+        from repro.resilience import durable
+
+        class Killed(BaseException):
+            pass
+
+        def killed(*args, **kwargs):
+            raise Killed
+
+        weights = _weights((40, 40), seed=12)
+        log, out = tmp_path / "tiles.jsonl", tmp_path / "starts.npy"
+        clean = color_tiled(weights, tile_shape=(10, 10), log_path=log, out=out)
+        with monkeypatch.context() as patched:
+            for name in ("append", "publish"):
+                patched.setattr(durable, name, killed)
+            with pytest.raises(Killed):
+                color_tiled(
+                    weights, tile_shape=(10, 10), log_path=log, resume_from=log, out=out
+                )
+        resumed = color_tiled(
+            weights, tile_shape=(10, 10), log_path=log, resume_from=log, out=out
+        )
+        assert resumed.resumed_tiles == 16
+        assert resumed.seam_cells == 0
+        assert resumed.digest == clean.digest
+
     @pytest.mark.parametrize("damage", ["truncated", "corrupted"])
     def test_damaged_carry_checkpoint_is_rejected(self, tmp_path, damage):
         weights = _weights((14, 10), seed=10)
