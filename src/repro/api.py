@@ -31,21 +31,12 @@ from repro.core.problem import IVCInstance
 from repro.data.weights import WeightSource
 from repro.incremental.engine import recolor_grid
 from repro.kernels import native
-from repro.runtime.config import RuntimeConfig
+from repro.runtime.config import RUNTIME_MODES, RuntimeConfig
 from repro.runtime.context import ExecutionContext, get_context
 from repro.runtime.fingerprint import config_fingerprint
 from repro.tiling.stitch import TiledColoring, color_tiled
 
 __all__ = ["ColoringResult", "color", "recolor"]
-
-#: Accepted ``runtime=`` strings and the per-call ``fast`` they resolve to.
-_RUNTIME_MODES = {
-    "auto": None,
-    "kernels": True,
-    "reference": False,
-    "tiled": None,
-}
-
 
 @dataclass
 class ColoringResult:
@@ -124,9 +115,9 @@ def color(
     runtime:
         How to run:
 
-        * ``None`` / ``"auto"`` — the ambient context decides (kernels
+        * ``None`` (the default) — the ambient context decides (kernels
           unless ``config.fast_paths`` is off, the tiler per
-          ``config.tiling``);
+          ``config.tiling``); ``"auto"`` is an alias of it;
         * ``"kernels"`` — force the vectorized kernels;
         * ``"reference"`` — force the reference loops;
         * ``"tiled"`` — force the out-of-core tiler;
@@ -153,9 +144,9 @@ def color(
     if runtime is None:
         ctx = get_context()
     elif isinstance(runtime, str):
-        if runtime not in _RUNTIME_MODES:
+        if runtime not in RUNTIME_MODES:
             raise ValueError(
-                f"runtime must be one of {sorted(_RUNTIME_MODES)}, a RuntimeConfig, "
+                f"runtime must be one of {sorted(RUNTIME_MODES)}, a RuntimeConfig, "
                 f"or an ExecutionContext; got {runtime!r}"
             )
         runtime_str = runtime
@@ -166,7 +157,7 @@ def color(
         ctx = runtime
     else:
         raise TypeError(f"unsupported runtime: {type(runtime).__name__}")
-    fast = _RUNTIME_MODES.get(runtime_str) if runtime_str else None
+    fast = RUNTIME_MODES.get(runtime_str) if runtime_str else None
 
     obj = grid_or_instance
     instance: Optional[IVCInstance] = None

@@ -47,7 +47,6 @@ processes via the batch engine; ``--jobs 0`` (the default) uses all cores.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
@@ -476,11 +475,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if workers is None:
         workers = get_context().config.service_workers
 
-    if workers > 1 and args.spill:
-        print("error: --spill is single-process; use --spill-dir with --workers",
-              file=sys.stderr)
-        return 2
-
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -488,10 +482,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         batch_window=args.batch_window_ms / 1000.0,
         queue_limit=args.queue_limit,
         cache_size=args.cache_size,
-        spill_path=(args.spill or None) if workers <= 1 else None,
+        spill_dir=args.spill_dir or None,
         compute_threads=args.compute_threads,
         default_timeout=args.default_timeout,
-        warm_start=bool(args.spill) and args.warm_start,
     )
 
     if workers > 1:
@@ -519,19 +512,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print("interrupted — shutting down")
         return 0
 
-    if args.spill_dir:
-        config = dataclasses.replace(
-            config, spill_dir=args.spill_dir, warm_start=True
-        )
-
     def announce(service) -> None:
-        spill = config.spill_dir or config.spill_path
         print(
             f"coloring service on {config.host}:{service.port} "
             f"(max_batch={config.max_batch}, window={args.batch_window_ms}ms, "
             f"queue_limit={config.queue_limit}, cache={config.cache_size}, "
             f"wire: {wire}"
-            f"{', spill=' + str(spill) if spill else ''})",
+            f"{', spill=' + config.spill_dir if config.spill_dir else ''})",
             flush=True,
         )
 
@@ -586,7 +573,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
                 host="127.0.0.1",
                 port=0,
                 cache_size=args.spawn_cache_size,
-                spill_path=args.spawn_spill or None,
+                spill_dir=args.spawn_spill_dir or None,
             )
         ).start()
         host, port = "127.0.0.1", spawned.port
@@ -1176,7 +1163,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "(requests beyond --queue-limit get an immediate "
                     "'overloaded' response).",
         epilog="Example: stencil-ivc serve --port 8765 --cache-size 1024 "
-               "--spill /tmp/colorings.jsonl",
+               "--spill-dir /tmp/ivc-l2",
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765,
@@ -1189,10 +1176,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission cap; beyond it requests are rejected")
     p.add_argument("--cache-size", type=int, default=512,
                    help="result-cache entries (0 disables caching)")
-    p.add_argument("--spill", default="",
-                   help="JSONL file evicted cache entries spill to")
-    p.add_argument("--warm-start", action="store_true",
-                   help="index an existing --spill file on startup")
     p.add_argument("--compute-threads", type=int, default=1,
                    help="worker threads executing batches")
     p.add_argument("--default-timeout", type=float, default=30.0,
@@ -1203,9 +1186,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "L2 spill directory (default REPRO_SERVICE_WORKERS "
                         "or 1)")
     p.add_argument("--spill-dir", default="",
-                   help="shared L2 spill directory (one JSON file per cached "
-                        "result); with --workers it persists across worker "
-                        "restarts, without it each pool run gets a temp dir")
+                   help="the cache's disk tier (one JSON file per cached "
+                        "result, indexed on startup) and the recolor session "
+                        "journals; without it one worker keeps both in "
+                        "memory and each --workers run gets a temp dir")
     p.add_argument("--version", action="store_true",
                    help="print the supported wire protocol versions and exit")
     p.set_defaults(func=cmd_serve)
@@ -1255,8 +1239,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(0 = brittle connections, the default)")
     p.add_argument("--spawn-cache-size", type=int, default=512,
                    help="result-cache entries for the --spawn server")
-    p.add_argument("--spawn-spill", default="",
-                   help="JSONL spill file for the --spawn server's cache")
+    p.add_argument("--spawn-spill-dir", default="", metavar="DIR",
+                   help="spill directory for the --spawn server's cache")
     p.add_argument("--zipf", type=float, default=0.0, metavar="S",
                    help="zipf exponent skewing the request schedule toward "
                         "popular pool items (0 = uniform, the default)")

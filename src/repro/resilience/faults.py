@@ -26,7 +26,7 @@ site               kinds honoured          where
 ``service.compute`` error, slow            batcher kernel dispatch (fast
                                            attempt only — triggers the
                                            degraded slow-path fallback)
-``cache.spill.write`` corrupt, torn        result-cache spill append
+``cache.spill.write`` corrupt, torn        result-cache spill-dir write
 ``service.recolor`` crash, error, slow     recolor verb, before seed/delta
                                            state is mutated (retry-safe)
 ``tiling.band``    crash, error, slow      tiler band pass, before each band:

@@ -9,6 +9,7 @@ the vectorized kernels, the parallel engine, and the online service.  See
 """
 
 from repro.runtime.config import (
+    RUNTIME_MODES,
     RuntimeConfig,
     TilingConfig,
     env_bool,
@@ -30,6 +31,7 @@ from repro.runtime.fingerprint import (
 )
 
 __all__ = [
+    "RUNTIME_MODES",
     "RuntimeConfig",
     "TilingConfig",
     "config_fingerprint",

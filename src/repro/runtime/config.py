@@ -38,7 +38,6 @@ variable                        field                     values
 ``REPRO_INCR_VALIDATE``         ``incremental.validate``  bool
 ``REPRO_INCR_SESSION_LIMIT``    ``incremental.session_limit``  int (sessions)
 ``REPRO_INCR_SESSION_TTL``      ``incremental.session_ttl``  float (seconds)
-``REPRO_DURABILITY``            ``durability.enabled``    bool (session WAL)
 ``REPRO_DURABILITY_FSYNC``      ``durability.fsync``      ``never``/``checkpoint``/``always``
 ``REPRO_DURABILITY_CHECKPOINT_INTERVAL`` ``durability.checkpoint_interval`` int (deltas, 0 = never)
 ============================== ========================= ====================
@@ -58,6 +57,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 __all__ = [
+    "RUNTIME_MODES",
     "RuntimeConfig",
     "TilingConfig",
     "IncrementalConfig",
@@ -255,13 +255,12 @@ class DurabilityConfig:
     (:mod:`repro.service.durability`).
 
     Frozen and picklable, like its owner :class:`RuntimeConfig`.
+    Durability is on exactly when the server has a spill directory
+    (``stencil-ivc serve --spill-dir``): journals live under it, and
+    without one sessions stay memory-only.
 
     Attributes
     ----------
-    enabled:
-        Master switch.  Durability additionally requires a shared spill
-        directory (``stencil-ivc serve --spill-dir``): without one there is
-        no place for journals to live and sessions stay memory-only.
     fsync:
         One of ``"never"``, ``"checkpoint"``, ``"always"`` — how hard the
         journal pushes appended records to stable storage.  ``"checkpoint"``
@@ -274,7 +273,6 @@ class DurabilityConfig:
         grows without bound and replay starts from the seed frame).
     """
 
-    enabled: bool = True
     fsync: str = "checkpoint"
     checkpoint_interval: int = 16
 
@@ -288,9 +286,8 @@ class DurabilityConfig:
 
     @classmethod
     def from_env(cls, **overrides) -> "DurabilityConfig":
-        """Defaults, overridden by ``REPRO_DURABILITY*``, overridden by kwargs."""
+        """Defaults, overridden by ``REPRO_DURABILITY_*``, overridden by kwargs."""
         values = {
-            "enabled": env_bool("REPRO_DURABILITY", True),
             "fsync": (
                 env_str("REPRO_DURABILITY_FSYNC", "checkpoint").strip().lower()
                 or "checkpoint"
@@ -310,6 +307,18 @@ class DurabilityConfig:
         """A copy with ``overrides`` applied (``None`` values are skipped)."""
         changes = {k: v for k, v in overrides.items() if v is not None}
         return replace(self, **changes) if changes else self
+
+
+#: The ``runtime`` strings :func:`repro.color` and a canonical request frame
+#: accept, and the per-call ``fast`` preference each maps onto (``None``
+#: defers to ``fast_paths``; ``"tiled"`` routes through the tiler instead).
+#: ``"auto"`` is an alias of the default, kept because it is on the wire.
+RUNTIME_MODES: dict[str, Optional[bool]] = {
+    "auto": None,
+    "kernels": True,
+    "reference": False,
+    "tiled": None,
+}
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ content key, and the kernel substrate hashes vertex orders to cache
 wavefront schedules.  Both live here now, with one canonicalization rule.
 
 Compatibility matters: :func:`content_key` must produce byte-identical
-digests to the original ``service/protocol.py`` implementation so existing
-JSONL spill files written by older servers still warm-start a new one, and
+digests to the original ``service/protocol.py`` implementation so the
+spill-directory entries (one ``<key>.json`` per result) written by older
+servers still serve a new one, and
 :func:`array_digest` must match the original substrate digest so nothing
 about wavefront caching changes under the refactor.
 """

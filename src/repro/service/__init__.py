@@ -9,8 +9,8 @@ front end over the batch engine and vectorized kernels:
 * :mod:`~repro.service.frames` — the binary wire codec, the service's one
   transport (raw little-endian arrays, routing key in a fixed preamble,
   a ``hello`` frame checking the frame version per connection);
-* :mod:`~repro.service.cache` — content-addressed LRU result cache with
-  JSONL spill or the cross-worker shared-directory L2 tier;
+* :mod:`~repro.service.cache` — content-addressed LRU result cache over
+  one disk tier, the spill directory shared by one worker or N;
 * :mod:`~repro.service.batcher` — micro-batching by ``(shape, algorithm)``
   so one substrate build serves a whole batch, with request coalescing;
 * :mod:`~repro.service.server` — the asyncio TCP server: bounded admission

@@ -1,40 +1,31 @@
-"""Content-addressed result cache with LRU eviction and disk spill tiers.
+"""Content-addressed result cache with LRU eviction and a spill directory.
 
 Entries are keyed by :func:`~repro.service.protocol.content_key`, so a hit is
 *definitionally* the correct coloring — the key commits to the stencil kind,
 shape, weights, and algorithm, and every registry algorithm is deterministic.
 
-The in-memory tier is a plain LRU of :class:`CacheEntry` values.  Two spill
-backends exist below it:
+The in-memory tier is a plain LRU of :class:`CacheEntry` values.  Below it
+sits the one disk tier, the spill directory (``spill_dir``), shared by one
+worker or by the N workers behind ``stencil-ivc serve --workers N``: every
+entry is its own ``<key>.json`` file, written *write-through* on first
+insert with :func:`repro.resilience.durable.publish` (temp file + atomic
+rename), so a reader never sees a half-written entry.  The router's
+content-key hashing makes each worker the single writer for its keys, and
+because any worker may *read* any key, a cold or freshly restarted worker
+serves its siblings' results.  A cache built over an existing directory
+indexes it at once, so a restart warm-starts with no extra step.
 
-* **JSONL file** (``spill_path``) — the single-process layout: evicted
-  entries are appended to one JSONL file (flushed per append — the same
-  append-safety contract as the engine run log) and indexed by byte offset;
-  a memory miss that hits the index seeks, re-parses, and promotes.  The
-  file is append-only and content-addressed, so a restart warm-starts from
-  it via :meth:`ResultCache.load_spill`.
-* **Shared directory** (``spill_dir``) — the cross-worker L2 tier behind
-  ``stencil-ivc serve --workers N``: every entry is its own
-  ``<key>.json`` file, written *write-through* on first insert via a
-  temp-file + ``os.replace`` rename, so a write is atomic and a reader
-  never sees a half-written entry.  The router's content-key hashing makes
-  each worker the single writer for its keys, and because any worker may
-  *read* any key, a cold or freshly restarted worker warm-starts from its
-  siblings' results.
-
-Corruption tolerance (both backends): a torn or corrupt spill entry (a
-server killed mid-write, disk trouble, an injected ``cache.spill.write``
-fault) is never fatal — the read degrades to a cache miss and the entry is
-recomputed, and :meth:`load_spill` skips damaged entries while indexing the
-rest.  Every such skip is *counted* (``spill_read_errors`` /
-``spill_load_skipped`` in :meth:`stats`), so silent corruption shows up in
-``/metrics`` instead of vanishing.
+Corruption tolerance: a torn or corrupt spill file (disk trouble, an
+injected ``cache.spill.write`` fault) is never fatal and costs no other key
+its entry — the read degrades to a cache miss, is *counted*
+(``spill_read_errors`` in :meth:`ResultCache.stats`, so silent corruption
+shows up in ``/metrics``), and the file is unlinked so the entry is
+recomputed and rewritten.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -43,6 +34,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.resilience import durable
 from repro.resilience.faults import draw
 
 
@@ -80,38 +72,29 @@ class CacheEntry:
 
 
 class ResultCache:
-    """Thread-safe LRU of colorings with optional disk spill.
+    """Thread-safe LRU of colorings with an optional spill directory.
 
     ``capacity=0`` disables caching entirely (every :meth:`get` is a miss
     and :meth:`put` is a no-op) — the configuration the service benchmark
     uses for its uncached baseline.
 
-    ``spill_dir`` selects the shared-directory L2 backend (one atomic
-    file per key, write-through, readable by sibling workers) instead of
-    the single-process JSONL ``spill_path`` backend; the two are mutually
-    exclusive.
+    ``spill_dir`` adds the disk tier (one atomic file per key,
+    write-through, readable by sibling workers); without it the cache is
+    memory-only.
     """
 
     def __init__(
         self,
         capacity: int = 512,
-        spill_path: Optional[str | Path] = None,
         max_spill_entries: int = 100_000,
         *,
         spill_dir: Optional[str | Path] = None,
     ) -> None:
         self.capacity = int(capacity)
-        if spill_path and spill_dir:
-            raise ValueError("spill_path and spill_dir are mutually exclusive")
-        self.spill_path = Path(spill_path) if spill_path else None
         self.spill_dir = Path(spill_dir) if spill_dir else None
-        if self.spill_dir is not None:
-            self.spill_dir.mkdir(parents=True, exist_ok=True)
         self._dir_written: set[str] = set()
         self.max_spill_entries = int(max_spill_entries)
         self._items: OrderedDict[str, CacheEntry] = OrderedDict()
-        self._spill_index: dict[str, int] = {}
-        self._spill_handle = None
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -119,7 +102,9 @@ class ResultCache:
         self.spill_hits = 0
         self.spilled = 0
         self.spill_read_errors = 0
-        self.spill_load_skipped = 0
+        if self.spill_dir is not None:
+            self.spill_dir.mkdir(parents=True, exist_ok=True)
+            self.load_spill()
 
     # ------------------------------------------------------------------ tiers
     def get(self, key: str) -> Optional[CacheEntry]:
@@ -142,13 +127,7 @@ class ResultCache:
                 self.hits += 1
                 self._items.move_to_end(key)
                 return entry
-            offset = self._spill_index.get(key)
-        if self.spill_dir is not None:
-            entry = self._read_dir(key)
-        elif offset is not None:
-            entry = self._read_spilled(key, offset)
-        else:
-            entry = None
+        entry = self._read_dir(key) if self.spill_dir is not None else None
         with self._lock:
             if entry is None:
                 if count_miss:
@@ -160,57 +139,32 @@ class ResultCache:
         return entry
 
     def put(self, key: str, entry: CacheEntry) -> None:
-        """Insert (or refresh) an entry, spilling LRU victims to disk.
+        """Insert (or refresh) an entry, evicting the LRU one past capacity.
 
-        With a shared ``spill_dir``, entries are written through on first
-        insert instead of on eviction, so sibling workers (and a restarted
-        self) can read them while they are still hot here.
+        With a ``spill_dir``, entries are written through on first insert,
+        so sibling workers (and a restarted self) can read them while they
+        are still hot here, and an evicted entry is already on disk.
         """
         if self.capacity <= 0:
             return
-        victims: list[tuple[str, CacheEntry]] = []
         with self._lock:
             self._items[key] = entry
             self._items.move_to_end(key)
             while len(self._items) > self.capacity:
-                victims.append(self._items.popitem(last=False))
+                self._items.popitem(last=False)
                 self.evictions += 1
         if self.spill_dir is not None:
-            self._spill_dir(key, entry)
-            return  # victims were already written through on insert
-        for victim_key, victim in victims:
-            self._spill(victim_key, victim)
+            self._write_dir(key, entry)
 
     # ------------------------------------------------------------------ spill
-    def _spill(self, key: str, entry: CacheEntry) -> None:
-        if self.spill_path is None:
-            return
-        with self._lock:
-            if key in self._spill_index or len(self._spill_index) >= self.max_spill_entries:
-                return
-            if self._spill_handle is None:
-                self.spill_path.parent.mkdir(parents=True, exist_ok=True)
-                self._spill_handle = self.spill_path.open("a")
-            offset = self._spill_handle.tell()
-            line = json.dumps(entry.to_json(key)) + "\n"
-            fault = draw("cache.spill.write", key)
-            if fault is not None and fault.kind == "corrupt":
-                line = line[: max(1, len(line) // 2)] + "\n"
-            elif fault is not None and fault.kind == "torn":
-                line = line[: max(1, len(line) // 2)]
-            self._spill_handle.write(line)
-            self._spill_handle.flush()
-            self._spill_index[key] = offset
-            self.spilled += 1
+    def _write_dir(self, key: str, entry: CacheEntry) -> None:
+        """Write one entry through to the spill directory, atomically.
 
-    def _spill_dir(self, key: str, entry: CacheEntry) -> None:
-        """Write-through one entry to the shared directory, atomically.
-
-        The file is written under a worker-private temp name and moved into
-        place with ``os.replace``, so sibling workers reading concurrently
-        either see the whole entry or no file at all — never a torn one.
-        Injected ``cache.spill.write`` faults corrupt the *content* (the
-        rename itself stays atomic), exercising the reader's degradation.
+        :func:`~repro.resilience.durable.publish` moves a temp file into
+        place, so sibling workers reading concurrently either see the whole
+        entry or no file at all — never a torn one.  Injected
+        ``cache.spill.write`` faults damage the *content* (the rename itself
+        stays atomic), exercising the reader's degradation.
         """
         assert self.spill_dir is not None
         with self._lock:
@@ -221,25 +175,20 @@ class ResultCache:
         fault = draw("cache.spill.write", key)
         if fault is not None and fault.kind in ("corrupt", "torn"):
             payload = payload[: max(1, len(payload) // 2)]
-        final = self.spill_dir / f"{key}.json"
-        tmp = self.spill_dir / f".{key}.{os.getpid()}.tmp"
         try:
-            tmp.write_text(payload)
-            os.replace(tmp, final)
-            with self._lock:
-                self.spilled += 1
+            # No read-back: a damaged file reads as a counted miss anyway.
+            durable.publish(self.spill_dir / f"{key}.json", payload, lambda _tmp: True)
         except OSError:
             # Disk trouble degrades to "not spilled"; forget the key so a
             # later insert retries the write instead of assuming it landed.
             with self._lock:
                 self._dir_written.discard(key)
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:  # pragma: no cover
-                pass
+            return
+        with self._lock:
+            self.spilled += 1
 
     def _read_dir(self, key: str) -> Optional[CacheEntry]:
-        """Read one entry from the shared directory; damage degrades to a miss."""
+        """Read one entry from the spill directory; damage degrades to a miss."""
         assert self.spill_dir is not None
         path = self.spill_dir / f"{key}.json"
         try:
@@ -262,72 +211,22 @@ class ResultCache:
                 pass
             return None
 
-    def _read_spilled(self, key: str, offset: int) -> Optional[CacheEntry]:
-        if self.spill_path is None or not self.spill_path.exists():
-            return None
-        try:
-            with self.spill_path.open() as handle:
-                handle.seek(offset)
-                obj = json.loads(handle.readline())
-            if obj.get("key") != key:
-                raise ValueError(f"spill line at {offset} holds a different key")
-            return CacheEntry.from_json(obj)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError):
-            # Torn/corrupt line: degrade to a miss (the entry is recomputed)
-            # but count it so corruption is visible in stats()/metrics.
-            with self._lock:
-                self.spill_read_errors += 1
-            return None
-
     def load_spill(self) -> int:
-        """Index an existing spill file (warm start); returns entries indexed.
+        """Index the spill directory (warm start); returns entries indexed.
 
-        Damaged lines — a truncated tail from a server killed mid-spill, or
-        corrupt interior lines — are skipped (and counted in
-        ``spill_load_skipped``) while every parseable entry is indexed;
-        later duplicates of a key win, matching append order.
-
-        With a shared ``spill_dir`` the directory *is* the index — this
-        just enumerates ``*.json`` files (so ``max_spill_entries``
-        accounting survives a restart) without parsing them; damage is
-        detected, counted, and healed lazily on first read.
+        The directory *is* the index: this enumerates ``*.json`` files (so
+        ``max_spill_entries`` accounting survives a restart) without parsing
+        them; damage is detected, counted, and healed lazily on first read.
+        A cache built with a ``spill_dir`` has already run it once.
         """
-        if self.spill_dir is not None:
-            indexed = 0
-            with self._lock:
-                for path in self.spill_dir.glob("*.json"):
-                    self._dir_written.add(path.stem)
-                    indexed += 1
-            return indexed
-        if self.spill_path is None or not self.spill_path.exists():
+        if self.spill_dir is None:
             return 0
-        indexed = 0
         with self._lock:
-            with self.spill_path.open() as handle:
-                while True:
-                    offset = handle.tell()
-                    line = handle.readline()
-                    if not line:
-                        break
-                    if not line.strip():
-                        continue
-                    try:
-                        obj = json.loads(line)
-                        key = obj["key"]
-                    except (json.JSONDecodeError, KeyError, TypeError):
-                        self.spill_load_skipped += 1
-                        continue  # damaged line — keep indexing the rest
-                    self._spill_index[str(key)] = offset
-                    indexed += 1
-        return indexed
+            keys = [path.stem for path in self.spill_dir.glob("*.json")]
+            self._dir_written.update(keys)
+        return len(keys)
 
     # ------------------------------------------------------------- lifecycle
-    def close(self) -> None:
-        with self._lock:
-            if self._spill_handle is not None:
-                self._spill_handle.close()
-                self._spill_handle = None
-
     def clear(self) -> None:
         with self._lock:
             self._items.clear()
@@ -347,13 +246,8 @@ class ResultCache:
                 "spill_hits": self.spill_hits,
                 "spilled": self.spilled,
                 "spill_read_errors": self.spill_read_errors,
-                "spill_load_skipped": self.spill_load_skipped,
                 "size": len(self._items),
                 "capacity": self.capacity,
-                "spill_index_size": (
-                    len(self._dir_written)
-                    if self.spill_dir is not None
-                    else len(self._spill_index)
-                ),
+                "spill_index_size": len(self._dir_written),
                 "hit_rate": self.hits / lookups if lookups else 0.0,
             }

@@ -627,11 +627,11 @@ class AsyncServiceClient:
         connection loss or an injected server error is idempotent.
 
         Recovery order on an ``unknown-session`` answer: the *server* gets
-        the first shot — a durability-enabled worker replays the session's
+        the first shot — a worker with a spill directory replays the session's
         journal before ever answering unknown-session (``recovered: true``
         rides on the response), so this client usually never sees one.
-        Only when the server genuinely has nothing (durability off, journal
-        gone) does ``reseed=True`` fall back to re-seeding from the local
+        Only when the server genuinely has nothing (no spill directory,
+        journal gone) does ``reseed=True`` fall back to re-seeding from the local
         mirror — a bounded loop of :data:`RESEED_ATTEMPTS` tries with
         jittered exponential backoff, because a single immediate re-send
         loses the race against a worker restart window.  Attempts are

@@ -61,6 +61,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from repro.runtime.config import RUNTIME_MODES
 from repro.runtime.fingerprint import content_key
 
 #: Upper bound on one frame payload (also the stream readers' buffer limit).
@@ -68,15 +69,6 @@ MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 #: The canonical request-frame version this build speaks (``"api"`` field).
 PROTOCOL_API_VERSION = 1
-
-#: ``runtime`` values a canonical frame may carry, and the ``fast``
-#: preference each maps onto (``"tiled"`` routes through the tiler instead).
-_WIRE_RUNTIMES: dict[str, Optional[bool]] = {
-    "auto": None,
-    "kernels": True,
-    "reference": False,
-    "tiled": None,
-}
 
 #: Response statuses.
 STATUS_OK = "ok"
@@ -105,8 +97,8 @@ def check_api_version(message: dict[str, Any]) -> None:
 
 # content_key (imported above, re-exported for existing callers) moved to
 # repro.runtime.fingerprint so the kernel substrate shares the same
-# canonicalization; the digests are byte-identical, so spill files written
-# by older servers still warm-start a new one.
+# canonicalization; the digests are byte-identical, so the spill-directory
+# entries (``<key>.json``) written by older servers still serve a new one.
 
 
 @dataclass(frozen=True)
@@ -295,12 +287,12 @@ def request_from_fields(arr: np.ndarray, message: dict[str, Any]) -> ColorReques
     tile_shape: Optional[tuple[int, ...]] = None
     runtime = message.get("runtime")
     if runtime is not None:
-        if not isinstance(runtime, str) or runtime not in _WIRE_RUNTIMES:
+        if not isinstance(runtime, str) or runtime not in RUNTIME_MODES:
             raise ProtocolError(
-                f"'runtime' must be one of {sorted(_WIRE_RUNTIMES)}, got {runtime!r}"
+                f"'runtime' must be one of {sorted(RUNTIME_MODES)}, got {runtime!r}"
             )
         tiled = runtime == "tiled"
-        fast = _WIRE_RUNTIMES[runtime]
+        fast = RUNTIME_MODES[runtime]
     tiles = message.get("tiles")
     if tiles is not None:
         if (

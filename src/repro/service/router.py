@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -69,7 +68,7 @@ from repro.service.protocol import (
     STATUS_ERROR,
     STATUS_INVALID,
 )
-from repro.service.server import ServerConfig
+from repro.service.server import ServerConfig, _EndpointThread, _run_endpoint
 from repro.service.workers import WorkerPool
 
 #: How often the supervisor sweeps for dead workers, seconds.
@@ -632,75 +631,22 @@ class ColoringRouter:
 
 async def run_router(config: RouterConfig, *, ready=None) -> None:
     """Start a router + pool and serve until a shutdown op (CLI entry)."""
-    router = ColoringRouter(config)
-    await router.start()
-    if ready is not None:
-        ready(router)
-    await router.serve_until_shutdown()
+    await _run_endpoint(ColoringRouter(config), ready)
 
 
-class RouterThread:
-    """A :class:`ColoringRouter` on a private loop in a daemon thread.
+class RouterThread(_EndpointThread):
+    """A :class:`ColoringRouter` in a daemon thread.
 
     The multi-worker twin of :class:`~repro.service.server.ServerThread`,
     with the same start/stop/context-manager contract — benchmarks and
     tests drive binary multi-worker serving through this.
     """
 
-    def __init__(self, config: Optional[RouterConfig] = None) -> None:
-        self.config = config or RouterConfig()
-        self.router: Optional[ColoringRouter] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._error: Optional[BaseException] = None
+    _endpoint_class = ColoringRouter
+    _config_class = RouterConfig
+    _name = "coloring-router"
+    _start_timeout = 60.0
 
     @property
-    def port(self) -> int:
-        assert self.router is not None
-        return self.router.port
-
-    @property
-    def host(self) -> str:
-        return self.config.host
-
-    def start(self, timeout: float = 60.0) -> "RouterThread":
-        self._thread = threading.Thread(
-            target=self._run, name="coloring-router", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("coloring router failed to start in time")
-        if self._error is not None:
-            raise RuntimeError(f"coloring router failed to start: {self._error}")
-        return self
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        try:
-            self.router = ColoringRouter(self.config)
-            await self.router.start()
-        except BaseException as exc:
-            self._error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        await self.router.serve_until_shutdown()
-
-    def stop(self, timeout: float = 60.0) -> None:
-        if self._loop is not None and self.router is not None:
-            try:
-                self._loop.call_soon_threadsafe(self.router.request_shutdown)
-            except RuntimeError:
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout)
-
-    def __enter__(self) -> "RouterThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+    def router(self) -> Optional[ColoringRouter]:
+        return self.endpoint

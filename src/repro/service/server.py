@@ -14,7 +14,7 @@ together behind a TCP endpoint that speaks binary frames
   the cache.
 * **Graceful drain** — shutdown closes the listener, lets queued requests
   finish (bounded by ``drain_timeout``), flushes responses, then stops the
-  batcher and closes the cache spill.
+  batcher.
 
 :class:`ServerThread` runs the whole service on a private event loop in a
 daemon thread — the harness used by the benchmark, the load generator's
@@ -86,13 +86,11 @@ class ServerConfig:
     batch_window: float = 0.002  # seconds the batcher lingers to fill a batch
     queue_limit: int = 256  # admission cap; beyond it requests are rejected
     cache_size: int = 512  # result-cache entries (0 disables caching)
-    spill_path: Optional[str] = None  # JSONL disk spill for evicted entries
-    spill_dir: Optional[str] = None  # shared-directory L2 tier (multi-worker)
+    spill_dir: Optional[str] = None  # the cache's disk tier and session journals
     worker_id: str = "w0"  # identity stamped on responses and /metrics
     compute_threads: int = 1
     default_timeout: float = 30.0  # per-request deadline cap, seconds
     drain_timeout: float = 30.0  # graceful-shutdown budget, seconds
-    warm_start: bool = False  # index an existing spill file on startup
     runtime: Optional[RuntimeConfig] = None  # None = inherit the ambient context's
     extra_metadata: dict = field(default_factory=dict)
 
@@ -124,7 +122,6 @@ class ColoringService:
         self.metrics = self.context.metrics
         self.cache = ResultCache(
             capacity=self.config.cache_size,
-            spill_path=self.config.spill_path,
             spill_dir=self.config.spill_dir,
         )
         self.batcher = MicroBatcher(
@@ -136,16 +133,15 @@ class ColoringService:
             context=self.context,
         )
         incr = self.context.config.incremental
-        dura = self.context.config.durability
         self.durability: Optional[SessionDurability] = None
-        if dura.enabled and self.config.spill_dir:
+        if self.config.spill_dir:
             # Sessions journal under the *shared* spill directory so a
             # restarted or sibling worker sees them — the same tier the
-            # result cache uses for L2 entries (different file suffixes,
+            # result cache uses for its entries (different file suffixes,
             # own `sessions/` subdirectory: no collisions).
             self.durability = SessionDurability(
                 Path(self.config.spill_dir) / "sessions",
-                dura,
+                self.context.config.durability,
                 metrics=self.metrics,
             )
         self.sessions = SessionStore(
@@ -170,10 +166,6 @@ class ColoringService:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        if self.config.warm_start:
-            indexed = self.cache.load_spill()
-            if indexed:
-                self.metrics.counter("spill_warm_entries").inc(indexed)
         await self.batcher.start()
         self._shutdown_requested = asyncio.Event()
         self._recolor_lock = asyncio.Lock()
@@ -222,7 +214,6 @@ class ColoringService:
                 task.cancel()
             if lingering:
                 await asyncio.wait(lingering, timeout=1.0)
-        self.cache.close()
 
     # ------------------------------------------------------------ connections
     async def _handle_connection(
@@ -522,8 +513,8 @@ class ColoringService:
         computes: deltas are causally ordered per session, and cross-session
         fairness is not worth racing commits for.
 
-        With durability active (``--spill-dir`` + ``DurabilityConfig``),
-        every delta is journaled *before* it is acknowledged — a failed
+        With a spill directory (``--spill-dir``), durability is on: every
+        delta is journaled *before* it is acknowledged — a failed
         append answers ``error`` and the client's idempotent re-send
         journals again — and an unknown session first attempts journal/
         checkpoint replay (``session_recoveries``/``journal_replay_seconds``
@@ -710,26 +701,35 @@ class ColoringService:
         return snap
 
 
+async def _run_endpoint(endpoint, ready=None) -> None:
+    """Start a service or router and serve until a shutdown op."""
+    await endpoint.start()
+    if ready is not None:
+        ready(endpoint)
+    await endpoint.serve_until_shutdown()
+
+
 async def run_service(config: ServerConfig, *, ready=None) -> None:
     """Start a service and serve until a shutdown op (CLI entry)."""
-    service = ColoringService(config)
-    await service.start()
-    if ready is not None:
-        ready(service)
-    await service.serve_until_shutdown()
+    await _run_endpoint(ColoringService(config), ready)
 
 
-class ServerThread:
-    """A :class:`ColoringService` on a private event loop in a daemon thread.
+class _EndpointThread:
+    """A service or router on a private event loop in a daemon thread.
 
-    ``start()`` blocks until the listener is bound and returns the port;
-    ``stop()`` requests a graceful drain and joins the thread.  Used by the
-    benchmark, tests, and ``stencil-ivc loadgen --spawn``.
+    ``start()`` blocks until the listener is bound and returns the thread;
+    ``stop()`` requests a graceful drain and joins the thread.  Subclasses
+    name the endpoint and config classes, the thread and the start timeout.
     """
 
-    def __init__(self, config: Optional[ServerConfig] = None) -> None:
-        self.config = config or ServerConfig()
-        self.service: Optional[ColoringService] = None
+    _endpoint_class: type
+    _config_class: type
+    _name: str
+    _start_timeout: float
+
+    def __init__(self, config=None) -> None:
+        self.config = config or self._config_class()
+        self.endpoint = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
@@ -737,50 +737,63 @@ class ServerThread:
 
     @property
     def port(self) -> int:
-        assert self.service is not None
-        return self.service.port
+        assert self.endpoint is not None
+        return self.endpoint.port
 
     @property
     def host(self) -> str:
         return self.config.host
 
-    def start(self, timeout: float = 10.0) -> "ServerThread":
+    def start(self, timeout: Optional[float] = None):
         self._thread = threading.Thread(
-            target=self._run, name="coloring-service", daemon=True
+            target=lambda: asyncio.run(self._main()), name=self._name, daemon=True
         )
         self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("coloring service failed to start in time")
+        if not self._ready.wait(self._start_timeout if timeout is None else timeout):
+            raise RuntimeError(f"{self._name} failed to start in time")
         if self._error is not None:
-            raise RuntimeError(f"coloring service failed to start: {self._error}")
+            raise RuntimeError(f"{self._name} failed to start: {self._error}")
         return self
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         try:
-            self.service = ColoringService(self.config)
-            await self.service.start()
+            self.endpoint = self._endpoint_class(self.config)
+            await self.endpoint.start()
         except BaseException as exc:  # startup failure: surface to starter
             self._error = exc
             self._ready.set()
             return
         self._ready.set()
-        await self.service.serve_until_shutdown()
+        await self.endpoint.serve_until_shutdown()
 
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._loop is not None and self.service is not None:
+    def stop(self, timeout: float = 60.0) -> None:
+        if self._loop is not None and self.endpoint is not None:
             try:
-                self._loop.call_soon_threadsafe(self.service.request_shutdown)
+                self._loop.call_soon_threadsafe(self.endpoint.request_shutdown)
             except RuntimeError:  # loop already closed
                 pass
         if self._thread is not None:
             self._thread.join(timeout)
 
-    def __enter__(self) -> "ServerThread":
+    def __enter__(self):
         return self.start()
 
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
+
+
+class ServerThread(_EndpointThread):
+    """A :class:`ColoringService` in a daemon thread (see :class:`_EndpointThread`).
+
+    Used by the benchmark, tests, and ``stencil-ivc loadgen --spawn``.
+    """
+
+    _endpoint_class = ColoringService
+    _config_class = ServerConfig
+    _name = "coloring-service"
+    _start_timeout = 10.0
+
+    @property
+    def service(self) -> Optional[ColoringService]:
+        return self.endpoint

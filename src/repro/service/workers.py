@@ -11,9 +11,9 @@ The pool is the supervised layer underneath the router
   ``worker_id`` and gains a restart count, so ``/metrics`` shows *which*
   worker died and how often, not just that something did.
 * **Shared L2 warm start** — every worker gets the same ``spill_dir``
-  (the cross-worker cache tier of :class:`~repro.service.cache.ResultCache`)
-  and starts with ``warm_start=True``, so a freshly restarted worker
-  serves its siblings' cached results from its first request.
+  (the disk tier of :class:`~repro.service.cache.ResultCache`), which a
+  cache indexes when it is built, so a freshly restarted worker serves
+  its siblings' cached results from its first request.
 * **Fault parity** — workers are spawned with the parent's environment,
   so ``REPRO_*`` runtime settings and ``REPRO_FAULTS`` fault plans apply
   inside each worker exactly as they would in a single-process server.
@@ -116,10 +116,6 @@ class WorkerPool:
         spill_dir: Optional[str] = None,
     ) -> None:
         self.base_config = base_config or ServerConfig()
-        if self.base_config.spill_path:
-            raise ValueError(
-                "worker pools use the shared spill_dir tier, not spill_path"
-            )
         self.workers = max(1, int(workers))
         self._owned_dir: Optional[tempfile.TemporaryDirectory] = None
         if spill_dir is None:
@@ -138,7 +134,6 @@ class WorkerPool:
             port=0,
             spill_dir=self.spill_dir,
             worker_id=f"w{index}",
-            warm_start=True,  # restarted workers re-read the shared L2 tier
         )
 
     def _spawn(self, index: int, restarts: int = 0) -> WorkerHandle:

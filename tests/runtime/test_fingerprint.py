@@ -1,8 +1,8 @@
 """Fingerprint helpers: canonicalization, content keys, array digests.
 
 ``content_key`` must stay byte-identical to the pre-refactor
-``service/protocol.py`` implementation — old JSONL spill files warm-start
-new servers through these digests.  The golden digest below pins that.
+``service/protocol.py`` implementation — spill-directory entries written
+by older servers are found by new ones through these digests.  The golden digest below pins that.
 """
 
 import numpy as np

@@ -1,9 +1,8 @@
-"""Tests for the content-addressed result cache and its disk spill."""
+"""Tests for the content-addressed result cache and its spill directory."""
 
 import json
 
 import numpy as np
-import pytest
 
 from repro.service.cache import CacheEntry, ResultCache
 
@@ -51,24 +50,22 @@ class TestLRU:
 
 
 class TestSpill:
+    """Serving through the spill directory: eviction, shape, restart."""
+
     def test_evicted_entry_served_from_spill(self, tmp_path):
-        spill = tmp_path / "spill.jsonl"
-        cache = ResultCache(capacity=1, spill_path=spill)
+        cache = ResultCache(capacity=1, spill_dir=tmp_path / "l2")
         cache.put("a", _entry(5))
-        cache.put("b", _entry(6))  # evicts a to disk
-        assert spill.exists()
+        cache.put("b", _entry(6))  # evicts a from memory; its file stays
         entry = cache.get("a")  # spill hit, promoted back to memory
         assert entry is not None and entry.maxcolor == 5
         assert np.array_equal(entry.starts, np.arange(5))
         stats = cache.stats()
-        assert stats["spill_hits"] == 1
-        # Promoting 'a' back into the capacity-1 cache spilled 'b' as well.
+        assert stats["spill_hits"] == 1 and stats["evictions"] == 2
+        # Both entries were written through once; the promotion wrote nothing.
         assert stats["spilled"] == 2
-        cache.close()
 
     def test_spill_preserves_shape(self, tmp_path):
-        spill = tmp_path / "spill.jsonl"
-        cache = ResultCache(capacity=1, spill_path=spill)
+        cache = ResultCache(capacity=1, spill_dir=tmp_path / "l2")
         grid = CacheEntry(
             starts=np.arange(6, dtype=np.int64).reshape(2, 3),
             maxcolor=9,
@@ -78,33 +75,28 @@ class TestSpill:
         cache.put("x", _entry(1))  # evict g
         restored = cache.get("g")
         assert restored.starts.shape == (2, 3)
-        cache.close()
 
     def test_warm_start_indexes_existing_spill(self, tmp_path):
-        spill = tmp_path / "spill.jsonl"
-        first = ResultCache(capacity=1, spill_path=spill)
+        first = ResultCache(capacity=1, spill_dir=tmp_path / "l2")
         first.put("a", _entry(4))
         first.put("b", _entry(5))
-        first.close()
 
-        second = ResultCache(capacity=4, spill_path=spill)
-        assert second.load_spill() == 1  # only 'a' was spilled
+        second = ResultCache(capacity=4, spill_dir=tmp_path / "l2")
+        assert second.stats()["spill_index_size"] == 2  # indexed when built
         entry = second.get("a")
         assert entry is not None and entry.maxcolor == 4
-        second.close()
+        assert second.stats()["spill_hits"] == 1
 
     def test_warm_start_tolerates_truncated_tail(self, tmp_path):
-        spill = tmp_path / "spill.jsonl"
-        cache = ResultCache(capacity=1, spill_path=spill)
+        cache = ResultCache(capacity=1, spill_dir=tmp_path / "l2")
         cache.put("a", _entry(4))
         cache.put("b", _entry(5))
-        cache.close()
-        with spill.open("a") as handle:
-            handle.write('{"key": "c", "starts"')  # torn append
-        fresh = ResultCache(capacity=4, spill_path=spill)
-        assert fresh.load_spill() == 1
-        assert fresh.get("a") is not None
-        fresh.close()
+        (tmp_path / "l2" / "c.json").write_text('{"key": "c", "starts"')  # torn
+        fresh = ResultCache(capacity=4, spill_dir=tmp_path / "l2")
+        assert fresh.get("a").maxcolor == 4
+        assert fresh.get("b").maxcolor == 5
+        assert fresh.get("c") is None
+        assert fresh.stats()["spill_read_errors"] == 1
 
     def test_no_spill_without_path(self):
         cache = ResultCache(capacity=1)
@@ -113,28 +105,9 @@ class TestSpill:
         assert cache.get("a") is None
         assert cache.stats()["spilled"] == 0
 
-    def test_spill_line_is_valid_json(self, tmp_path):
-        spill = tmp_path / "spill.jsonl"
-        cache = ResultCache(capacity=1, spill_path=spill)
-        cache.put("a", _entry(2))
-        cache.put("b", _entry(3))
-        cache.close()
-        lines = [l for l in spill.read_text().splitlines() if l.strip()]
-        assert len(lines) == 1
-        obj = json.loads(lines[0])
-        assert obj["key"] == "a" and obj["maxcolor"] == 2
-
 
 class TestDirSpill:
-    """The cross-worker shared L2 tier: one atomic JSON file per entry."""
-
-    def test_path_and_dir_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            ResultCache(
-                capacity=2,
-                spill_path=tmp_path / "a.jsonl",
-                spill_dir=tmp_path / "l2",
-            )
+    """The directory's files: atomic write-through, sibling reads, damage."""
 
     def test_write_through_on_put(self, tmp_path):
         cache = ResultCache(capacity=4, spill_dir=tmp_path / "l2")
@@ -161,7 +134,8 @@ class TestDirSpill:
         first.put("k1", _entry(2))
         first.put("k2", _entry(3))
         second = ResultCache(capacity=4, spill_dir=tmp_path / "l2")
-        assert second.load_spill() == 2
+        assert second.stats()["spill_index_size"] == 2
+        assert second.load_spill() == 2  # re-indexing finds the same files
         assert second.stats()["spill_index_size"] == 2
 
     def test_corrupt_file_is_counted_and_healed(self, tmp_path):
@@ -184,7 +158,6 @@ class TestDirSpill:
             (tmp_path / "l2" / "honest.json").read_text()
         )
         fresh = ResultCache(capacity=1, spill_dir=tmp_path / "l2")
-        fresh.load_spill()
         assert fresh.get("liar") is None
         assert fresh.stats()["spill_read_errors"] == 1
 

@@ -478,16 +478,11 @@ class TestServerEndToEnd:
                     == 1
                 )
 
-    def test_durability_off_preserves_typed_unknown_session(self, tmp_path):
+    def test_durability_off_preserves_typed_unknown_session(self):
         from repro.service.client import ServiceClient
         from repro.service.server import ServerConfig, ServerThread
 
-        config = ServerConfig(
-            port=0, spill_dir=str(tmp_path), default_timeout=20.0,
-            runtime=RuntimeConfig(
-                durability=DurabilityConfig(enabled=False)
-            ),
-        )
+        config = ServerConfig(port=0, default_timeout=20.0)  # no spill_dir
         with ServerThread(config) as thread:
             assert thread.service.durability is None
             with ServiceClient("127.0.0.1", thread.port, timeout=30.0) as c:

@@ -292,24 +292,23 @@ class TestGracefulShutdown:
         thread.stop()
 
     def test_spill_survives_restart(self, tmp_path):
-        spill = tmp_path / "colorings.jsonl"
+        spill = tmp_path / "l2"
         weights = _grid((6, 7), seed=10)
-        config = ServerConfig(port=0, cache_size=1, spill_path=str(spill))
+        config = ServerConfig(port=0, cache_size=1, spill_dir=str(spill))
         with ServerThread(config) as thread:
             with ServiceClient("127.0.0.1", thread.port) as client:
                 first = client.color(weights, "GLL")
-                client.color(_grid((6, 7), seed=11), "GLL")  # evict → spill
-        assert spill.exists() and spill.stat().st_size > 0
+                client.color(_grid((6, 7), seed=11), "GLL")  # evict from memory
+        assert len(list(spill.glob("*.json"))) == 2
 
-        warm = ServerConfig(
-            port=0, cache_size=4, spill_path=str(spill), warm_start=True
-        )
+        warm = ServerConfig(port=0, cache_size=4, spill_dir=str(spill))
         with ServerThread(warm) as thread:
             with ServiceClient("127.0.0.1", thread.port) as client:
                 served = client.color(weights, "GLL")
                 assert served.ok
-                assert served.cached  # warm-started from the spill index
+                assert served.cached  # served from the spill directory
                 assert np.array_equal(served.starts, first.starts)
+            assert thread.service.cache.stats()["spill_hits"] == 1
 
 
 @pytest.mark.parametrize("client_class", [ServiceClient, AsyncServiceClient])
