@@ -998,6 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Interval vertex coloring of 9-pt and 27-pt stencils (IPPS 2022 reproduction)",
         epilog="Run 'stencil-ivc <subcommand> --help' for a brief summary of "
                "any subcommand's options.",
+        allow_abbrev=False,
     )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
@@ -1012,25 +1013,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "needs a stencil geometry or accepts arbitrary conflict "
                     "graphs, and paper-vs-extension provenance.",
         epilog="Example: stencil-ivc algorithms --paper-only",
+        allow_abbrev=False,
     )
     p.add_argument("--paper-only", action="store_true",
                    help="show only the paper's seven Section V heuristics")
     p.set_defaults(func=cmd_algorithms)
 
-    p = sub.add_parser("solve", help="color a weight grid from a file")
+    p = sub.add_parser(
+        "solve", help="color a weight grid from a file", allow_abbrev=False
+    )
     p.add_argument("file", help=".npy or whitespace text file of weights")
     p.add_argument("--algorithm", default="BDP")
     p.add_argument("--output", default="", help="save start colors to .npy")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("bounds", help="print the Section III lower bounds for a grid")
+    p = sub.add_parser(
+        "bounds",
+        help="print the Section III lower bounds for a grid",
+        allow_abbrev=False,
+    )
     p.add_argument("file", help=".npy or whitespace text file of weights")
     p.add_argument("--odd-cycles", action="store_true",
                    help="include the (exponential) odd-cycle bound search")
     p.add_argument("--max-cycle-len", type=int, default=5)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("exact", help="solve a grid to optimality with the MILP")
+    p = sub.add_parser(
+        "exact", help="solve a grid to optimality with the MILP", allow_abbrev=False
+    )
     p.add_argument("file", help=".npy or whitespace text file of weights")
     p.add_argument("--time-limit", type=float, default=60.0)
     p.add_argument("--output", default="", help="save optimal starts to .npy")
@@ -1044,6 +1054,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "synthetic dataset suite, fanning the (instance x "
                         "algorithm) grid across --jobs worker processes.",
             epilog=f"Example: stencil-ivc {name} --dim 2 --jobs 4",
+            allow_abbrev=False,
         )
         p.add_argument("--dim", type=int, choices=(2, 3), default=2)
         p.add_argument("--scale", type=float, default=1.0, help="dataset size multiplier")
@@ -1079,6 +1090,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "partition",
         help="compare uniform vs load-balanced rectilinear decomposition on a CSV",
+        allow_abbrev=False,
     )
     p.add_argument("file", help="CSV of events with x,y,t columns")
     p.add_argument("--parts-x", type=int, default=8)
@@ -1091,7 +1103,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-column", default="t")
     p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("gantt", help="render a simulated schedule as an SVG Gantt chart")
+    p = sub.add_parser(
+        "gantt",
+        help="render a simulated schedule as an SVG Gantt chart",
+        allow_abbrev=False,
+    )
     p.add_argument("file", help=".npy or whitespace text file of weights")
     p.add_argument("--algorithm", default="GLF")
     p.add_argument("--workers", type=int, default=6)
@@ -1105,6 +1121,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "every paper heuristic (through the batch engine) and "
                     "simulate the resulting parallel STKDE schedule.",
         epilog="Example: stencil-ivc stkde --scale 0.5 --workers 6 --jobs 2",
+        allow_abbrev=False,
     )
     p.add_argument("--workers", type=int, default=6,
                    help="simulated schedule worker count (not engine jobs)")
@@ -1124,6 +1141,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "the monolithic GLL kernel.",
         epilog="Example: stencil-ivc tile --shape 4096x4096 --tile 1024x1024 "
                "--log tiles.jsonl",
+        allow_abbrev=False,
     )
     p.add_argument("--input", default="",
                    help=".npy weight grid, read through a memory map")
@@ -1164,6 +1182,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "'overloaded' response).",
         epilog="Example: stencil-ivc serve --port 8765 --cache-size 1024 "
                "--spill-dir /tmp/ivc-l2",
+        allow_abbrev=False,
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765,
@@ -1206,6 +1225,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "failed requests, or a blown --p99-budget-ms.",
         epilog="Example: stencil-ivc loadgen --port 8765 --requests 500 "
                "--concurrency 8 --verify",
+        allow_abbrev=False,
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765)
@@ -1265,6 +1285,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="offline incremental-recoloring demo over a delta stream",
         epilog="Example: stencil-ivc recolor --shape 512x512 --algorithm GLF "
                "--deltas 16 --cells 8 --validate",
+        allow_abbrev=False,
     )
     p.add_argument("--shape", type=_parse_shape, default=(256, 256),
                    metavar="NxN[xN]", help="synthetic grid shape")
@@ -1290,6 +1311,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Examples: stencil-ivc sessions list --spill-dir /tmp/l2 | "
                "stencil-ivc sessions inspect my-session --spill-dir /tmp/l2 "
                "| stencil-ivc sessions compact my-session --spill-dir /tmp/l2",
+        allow_abbrev=False,
     )
     p.add_argument("action", choices=("list", "inspect", "compact"),
                    help="list every durable session, inspect one session's "
@@ -1316,18 +1338,21 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Example: stencil-ivc campaign run campaigns/smoke.toml && "
                "stencil-ivc campaign harvest out/campaigns/smoke && "
                "stencil-ivc campaign report out/campaigns/smoke",
+        allow_abbrev=False,
     )
     campaign_sub = p.add_subparsers(dest="verb", required=True)
 
     cp = campaign_sub.add_parser(
-        "plan", help="compile a spec and print the plan (nothing runs)"
+        "plan", help="compile a spec and print the plan (nothing runs)",
+        allow_abbrev=False,
     )
     cp.add_argument("spec", help="campaign spec (TOML)")
     cp.add_argument("--verbose", action="store_true", help="list every instance")
     cp.set_defaults(func=cmd_campaign_plan)
 
     cp = campaign_sub.add_parser(
-        "run", help="execute a campaign spec into an artifact dir"
+        "run", help="execute a campaign spec into an artifact dir",
+        allow_abbrev=False,
     )
     cp.add_argument("spec", help="campaign spec (TOML)")
     cp.add_argument(
@@ -1362,13 +1387,15 @@ def build_parser() -> argparse.ArgumentParser:
     cp.set_defaults(func=cmd_campaign_run)
 
     cp = campaign_sub.add_parser(
-        "harvest", help="fold an artifact dir's run logs into harvest.json"
+        "harvest", help="fold an artifact dir's run logs into harvest.json",
+        allow_abbrev=False,
     )
     cp.add_argument("dir", help="campaign artifact directory")
     cp.set_defaults(func=cmd_campaign_harvest)
 
     cp = campaign_sub.add_parser(
-        "report", help="render figure tables from a harvested artifact"
+        "report", help="render figure tables from a harvested artifact",
+        allow_abbrev=False,
     )
     cp.add_argument("dir", help="campaign artifact directory (harvested)")
     cp.add_argument(
@@ -1387,7 +1414,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cp.set_defaults(func=cmd_campaign_report)
 
-    p = sub.add_parser("npc", help="NAE-3SAT reduction demo (Section IV)")
+    p = sub.add_parser(
+        "npc", help="NAE-3SAT reduction demo (Section IV)", allow_abbrev=False
+    )
     p.add_argument("--vars", type=int, default=4)
     p.add_argument("--clauses", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)

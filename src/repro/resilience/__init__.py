@@ -11,8 +11,8 @@
   session journals).
 
 The recovery paths these drive (pool supervision + resume in
-:func:`repro.engine.run_grid`, reconnecting clients, the server's degraded
-mode) are implemented in their home modules.
+:func:`repro.engine.run_grid`, reconnecting clients) are implemented in
+their home modules.
 """
 
 from repro.resilience.faults import (

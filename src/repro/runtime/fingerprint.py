@@ -43,22 +43,9 @@ def content_key(weights, algorithm: str) -> str:
     excluded from the hash.
     """
     arr = canonical_weights(weights)
-    return content_key_from_bytes(arr.tobytes(), arr.shape, algorithm)
-
-
-def content_key_from_bytes(
-    payload: bytes, shape: tuple[int, ...], algorithm: str
-) -> str:
-    """:func:`content_key` computed from already-canonical array bytes.
-
-    ``payload`` must be the C-order ``int64`` bytes of the weight grid —
-    exactly what a binary wire frame carries — so hot serving paths can
-    hash a request without reconstructing the array.  Kept next to
-    :func:`content_key` because the two must derive identical digests.
-    """
     h = hashlib.blake2b(digest_size=20)
-    h.update(f"{len(shape)}d|{'x'.join(str(s) for s in shape)}|".encode())
-    h.update(payload)
+    h.update(f"{arr.ndim}d|{'x'.join(str(s) for s in arr.shape)}|".encode())
+    h.update(arr.tobytes())
     h.update(b"|" + algorithm.encode())
     return h.hexdigest()
 

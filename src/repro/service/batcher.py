@@ -14,19 +14,17 @@ unit on a worker thread:
 4. only true misses build an :class:`~repro.core.problem.IVCInstance` and run
    :func:`~repro.core.algorithms.registry.color_with` — and because every
    instance in the batch shares its shape, the per-shape substrate LRU
-   (:mod:`repro.kernels.substrate`) means one geometry/CSR/neighbor-table
-   build serves the entire batch.
+   (:mod:`repro.kernels.substrate`) means one padded
+   :class:`~repro.kernels.substrate.StencilLayout` serves the entire batch.
 
 Results are therefore bit-identical to a direct ``color_with`` call by
 construction: the batcher never merges *computations*, only the shape-level
 preprocessing and equal-content requests.
 
-**Degraded mode.**  A kernel fast path raising mid-computation does not fail
-the request: the batcher falls back to the generic slow path
-(``fast=False``), which is differentially tested to produce the identical
-coloring, and counts the event in the ``degraded_total`` metric.  Only a
-request that *explicitly* pinned ``fast=True``/``False`` skips the fallback
-(there is nothing different left to try).
+**One attempt.**  Each miss gets exactly one ``color_with`` call, on the
+path the request chose.  A raise answers ``error`` (counted in
+``compute_errors``) and caches nothing, so the next identical request
+computes afresh; there is no retry on the reference loops.
 
 **Shutdown.**  Requests still queued when the batcher stops are answered
 ``overloaded`` (a retry-later signal — a restarted server will serve them);
@@ -378,12 +376,8 @@ class MicroBatcher:
     def _compute(self, request: ColorRequest, batch_size: int) -> ServedResult:
         """One true kernel run; the only place colorings are produced.
 
-        The primary attempt honours the request's ``fast`` preference (and
-        the ``service.compute`` fault site).  If it raises and the request
-        did not pin ``fast`` explicitly, the batcher *degrades*: it retries
-        on the generic slow path (``fast=False``), which is differentially
-        tested to produce the identical coloring, and counts the event in
-        ``degraded_total``.
+        One attempt on the request's ``fast`` preference (behind the
+        ``service.compute`` fault site); a raise is the request's answer.
         """
         from repro.core.algorithms.registry import color_with
         from repro.core.problem import IVCInstance
@@ -391,25 +385,15 @@ class MicroBatcher:
         if request.tiled:
             return self._compute_tiled(request, batch_size)
         t0 = time.perf_counter()
-        degraded = False
         try:
             if request.weights.ndim == 2:
                 instance = IVCInstance.from_grid_2d(request.weights)
             else:
                 instance = IVCInstance.from_grid_3d(request.weights)
-            try:
-                inject("service.compute", request.key)
-                coloring = color_with(
-                    instance, request.algorithm, fast=request.fast,
-                    context=self.context,
-                )
-            except Exception:
-                if request.fast is not None:
-                    raise  # the caller pinned a path; nothing left to try
-                degraded = True
-                coloring = color_with(
-                    instance, request.algorithm, fast=False, context=self.context
-                )
+            inject("service.compute", request.key)
+            coloring = color_with(
+                instance, request.algorithm, fast=request.fast, context=self.context
+            )
             if request.validate:
                 coloring.check()
         except Exception as exc:
@@ -417,15 +401,13 @@ class MicroBatcher:
             return ServedResult(
                 status=STATUS_ERROR, error=f"{type(exc).__name__}: {exc}"
             )
-        if degraded:
-            self.metrics.counter("degraded_total").inc()
         elapsed = time.perf_counter() - t0
         self.metrics.histogram("compute_seconds").observe(elapsed)
         return ServedResult(
             status=STATUS_OK,
             starts=np.asarray(coloring.starts, dtype=np.int64),
             maxcolor=int(coloring.maxcolor),
-            source="degraded" if degraded else "computed",
+            source="computed",
             compute_seconds=elapsed,
             batch_size=batch_size,
         )

@@ -32,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.algorithms.registry import REGISTRY, UnknownAlgorithmError
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.context import ExecutionContext, get_context
@@ -46,7 +47,6 @@ from repro.service.frames import (
     OP_RECOLOR,
     OP_RESPONSE,
     OP_SHUTDOWN,
-    PAYLOAD_DTYPE,
     WIRE_PROTOCOLS,
     Frame,
     FrameError,
@@ -330,9 +330,6 @@ class ColoringService:
             return encode_recolor_result(header, starts=starts), False
         if frame.opcode == OP_COLOR:
             self.metrics.counter("requests_total").inc()
-            hot = self._frame_fast_path(frame)
-            if hot is not None:
-                return hot, False
             try:
                 request = decode_color_request(frame)
             except ProtocolError as exc:
@@ -374,70 +371,60 @@ class ColoringService:
             False,
         )
 
-    def _frame_fast_path(self, frame: Frame) -> Optional[bytes]:
-        """Answer a hot binary request straight off its payload bytes.
-
-        A frame's payload *is* the canonical C-order ``int64`` weight
-        bytes, so the content key can be hashed without reconstructing or
-        validating the array — identical bytes are identical weights, and
-        cached entries only ever exist for weights that validated when
-        they were first computed.  Anything irregular (odd header, wrong
-        payload length, cache miss) returns ``None`` and falls through to
-        the full decode path, which is the validator.
-        """
-        from repro.runtime.fingerprint import content_key_from_bytes
-
-        header = frame.header
-        shape = header.get("shape")
-        algorithm = header.get("algorithm")
-        if (
-            not isinstance(shape, list)
-            or len(shape) not in (2, 3)
-            or not all(isinstance(s, int) and s > 0 for s in shape)
-            or not isinstance(algorithm, str)
-            or header.get("dtype", PAYLOAD_DTYPE) != PAYLOAD_DTYPE
-        ):
-            return None
-        cells = 1
-        for s in shape:
-            cells *= s
-        if len(frame.payload) != cells * 8:
-            return None
-        key = content_key_from_bytes(frame.payload, tuple(shape), algorithm)
-        entry = self.cache.peek(key)
-        if entry is None:
-            return None
-        self.metrics.counter("cache_hits").inc()
-        self.metrics.counter("fastpath_hits").inc()
-        self.metrics.counter("responses_ok").inc()
-        self.metrics.histogram("request_latency").observe(0.0)
-        result = ServedResult(
-            status=STATUS_OK,
-            starts=entry.starts,
-            maxcolor=entry.maxcolor,
-            source="cache",
-            compute_seconds=entry.compute_seconds,
-        )
-        return encode_result(
-            result,
-            frame.request_id,
-            extra={"total_ms": 0.0, "worker": self.config.worker_id},
-            key=key,
-        )
-
-    # ------------------------------------------------------- shared color path
+    # ------------------------------------------------------------- color path
     async def _serve_color(self, request: ColorRequest) -> tuple[ServedResult, float]:
-        """Admission, deadline, and compute for one parsed request.
+        """Registry check, cache probe, admission and deadline for one request.
 
-        A content-key hit in the result cache is answered *here* — before
-        admission control and without paying the batch window — which is
-        what lets hot cached traffic run at wire speed while misses still
-        batch normally.
+        Every ``color`` frame reaches this one path, and only after
+        :func:`~repro.service.frames.decode_color_request` validated it, so
+        the answer to the same bytes never depends on cache state.  A
+        content-key hit is answered *here* — before admission control and
+        without paying the batch window (``fastpath_hits``) — while misses
+        queue for the batcher's single compute attempt.
         """
-        from repro.core.algorithms.registry import REGISTRY, UnknownAlgorithmError
-
         received = time.monotonic()
-        result = await self._resolve_color(request, REGISTRY, UnknownAlgorithmError)
+        try:
+            REGISTRY.get(request.algorithm)  # cheap pre-admission validation
+        except UnknownAlgorithmError as exc:
+            result = ServedResult(status=STATUS_ERROR, error=str(exc))
+        else:
+            # Peek, not get: an absence here must not double-count the miss
+            # the batcher will count.
+            entry = self.cache.peek(request.key)
+            if entry is not None:
+                self.metrics.counter("cache_hits").inc()
+                self.metrics.counter("fastpath_hits").inc()
+                result = ServedResult(
+                    status=STATUS_OK,
+                    starts=entry.starts,
+                    maxcolor=entry.maxcolor,
+                    source="cache",
+                    compute_seconds=entry.compute_seconds,
+                )
+            elif self.batcher.depth >= self.config.queue_limit:
+                # Admission control: bounded queue, immediate backpressure.
+                self.metrics.counter("rejected_overload").inc()
+                result = ServedResult(
+                    status=STATUS_OVERLOADED,
+                    error=f"queue full ({self.config.queue_limit} requests)",
+                )
+            else:
+                timeout = min(
+                    request.timeout or self.config.default_timeout,
+                    self.config.default_timeout,
+                )
+                if request.timeout is None:
+                    request = replace(request, timeout=timeout)
+                try:
+                    result = await asyncio.wait_for(
+                        self.batcher.submit(request), timeout
+                    )
+                except asyncio.TimeoutError:
+                    self.metrics.counter("request_timeouts").inc()
+                    result = ServedResult(
+                        status=STATUS_TIMEOUT,
+                        error=f"deadline of {timeout:.3f}s expired",
+                    )
         total = time.monotonic() - received
         self.metrics.histogram("request_latency").observe(total)
         if result.ok:
@@ -445,52 +432,6 @@ class ColoringService:
         elif result.status == STATUS_ERROR:
             self.metrics.counter("request_errors").inc()
         return result, total
-
-    async def _resolve_color(
-        self, request: ColorRequest, registry, unknown_error
-    ) -> ServedResult:
-        try:
-            registry.get(request.algorithm)  # cheap pre-admission validation
-        except unknown_error as exc:
-            return ServedResult(status=STATUS_ERROR, error=str(exc))
-
-        # Cache fast path: peek (not get — a fast-path absence must not
-        # double-count the miss the batcher will count) and answer hot keys
-        # without touching the queue.
-        entry = self.cache.peek(request.key)
-        if entry is not None:
-            self.metrics.counter("cache_hits").inc()
-            self.metrics.counter("fastpath_hits").inc()
-            return ServedResult(
-                status=STATUS_OK,
-                starts=entry.starts,
-                maxcolor=entry.maxcolor,
-                source="cache",
-                compute_seconds=entry.compute_seconds,
-            )
-
-        # Admission control: bounded queue, immediate backpressure beyond it.
-        if self.batcher.depth >= self.config.queue_limit:
-            self.metrics.counter("rejected_overload").inc()
-            return ServedResult(
-                status=STATUS_OVERLOADED,
-                error=f"queue full ({self.config.queue_limit} requests)",
-            )
-
-        timeout = min(
-            request.timeout or self.config.default_timeout,
-            self.config.default_timeout,
-        )
-        if request.timeout is None:
-            request = replace(request, timeout=timeout)
-        future = self.batcher.submit(request)
-        try:
-            return await asyncio.wait_for(future, timeout)
-        except asyncio.TimeoutError:
-            self.metrics.counter("request_timeouts").inc()
-            return ServedResult(
-                status=STATUS_TIMEOUT, error=f"deadline of {timeout:.3f}s expired"
-            )
 
     # ------------------------------------------------------- recolor sessions
     async def _serve_recolor(

@@ -124,6 +124,41 @@ class TestServing:
         assert response.status == "invalid"
         assert "GLL" in response.error
 
+    def test_invalid_frame_answer_does_not_depend_on_cache_state(self, client):
+        # Every color frame is validated, so a bad frame sent cold, and the
+        # same bytes sent again once a valid request cached their payload,
+        # get the same ``invalid`` answer.
+        from repro.runtime.fingerprint import content_key
+        from repro.service.frames import OP_COLOR, PAYLOAD_DTYPE, encode_frame
+
+        weights = _grid((8, 8), seed=13)
+        payload = weights.tobytes()
+        key = content_key(weights, "GLF")
+        bad_fields = {
+            "api-2": {"api": 2},
+            "unknown-runtime": {"runtime": "bogus"},
+            "tiled-runtime-glf": {"runtime": "tiled"},
+            "tiles-glf": {"tiles": [4, 4]},
+            "negative-timeout": {"timeout_ms": -1},
+        }
+
+        def answers():
+            out = {}
+            for name, fields in bad_fields.items():
+                header = {"api": 1, "op": "color", "id": name, "shape": [8, 8],
+                          "algorithm": "GLF", "dtype": PAYLOAD_DTYPE, **fields}
+                frame = encode_frame(OP_COLOR, header, payload, key=key)
+                reply = client._run(client._core._roundtrip(frame, name))
+                out[name] = (reply["status"], reply.get("error"))
+            return out
+
+        cold = answers()
+        assert all(status == "invalid" for status, _ in cold.values()), cold
+        warm_up = client.color(weights, "GLF")
+        assert warm_up.ok and warm_up.source == "computed"
+        assert client.color(weights, "GLF").source == "cache"
+        assert answers() == cold
+
     def test_queued_deadline_expires(self, client):
         # A microscopic deadline expires inside the batch window.
         response = client.color(_grid((5, 5), seed=9), "GLL",

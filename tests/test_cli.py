@@ -53,6 +53,27 @@ class TestParser:
         assert args.algorithm == "BDP"
         assert args.shapes == "32x32,48x48"
 
+    @pytest.mark.parametrize(
+        "prefix, full, dest, value",
+        [
+            (["serve", "--spill", "/tmp/x.jsonl"],
+             ["serve", "--spill-dir", "/tmp/x"], "spill_dir", "/tmp/x"),
+            (["loadgen", "--connect", "3"],
+             ["loadgen", "--connect-retries", "3"], "connect_retries", 3),
+            (["campaign", "run", "s.toml", "--resu"],
+             ["campaign", "run", "s.toml", "--resume"], "resume", True),
+        ],
+    )
+    def test_flag_prefixes_are_usage_errors(self, capsys, prefix, full, dest,
+                                            value):
+        # A retired flag that prefixes a live one must fail, not alias it.
+        parser = build_parser()
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(prefix)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert getattr(parser.parse_args(full), dest) == value
+
 
 class TestAlgorithms:
     def test_lists_registry_specs(self, capsys):

@@ -1,20 +1,21 @@
 #!/usr/bin/env python
-"""CI smoke for the scaled service tier: 2 workers, faults, a worker kill.
+"""CI smoke for the scaled service tier: 2 workers and a worker kill.
 
 Starts a router over a pool of worker processes (shared L2 spill
 directory), drives a verified zipf/pipelined loadgen burst through
 it, then kills one worker outright and drives a second burst: every
 request must still be answered bit-identically — by failover to the live
 sibling and a supervised restart — and the merged metrics must record the
-restart.  Workers inherit ``REPRO_FAULTS`` from the environment, so CI
-runs the whole thing under a seeded fault plan on top of the kill.
+restart.  Workers inherit ``REPRO_FAULTS`` from the environment, so a
+seeded fault plan can run on top of the kill; a ``service.compute`` fault
+is answered ``error`` (one compute attempt per request) and so fails the
+run.
 
 Exit status 0 = both bursts fully served and bit-identical with the
 restart observed, 1 = a lost/diverged/errored request or no restart,
 2 = usage.  Run from the repo root::
 
-    REPRO_FAULTS='seed=7;service.compute:error=0.2,max=6' \\
-        PYTHONPATH=src python tools/service_scale_smoke.py
+    PYTHONPATH=src python tools/service_scale_smoke.py
 """
 
 from __future__ import annotations
