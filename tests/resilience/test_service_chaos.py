@@ -176,6 +176,33 @@ class TestLoadgenUnderChaos:
         assert report.ok == 10 - 3
 
 
+class TestComputeFault:
+    def test_compute_fault_answers_error_not_degraded(self):
+        """With no cache to fall back on, a failed compute is answered
+        ``error``; nothing is recomputed behind it, and the next request
+        computes an exact coloring."""
+        install_plan(parse_fault_spec("service.compute:error=1.0,max=1"))
+        weights = np.arange(1, 26).reshape(5, 5)
+        with ServerThread(ServerConfig(cache_size=0)) as thread:
+            with ServiceClient("127.0.0.1", thread.port, timeout=10.0) as client:
+                failed = client.color(weights, "BDP")
+                again = client.color(weights, "BDP")
+                metrics = client.metrics()
+        assert failed.status == "error"
+        assert "InjectedFault" in failed.error
+        assert metrics["counters"]["compute_errors"] == 1
+        assert "degraded_total" not in metrics["counters"]
+        assert again.ok and again.source == "computed"
+        # Differential ground truth against a direct call.
+        from repro.core.algorithms.registry import color_with
+        from repro.core.problem import IVCInstance
+
+        direct = color_with(IVCInstance.from_grid_2d(weights), "BDP")
+        assert np.array_equal(
+            again.starts, np.asarray(direct.starts).reshape(5, 5)
+        )
+
+
 class TestSpillCorruption:
     def test_corrupt_spill_reads_counted_and_degrade_to_miss(self, tmp_path):
         install_plan(
