@@ -1,22 +1,21 @@
-"""Service benchmark — batching, caching, and horizontal scaling.
+"""Service benchmark — caching, coalescing, and horizontal scaling.
 
 The serving half of the online-service acceptance test, in two parts.
 
-**Part 1 — batched+cached vs the unbatched baseline.**  Two server
-configurations run the same repeated-shape workload (the interactive-STKDE
-pattern: a handful of grid geometries re-requested over and over):
+**Part 1 — cached vs the uncached baseline.**  Two server configurations
+run the same repeated-shape workload (the interactive-STKDE pattern: a
+handful of grid geometries re-requested over and over):
 
-* **baseline** — micro-batching off (``max_batch=1``, zero batch window),
-  result cache off, one sequential client connection: every request pays a
-  full geometry lookup + kernel run + round trip on its own.
-* **batched+cached** — micro-batching and the content-addressed cache on,
-  concurrent connections: batches share the per-shape substrate, repeats hit
-  the cache, identical in-flight requests coalesce.
+* **baseline** — result cache off, one sequential client connection: every
+  request pays a full kernel run + round trip on its own.
+* **cached** — the content-addressed cache on, concurrent connections:
+  repeats hit the cache, and identical requests queued or computing at the
+  same time coalesce onto one computation.
 
 Every served coloring in *both* runs is verified bit-for-bit against a
 direct in-process ``color_with`` call, and the report embeds the treatment
-server's metrics snapshot.  Headline claim: batched+cached throughput ≥ 5×
-baseline.
+server's metrics snapshot.  The report keeps its ``batched_cached`` key for
+the cached run.  Headline claim: cached throughput ≥ 5× baseline.
 
 **Part 2 — horizontal scaling.**  A mixed-shape zipf workload drives a
 4-worker router (``stencil-ivc serve --workers 4`` equivalent) with
@@ -55,7 +54,7 @@ from repro.service.loadgen import build_workload, run_loadgen
 from repro.service.router import RouterConfig, RouterThread
 from repro.service.server import ServerConfig, ServerThread
 
-#: The minimum batched+cached over baseline speedup the bench enforces.
+#: The minimum cached over baseline speedup the bench enforces.
 MIN_SPEEDUP = 5.0
 
 #: The minimum peak cached throughput (req/s) the scaling section enforces
@@ -93,8 +92,6 @@ def run_service_benchmark(
     baseline_requests: int = 60,
     requests: int = 300,
     concurrency: int = 8,
-    max_batch: int = 32,
-    batch_window_ms: float = 2.0,
     cache_size: int = 512,
     seed: int = 0,
 ) -> dict:
@@ -103,9 +100,7 @@ def run_service_benchmark(
         shapes, distinct=distinct, algorithm=algorithm, seed=seed
     )
 
-    baseline_config = ServerConfig(
-        port=0, max_batch=1, batch_window=0.0, cache_size=0, compute_threads=1
-    )
+    baseline_config = ServerConfig(port=0, cache_size=0)
     baseline, _ = _measure(
         baseline_config,
         workload,
@@ -114,13 +109,7 @@ def run_service_benchmark(
         seed=seed,
     )
 
-    treatment_config = ServerConfig(
-        port=0,
-        max_batch=max_batch,
-        batch_window=batch_window_ms / 1000.0,
-        cache_size=cache_size,
-        compute_threads=1,
-    )
+    treatment_config = ServerConfig(port=0, cache_size=cache_size)
     treatment, metrics = _measure(
         treatment_config,
         workload,
@@ -153,11 +142,8 @@ def run_service_benchmark(
                 "algorithm": algorithm,
                 "seed": seed,
             },
-            "baseline_config": {"max_batch": 1, "batch_window_ms": 0.0,
-                                "cache_size": 0, "concurrency": 1},
-            "treatment_config": {"max_batch": max_batch,
-                                 "batch_window_ms": batch_window_ms,
-                                 "cache_size": cache_size,
+            "baseline_config": {"cache_size": 0, "concurrency": 1},
+            "treatment_config": {"cache_size": cache_size,
                                  "concurrency": concurrency},
         },
         "baseline": baseline,
@@ -193,10 +179,7 @@ def run_scaling_benchmark(
     workload = build_workload(
         shapes, distinct=distinct, algorithm=algorithm, seed=seed
     )
-    worker_config = ServerConfig(
-        port=0, max_batch=32, batch_window=0.002, queue_limit=256,
-        cache_size=512, compute_threads=1,
-    )
+    worker_config = ServerConfig(port=0, queue_limit=256, cache_size=512)
 
     # --- an N-worker router ---------------------------------------------
     router_config = RouterConfig(
@@ -275,10 +258,10 @@ def format_summary(report: dict) -> str:
     treat = report["batched_cached"]
     status = "bit-identical" if report["all_identical"] else "DIVERGED"
     lines = [
-        f"baseline (unbatched, uncached, serial): "
+        f"baseline (uncached, serial): "
         f"{base['throughput_rps']:.1f} req/s, "
         f"p50 {base['latency_p50_ms']:.2f} ms",
-        f"batched+cached ({treat['concurrency']} conns): "
+        f"cached ({treat['concurrency']} conns): "
         f"{treat['throughput_rps']:.1f} req/s, "
         f"p50 {treat['latency_p50_ms']:.2f} ms, "
         f"p99 {treat['latency_p99_ms']:.2f} ms, "

@@ -478,12 +478,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     config = ServerConfig(
         host=args.host,
         port=args.port,
-        max_batch=args.max_batch,
-        batch_window=args.batch_window_ms / 1000.0,
         queue_limit=args.queue_limit,
         cache_size=args.cache_size,
         spill_dir=args.spill_dir or None,
-        compute_threads=args.compute_threads,
         default_timeout=args.default_timeout,
     )
 
@@ -515,8 +512,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     def announce(service) -> None:
         print(
             f"coloring service on {config.host}:{service.port} "
-            f"(max_batch={config.max_batch}, window={args.batch_window_ms}ms, "
-            f"queue_limit={config.queue_limit}, cache={config.cache_size}, "
+            f"(queue_limit={config.queue_limit}, cache={config.cache_size}, "
             f"wire: {wire}"
             f"{', spill=' + config.spill_dir if config.spill_dir else ''})",
             flush=True,
@@ -1175,9 +1171,10 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the online coloring service",
         description="Serve coloring requests over TCP in binary frames "
-                    "(see docs/service.md): requests are micro-batched by (shape, algorithm) so one "
-                    "geometry/substrate build serves a whole batch, results "
-                    "are cached by content hash, and the queue is bounded "
+                    "(see docs/service.md): cache misses are computed one "
+                    "at a time in arrival order, identical requests share "
+                    "one computation, results are cached by content hash, "
+                    "and the queue is bounded "
                     "(requests beyond --queue-limit get an immediate "
                     "'overloaded' response).",
         epilog="Example: stencil-ivc serve --port 8765 --cache-size 1024 "
@@ -1187,16 +1184,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765,
                    help="TCP port (0 picks an ephemeral port; default 8765)")
-    p.add_argument("--max-batch", type=int, default=32,
-                   help="largest micro-batch dispatched as one unit")
-    p.add_argument("--batch-window-ms", type=float, default=2.0,
-                   help="how long the batcher lingers to fill a batch")
     p.add_argument("--queue-limit", type=int, default=256,
                    help="admission cap; beyond it requests are rejected")
     p.add_argument("--cache-size", type=int, default=512,
                    help="result-cache entries (0 disables caching)")
-    p.add_argument("--compute-threads", type=int, default=1,
-                   help="worker threads executing batches")
     p.add_argument("--default-timeout", type=float, default=30.0,
                    help="per-request deadline cap in seconds")
     p.add_argument("--workers", type=int, default=None, metavar="N",

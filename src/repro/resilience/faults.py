@@ -23,9 +23,10 @@ site               kinds honoured          where
 ``engine.cell``    crash, error, slow      engine worker, per cell attempt
 ``client.send``    drop, partial, slow     service clients, before the write
 ``client.recv``    drop, slow              service clients, before the read
-``service.compute`` error, slow            batcher, before the one
-                                           compute attempt (``error``
-                                           answers the request ``error``)
+``service.compute`` error, slow            compute queue, before an
+                                           entry's one compute attempt
+                                           (``error`` answers every waiter
+                                           of the entry ``error``)
 ``cache.spill.write`` corrupt, torn        result-cache spill-dir write
 ``service.recolor`` crash, error, slow     recolor verb, before seed/delta
                                            state is mutated (retry-safe)

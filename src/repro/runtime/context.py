@@ -20,7 +20,7 @@ Most call sites do not thread a context explicitly; they pick up the
 * inside a :func:`use_context` block, the context given to it (propagated
   through ``contextvars``, so asyncio tasks inherit it automatically —
   but **not** across ``run_in_executor`` threads, which must re-enter
-  ``use_context`` themselves, as the service batcher does);
+  ``use_context`` themselves, as the service compute queue does);
 * otherwise a lazily created process-default built by
   :meth:`ExecutionContext.from_env` — which is exactly the pre-refactor
   behaviour of every module parsing its own env vars at import.

@@ -1,4 +1,4 @@
-"""Online coloring service: shape-batched serving of coloring requests.
+"""Online coloring service: cached, coalesced serving of coloring requests.
 
 The paper's motivating STKDE application computes colorings *on demand* as
 analysts re-bin point data — a serving workload.  This package is the online
@@ -11,8 +11,8 @@ front end over the batch engine and vectorized kernels:
   a ``hello`` frame checking the frame version per connection);
 * :mod:`~repro.service.cache` — content-addressed LRU result cache over
   one disk tier, the spill directory shared by one worker or N;
-* :mod:`~repro.service.batcher` — micro-batching by ``(shape, algorithm)``
-  so one substrate build serves a whole batch, with request coalescing;
+* :mod:`~repro.service.compute` — the FIFO compute queue: one compute
+  thread, identical queued or computing requests coalesced by content key;
 * :mod:`~repro.service.server` — the asyncio TCP server: bounded admission
   queue, per-request deadlines, graceful drain;
 * :mod:`~repro.service.workers` — the supervised multi-process
@@ -28,12 +28,11 @@ Counters, gauges and latency histograms come from :mod:`repro.obs` and are
 snapshotted over the wire by the ``metrics`` op.
 
 Served colorings are bit-identical to direct
-:func:`~repro.core.algorithms.registry.color_with` calls: batching shares
-preprocessing, never computations.
+:func:`~repro.core.algorithms.registry.color_with` calls: the queue shares a
+computation only between requests of equal content.
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.service.batcher import MicroBatcher
 from repro.service.cache import CacheEntry, ResultCache
 from repro.service.client import (
     AsyncServiceClient,
@@ -42,6 +41,7 @@ from repro.service.client import (
     ServiceConnectionError,
     ServiceError,
 )
+from repro.service.compute import ComputeQueue
 from repro.service.frames import (
     FRAME_VERSION,
     SUPPORTED_FRAME_VERSIONS,
@@ -74,6 +74,7 @@ __all__ = [
     "ColorResponse",
     "ColoringRouter",
     "ColoringService",
+    "ComputeQueue",
     "Counter",
     "FRAME_VERSION",
     "Frame",
@@ -82,7 +83,6 @@ __all__ = [
     "Histogram",
     "LoadgenReport",
     "MetricsRegistry",
-    "MicroBatcher",
     "PROTOCOL_API_VERSION",
     "ProtocolError",
     "ResultCache",

@@ -115,8 +115,8 @@ class ResultCache:
         """Like :meth:`get` but an absence is *not* counted as a miss.
 
         The server's cache fast path probes here before admitting a
-        request to the batcher; a fast-path miss falls through to the
-        batcher's own :meth:`get`, which counts it exactly once.
+        request to the compute queue; a fast-path miss falls through to the
+        queue's own :meth:`get`, which counts it exactly once.
         """
         return self._lookup(key, count_miss=False)
 

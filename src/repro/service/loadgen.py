@@ -5,7 +5,7 @@ over a handful of shapes, sampled with replacement — and fires it at a
 server over ``concurrency`` parallel connections.  That is the serving
 pattern the paper's interactive STKDE application produces: analysts re-bin
 the same few grid geometries over and over, so shapes (and often whole
-requests) repeat and the server's substrate sharing, micro-batching, and
+requests) repeat and the server's substrate sharing, coalescing, and
 result cache all engage.
 
 With ``verify=True`` every served start vector is compared bit-for-bit

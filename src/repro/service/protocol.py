@@ -150,11 +150,6 @@ class ColorRequest:
     def shape(self) -> tuple[int, ...]:
         return tuple(int(s) for s in self.weights.shape)
 
-    @property
-    def group(self) -> tuple:
-        """The micro-batching group: same shape, same algorithm."""
-        return (self.shape, self.algorithm)
-
 
 #: Wire error code answered to a delta whose session the server lost.
 UNKNOWN_SESSION_CODE = "unknown-session"
@@ -240,11 +235,13 @@ def recolor_from_arrays(
 
 @dataclass(frozen=True)
 class ServedResult:
-    """The outcome of one request, as resolved by the batcher.
+    """The outcome of one request, as resolved by the compute queue.
 
     ``source`` records how the result was produced: ``computed`` (a kernel
     run), ``cache`` (content-addressed cache hit), or ``coalesced``
-    (deduplicated against an identical request in the same micro-batch).
+    (answered by the computation of an identical request that was queued or
+    computing when it arrived).  ``batch_size`` is the number of requests
+    that one computation (or cache read) answered.
     """
 
     status: str

@@ -615,8 +615,8 @@ class ColoringRouter:
         }
         snap["workers"] = per_worker
         snap["fleet"] = merge_snapshots(mergeable) if mergeable else {}
-        # The fast-path/batcher split lives in the workers; surface the
-        # fleet-wide cache hit counters at top level for convenience.
+        # Cache hits are counted in the workers; surface the fleet-wide
+        # total at top level for convenience.
         fleet_counters = snap["fleet"].get("counters", {})
         snap["counters"].setdefault(
             "fleet_cache_hits", fleet_counters.get("cache_hits", 0)

@@ -1,10 +1,10 @@
 """The asyncio coloring server: admission control, deadlines, graceful drain.
 
-:class:`ColoringService` ties the protocol, cache, micro-batcher, and metrics
+:class:`ColoringService` ties the protocol, cache, compute queue, and metrics
 together behind a TCP endpoint that speaks binary frames
 (:mod:`repro.service.frames`):
 
-* **Admission control / backpressure** — a request arriving while the batcher
+* **Admission control / backpressure** — a request arriving while the compute
   queue already holds ``queue_limit`` requests is answered ``overloaded``
   immediately instead of being buffered without bound; clients treat that as
   a retry-later signal.
@@ -14,7 +14,7 @@ together behind a TCP endpoint that speaks binary frames
   the cache.
 * **Graceful drain** — shutdown closes the listener, lets queued requests
   finish (bounded by ``drain_timeout``), flushes responses, then stops the
-  batcher.
+  compute queue.
 
 :class:`ServerThread` runs the whole service on a private event loop in a
 daemon thread — the harness used by the benchmark, the load generator's
@@ -36,8 +36,8 @@ from repro.core.algorithms.registry import REGISTRY, UnknownAlgorithmError
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.context import ExecutionContext, get_context
-from repro.service.batcher import MicroBatcher
 from repro.service.cache import ResultCache
+from repro.service.compute import ComputeQueue
 from repro.resilience.faults import inject
 from repro.service.frames import (
     OP_COLOR,
@@ -82,13 +82,10 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; read the bound port off `service.port`
-    max_batch: int = 32
-    batch_window: float = 0.002  # seconds the batcher lingers to fill a batch
     queue_limit: int = 256  # admission cap; beyond it requests are rejected
     cache_size: int = 512  # result-cache entries (0 disables caching)
     spill_dir: Optional[str] = None  # the cache's disk tier and session journals
     worker_id: str = "w0"  # identity stamped on responses and /metrics
-    compute_threads: int = 1
     default_timeout: float = 30.0  # per-request deadline cap, seconds
     drain_timeout: float = 30.0  # graceful-shutdown budget, seconds
     runtime: Optional[RuntimeConfig] = None  # None = inherit the ambient context's
@@ -124,14 +121,7 @@ class ColoringService:
             capacity=self.config.cache_size,
             spill_dir=self.config.spill_dir,
         )
-        self.batcher = MicroBatcher(
-            self.cache,
-            self.metrics,
-            max_batch=self.config.max_batch,
-            batch_window=self.config.batch_window,
-            compute_threads=self.config.compute_threads,
-            context=self.context,
-        )
+        self.queue = ComputeQueue(self.cache, self.metrics, self.context)
         incr = self.context.config.incremental
         self.durability: Optional[SessionDurability] = None
         if self.config.spill_dir:
@@ -166,7 +156,7 @@ class ColoringService:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        await self.batcher.start()
+        await self.queue.start()
         self._shutdown_requested = asyncio.Event()
         self._recolor_lock = asyncio.Lock()
         self._server = await asyncio.start_server(
@@ -191,7 +181,7 @@ class ColoringService:
         """Graceful drain: stop accepting, finish queued work, close.
 
         The whole drain shares one ``drain_timeout`` budget.  If it expires
-        with requests still queued or in flight, the batcher answers them
+        with requests still queued or in flight, the compute queue answers them
         (``overloaded`` / ``timeout``) rather than hanging the stop, and the
         expiry is counted in the ``drain_expired`` metric.  Connection
         handlers then get a short grace period to flush those responses;
@@ -204,10 +194,8 @@ class ColoringService:
             self._server.close()
             await self._server.wait_closed()
         remaining = max(0.0, deadline - time.monotonic())
-        drained = await self.batcher.drain(remaining)
-        if not drained:
+        if not await self.queue.stop(remaining):
             self.metrics.counter("drain_expired").inc()
-        await self.batcher.stop(drain=False, timeout=0.0)
         if self._connections:
             _done, lingering = await asyncio.wait(self._connections, timeout=1.0)
             for task in lingering:
@@ -378,9 +366,9 @@ class ColoringService:
         Every ``color`` frame reaches this one path, and only after
         :func:`~repro.service.frames.decode_color_request` validated it, so
         the answer to the same bytes never depends on cache state.  A
-        content-key hit is answered *here* — before admission control and
-        without paying the batch window (``fastpath_hits``) — while misses
-        queue for the batcher's single compute attempt.
+        content-key hit is answered *here*, before admission control
+        (``fastpath_hits``), while misses queue for the compute queue's
+        single attempt.
         """
         received = time.monotonic()
         try:
@@ -389,7 +377,7 @@ class ColoringService:
             result = ServedResult(status=STATUS_ERROR, error=str(exc))
         else:
             # Peek, not get: an absence here must not double-count the miss
-            # the batcher will count.
+            # the compute queue will count.
             entry = self.cache.peek(request.key)
             if entry is not None:
                 self.metrics.counter("cache_hits").inc()
@@ -401,7 +389,7 @@ class ColoringService:
                     source="cache",
                     compute_seconds=entry.compute_seconds,
                 )
-            elif self.batcher.depth >= self.config.queue_limit:
+            elif self.queue.depth >= self.config.queue_limit:
                 # Admission control: bounded queue, immediate backpressure.
                 self.metrics.counter("rejected_overload").inc()
                 result = ServedResult(
@@ -417,7 +405,7 @@ class ColoringService:
                     request = replace(request, timeout=timeout)
                 try:
                     result = await asyncio.wait_for(
-                        self.batcher.submit(request), timeout
+                        self.queue.submit(request), timeout
                     )
                 except asyncio.TimeoutError:
                     self.metrics.counter("request_timeouts").inc()
@@ -631,11 +619,8 @@ class ColoringService:
             "worker_id": self.config.worker_id,
             "wire_protocols": list(WIRE_PROTOCOLS),
             "uptime_seconds": time.monotonic() - self._started_at,
-            "queue_depth": self.batcher.depth,
+            "queue_depth": self.queue.depth,
             "queue_limit": self.config.queue_limit,
-            "max_batch": self.config.max_batch,
-            "batch_window_ms": self.config.batch_window * 1000.0,
-            "compute_threads": self.config.compute_threads,
             "cache_size": self.config.cache_size,
             **self.config.extra_metadata,
         }

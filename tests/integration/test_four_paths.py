@@ -12,7 +12,7 @@ four routes to a coloring:
    supervised process pool, workers rebuilding contexts from the shipped
    ``RuntimeConfig``;
 4. **service** — a live :class:`ServerThread` over sockets, with
-   micro-batching and caching in between.
+   the compute queue and caching in between.
 
 All four must agree start-for-start.  This is the acceptance gate for the
 ``repro.runtime`` refactor: threading an ExecutionContext through every
@@ -48,8 +48,7 @@ CASES = [
 @pytest.fixture(scope="module")
 def server():
     config = ServerConfig(
-        port=0, max_batch=8, batch_window=0.001, queue_limit=128,
-        cache_size=64, compute_threads=2, default_timeout=30.0,
+        port=0, queue_limit=128, cache_size=64, default_timeout=30.0,
     )
     with ServerThread(config) as thread:
         yield thread

@@ -118,7 +118,6 @@ class TestLoadgenUnderChaos:
         config = ServerConfig(
             cache_size=2,  # tiny: forces evictions, so reads hit the spill
             spill_dir=str(spill),
-            compute_threads=2,
         )
         with ServerThread(config) as thread:
             workload = build_workload(
@@ -240,25 +239,30 @@ class TestDrainUnderPressure:
     def test_drain_deadline_answers_stragglers(self):
         """A wedged/slow compute must not hang stop(): queued requests are
         answered overloaded, in-flight ones timeout, within the budget."""
-        install_plan(parse_fault_spec("service.compute:slow=1.0,delay=0.6"))
+        install_plan(parse_fault_spec("service.compute:slow=1.0,delay=1.0"))
         config = ServerConfig(
-            compute_threads=1, drain_timeout=0.2, batch_window=0.0,
-            cache_size=0, default_timeout=30.0,
+            drain_timeout=0.2, cache_size=0, default_timeout=30.0,
         )
         thread = ServerThread(config).start()
+        queue = thread.service.queue
 
         async def pressure():
             clients = [
                 AsyncServiceClient("127.0.0.1", thread.port, timeout=30.0)
                 for _ in range(4)
             ]
-            # Distinct shapes so each request is its own batch group.
+            for c in clients:
+                await c.connect()
+            # Distinct grids so each request is its own queue entry.
             grids = [np.full((3 + i, 4), 5, dtype=np.int64) for i in range(4)]
             tasks = [
                 asyncio.create_task(c.color(g, "GLL", request_id=f"r{i}"))
                 for i, (c, g) in enumerate(zip(clients, grids))
             ]
-            await asyncio.sleep(0.15)  # one computing, the rest queued
+            deadline = time.monotonic() + 10.0
+            while queue.depth < 3:  # one computing, the rest queued
+                assert time.monotonic() < deadline, "requests never queued"
+                await asyncio.sleep(0.005)
             t0 = time.monotonic()
             await asyncio.to_thread(thread.stop)
             stop_elapsed = time.monotonic() - t0
@@ -268,12 +272,11 @@ class TestDrainUnderPressure:
             return stop_elapsed, responses
 
         stop_elapsed, responses = asyncio.run(pressure())
-        # stop() returned well under the wedged-compute serial time (2.4s
-        # of injected sleeps through one thread) — the drain budget held.
+        # stop() returned well under the wedged-compute serial time (4s of
+        # injected sleeps through one thread) — the drain budget held.
         assert stop_elapsed < 2.0
         statuses = sorted(r.status for r in responses)
-        assert all(s in ("ok", "overloaded", "timeout") for s in statuses)
-        assert any(s != "ok" for s in statuses)  # pressure actually bit
+        assert statuses == ["overloaded"] * 3 + ["timeout"]
         snapshot = thread.service.metrics.snapshot()
         assert snapshot["counters"].get("drain_expired", 0) == 1
 
@@ -335,7 +338,7 @@ class TestRecolorMirrorAfterLostReply:
         updated = weights.copy()
         updated.ravel()[idx] = vals
         cold = full_recolor(updated, "GLF")
-        with ServerThread(ServerConfig(compute_threads=1)) as thread:
+        with ServerThread(ServerConfig()) as thread:
             client = make("127.0.0.1", thread.port, timeout=10.0, retry=RETRY)
             try:
                 seeded = run(client.recolor_open("s", weights, "GLF"))

@@ -154,7 +154,8 @@ class TestRequestWire:
         decoded = _via_frame(request)
         assert decoded.weights.shape == (3, 4, 5)
         assert decoded.fast is True
-        assert decoded.group == ((3, 4, 5), "BDP")
+        assert decoded.shape == (3, 4, 5)
+        assert decoded.algorithm == "BDP"
 
     # Refusals of a color or recolor request, on a real frame through
     # decode_color_request / decode_recolor_request (the api-version and

@@ -110,7 +110,7 @@ class TestSessionStore:
 @pytest.fixture(scope="module")
 def server():
     config = ServerConfig(
-        port=0, compute_threads=2, default_timeout=20.0, cache_size=8,
+        port=0, default_timeout=20.0, cache_size=8,
     )
     with ServerThread(config) as thread:
         yield thread

@@ -35,8 +35,7 @@ def router():
         port=0,
         workers=2,
         worker_config=ServerConfig(
-            max_batch=16, batch_window=0.002, queue_limit=64,
-            cache_size=32, compute_threads=1, default_timeout=20.0,
+            queue_limit=64, cache_size=32, default_timeout=20.0,
         ),
     )
     with RouterThread(config) as thread:

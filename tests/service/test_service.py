@@ -2,7 +2,7 @@
 
 A :class:`~repro.service.server.ServerThread` is started per test class on
 an ephemeral port; clients exercise the full protocol path: admission,
-micro-batching, caching, coalescing, deadlines, metrics, and graceful
+the compute queue, caching, coalescing, deadlines, metrics, and graceful
 shutdown — and every served coloring is checked bit-for-bit against a
 direct :func:`~repro.core.algorithms.registry.color_with` call.
 """
@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.algorithms.registry import color_with
 from repro.core.problem import IVCInstance
+from repro.resilience import clear_plan, install_plan, parse_fault_spec
 from repro.service.client import AsyncServiceClient, ServiceClient
 from repro.service.loadgen import build_workload, run_loadgen
 from repro.service.server import ServerConfig, ServerThread
@@ -28,8 +29,7 @@ from tests.service.conftest import (
 @pytest.fixture(scope="module")
 def server():
     config = ServerConfig(
-        port=0, max_batch=16, batch_window=0.002, queue_limit=64,
-        cache_size=32, compute_threads=2, default_timeout=20.0,
+        port=0, queue_limit=64, cache_size=32, default_timeout=20.0,
     )
     with ServerThread(config) as thread:
         yield thread
@@ -160,7 +160,7 @@ class TestServing:
         assert answers() == cold
 
     def test_queued_deadline_expires(self, client):
-        # A microscopic deadline expires inside the batch window.
+        # A microscopic deadline expires before the compute thread answers.
         response = client.color(_grid((5, 5), seed=9), "GLL",
                                 timeout=1e-6, request_id="doomed")
         assert response.status == "timeout"
@@ -218,6 +218,8 @@ class TestServing:
         assert_preamble_death_counted(server.port)
 
     def test_coalescing_identical_concurrent_requests(self, server):
+        # The first request's computation is held, so the other five arrive
+        # while it runs and join it: one color_with call answers all six.
         weights = _grid((10, 10), seed=6)
 
         async def burst():
@@ -232,20 +234,32 @@ class TestServing:
                 for c in clients:
                     await c.close()
 
-        responses = asyncio.run(burst())
+        before = server.service.metrics.snapshot()["counters"]
+        install_plan(parse_fault_spec("service.compute:slow=1.0,delay=0.3,max=1"))
+        try:
+            responses = asyncio.run(burst())
+        finally:
+            clear_plan()
+        after = server.service.metrics.snapshot()["counters"]
+
+        def delta(name):
+            return after.get(name, 0) - before.get(name, 0)
+
         assert all(r.ok for r in responses)
-        starts = {r.starts.tobytes() for r in responses}
-        assert len(starts) == 1  # all identical
+        assert sorted(r.source for r in responses) == ["coalesced"] * 5 + ["computed"]
+        assert all(r.batch_size == 6 for r in responses)
+        assert delta("cache_misses") == 1
+        assert delta("requests_coalesced") == 5
+        assert delta("registry.dispatch") == 1
         direct = color_with(IVCInstance.from_grid_2d(weights), "GZO")
-        assert responses[0].starts.ravel().tolist() == direct.starts.tolist()
-        # At most one computation; the rest were coalesced or cache hits.
-        computed = [r for r in responses if r.source == "computed"]
-        assert len(computed) <= 1
+        for r in responses:
+            assert r.starts.ravel().tobytes() == direct.starts.tobytes()
+            assert r.maxcolor == direct.maxcolor
 
 
 class TestBackpressure:
     def test_zero_queue_limit_rejects_immediately(self):
-        config = ServerConfig(port=0, queue_limit=0, batch_window=0.0)
+        config = ServerConfig(port=0, queue_limit=0)
         with ServerThread(config) as thread:
             with ServiceClient("127.0.0.1", thread.port) as client:
                 response = client.color(_grid((4, 4)), "GLL")

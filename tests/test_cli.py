@@ -42,9 +42,18 @@ class TestParser:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.port == 8765
-        assert args.max_batch == 32
-        assert args.batch_window_ms == pytest.approx(2.0)
         assert args.queue_limit == 256
+
+    @pytest.mark.parametrize(
+        "flag", [["--max-batch", "4"], ["--batch-window-ms", "0"],
+                 ["--compute-threads", "2"]],
+    )
+    def test_retired_serve_flags_are_usage_errors(self, capsys, flag):
+        # One compute thread runs a FIFO queue: no batch or thread knobs.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_loadgen_defaults(self):
         args = build_parser().parse_args(["loadgen"])

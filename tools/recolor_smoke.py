@@ -68,7 +68,7 @@ def main(argv: list[str]) -> int:
     retried = 0
     unknown_recoveries = 0
 
-    config = ServerConfig(port=0, compute_threads=1, default_timeout=30.0)
+    config = ServerConfig(port=0, default_timeout=30.0)
     with ServerThread(config) as thread:
         client = ServiceClient(
             "127.0.0.1", thread.port, timeout=30.0,

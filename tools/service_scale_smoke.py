@@ -63,8 +63,7 @@ def main(argv: list[str]) -> int:
         port=0,
         workers=args.workers,
         worker_config=ServerConfig(
-            max_batch=16, batch_window=0.002, queue_limit=128,
-            cache_size=64, compute_threads=1, default_timeout=30.0,
+            queue_limit=128, cache_size=64, default_timeout=30.0,
         ),
     )
     workload = build_workload(

@@ -78,7 +78,7 @@ def main(argv: list[str]) -> int:
         port=0,
         workers=2,
         worker_config=ServerConfig(
-            compute_threads=1, default_timeout=30.0,
+            default_timeout=30.0,
             runtime=RuntimeConfig(durability=DurabilityConfig(
                 checkpoint_interval=args.checkpoint_interval,
             )),
