@@ -247,17 +247,17 @@ def recolor(
     algorithm: str = "GLL",
     runtime: Union[None, RuntimeConfig, ExecutionContext] = None,
     validate: Optional[bool] = None,
-    max_cone_fraction: Optional[float] = None,
 ) -> ColoringResult:
     """Patch an existing coloring for a sparse weight delta.
 
     Instead of recoloring the whole grid, recompute only what can differ
-    (:mod:`repro.incremental`): under GLL and GZO, the order from the
-    first dirty cell on, in one pass; under GLF, the dependency cone of
-    the changed cells.  The result is
-    **bit-identical** to ``color(weights, algorithm)`` — other algorithms,
-    and GLF deltas whose cone outgrows ``max_cone_fraction`` of the grid,
-    transparently take a full recolor (``mode="incremental-fallback"``).
+    (:mod:`repro.incremental`): under GLL, GZO and GLF, one compiled walk
+    first-fits again only the cells the changed cells can reach, in the
+    algorithm's order.  The result is **bit-identical** to
+    ``color(weights, algorithm)`` — other algorithms, walks that outgrow
+    a fixed share of the grid, and every delta when no C compiler is
+    available transparently take a full recolor
+    (``mode="incremental-fallback"``).
 
     Parameters
     ----------
@@ -281,18 +281,19 @@ def recolor(
     runtime:
         ``None`` (ambient context), a :class:`RuntimeConfig` (fresh
         context), or an :class:`ExecutionContext`.
-    validate / max_cone_fraction:
-        Overrides for the context's
-        :class:`~repro.runtime.config.IncrementalConfig` — diff against a
-        full recolor / GLF cone budget as a grid fraction.
+    validate:
+        Override for the context's
+        :class:`~repro.runtime.config.IncrementalConfig`: diff against a
+        full recolor.
 
     Returns
     -------
     ColoringResult
         ``provenance["recolor"]`` carries the delta provenance: cells
-        dirtied, cells recomputed, cells changed, levels the GLF cone
-        walk touched (0 for the GLL and GZO suffix passes), whether the cone spliced back early, and the fallback
-        reason if one engaged.
+        dirtied, cells the walk placed, cells changed, distinct keys of the
+        order the walk placed (weight levels for GLF), whether the walk
+        ended before the end of the order, and the fallback reason if one
+        engaged.
     """
     if runtime is None:
         ctx = get_context()
@@ -334,7 +335,6 @@ def recolor(
         algorithm=algorithm,
         context=ctx,
         validate=validate,
-        max_cone_fraction=max_cone_fraction,
     )
     mode = (
         "incremental" if outcome.mode == "incremental" else "incremental-fallback"

@@ -7,15 +7,15 @@ cell's start depends only on its *predecessor* neighbors (earlier wavefront
 level), so a sparse weight delta can only perturb the cells scheduled after
 the dirty ones:
 
-* :mod:`repro.incremental.cone` — GLF's sparse forward propagation: process
-  weight levels in increasing order, recompute only candidate cells
-  (dirty, or adjacent to a cell whose interval changed), and stop at the
-  fixpoint where the recomputed starts rejoin the old coloring.
+* :mod:`repro.incremental.cone` — the walk: first-fit again only the cells
+  a delta can reach, in the order's key (a static rank for GLL and GZO,
+  ``-weight`` for GLF), with one call of the compiled
+  :func:`repro.kernels.native.cone_walk`.
 * :mod:`repro.incremental.engine` — :func:`recolor_grid`, the policy layer:
-  algorithm support (GLF walks the cone; GLL, whose changes cascade to the
-  last column, and GZO rerun their order from the first dirty cell in one
-  pass; everything else falls back to an always-correct full recolor), GLF's ``max_cone_fraction`` budget, the ``validate=``
-  diff mode, and per-context metrics.
+  GLL, GZO and GLF deltas go through the walk; other algorithms, walks
+  past a fixed share of the grid and every delta without a C compiler
+  fall back to an always-correct full recolor; the ``validate=`` diff
+  mode and per-context metrics.
 
 Layering: this package may depend on ``repro.kernels`` and ``repro.core``
 but never on ``repro.service`` or ``repro.tiling`` — ``repro/api.py`` stays

@@ -5,40 +5,36 @@ when to give up:
 
 Supported algorithms
 --------------------
-``GLL`` and ``GZO``
-    No cone walk: one pass over the *suffix* of the order.  Neither order
-    depends on the weights, so every cell before the first dirty cell's
-    position ``pos`` in the order sees the same weights and the same
-    earlier neighbours as in the base coloring, and keeps its start.  The
-    pass resets the cells from ``pos`` on to ``UNCOLORED`` and places them
-    in order with one call of the compiled first-fit loop: a later
-    neighbour reads as uncolored, as in a fresh scan.  GLL goes through
-    :func:`repro.kernels.halo.gll_suffix` (the tiler's band kernel resumes
-    the scan the same way) and reads only the earlier half of the
-    stencil; GZO reads the full stencil over the cached Morton order.
-    Each costs at most one kernel pass, so neither has a cone budget or
-    falls back, and ``levels_touched`` is 0.
-``GLF``
-    The cone walk (:mod:`repro.incremental.cone`).  The heaviest-first
-    order is a stable ``argsort(-weights)``, so the walk derives its
-    levels from the new weights: no schedule, no argsort, no Kahn rebuild
-    per delta.  A weight delta can only move dirty cells relative to
-    their neighbors — two clean cells never swap — so seeds are the dirty
-    cells **plus their neighbors** (whose predecessor sets may have gained
-    or lost a dirty cell).
+``GLL``, ``GZO`` and ``GLF`` are each one first-fit scan in a fixed order,
+so every delta of theirs goes through one walk
+(:func:`repro.incremental.cone.propagate_cone`, one call of the compiled
+:func:`repro.kernels.native.cone_walk`): it first-fits again only the
+cells the delta can reach, in the order's key — a static rank per shape
+for GLL and GZO (cached on the shape's substrate), ``-weight`` for GLF —
+and is bit-identical to a full recolor.
 
-Everything else — GSL's cascading smallest-last removal can reorder distant
-pairs, BD/BDP are not single-pass greedy scans — takes the always-correct
-fallback: a full from-scratch recolor through the ordinary registry path,
-still bit-identical by definition.  GLF also falls back once its cone
-exceeds ``max_cone_fraction`` of the grid (``"cone-budget"``), at which
-point one monolithic kernel pass is cheaper than continuing the walk; a
-delta whose seeds alone exceed the budget falls back without walking at
-all.
+Fallbacks
+---------
+Every fallback is a full from-scratch recolor through the ordinary
+registry path, bit-identical by definition:
+
+* ``"unsupported-algorithm"``: GSL's cascading smallest-last removal can
+  reorder distant pairs, and BD/BDP are not single-pass greedy scans.
+* ``"cone-budget"``: a delta dirtying more than :data:`CONE_CUTOFF` of
+  the grid's cells falls back without walking, and a GLF walk stops once
+  it has placed that many.  A walk costs more per cell than a full pass
+  (its queue and its predecessor tests), so the cutoff is set where an
+  aborted GLF walk plus its full recolor, or a GLL or GZO walk over the
+  whole grid, still costs about two full recolors (measured in
+  ``docs/incremental.md``).  GLL and GZO walks never stop: their bitset
+  queue keeps even a walk that cascades over the whole grid within that
+  bound, and GLL cascades often.
+* ``"no-compiler"``: the walk is compiled C only; without a C compiler
+  every delta is a full recolor.
 
 Metrics (on the context registry): ``recolor_calls``, ``recolor_cone_cells``
-(cells recomputed by GLF cone walks and the GLL/GZO suffix passes),
-``recolor_fallbacks``, and the ``recolor_splice_seconds`` latency histogram.
+(cells the walks placed), ``recolor_fallbacks``, and the
+``recolor_splice_seconds`` latency histogram.
 """
 
 from __future__ import annotations
@@ -50,14 +46,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.incremental.cone import ConeResult, propagate_cone
-from repro.kernels.halo import gll_positions, gll_suffix
+from repro.kernels import native
 from repro.kernels.substrate import (
-    StencilLayout,
+    Substrate,
     get_substrate,
     shared_geometry_2d,
     shared_geometry_3d,
 )
-from repro.kernels.wavefront import first_fit_pass
 
 __all__ = [
     "SUPPORTED_ALGORITHMS",
@@ -67,9 +62,13 @@ __all__ = [
     "recolor_grid",
 ]
 
-#: Algorithms patched without a full recolor: GLL and GZO by one suffix
-#: pass, GLF by the cone walk.
+#: Algorithms patched by the walk instead of a full recolor.
 SUPPORTED_ALGORITHMS = frozenset({"GLL", "GZO", "GLF"})
+
+#: The share of a grid's cells past which a delta falls back to a full
+#: recolor: more dirty cells than this, or a GLF walk that places more
+#: (``docs/incremental.md`` has the measured worst cases behind it).
+CONE_CUTOFF = 0.25
 
 
 class RecolorValidationError(AssertionError):
@@ -85,11 +84,11 @@ class RecolorOutcome:
     algorithm: str
     mode: str  # "incremental" | "fallback"
     cells_dirty: int
-    cells_recomputed: int  # 0 in fallback mode (the kernel touched all)
+    cells_recomputed: int  # cells the walk placed; 0 in fallback mode
     cells_changed: int  # starts that differ from the base coloring
-    levels_touched: int
-    spliced: bool  # cone rejoined the old coloring before the last level
-    fallback_reason: Optional[str]  # "unsupported-algorithm" | "cone-budget"
+    levels_touched: int  # distinct keys the walk placed
+    spliced: bool  # the walk ended before the last key of the order
+    fallback_reason: Optional[str]  # see the module docstring
     elapsed: float
 
     def stats(self) -> dict:
@@ -118,20 +117,14 @@ def _as_grid(name: str, array, shape=None) -> np.ndarray:
     return grid
 
 
-def _instance_for(weights: np.ndarray):
-    from repro.core.problem import IVCInstance
-
-    if weights.ndim == 2:
-        return IVCInstance.from_grid_2d(weights, name="recolor")
-    return IVCInstance.from_grid_3d(weights, name="recolor")
-
-
 def full_recolor(weights: np.ndarray, algorithm: str, context=None) -> np.ndarray:
     """Grid-shaped starts of a from-scratch recolor (the ground truth)."""
     from repro.core.algorithms.registry import color_with
+    from repro.core.problem import IVCInstance
 
     weights = _as_grid("weights", weights)
-    coloring = color_with(_instance_for(weights), algorithm, context=context)
+    make = IVCInstance.from_grid_2d if weights.ndim == 2 else IVCInstance.from_grid_3d
+    coloring = color_with(make(weights, name="recolor"), algorithm, context=context)
     return np.asarray(coloring.starts, dtype=np.int64).reshape(weights.shape)
 
 
@@ -153,68 +146,12 @@ def _normalize_dirty(
     return idx[np.diff(idx, prepend=-1) > 0]
 
 
-def _layout(shape: tuple[int, ...], context) -> StencilLayout:
-    """The shape's layout, built once per shape in the context's substrate."""
+def _substrate(shape: tuple[int, ...], context) -> Substrate:
+    """The shape's substrate, built once per shape in the context."""
     geometry = (shared_geometry_2d if len(shape) == 2 else shared_geometry_3d)(
         *shape, context=context
     )
-    return get_substrate(geometry, context=context).layout
-
-
-def _gll_suffix_pass(
-    weights: np.ndarray, base: np.ndarray, dirty_idx: np.ndarray, layout: StencilLayout
-) -> ConeResult:
-    """GLL starts recomputed from the first dirty position of the order on."""
-    pos = int(gll_positions(dirty_idx, weights.shape).min())
-    old = base.ravel()
-    starts = gll_suffix(layout, weights, old, pos)
-    return ConeResult(
-        starts=starts,
-        cells_recomputed=weights.size - pos,
-        cells_changed=int(np.count_nonzero(starts != old)),
-        levels_touched=0,
-        spliced=False,
-    )
-
-
-def _gzo_suffix_pass(
-    weights: np.ndarray, base: np.ndarray, dirty_idx: np.ndarray, context
-) -> ConeResult:
-    """GZO starts recomputed from the first dirty position of the order on."""
-    from repro.core.orderings import zorder_order
-
-    instance = _instance_for(weights)
-    layout = get_substrate(instance.geometry, context=context).layout
-    order = zorder_order(instance)
-    dirty = np.zeros(weights.size, dtype=bool)
-    dirty[dirty_idx] = True
-    pos = int(np.argmax(dirty[order]))
-    old = base.ravel()
-    starts = first_fit_pass(
-        layout, weights.ravel(), layout.interior[order[pos:]], old, fresh=True
-    )
-    return ConeResult(
-        starts=starts,
-        cells_recomputed=weights.size - pos,
-        cells_changed=int(np.count_nonzero(starts != old)),
-        levels_touched=0,
-        spliced=False,
-    )
-
-
-def _seeds(layout: StencilLayout, dirty_idx: np.ndarray) -> np.ndarray:
-    """GLF's seeds: the dirty cells and their 1-ring.
-
-    A dirty cell may have moved across its neighbors in the weight order,
-    changing *their* predecessor sets without any start moving yet.
-    (Stable argsort: clean pairs never swap, so no seed beyond the dirty
-    1-ring is ever needed.)
-    """
-    n = layout.interior.size
-    seeded = np.zeros(n + 1, dtype=bool)  # slot n: off-grid neighbours
-    seeded[layout.neighbors(dirty_idx)] = True
-    seeded[dirty_idx] = True
-    return np.flatnonzero(seeded[:n])
+    return get_substrate(geometry, context=context)
 
 
 def recolor_grid(
@@ -225,7 +162,6 @@ def recolor_grid(
     algorithm: str = "GLL",
     context=None,
     validate: Optional[bool] = None,
-    max_cone_fraction: Optional[float] = None,
 ) -> RecolorOutcome:
     """Patch ``base_starts`` for a weight delta, bit-identical to full recolor.
 
@@ -239,7 +175,7 @@ def recolor_grid(
     dirty:
         Flat C-order integer indices of the cells whose weight changed
         (not a boolean mask).  Extra (actually-clean) indices are safe —
-        they only widen the cone.
+        they only widen the walk.
     algorithm:
         Registry algorithm name the base coloring was produced with.
     context:
@@ -249,10 +185,6 @@ def recolor_grid(
         Diff the result against a full recolor and raise
         :class:`RecolorValidationError` on divergence (default from
         ``context.config.incremental.validate``).
-    max_cone_fraction:
-        Cone budget override (default from config); a GLF walk aborts into
-        the fallback once more than this fraction of cells was recomputed.
-        The GLL and GZO suffix passes have no budget.
     """
     from repro.runtime.context import get_context
 
@@ -260,11 +192,6 @@ def recolor_grid(
     cfg = ctx.config.incremental
     if validate is None:
         validate = cfg.validate
-    fraction = (
-        cfg.max_cone_fraction if max_cone_fraction is None else max_cone_fraction
-    )
-    if not (0.0 < fraction <= 1.0):
-        raise ValueError(f"max_cone_fraction must be in (0, 1], got {fraction!r}")
 
     weights = _as_grid("weights", weights)
     base = _as_grid("base_starts", base_starts, weights.shape)
@@ -281,24 +208,22 @@ def recolor_grid(
         cone = ConeResult(base.ravel(), 0, 0, 0, spliced=True)
     elif algorithm not in SUPPORTED_ALGORITHMS:
         fallback_reason = "unsupported-algorithm"
-    elif algorithm == "GLL":
-        cone = _gll_suffix_pass(
-            weights, base, dirty_idx, _layout(weights.shape, ctx)
-        )
-    elif algorithm == "GZO":
-        cone = _gzo_suffix_pass(weights, base, dirty_idx, ctx)
+    elif native.path() != "native":
+        fallback_reason = "no-compiler"
     else:
-        layout = _layout(weights.shape, ctx)
-        seeds = _seeds(layout, dirty_idx)
-        budget = max(1, int(fraction * n))
-        # Every seed is recomputed at least once, so a seed set past the
-        # budget would abort the walk anyway.
-        if seeds.size <= budget:
-            dirty_mask = np.zeros(n, dtype=bool)
-            dirty_mask[dirty_idx] = True
-            cone = propagate_cone(
-                layout.neighbors, base.ravel(), weights.ravel(),
-                seeds, dirty_mask, budget,
+        budget = int(CONE_CUTOFF * n)
+        # Every dirty cell is placed at least once, so a denser delta
+        # would walk at least that far.
+        if dirty_idx.size <= budget:
+            substrate = _substrate(weights.shape, ctx)
+            ranking = None  # GLF: heaviest first, keyed by the new weights
+            if algorithm == "GLL":
+                ranking = substrate.gll_ranking
+            elif algorithm == "GZO":
+                ranking = substrate.gzo_ranking
+            cone = propagate_cone(  # GLL and GZO walks never stop
+                substrate.layout, weights.ravel(), base.ravel(), dirty_idx,
+                budget if ranking is None else n, ranking,
             )
         if cone is None:
             fallback_reason = "cone-budget"

@@ -2,9 +2,9 @@
 
 Under the paper's line-by-line order (GLL) the outer axis (the last one: a
 column in 2D, a plane in 3D) varies slowest and axis 0 fastest, so the
-order's position of a cell is its C-order id in the reversed shape
-(:func:`gll_positions`).  A neighbour at a smaller outer index always
-precedes a cell, and one at a larger outer index always follows it.
+order's position of a cell is its C-order id in the reversed shape.  A
+neighbour at a smaller outer index always precedes a cell, and one at a
+larger outer index always follows it.
 
 :func:`gll_suffix` resumes the scan at any position ``pos``, given final
 starts before it: the cells from ``pos`` on are reset to ``UNCOLORED`` and
@@ -14,13 +14,12 @@ earlier half of its stencil (``StencilLayout.earlier_deltas``).  An
 earlier neighbour is either before ``pos`` (final) or was placed before
 it; later neighbours are never read, whatever ``starts`` held there.
 
-Two callers resume a scan this way: the tiler's band kernel
-(:func:`color_region`, whose first column/plane is the previous band's
-*carry*) and the incremental engine's GLL delta pass (from the first dirty
-position of a recolored grid).  Both work over a padded-offset
-:class:`~repro.kernels.substrate.StencilLayout`: ``O(cells)`` of index
-arrays, never the ``cells × degree`` table a materialized adjacency would
-cost (half a gigabyte for one streamed 16384-wide band).
+The tiler's band kernel resumes a scan this way (:func:`color_region`,
+whose first column/plane is the previous band's *carry*).  It works over
+a padded-offset :class:`~repro.kernels.substrate.StencilLayout`:
+``O(cells)`` of index arrays, never the ``cells × degree`` table a
+materialized adjacency would cost (half a gigabyte for one streamed
+16384-wide band).
 """
 
 from __future__ import annotations
@@ -32,13 +31,7 @@ import numpy as np
 from repro.kernels.substrate import StencilLayout
 from repro.kernels.wavefront import first_fit_pass
 
-__all__ = ["color_region", "gll_positions", "gll_suffix"]
-
-
-def gll_positions(cells: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The line-by-line order's position of every flat id of ``cells``."""
-    coords = np.unravel_index(np.asarray(cells, dtype=np.int64), shape)
-    return np.ravel_multi_index(coords[::-1], shape[::-1])
+__all__ = ["color_region", "gll_suffix"]
 
 
 def gll_suffix(

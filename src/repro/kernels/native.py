@@ -7,9 +7,11 @@ cell it sweeps the neighbour intervals without sorting them, jumping the
 candidate start past each one that blocks it until a sweep moves nothing,
 which is the lowest feasible start that the sort-and-scan of
 :func:`~repro.core.greedy_engine.first_fit_start` returns; it prefetches
-the stencil rows of the cell 16 places on in the order.  The loop is ~100
-lines of C, so it is compiled from the package's own source rather than
-shipped as a binary:
+the stencil rows of the cell 16 places on in the order.  Recolor deltas
+run :func:`cone_walk`, the same sweep over only the cells a delta can
+reach (:mod:`repro.incremental.cone`).  Both are ~300 lines of C, so they
+are compiled from the package's own source rather than shipped as a
+binary:
 
 * **Compile.** On the first call in a process, with the C compiler Python
   was built with (``sysconfig``'s ``CC``; the ``CC`` environment variable
@@ -26,7 +28,8 @@ shipped as a binary:
 * **No compiler.** If the compiler is missing or fails, :func:`first_fit`
   runs the same scan in Python with
   :func:`~repro.core.greedy_engine.first_fit_start`, and :func:`path`
-  reports ``"reference"``.
+  reports ``"reference"``; :func:`cone_walk` raises, and recolor deltas
+  fall back to a full recolor.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import numpy as np
 
 from repro.runtime.config import env_str
 
-__all__ = ["first_fit", "library_path", "path"]
+__all__ = ["cone_walk", "first_fit", "library_path", "path"]
 
 SOURCE = Path(__file__).with_name("firstfit.c")
 
@@ -133,6 +136,11 @@ def _library() -> Optional[ctypes.CDLL]:
     lib.ivc_first_fit.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] + [
         ctypes.c_void_p, ctypes.c_int64,
     ]
+    lib.ivc_cone_walk.restype = ctypes.c_int
+    lib.ivc_cone_walk.argtypes = [ctypes.c_void_p] * 6 + [
+        ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+    ]
     return lib
 
 
@@ -175,6 +183,65 @@ def first_fit(
         starts.ctypes.data, weights.ctypes.data, cells.ctypes.data, len(cells),
         deltas.ctypes.data, len(deltas),
     )
+
+
+def cone_walk(
+    starts: np.ndarray,
+    weights: np.ndarray,
+    dirty: np.ndarray,
+    deltas: np.ndarray,
+    border: np.ndarray,
+    budget: int,
+    ranking: Optional[tuple[np.ndarray, np.ndarray]] = None,
+) -> Optional[tuple[int, int, int, int]]:
+    """Patch ``starts`` in place for a weight delta at the padded ids ``dirty``.
+
+    ``starts`` is a first-fit coloring of the padded grid made before the
+    delta, in the static order ``ranking`` (``(rank, cells)``: every padded
+    id's position in the order and the padded id at every position) or,
+    with no ``ranking``, heaviest first by ``weights`` (GLF).  ``weights``
+    are the new weights and ``border`` is ``True`` exactly on the border.
+    The walk first-fits again only the cells the delta can reach, in that
+    order, so ``starts`` ends equal to a full pass.  Returns ``(cells
+    placed, starts changed, distinct keys placed, last key placed)``, or
+    ``None`` once more than ``budget`` cells were placed (``starts`` is
+    then partly patched).  Needs the compiled library.
+    """
+    dirty = np.ascontiguousarray(dirty, dtype=np.int64)
+    deltas = np.ascontiguousarray(deltas, dtype=np.int64)
+    rank, cells = ranking if ranking is not None else (None, None)
+    size = len(starts)
+    grids = [starts, weights] + ([rank] if rank is not None else [])
+    if any(a.dtype != np.int64 or len(a) != size for a in grids) or len(border) != size:
+        raise TypeError("cone_walk needs int64 starts, weights and ranks of one grid")
+    if not all(a.flags.c_contiguous for a in (*grids, border, *(ranking or ()))):
+        raise ValueError("cone_walk needs contiguous arrays")
+    if len(deltas) > MAX_DEGREE:
+        raise ValueError(f"at most {MAX_DEGREE} offsets, got {len(deltas)}")
+    # The walk reads the 1-ring of every dirty cell; the border keeps every
+    # later read inside the grid.
+    if len(dirty) and (
+        dirty.min() + min(deltas.min(initial=0), 0) < 0
+        or dirty.max() + max(deltas.max(initial=0), 0) >= size
+        or border[dirty].any()
+    ):
+        raise IndexError("cone_walk dirty cells or offsets reach outside the grid")
+    lib = _library()
+    if lib is None:
+        raise RuntimeError("cone_walk needs the compiled library (no C compiler)")
+    mark = border.astype(np.uint8)
+    bits = np.zeros(size // 64 + 1, dtype=np.uint64)  # a static order's queue
+    heap = np.empty(0 if ranking else 2 * size, dtype=np.int64)  # GLF's
+    stats = np.zeros(4, dtype=np.int64)
+    aborted = lib.ivc_cone_walk(
+        starts.ctypes.data, weights.ctypes.data,
+        None if rank is None else rank.ctypes.data,
+        None if cells is None else cells.ctypes.data,
+        mark.ctypes.data, bits.ctypes.data, len(bits), heap.ctypes.data,
+        dirty.ctypes.data, len(dirty), deltas.ctypes.data, len(deltas),
+        budget, stats.ctypes.data,
+    )
+    return None if aborted else tuple(stats.tolist())
 
 
 def _first_fit_reference(starts, weights, cells, deltas) -> None:

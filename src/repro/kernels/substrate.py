@@ -44,6 +44,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -117,15 +118,29 @@ class StencilLayout:
         so a per-delta pass over all cells is one contiguous slice."""
         return int(self.interior[0]), int(self.interior[-1]) + 1
 
+    @cached_property
+    def border(self) -> np.ndarray:
+        """``True`` at every border cell of the padded grid (read-only)."""
+        border = self.unpad == len(self.interior)
+        border.flags.writeable = False
+        return border
+
+    def ranking(self, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(rank, cells)`` of a visit order, a permutation of the flat ids:
+        every padded id's position in it (0 on the border) and the padded
+        id at every position (both read-only)."""
+        cells = self.interior[order]
+        rank = np.zeros(len(self.unpad), dtype=np.int64)
+        rank[cells] = np.arange(len(order), dtype=np.int64)
+        rank.flags.writeable = False
+        cells.flags.writeable = False
+        return rank, cells
+
     def pad(self, values, fill: int) -> np.ndarray:
         """Flat per-cell ``values`` as padded ``int64``, ``fill`` on the border."""
         out = np.full(len(self.unpad), fill, dtype=np.int64)
         out[self.interior] = values
         return out
-
-    def neighbors(self, cells: np.ndarray) -> np.ndarray:
-        """``(b, degree)`` flat neighbour ids of ``cells``; ``n`` off the grid."""
-        return self.unpad[self.interior[cells][:, None] + self.deltas]
 
     def conflicts(self, starts, weights) -> np.ndarray:
         """Every stencil edge whose endpoint intervals intersect, as ``(k, 2)``.
@@ -289,6 +304,16 @@ class Substrate:
     @property
     def num_vertices(self) -> int:
         return self.geometry.num_vertices
+
+    @cached_property
+    def gll_ranking(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`StencilLayout.ranking` of the line-by-line order, built once."""
+        return self.layout.ranking(self.geometry.line_by_line_order())
+
+    @cached_property
+    def gzo_ranking(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`StencilLayout.ranking` of the Morton order, built once."""
+        return self.layout.ranking(self.geometry.zorder_order)
 
     def wavefront_for(self, order: np.ndarray) -> Wavefront:
         """The batch schedule replaying ``order``, cached per distinct order.

@@ -13,16 +13,12 @@ sort-and-scan, in C.  The visit is sequential, so the result is
 differential tests assert; empty (zero-weight) intervals land at 0.
 
 :func:`first_fit_pass` is the one pass: the greedy and recolor kernels
-here, :func:`repro.kernels.halo.gll_suffix` (the tiler's band kernel and
-the incremental engine's GLL deltas) and the engine's GZO delta pass all
+here and :func:`repro.kernels.halo.gll_suffix` (the tiler's band kernel)
 run it.  A fresh GLL pass reads only the earlier half of the stencil
 (``StencilLayout.earlier_deltas``: 4 of 8, 13 of 26): under the
 line-by-line scan a cell's later neighbours are still ``UNCOLORED`` when
 it is placed, so reading them is wasted.  Recolor passes read the full
 stencil, since there a later neighbour's old start constrains the cell.
-
-:func:`first_fit_intervals` is a vectorized first fit over pre-gathered
-neighbourhoods, for the incremental cone walk.
 """
 
 from __future__ import annotations
@@ -37,63 +33,6 @@ from repro.kernels.substrate import StencilLayout, Substrate, get_substrate
 #: Mirrors :data:`repro.core.greedy_engine.UNCOLORED` (asserted equal in
 #: the tests).
 UNCOLORED = native.UNCOLORED
-
-
-def first_fit_intervals(
-    s: np.ndarray, wn: np.ndarray, w: np.ndarray
-) -> np.ndarray:
-    """First-fit starts from pre-gathered neighbor intervals.
-
-    ``s``/``wn`` are ``(b, d)`` neighbor starts and weights (``UNCOLORED``
-    or zero-weight slots are ignored); ``w`` is the ``(b,)`` weights being
-    placed.  Rows must be pairwise non-adjacent for the batch semantics to
-    replay the sequential scan.
-
-    The reference scan keeps a running frontier ``cur`` (the maximum end seen
-    so far, starting at 0) and returns ``cur`` at the first sorted interval
-    whose lower end leaves a gap of at least ``w``, or the maximum end if no
-    interval does.  With ``frontier[c]`` the prefix maximum of ends *before*
-    sorted position ``c``, that is ``frontier`` at the first fitting
-    position — and since the frontier never decreases, the *smallest*
-    frontier over fitting positions — capped by ``max(hi)`` for rows with no
-    gap.  Ignored slots get ``hi = 0``, so they never raise the frontier,
-    and keep their raw lower end: one that fits (an ``UNCOLORED`` ``-1``
-    never does) sees the same frontier as the next real interval, whose
-    lower end is no smaller, or as the end of the list.
-
-    Exposed for the incremental cone walk, which masks non-predecessor
-    neighbours before the fit.
-    """
-    b, d = s.shape
-    if d == 0:
-        return np.zeros(b, dtype=np.int64)
-    # Work column-major, ``(d, b)``, so the scan below runs as ``d`` vector
-    # ops over the batch.
-    s = np.ascontiguousarray(s.T)
-    hi = np.where((s != UNCOLORED) & (wn.T > 0), s + wn.T, 0)
-    return _first_fit_columns(s, hi, w, np.arange(b))
-
-
-def _first_fit_columns(
-    lo: np.ndarray, hi: np.ndarray, w: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """:func:`first_fit_intervals` on column-major ``(d, b)`` lower and
-    upper ends, ignored slots at ``hi <= 0``; ``cols`` starts with
-    ``arange(b)``.  Computes in the dtype of ``hi``."""
-    d, b = lo.shape
-    # Sort neighbor intervals by lower end.  Ties need no secondary key: the
-    # scan's outcome at a tied lower end is independent of the tie order.
-    flat = lo.argsort(axis=0)
-    flat *= b
-    flat += cols[:b]
-    lo = lo.take(flat)
-    # ends[c] = max(0, hi[0..c-1]) over the sorted intervals.
-    ends = np.empty((d + 1, b), dtype=hi.dtype)
-    ends[0] = 0
-    hi.take(flat, out=ends[1:])
-    np.maximum.accumulate(ends, axis=0, out=ends)
-    frontier = ends[:-1]
-    return np.minimum.reduce(np.where(lo - frontier >= w, frontier, ends[-1]), axis=0)
 
 
 def first_fit_pass(

@@ -34,7 +34,6 @@ variable                        field                     values
 ``REPRO_TILE_CELLS``            ``tiling.tile_cells``     int (cells per tile)
 ``REPRO_TILING_MIN_CELLS``      ``tiling.min_cells``      int (auto threshold)
 ``REPRO_TILING_BUDGET_MB``      ``tiling.memory_budget_mb``  int (0 = none)
-``REPRO_INCR_CONE_FRACTION``    ``incremental.max_cone_fraction``  float in (0, 1] (GLF only)
 ``REPRO_INCR_VALIDATE``         ``incremental.validate``  bool
 ``REPRO_INCR_SESSION_LIMIT``    ``incremental.session_limit``  int (sessions)
 ``REPRO_INCR_SESSION_TTL``      ``incremental.session_ttl``  float (seconds)
@@ -184,12 +183,6 @@ class IncrementalConfig:
 
     Attributes
     ----------
-    max_cone_fraction:
-        Fall back to a full recolor once a GLF dependency cone has
-        recomputed more than this fraction of the grid's cells.  Past that
-        point the sparse propagation loop costs more than one monolithic
-        kernel pass, and the fallback is always-correct by construction.
-        GLL and GZO deltas run one suffix pass and have no budget.
     validate:
         When true, every incremental recolor is diffed against a full
         from-scratch recolor and a divergence raises
@@ -205,16 +198,11 @@ class IncrementalConfig:
         stale state.
     """
 
-    max_cone_fraction: float = 0.25
     validate: bool = False
     session_limit: int = 64
     session_ttl: float = 900.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.max_cone_fraction <= 1.0):
-            raise ValueError(
-                f"max_cone_fraction must be in (0, 1], got {self.max_cone_fraction!r}"
-            )
         if self.session_limit < 1:
             raise ValueError("session_limit must be at least 1")
         if self.session_ttl <= 0:
@@ -224,7 +212,6 @@ class IncrementalConfig:
     def from_env(cls, **overrides) -> "IncrementalConfig":
         """Defaults, overridden by ``REPRO_INCR_*``, overridden by kwargs."""
         values = {
-            "max_cone_fraction": env_float("REPRO_INCR_CONE_FRACTION", 0.25),
             "validate": env_bool("REPRO_INCR_VALIDATE", False),
             "session_limit": env_int("REPRO_INCR_SESSION_LIMIT", 64),
             "session_ttl": env_float("REPRO_INCR_SESSION_TTL", 900.0),

@@ -234,8 +234,9 @@ class SessionDurability:
             "shape": [int(s) for s in weights.shape],
             "seq": seq,
             "maxcolor": int(session.maxcolor),
-            "weights": [int(w) for w in weights.ravel()],
-            "starts": [int(s) for s in starts.ravel()],
+            # int64 ``tolist`` gives the same Python ints, ~10x faster.
+            "weights": weights.ravel().tolist(),
+            "starts": starts.ravel().tolist(),
             "fingerprint": _fingerprint(weights, starts),
         }
         payload = json.dumps(snapshot, separators=(",", ":"))

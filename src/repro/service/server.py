@@ -440,7 +440,9 @@ class ColoringService:
         as the previous delta committed it — a client retry (deltas carry
         absolute weights) is then idempotent.  One lock serializes recolor
         computes: deltas are causally ordered per session, and cross-session
-        fairness is not worth racing commits for.
+        fairness is not worth racing commits for.  Each op's whole body
+        (:meth:`_recolor_seed`, :meth:`_recolor_delta`) runs as one function
+        on the executor: one thread hop per op.
 
         With a spill directory (``--spill-dir``), durability is on: every
         delta is journaled *before* it is acknowledged — a failed
@@ -451,137 +453,17 @@ class ColoringService:
         typed error is emitted, making worker crashes and router failover
         invisible to a mid-stream client.
         """
-        from repro.incremental.engine import full_recolor, recolor_grid
-
         self.metrics.counter("requests_total").inc()
         received = time.monotonic()
-        loop = asyncio.get_running_loop()
-        rid = request.request_id
-        base = {"id": rid, "session": request.session,
+        base = {"id": request.request_id, "session": request.session,
                 "worker": self.config.worker_id}
+        serve = self._recolor_seed if request.is_seed else self._recolor_delta
         assert self._recolor_lock is not None
         try:
             async with self._recolor_lock:
-                if request.is_seed:
-                    inject("service.recolor", f"{request.session}#seed")
-                    weights = request.weights
-                    starts = await loop.run_in_executor(
-                        None,
-                        lambda: full_recolor(
-                            weights, request.algorithm, context=self.context
-                        ),
-                    )
-                    maxcolor = int((starts + weights).max()) if weights.size else 0
-                    session = self.sessions.open(
-                        request.session, request.algorithm, weights, starts,
-                        maxcolor,
-                    )
-                    if self.durability is not None:
-                        # WAL the seed before acknowledging it: a failed
-                        # journal write fails the seed (the client retries)
-                        # rather than leaving an unrecoverable session.
-                        await loop.run_in_executor(
-                            None, self.durability.record_seed, session
-                        )
-                    header = {
-                        **base,
-                        "status": STATUS_OK,
-                        "mode": "seed",
-                        "algorithm": request.algorithm,
-                        "shape": [int(s) for s in weights.shape],
-                        "maxcolor": maxcolor,
-                    }
-                    self._finish_recolor(received, ok=True)
-                    return header, starts, None
-
-                lookup_started = time.perf_counter()
-                try:
-                    # Recovery-aware lookup: an unknown session first gets
-                    # a journal/checkpoint replay (run in the executor —
-                    # it does full numpy recolors) before the typed error.
-                    session, recovered = await loop.run_in_executor(
-                        None, self.sessions.get_or_recover, request.session
-                    )
-                except UnknownSessionError as exc:
-                    self.metrics.counter("recolor_unknown_sessions").inc()
-                    header = {
-                        **base,
-                        "status": STATUS_INVALID,
-                        "code": UNKNOWN_SESSION_CODE,
-                        "error": str(exc),
-                    }
-                    return header, None, None
-                if recovered:
-                    self.metrics.histogram("journal_replay_seconds").observe(
-                        time.perf_counter() - lookup_started
-                    )
-                    base["recovered"] = True
-                n = session.weights.size
-                idx = request.delta_idx
-                if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= n):
-                    self.metrics.counter("invalid_requests").inc()
-                    header = {
-                        **base,
-                        "status": STATUS_INVALID,
-                        "error": f"delta indices out of range [0, {n})",
-                    }
-                    return header, None, None
-                inject(
-                    "service.recolor",
-                    f"{request.session}#{session.deltas_applied}",
+                header, starts, changed = await asyncio.get_running_loop().run_in_executor(
+                    None, serve, request, base
                 )
-                new_weights = session.weights.copy()
-                new_weights.ravel()[idx] = request.delta_weights
-                old_starts = session.starts
-                outcome = await loop.run_in_executor(
-                    None,
-                    lambda: recolor_grid(
-                        new_weights,
-                        old_starts,
-                        idx,
-                        algorithm=session.algorithm,
-                        context=self.context,
-                    ),
-                )
-                changed_idx = np.flatnonzero(
-                    outcome.starts.ravel() != old_starts.ravel()
-                )
-                changed_starts = outcome.starts.ravel()[changed_idx]
-                if self.durability is not None:
-                    # WAL-before-ack: journal the delta before committing
-                    # it.  A failed append raises into the generic error
-                    # answer below; the session is untouched and the
-                    # client's re-send (absolute weights) is idempotent.
-                    seq = session.deltas_applied + 1
-                    await loop.run_in_executor(
-                        None,
-                        lambda: self.durability.record_delta(
-                            request.session, seq, idx, request.delta_weights
-                        ),
-                    )
-                self.sessions.commit(
-                    session, new_weights, outcome.starts, outcome.maxcolor
-                )
-                if self.durability is not None:
-                    # Compaction is best-effort and never fails the delta:
-                    # a skipped/corrupt checkpoint just leaves the journal
-                    # longer for the next replay.
-                    try:
-                        await loop.run_in_executor(
-                            None, self.durability.maybe_checkpoint, session
-                        )
-                    except Exception:
-                        self.metrics.counter("checkpoint_write_errors").inc()
-                header = {
-                    **base,
-                    "status": STATUS_OK,
-                    "mode": outcome.mode,
-                    "maxcolor": outcome.maxcolor,
-                    "deltas_applied": session.deltas_applied,
-                    "recolor": outcome.stats(),
-                }
-                self._finish_recolor(received, ok=True)
-                return header, None, (changed_idx, changed_starts)
         except Exception as exc:
             self._finish_recolor(received, ok=False)
             header = {
@@ -590,6 +472,110 @@ class ColoringService:
                 "error": f"{type(exc).__name__}: {exc}",
             }
             return header, None, None
+        if header["status"] == STATUS_OK:
+            self._finish_recolor(received, ok=True)
+        return header, starts, changed
+
+    def _recolor_seed(
+        self, request: RecolorRequest, base: dict
+    ) -> tuple[dict, np.ndarray, None]:
+        """Color a seed from scratch and store (and journal) its session."""
+        from repro.incremental.engine import full_recolor
+
+        inject("service.recolor", f"{request.session}#seed")
+        weights = request.weights
+        starts = full_recolor(weights, request.algorithm, context=self.context)
+        maxcolor = int((starts + weights).max()) if weights.size else 0
+        session = self.sessions.open(
+            request.session, request.algorithm, weights, starts, maxcolor,
+        )
+        if self.durability is not None:
+            # WAL the seed before acknowledging it: a failed journal write
+            # fails the seed (the client retries) rather than leaving an
+            # unrecoverable session.
+            self.durability.record_seed(session)
+        header = {
+            **base,
+            "status": STATUS_OK,
+            "mode": "seed",
+            "algorithm": request.algorithm,
+            "shape": [int(s) for s in weights.shape],
+            "maxcolor": maxcolor,
+        }
+        return header, starts, None
+
+    def _recolor_delta(
+        self, request: RecolorRequest, base: dict
+    ) -> tuple[dict, None, Optional[tuple]]:
+        """Patch a held session for one delta; journal it before the commit."""
+        from repro.incremental.engine import recolor_grid
+
+        lookup_started = time.perf_counter()
+        try:
+            # Recovery-aware lookup: an unknown session first gets a
+            # journal/checkpoint replay before the typed error.
+            session, recovered = self.sessions.get_or_recover(request.session)
+        except UnknownSessionError as exc:
+            self.metrics.counter("recolor_unknown_sessions").inc()
+            header = {
+                **base,
+                "status": STATUS_INVALID,
+                "code": UNKNOWN_SESSION_CODE,
+                "error": str(exc),
+            }
+            return header, None, None
+        if recovered:
+            self.metrics.histogram("journal_replay_seconds").observe(
+                time.perf_counter() - lookup_started
+            )
+            base["recovered"] = True
+        n = session.weights.size
+        idx = request.delta_idx
+        if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= n):
+            self.metrics.counter("invalid_requests").inc()
+            header = {
+                **base,
+                "status": STATUS_INVALID,
+                "error": f"delta indices out of range [0, {n})",
+            }
+            return header, None, None
+        inject("service.recolor", f"{request.session}#{session.deltas_applied}")
+        new_weights = session.weights.copy()
+        new_weights.ravel()[idx] = request.delta_weights
+        old_starts = session.starts
+        outcome = recolor_grid(
+            new_weights, old_starts, idx,
+            algorithm=session.algorithm, context=self.context,
+        )
+        changed_idx = np.flatnonzero(outcome.starts.ravel() != old_starts.ravel())
+        changed_starts = outcome.starts.ravel()[changed_idx]
+        if self.durability is not None:
+            # WAL-before-ack: journal the delta before committing it.  A
+            # failed append raises into the generic error answer; the
+            # session is untouched and the client's re-send (absolute
+            # weights) is idempotent.
+            self.durability.record_delta(
+                request.session, session.deltas_applied + 1, idx,
+                request.delta_weights,
+            )
+        self.sessions.commit(session, new_weights, outcome.starts, outcome.maxcolor)
+        if self.durability is not None:
+            # Compaction is best-effort and never fails the delta: a
+            # skipped/corrupt checkpoint just leaves the journal longer for
+            # the next replay.
+            try:
+                self.durability.maybe_checkpoint(session)
+            except Exception:
+                self.metrics.counter("checkpoint_write_errors").inc()
+        header = {
+            **base,
+            "status": STATUS_OK,
+            "mode": outcome.mode,
+            "maxcolor": outcome.maxcolor,
+            "deltas_applied": session.deltas_applied,
+            "recolor": outcome.stats(),
+        }
+        return header, None, (changed_idx, changed_starts)
 
     def _finish_recolor(self, received: float, *, ok: bool) -> None:
         total = time.monotonic() - received

@@ -9,8 +9,15 @@ from repro.incremental.engine import (
     full_recolor,
     recolor_grid,
 )
+from repro.kernels import native
 from repro.runtime.config import IncrementalConfig, RuntimeConfig
 from repro.runtime.context import ExecutionContext
+
+#: The walk is compiled C only: with no C compiler every delta falls back
+#: (``test_no_compiler_falls_back_bit_identical``).
+needs_walk = pytest.mark.skipif(
+    native.path() != "native", reason="the walk needs the compiled library"
+)
 
 
 def _grid(shape, seed=0, high=20):
@@ -66,21 +73,25 @@ class TestRecolorGrid:
         assert outcome.fallback_reason == "unsupported-algorithm"
         assert np.array_equal(outcome.starts, full_recolor(new_weights, "BD"))
 
+    @needs_walk
     def test_tiny_budget_falls_back_with_cone_budget_reason(self):
+        # Every cell dirty is past the cutoff for every order.
         weights = _grid((16, 16))
         dirty = np.arange(weights.size)
         new_weights = _delta(weights, dirty)
-        base = full_recolor(weights, "GLF")
-        outcome = recolor_grid(
-            new_weights, base, dirty, algorithm="GLF", max_cone_fraction=0.01
-        )
-        assert outcome.mode == "fallback"
-        assert outcome.fallback_reason == "cone-budget"
-        assert np.array_equal(outcome.starts, full_recolor(new_weights, "GLF"))
+        for algorithm in sorted(SUPPORTED_ALGORITHMS):
+            base = full_recolor(weights, algorithm)
+            outcome = recolor_grid(new_weights, base, dirty, algorithm=algorithm)
+            assert outcome.mode == "fallback"
+            assert outcome.fallback_reason == "cone-budget"
+            assert np.array_equal(
+                outcome.starts, full_recolor(new_weights, algorithm)
+            )
 
+    @needs_walk
     def test_walk_past_budget_falls_back(self, monkeypatch):
-        # The dirty cell's 1-ring (9 seeds) fits a 16-cell budget, but the
-        # cascade (42 cells with an open budget) outgrows it mid-walk.
+        # 60 scattered dirty cells fit the 64-cell cutoff of a 16x16 grid,
+        # but with their 1-rings the GLF walk outgrows it.
         from repro.incremental import engine
 
         results = []
@@ -90,17 +101,16 @@ class TestRecolorGrid:
             lambda *a, **k: results.append(real(*a, **k)) or results[-1],
         )
         weights = _grid((16, 16))
-        new_weights = weights.copy()
-        new_weights.ravel()[17] = 19
+        dirty = np.arange(0, weights.size, 4)[:60]
+        new_weights = _delta(weights, dirty)
         base = full_recolor(weights, "GLF")
-        outcome = recolor_grid(
-            new_weights, base, [17], algorithm="GLF",
-            max_cone_fraction=16 / weights.size,
-        )
+        outcome = recolor_grid(new_weights, base, dirty, algorithm="GLF")
         assert results == [None]
+        assert outcome.mode == "fallback"
         assert outcome.fallback_reason == "cone-budget"
         assert np.array_equal(outcome.starts, full_recolor(new_weights, "GLF"))
 
+    @needs_walk
     def test_dense_delta_routes_to_full_recolor_without_walking(
         self, monkeypatch
     ):
@@ -125,10 +135,11 @@ class TestRecolorGrid:
         )
         assert ctx.metrics.snapshot()["counters"].get("recolor_cone_cells", 0) == 0
 
+    @needs_walk
     def test_glf_seeds_include_the_ring_for_the_budget(self, monkeypatch):
-        # 20 scattered dirty cells are under a 64-cell budget, but with
-        # their 1-rings they are not: GLF routes up front without walking.
-        # GZO never walks: it recolors its schedule suffix.
+        # 20 scattered dirty cells are under the 64-cell cutoff, but the
+        # walk places their 1-rings too: past the cutoff GLF stops and
+        # falls back.  GZO's walk never stops.
         from repro.incremental import engine
 
         weights = _grid((16, 16))
@@ -138,25 +149,31 @@ class TestRecolorGrid:
         real = engine.propagate_cone
         monkeypatch.setattr(
             engine, "propagate_cone",
-            lambda *a, **k: walked.append(1) or real(*a, **k),
+            lambda *a, **k: walked.append(real(*a, **k)) or walked[-1],
         )
         for algorithm, mode in (("GLF", "fallback"), ("GZO", "incremental")):
             walked.clear()
             base = full_recolor(weights, algorithm)
             outcome = recolor_grid(new_weights, base, dirty, algorithm=algorithm)
-            assert walked == []
+            assert len(walked) == 1
             assert outcome.mode == mode
             assert np.array_equal(
                 outcome.starts, full_recolor(new_weights, algorithm)
             )
+        # A single interior dirty cell: GLF places its whole 1-ring.
+        base = full_recolor(weights, "GLF")
+        one = _delta(weights, [17 + 16 * 3])
+        outcome = recolor_grid(one, base, [17 + 16 * 3], algorithm="GLF")
+        assert outcome.cells_recomputed >= 9
+        assert np.array_equal(outcome.starts, full_recolor(one, "GLF"))
 
+    @needs_walk
     def test_gll_never_falls_back(self):
-        # GLL and GZO recolor a suffix (of the outer axis, of the Morton
-        # schedule) in one pass: no cone budget, even a tiny one, and no
-        # fallback.
+        # A GLL or GZO walk never stops once it starts (a delta within the
+        # cutoff), even when it cascades over the whole grid.
         ctx = ExecutionContext()
         deltas = (
-            ((16, 16), np.arange(256)),
+            ((16, 16), np.arange(0, 256, 4)),
             ((16, 16), [3]),
             ((6, 5, 4), [0, 119]),
         )
@@ -166,8 +183,7 @@ class TestRecolorGrid:
                 new_weights = _delta(weights, dirty)
                 base = full_recolor(weights, algorithm)
                 outcome = recolor_grid(
-                    new_weights, base, dirty, algorithm=algorithm,
-                    max_cone_fraction=0.01, context=ctx,
+                    new_weights, base, dirty, algorithm=algorithm, context=ctx,
                 )
                 assert outcome.mode == "incremental"
                 assert outcome.fallback_reason is None
@@ -176,24 +192,26 @@ class TestRecolorGrid:
                 )
         assert ctx.metrics.snapshot()["counters"].get("recolor_fallbacks", 0) == 0
 
+    @needs_walk
     def test_gll_recomputes_the_suffix_from_the_first_dirty_column(self):
         weights = _grid((16, 16))
         dirty = [16 * 5 + 9, 16 * 12 + 11]  # outer (last-axis) indices 9, 11
         new_weights = _delta(weights, dirty)
         base = full_recolor(weights, "GLL")
         outcome = recolor_grid(new_weights, base, dirty, algorithm="GLL")
-        # The scan reaches (5, 9) at position 9 * 16 + 5 of its order.
-        assert outcome.cells_recomputed == 16 * 16 - (9 * 16 + 5)
-        assert outcome.levels_touched == 0
-        assert not outcome.spliced
+        # The scan reaches (5, 9) at position 9 * 16 + 5 of its order, and
+        # the walk places nothing before it; every cell is its own key.
+        assert outcome.cells_recomputed <= 16 * 16 - (9 * 16 + 5)
+        assert outcome.levels_touched == outcome.cells_recomputed
         assert np.array_equal(outcome.starts[:, :9], base[:, :9])
         assert np.array_equal(outcome.starts, full_recolor(new_weights, "GLL"))
 
+    @needs_walk
     @pytest.mark.parametrize("algorithm", ["GLL", "GZO"])
     @pytest.mark.parametrize("shape", [(4, 5), (1, 7), (3, 2, 3)])
     def test_suffix_pass_from_every_position_matches_full_recolor(self, algorithm, shape):
         # One dirty cell at each position of the order in turn, zero
-        # weights included: the pass starts exactly there.
+        # weights included: the walk places only cells of the suffix.
         from repro.core.orderings import line_by_line_order, zorder_order
         from repro.core.problem import IVCInstance
 
@@ -206,8 +224,22 @@ class TestRecolorGrid:
         for pos, cell in enumerate(order.tolist()):
             new_weights = _delta(weights, [cell], seed=pos, high=9)
             outcome = recolor_grid(new_weights, base, [cell], algorithm=algorithm)
-            assert outcome.cells_recomputed == weights.size - pos
+            assert outcome.mode == "incremental"
+            assert 1 <= outcome.cells_recomputed <= weights.size - pos
             assert np.array_equal(outcome.starts, full_recolor(new_weights, algorithm)), pos
+
+    @pytest.mark.parametrize("algorithm", sorted(SUPPORTED_ALGORITHMS))
+    def test_no_compiler_falls_back_bit_identical(self, algorithm, monkeypatch):
+        weights = _grid((12, 12))
+        dirty = [5, 77]
+        new_weights = _delta(weights, dirty)
+        truth = full_recolor(new_weights, algorithm)
+        base = full_recolor(weights, algorithm)
+        monkeypatch.setattr(native, "_library", lambda: None)
+        outcome = recolor_grid(new_weights, base, dirty, algorithm=algorithm)
+        assert outcome.mode == "fallback"
+        assert outcome.fallback_reason == "no-compiler"
+        assert np.array_equal(outcome.starts, truth)
 
     def test_maxcolor_matches_starts_plus_weights(self):
         weights = _grid((12, 12))
@@ -216,6 +248,7 @@ class TestRecolorGrid:
         outcome = recolor_grid(new_weights, base, [3, 17, 60], algorithm="GLF")
         assert outcome.maxcolor == int((outcome.starts + new_weights).max())
 
+    @needs_walk
     def test_stats_is_json_ready_provenance(self):
         weights = _grid((8, 8))
         new_weights = _delta(weights, [9])
@@ -232,6 +265,7 @@ class TestRecolorGrid:
 
         json.dumps(stats)  # must not raise
 
+    @needs_walk
     def test_validate_passes_on_correct_incremental(self):
         weights = _grid((10, 10))
         new_weights = _delta(weights, [42])
@@ -287,13 +321,6 @@ class TestRecolorGrid:
         with pytest.raises(ValueError, match="shape"):
             recolor_grid(weights, np.zeros((5, 5), dtype=np.int64), [0])
 
-    def test_bad_cone_fraction_rejected(self):
-        weights = _grid((4, 4))
-        base = full_recolor(weights, "GLL")
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError, match="max_cone_fraction"):
-                recolor_grid(weights, base, [0], max_cone_fraction=bad)
-
     def test_extra_clean_dirty_indices_are_safe(self):
         # Claiming clean cells dirty may only widen the cone, never change
         # the answer.
@@ -305,6 +332,7 @@ class TestRecolorGrid:
         )
         assert np.array_equal(wide.starts, full_recolor(new_weights, "GLL"))
 
+    @needs_walk
     def test_metrics_counters_flow_to_context(self):
         ctx = ExecutionContext()
         weights = _grid((16, 16))
@@ -323,20 +351,17 @@ class TestRecolorGrid:
 class TestIncrementalConfig:
     def test_defaults(self):
         cfg = IncrementalConfig()
-        assert cfg.max_cone_fraction == 0.25
         assert cfg.validate is False
         assert cfg.session_limit == 64
         assert cfg.session_ttl == 900.0
 
     def test_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCR_CONE_FRACTION", "0.5")
         monkeypatch.setenv("REPRO_INCR_VALIDATE", "1")
         monkeypatch.setenv("REPRO_INCR_SESSION_LIMIT", "8")
         monkeypatch.setenv("REPRO_INCR_SESSION_TTL", "12.5")
         cfg = IncrementalConfig.from_env()
         assert cfg == IncrementalConfig(
-            max_cone_fraction=0.5, validate=True,
-            session_limit=8, session_ttl=12.5,
+            validate=True, session_limit=8, session_ttl=12.5,
         )
 
     def test_kwargs_beat_environment(self, monkeypatch):
@@ -350,10 +375,6 @@ class TestIncrementalConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            IncrementalConfig(max_cone_fraction=0.0)
-        with pytest.raises(ValueError):
-            IncrementalConfig(max_cone_fraction=1.5)
-        with pytest.raises(ValueError):
             IncrementalConfig(session_limit=0)
         with pytest.raises(ValueError):
             IncrementalConfig(session_ttl=0.0)
@@ -364,24 +385,23 @@ class TestIncrementalConfig:
         assert cfg.with_overrides(validate=True).validate is True
 
     def test_rides_on_runtime_config(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCR_CONE_FRACTION", "0.75")
+        monkeypatch.setenv("REPRO_INCR_SESSION_LIMIT", "5")
         cfg = RuntimeConfig.from_env()
-        assert cfg.incremental.max_cone_fraction == 0.75
+        assert cfg.incremental.session_limit == 5
 
     def test_runtime_config_normalizes_dict(self):
-        cfg = RuntimeConfig(incremental={"max_cone_fraction": 0.5})
+        cfg = RuntimeConfig(incremental={"session_limit": 5})
         assert isinstance(cfg.incremental, IncrementalConfig)
-        assert cfg.incremental.max_cone_fraction == 0.5
+        assert cfg.incremental.session_limit == 5
 
     def test_engine_reads_context_config(self):
+        # validate comes from the context's config: a corrupt base echoed
+        # back by an empty delta trips the diff.
         ctx = ExecutionContext(
-            RuntimeConfig(incremental=IncrementalConfig(max_cone_fraction=0.01))
+            RuntimeConfig(incremental=IncrementalConfig(validate=True))
         )
-        weights = _grid((16, 16))
-        dirty = np.arange(weights.size)
-        new_weights = _delta(weights, dirty)
-        base = full_recolor(weights, "GLF", context=ctx)
-        outcome = recolor_grid(
-            new_weights, base, dirty, algorithm="GLF", context=ctx
-        )
-        assert outcome.fallback_reason == "cone-budget"
+        weights = _grid((6, 6))
+        with pytest.raises(RecolorValidationError):
+            recolor_grid(
+                weights, np.zeros_like(weights), [], algorithm="GLF", context=ctx
+            )

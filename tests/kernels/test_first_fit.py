@@ -1,8 +1,7 @@
 """The first-fit primitives, directly and at the hazards of their passes.
 
-``first_fit_intervals`` (the cone walk's batch fit) and one cell of the
-compiled loop are checked against a test-local copy of the sequential
-sort-and-scan, slot by slot, and the loop's sort-free sweeps are checked
+One cell of the compiled loop is checked against a test-local copy of the
+sequential sort-and-scan, slot by slot, and the loop's sort-free sweeps are checked
 against ``first_fit_start`` on one stencil cell at their hazards:
 staircases that take every sweep, exact gaps, tied lower ends, all
 neighbours live, zero weights, ``UNCOLORED`` neighbours and starts near
@@ -30,7 +29,6 @@ from repro.kernels.halo import color_region
 from repro.kernels.substrate import StencilLayout
 from repro.kernels.wavefront import (
     UNCOLORED,
-    first_fit_intervals,
     wavefront_greedy_color,
     wavefront_recolor_pass,
 )
@@ -66,56 +64,12 @@ def _batches(draw):
     return s, wn, w
 
 
-@st.composite
-def _gapless(draw):
-    """Rows of packed, fully valid intervals: no gap until the last end."""
-    d = draw(st.sampled_from([1, 8, 26]))
-    b = draw(st.integers(1, 4))
-    s = np.empty((b, d), dtype=np.int64)
-    wn = np.empty((b, d), dtype=np.int64)
-    for r in range(b):
-        widths = np.array(draw(st.lists(st.integers(1, 5), min_size=d, max_size=d)))
-        perm = np.array(draw(st.permutations(range(d))))
-        s[r] = (np.cumsum(widths) - widths)[perm]
-        wn[r] = widths[perm]
-    w = np.array(draw(st.lists(st.integers(1, 10), min_size=b, max_size=b)), dtype=np.int64)
-    return s, wn, w
-
-
-def _check(s, wn, w):
-    want = [_scan(s[r], wn[r], int(w[r])) for r in range(len(w))]
-    got = first_fit_intervals(s, wn, w)
-    assert got.dtype == np.int64
-    assert got.tolist() == want
-    # The batch loop hands in column-major views; same answers.
-    cols = first_fit_intervals(np.ascontiguousarray(s.T).T, np.ascontiguousarray(wn.T).T, w)
-    assert cols.tolist() == want
-
-
-@given(_batches())
-@settings(max_examples=300, deadline=None)
-@example((np.zeros((3, 0), np.int64), np.zeros((3, 0), np.int64), np.array([0, 1, 5])))
-@example((np.array([[4, 4, 4, 0]]), np.array([[2, 3, 0, 4]]), np.array([0])))
-@example((np.array([[UNCOLORED] * 8]), np.array([[5] * 8]), np.array([3])))
-def test_first_fit_intervals_matches_sequential_scan(batch):
-    _check(*batch)
-
-
-@given(_gapless())
-@settings(max_examples=100, deadline=None)
-@example((np.array([[3, 0, 5]]), np.array([[2, 3, 4]]), np.array([1])))
-def test_first_fit_intervals_without_a_gap_lands_past_the_last_end(batch):
-    s, wn, w = batch
-    _check(s, wn, w)
-    assert first_fit_intervals(s, wn, w).tolist() == (s + wn).max(axis=1).tolist()
-
-
 def test_zero_weight_neighbour_does_not_raise_the_frontier():
     # A zero-weight slot at 5 sits in the gap [2, 6); counted as an end it
     # would push the width-4 fit past [6, 10).
-    s = np.array([[0, 5, 6]])
-    wn = np.array([[2, 0, 4]])
-    assert first_fit_intervals(s, wn, np.array([4])).tolist() == [2]
+    starts = np.array([0, 5, 6, UNCOLORED])
+    native.first_fit(starts, np.array([2, 0, 4, 4]), np.array([3]), np.arange(-3, 0))
+    assert starts[3] == 2
 
 
 @given(_batches(), st.integers(0, 1 << 40))

@@ -46,6 +46,7 @@ def _needs_compiler(tmp_path):
 def test_source_is_package_data():
     assert native.SOURCE.is_file()
     assert "ivc_first_fit" in native.SOURCE.read_text()
+    assert "ivc_cone_walk" in native.SOURCE.read_text()
 
 
 def test_library_is_cached_by_source_hash(tmp_path):
@@ -133,6 +134,48 @@ def test_first_fit_rejects_arrays_it_cannot_pass():
     with pytest.raises(IndexError):
         native.first_fit(starts, weights, np.array([3]), np.array([1]))
     assert starts.tolist() == [-1] * 4  # nothing was written
+
+
+def test_cone_walk_rejects_arrays_it_cannot_pass():
+    # Checked before the C call, as for first_fit: nothing is written.
+    layout = StencilLayout.of((3, 3))
+    starts = layout.pad(np.zeros(9, dtype=np.int64), native.UNCOLORED)
+    weights = layout.pad(np.ones(9, dtype=np.int64), 0)
+    centre = layout.interior[4:5]
+
+    def walk(dirty=centre, deltas=layout.deltas, starts=starts, weights=weights, ranking=None):
+        return native.cone_walk(starts, weights, dirty, deltas, layout.border, 9, ranking)
+
+    with pytest.raises(TypeError):
+        walk(starts=starts.astype(np.int32))
+    with pytest.raises(TypeError):
+        walk(weights=weights[:-1])
+    with pytest.raises(TypeError):
+        walk(ranking=(np.zeros(3, dtype=np.int64), layout.interior))
+    with pytest.raises(ValueError):
+        walk(starts=np.repeat(starts, 2)[::2])
+    with pytest.raises(ValueError):
+        walk(deltas=np.zeros(27, dtype=np.int64))
+    with pytest.raises(IndexError):
+        walk(dirty=np.array([len(starts)]))  # past the grid
+    with pytest.raises(IndexError):
+        walk(dirty=np.array([-1]))
+    with pytest.raises(IndexError):
+        walk(dirty=np.array([0]))  # a border cell: its ring leaves the grid
+    with pytest.raises(IndexError):
+        walk(dirty=layout.interior[:1], deltas=np.array([-100]))
+    assert starts[layout.interior].tolist() == [0] * 9
+
+
+def test_cone_walk_needs_the_compiled_library(monkeypatch):
+    layout = StencilLayout.of((3, 3))
+    starts = layout.pad(np.zeros(9, dtype=np.int64), native.UNCOLORED)
+    weights = layout.pad(np.ones(9, dtype=np.int64), 0)
+    monkeypatch.setattr(native, "_library", lambda: None)
+    with pytest.raises(RuntimeError, match="compiler"):
+        native.cone_walk(
+            starts, weights, layout.interior[:1], layout.deltas, layout.border, 9
+        )
 
 
 #: Compiled in front of ``firstfit.c``: every prefetch records its address.

@@ -119,8 +119,9 @@ def test_layout_neighbors_match_csr():
             assert all(0 <= int(u) <= n for u in ids), (shape, v)
             real = sorted(int(u) for u in ids if u != n)
             assert real == sorted(int(u) for u in csr.neighbors(v)), (shape, v)
-        rows = layout.neighbors(np.arange(n))
-        assert rows.shape == (n, len(layout.deltas))
+        # The walk's border mask: exactly the padded ids with no flat id.
+        assert np.array_equal(layout.border, layout.unpad == n)
+        assert not layout.border.flags.writeable
 
 
 @pytest.mark.parametrize("shape", LAYOUT_SHAPES)

@@ -142,6 +142,36 @@ class TestCheckpoints:
             recovered.starts, full_recolor(final, "GLF")
         )
 
+    @pytest.mark.parametrize("shape", [(9, 7), (4, 5, 3)])
+    def test_checkpoint_bytes_match_the_per_element_encoding(self, tmp_path, shape):
+        # The weight and start lists are encoded with ``tolist``; the file
+        # must be byte for byte what ``int()`` per element wrote.
+        import hashlib
+
+        store = SessionDurability(tmp_path, DurabilityConfig(checkpoint_interval=0))
+        weights = _grid(shape, seed=3)
+        weights.ravel()[::5] = 0
+        session = _session("pin", weights, "GLL", deltas_applied=4)
+        assert store.write_checkpoint(session)
+        h = hashlib.blake2b(digest_size=20)
+        h.update(repr(tuple(weights.shape)).encode())
+        h.update(weights.tobytes())
+        h.update(session.starts.tobytes())
+        old = json.dumps(
+            {
+                "session": "pin",
+                "algorithm": "GLL",
+                "shape": [int(s) for s in weights.shape],
+                "seq": 4,
+                "maxcolor": int(session.maxcolor),
+                "weights": [int(w) for w in weights.ravel()],
+                "starts": [int(s) for s in session.starts.ravel()],
+                "fingerprint": h.hexdigest(),
+            },
+            separators=(",", ":"),
+        )
+        assert store.checkpoint_path("pin").read_bytes() == old.encode()
+
     def test_deltas_after_checkpoint_replay_on_top(self, tmp_path):
         store = SessionDurability(
             tmp_path, DurabilityConfig(checkpoint_interval=2)

@@ -172,7 +172,7 @@ def test_lint_allows_kernels_import_in_incremental(tmp_path):
     pkg = tmp_path / "src" / "repro" / "incremental"
     pkg.mkdir(parents=True)
     (pkg / "ok.py").write_text(
-        "from repro.kernels.wavefront import first_fit_intervals\n"
+        "from repro.kernels.native import cone_walk\n"
         "def f():\n    from repro.core.problem import IVCInstance\n"
         "    return IVCInstance\n"
     )
