@@ -10,8 +10,8 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.core.algorithms.bipartite_decomposition import bd_with_bound
-from repro.core.algorithms.post_opt import bdp_recolor_order
 from repro.core.greedy_engine import greedy_recolor_pass
+from repro.core.orderings import clique_order
 
 from benchmarks.conftest import emit
 
@@ -23,9 +23,9 @@ def test_ablation_bdp_order(benchmark, suite2d):
         for inst in suite2d:
             bd, _rc = bd_with_bound(inst)
             totals["BD (no post)"] += bd.maxcolor
-            clique_order = bdp_recolor_order(inst, bd.starts)
+            order = clique_order(inst, bd.starts)
             totals["BDP (clique order)"] += int(
-                (greedy_recolor_pass(inst, bd.starts, clique_order) + inst.weights).max()
+                (greedy_recolor_pass(inst, bd.starts, order) + inst.weights).max()
             )
             totals["id order"] += int(
                 (greedy_recolor_pass(inst, bd.starts) + inst.weights).max()

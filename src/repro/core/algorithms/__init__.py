@@ -30,7 +30,7 @@ from repro.core.algorithms.greedy import (
     greedy_line_by_line,
     greedy_zorder,
 )
-from repro.core.algorithms.post_opt import bdp_recolor_order, post_optimize
+from repro.core.algorithms.post_opt import post_optimize
 from repro.core.algorithms.registry import (
     ALGORITHMS,
     EXTENDED_ALGORITHMS,
@@ -41,6 +41,7 @@ from repro.core.algorithms.registry import (
     available_algorithms,
     color_with,
 )
+from repro.core.orderings import clique_order
 
 __all__ = [
     "ALGORITHMS",
@@ -50,10 +51,10 @@ __all__ = [
     "Registry",
     "UnknownAlgorithmError",
     "available_algorithms",
-    "bdp_recolor_order",
     "bipartite_decomposition",
     "bipartite_decomposition_post",
     "chain_color",
+    "clique_order",
     "color_with",
     "greedy_largest_clique_first",
     "greedy_largest_first",

@@ -11,7 +11,8 @@ Hence ``maxcolor <= 2 RC <= 2 maxcolor*`` — a 2-approximation.
 again — a 4-approximation.
 
 ``BDP`` re-compacts the BD coloring with a clique-guided greedy recoloring
-pass (see :mod:`repro.core.algorithms.post_opt`).
+pass in :func:`~repro.core.orderings.clique_order`, keyed by the BD
+starts (see :mod:`repro.core.algorithms.post_opt`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from repro.core.coloring import Coloring
 from repro.core.greedy_engine import greedy_recolor_pass
+from repro.core.orderings import clique_order
 from repro.core.problem import IVCInstance
 from repro.runtime.context import resolve_fast
 
@@ -150,9 +152,7 @@ def bipartite_decomposition_post(instance: IVCInstance) -> Coloring:
     raises a start, so ``maxcolor(BDP) <= maxcolor(BD)`` and the
     approximation guarantee carries over.
     """
-    from repro.core.algorithms.post_opt import bdp_recolor_order
-
     coloring, _bound = bd_with_bound(instance)
-    order = bdp_recolor_order(instance, coloring.starts)
+    order = clique_order(instance, coloring.starts)
     starts = greedy_recolor_pass(instance, coloring.starts, order)
     return Coloring(instance=instance, starts=starts, algorithm="BDP")

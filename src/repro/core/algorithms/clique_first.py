@@ -13,6 +13,11 @@ total weight, leaving vertices already colored by an earlier clique untouched
   minimizing the clique's resulting top color; in 3D trying ``8!``
   permutations per block is too slow (as the paper found), so the uncolored
   vertices are simply sorted by non-increasing weight.
+
+A vertex is thus first-fit at the first block that holds it, so GKF, 3D SGK
+and SGK-ws (the weight-sorted rule in any dimension) are each one first-fit
+pass in :func:`~repro.core.orderings.clique_order`.  Only 2D SGK's search
+walks the blocks here.
 """
 
 from __future__ import annotations
@@ -22,45 +27,25 @@ from itertools import permutations
 import numpy as np
 
 from repro.core.coloring import Coloring
-from repro.core.greedy_engine import (
-    UNCOLORED,
-    first_fit_start,
-    greedy_color_partial,
-)
+from repro.core.greedy_engine import UNCOLORED, first_fit_start, greedy_color
+from repro.core.orderings import clique_order
 from repro.core.problem import IVCInstance
 
 
 def _sorted_blocks(instance: IVCInstance) -> np.ndarray:
-    """Stencil blocks by non-increasing weight sum (stable)."""
+    """The :math:`K_4` blocks of a 2D grid by non-increasing weight sum
+    (stable)."""
     geo = instance.geometry
-    if geo is None:
-        raise ValueError("clique-first heuristics require a stencil geometry")
-    blocks = geo.k4_blocks if instance.is_2d else geo.k8_blocks
-    if len(blocks) == 0:
-        return blocks
     sums = geo.block_weight_sums(instance.weights)
-    return blocks[np.argsort(-sums, kind="stable")]
-
-
-def _finish_leftovers(instance: IVCInstance, starts: np.ndarray) -> None:
-    """Color any vertex not covered by a block (thin grids) in id order."""
-    leftovers = np.flatnonzero(starts == UNCOLORED)
-    if len(leftovers):
-        greedy_color_partial(instance, starts, leftovers)
+    return geo.k4_blocks[np.argsort(-sums, kind="stable")]
 
 
 def greedy_largest_clique_first(instance: IVCInstance) -> Coloring:
     """Greedy Largest Clique First (GKF)."""
-    starts = np.full(instance.num_vertices, UNCOLORED, dtype=np.int64)
-    for block in _sorted_blocks(instance):
-        greedy_color_partial(instance, starts, block)
-    _finish_leftovers(instance, starts)
-    return Coloring(instance=instance, starts=starts, algorithm="GKF")
-
-
-def _clique_top_color(starts: np.ndarray, weights: np.ndarray, block: np.ndarray) -> int:
-    """Highest end color used inside a block (the permutation score)."""
-    return int((starts[block] + weights[block]).max())
+    key = np.zeros(instance.num_vertices, dtype=np.int64)
+    return greedy_color(
+        instance, clique_order(instance, key), algorithm="GKF", check_order=False
+    )
 
 
 def _best_permutation_fill(
@@ -139,19 +124,20 @@ def smart_greedy_largest_clique_first(instance: IVCInstance) -> Coloring:
 
     2D: exhaustive ``4!`` permutation search per :math:`K_4`.
     3D: weight-sorted vertices per :math:`K_8` (the paper's shortcut — the
-    ``8!`` search was too slow even for the authors).
+    ``8!`` search was too slow even for the authors), i.e. SGK-ws.
     """
+    if not instance.is_2d or min(instance.geometry.shape) < 2:
+        return _weight_sorted(instance, "SGK")
     starts = np.full(instance.num_vertices, UNCOLORED, dtype=np.int64)
-    two_d = instance.is_2d
     for block in _sorted_blocks(instance):
-        if two_d:
-            _best_permutation_fill(instance, starts, block)
-        else:
-            uncolored = [int(v) for v in block if starts[v] == UNCOLORED]
-            uncolored.sort(key=lambda v: (-int(instance.weights[v]), v))
-            greedy_color_partial(instance, starts, uncolored)
-    _finish_leftovers(instance, starts)
+        _best_permutation_fill(instance, starts, block)
     return Coloring(instance=instance, starts=starts, algorithm="SGK")
+
+
+def _weight_sorted(instance: IVCInstance, algorithm: str) -> Coloring:
+    """First fit in the clique order, heaviest first inside each block."""
+    order = clique_order(instance, -instance.weights)
+    return greedy_color(instance, order, algorithm=algorithm, check_order=False)
 
 
 def smart_greedy_weight_sorted(instance: IVCInstance) -> Coloring:
@@ -160,10 +146,4 @@ def smart_greedy_weight_sorted(instance: IVCInstance) -> Coloring:
     Ablation: quantifies what the 2D exhaustive permutation search buys over
     simple weight sorting inside each clique.
     """
-    starts = np.full(instance.num_vertices, UNCOLORED, dtype=np.int64)
-    for block in _sorted_blocks(instance):
-        uncolored = [int(v) for v in block if starts[v] == UNCOLORED]
-        uncolored.sort(key=lambda v: (-int(instance.weights[v]), v))
-        greedy_color_partial(instance, starts, uncolored)
-    _finish_leftovers(instance, starts)
-    return Coloring(instance=instance, starts=starts, algorithm="SGK-ws")
+    return _weight_sorted(instance, "SGK-ws")

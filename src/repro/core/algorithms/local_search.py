@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.algorithms.post_opt import bdp_recolor_order
 from repro.core.coloring import Coloring
 from repro.core.greedy_engine import first_fit_start, greedy_recolor_pass
 from repro.core.problem import IVCInstance

@@ -11,6 +11,7 @@ orders vertices by their cliques:
 3. inside each block sort vertices by increasing current start,
 4. keep each vertex's first occurrence.
 
+That is :func:`repro.core.orderings.clique_order` keyed by the starts.
 :func:`post_optimize` exposes the same sweep for any coloring (used by the
 ablation benchmarks to post-optimize other heuristics too).
 """
@@ -21,52 +22,7 @@ import numpy as np
 
 from repro.core.coloring import Coloring
 from repro.core.greedy_engine import greedy_recolor_pass
-from repro.core.problem import IVCInstance
-
-
-def bdp_recolor_order(
-    instance: IVCInstance, starts: np.ndarray, *, fast: bool | None = None
-) -> np.ndarray:
-    """The clique-guided recoloring order of Section V.B.
-
-    Returns a permutation of all vertices: block-by-block (blocks by
-    non-increasing weight sum), vertices within a block by increasing current
-    start, first occurrence kept; any vertex outside every block (thin grids)
-    is appended in id order.  With fast paths enabled (the default) the
-    block scan runs through the vectorized
-    :func:`repro.kernels.chains.bdp_recolor_order_fast` — identical order.
-    """
-    geo = instance.geometry
-    if geo is None:
-        raise ValueError("the BDP order requires a stencil geometry")
-    starts = np.asarray(starts, dtype=np.int64)
-    n = instance.num_vertices
-    if min(geo.shape) < 2:
-        return np.arange(n, dtype=np.int64)
-    sums = geo.block_weight_sums(instance.weights)
-    from repro.runtime.context import resolve_fast
-
-    if resolve_fast(fast):
-        from repro.kernels.chains import bdp_recolor_order_fast
-
-        return bdp_recolor_order_fast(geo.shape, sums, starts)
-    blocks = geo.k4_blocks if instance.is_2d else geo.k8_blocks
-    block_order = np.argsort(-sums, kind="stable")
-    seen = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.int64)
-    pos = 0
-    for b in block_order:
-        block = blocks[b]
-        inner = block[np.argsort(starts[block], kind="stable")]
-        for v in inner:
-            if not seen[v]:
-                seen[v] = True
-                order[pos] = v
-                pos += 1
-    for v in np.flatnonzero(~seen):
-        order[pos] = v
-        pos += 1
-    return order
+from repro.core.orderings import clique_order
 
 
 def post_optimize(coloring: Coloring, suffix: str = "+P") -> Coloring:
@@ -76,7 +32,7 @@ def post_optimize(coloring: Coloring, suffix: str = "+P") -> Coloring:
     ``<algorithm><suffix>``.
     """
     instance = coloring.instance
-    order = bdp_recolor_order(instance, coloring.starts)
+    order = clique_order(instance, coloring.starts)
     starts = greedy_recolor_pass(instance, coloring.starts, order)
     return Coloring(
         instance=instance,
@@ -98,7 +54,7 @@ def iterated_post_optimize(
     instance = coloring.instance
     starts = np.asarray(coloring.starts, dtype=np.int64)
     for _ in range(max_passes):
-        order = bdp_recolor_order(instance, starts)
+        order = clique_order(instance, starts)
         new = greedy_recolor_pass(instance, starts, order)
         if np.array_equal(new, starts):
             break

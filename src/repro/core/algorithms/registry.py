@@ -28,6 +28,7 @@ from repro.core.algorithms.bipartite_decomposition import (
 from repro.core.algorithms.clique_first import (
     greedy_largest_clique_first,
     smart_greedy_largest_clique_first,
+    smart_greedy_weight_sorted,
 )
 from repro.core.algorithms.greedy import (
     greedy_largest_first,
@@ -100,7 +101,9 @@ class AlgorithmSpec:
     kernels:
         Whether the spec reaches a kernel (``fast_fn``, or the kernels of
         the primitives underneath ``fn``).  ``False`` (the default) means
-        it always runs the reference loops.
+        it always runs the reference loops: :func:`color_with` runs it
+        under ``fast_paths=False``, so the primitives underneath take
+        their reference loops too.
     """
 
     name: str
@@ -280,12 +283,6 @@ def _bd_iterated(instance: IVCInstance) -> Coloring:
     return iterated_post_optimize(bipartite_decomposition(instance)).with_algorithm("BD+IP")
 
 
-def _sgk_weight_sorted(instance: IVCInstance) -> Coloring:
-    from repro.core.algorithms.clique_first import smart_greedy_weight_sorted
-
-    return smart_greedy_weight_sorted(instance)
-
-
 def _glf_local_search(instance: IVCInstance) -> Coloring:
     from repro.core.algorithms.greedy import greedy_largest_first
     from repro.core.algorithms.local_search import local_search
@@ -350,6 +347,7 @@ for _spec in (
     AlgorithmSpec(
         "GKF", greedy_largest_clique_first,
         description="greedy, heaviest-clique-block-first order",
+        kernels=True,
     ),
     AlgorithmSpec(
         "SGK", smart_greedy_largest_clique_first,
@@ -384,8 +382,9 @@ for _spec in (
         kernels=True,
     ),
     AlgorithmSpec(
-        "SGK-ws", _sgk_weight_sorted, is_extension=True,
+        "SGK-ws", smart_greedy_weight_sorted, is_extension=True,
         description="SGK's weight-sorted stacking applied to every block",
+        kernels=True,
     ),
     AlgorithmSpec(
         "BD-ax", _bd_best_axis, is_extension=True,
@@ -445,11 +444,12 @@ def color_with(
         Run the kernels (``True``) or the reference loops (``False``).
         ``None`` (default) follows the context's
         :class:`~repro.runtime.config.RuntimeConfig` ``fast_paths``.  Specs
-        without kernels and instances without a stencil geometry run the
-        reference loops regardless (:meth:`AlgorithmSpec.runs_kernel`).  A
-        ``fast`` that differs from the config runs the call under a child
-        context carrying it, which shares the caller's substrate caches and
-        metrics, so every primitive the algorithm touches follows it.
+        without kernels run as ``fast=False``, and instances without a
+        stencil geometry run the reference loops regardless
+        (:meth:`AlgorithmSpec.runs_kernel`).  A ``fast`` that differs from
+        the config runs the call under a child context carrying it, which
+        shares the caller's substrate caches and metrics, so every
+        primitive the algorithm touches follows it.
     context:
         The :class:`~repro.runtime.context.ExecutionContext` governing this
         call (fast-path config, substrate caches, metrics).  ``None`` uses
@@ -463,6 +463,8 @@ def color_with(
     """
     ctx = context if context is not None else get_context()
     spec = REGISTRY.get(name)
+    if not spec.kernels:
+        fast = False
     if fast is not None and bool(fast) != ctx.config.fast_paths:
         ctx = ctx.child(config=ctx.config.with_overrides(fast_paths=bool(fast)))
     kernel = spec.runs_kernel(instance, context=ctx)

@@ -185,28 +185,6 @@ def greedy_color(
     return Coloring(instance=instance, starts=starts, algorithm=algorithm)
 
 
-def greedy_color_partial(
-    instance: IVCInstance,
-    starts: np.ndarray,
-    vertices: Iterable[int],
-    first_fit=first_fit_start,
-) -> None:
-    """First-fit color the given vertices in order, updating ``starts`` in place.
-
-    Vertices already colored (``starts[v] != UNCOLORED``) are left untouched —
-    the "greedy principle" of the clique-first heuristics.
-    """
-    weights = instance.weights
-    indptr = instance.graph.indptr
-    indices = instance.graph.indices
-    for v in vertices:
-        v = int(v)
-        if starts[v] != UNCOLORED:
-            continue
-        ns, ne = _gather_neighbor_intervals(indptr, indices, starts, weights, v)
-        starts[v] = first_fit(ns, ne, int(weights[v]))
-
-
 def greedy_recolor_pass(
     instance: IVCInstance,
     starts: np.ndarray,

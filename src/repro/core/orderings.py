@@ -7,15 +7,20 @@ Two families, per the paper's analysis of the greedy worst case:
 * **weight** orders (largest first) color heavy vertices before their
   neighborhoods fill with awkwardly spaced intervals.
 
-Clique-driven orders (GKF/SGK) interleave ordering and coloring and live in
-:mod:`repro.core.algorithms.clique_first`.
+The **clique** order (:func:`clique_order`) visits the stencil's blocks
+heaviest first.  First fit in it is GKF, SGK-ws and 3D SGK; recoloring in it
+is BDP's sweep (Section V.B).  Only 2D SGK's ``4!`` search inside each block
+is not a fixed order (:mod:`repro.core.algorithms.clique_first`).
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.core.problem import IVCInstance
+from repro.runtime.context import resolve_fast
 
 
 def identity_order(n: int) -> np.ndarray:
@@ -53,6 +58,49 @@ def largest_first_order(instance: IVCInstance) -> np.ndarray:
     if -(1 << 15) < key.min(initial=0) and key.max(initial=0) <= 0:
         key = key.astype(np.int16)
     return np.argsort(key, kind="stable").astype(np.int64, copy=False)
+
+
+def clique_order(
+    instance: IVCInstance, key: np.ndarray, *, fast: Optional[bool] = None
+) -> np.ndarray:
+    """The blocks by non-increasing weight sum, each vertex at its first block.
+
+    Returns a permutation of all vertices: the :math:`K_4` (2D) /
+    :math:`K_8` (3D) blocks by non-increasing weight sum (stable), each
+    vertex placed at the first of them that holds it, and the vertices
+    placed at one block by ``(key, id)``.  A grid with an axis below 2 has
+    no blocks and keeps id order.
+
+    * ``key`` all zeros: GKF's order (within a block, id order);
+    * ``key = -weights``: SGK-ws's and 3D SGK's (heaviest first);
+    * ``key = starts``: BDP's recoloring sweep (lowest start first).
+
+    With fast paths on (``fast=None`` follows the context) the order comes
+    from :func:`repro.kernels.chains.bdp_recolor_order_fast`, with no block
+    table read; the block loop below is the reference (identical order,
+    differentially tested).
+    """
+    geo = instance.geometry
+    if geo is None:
+        raise ValueError("the clique order requires a stencil geometry")
+    key = np.asarray(key, dtype=np.int64)
+    n = instance.num_vertices
+    if min(geo.shape) < 2:
+        return np.arange(n, dtype=np.int64)
+    sums = geo.block_weight_sums(instance.weights)
+    if resolve_fast(fast):
+        from repro.kernels.chains import bdp_recolor_order_fast
+
+        return bdp_recolor_order_fast(geo.shape, sums, key)
+    blocks = geo.k4_blocks if instance.is_2d else geo.k8_blocks
+    seen = np.zeros(n, dtype=bool)
+    order = []
+    for block in blocks[np.argsort(-sums, kind="stable")]:
+        for v in block[np.argsort(key[block], kind="stable")]:
+            if not seen[v]:
+                seen[v] = True
+                order.append(v)
+    return np.array(order, dtype=np.int64)
 
 
 def random_order(instance: IVCInstance, seed: int = 0) -> np.ndarray:

@@ -68,20 +68,21 @@ def bd_starts_3d(grid: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def bdp_recolor_order_fast(
-    shape: tuple[int, ...], block_weight_sums: np.ndarray, starts: np.ndarray
+    shape: tuple[int, ...], block_weight_sums: np.ndarray, key: np.ndarray
 ) -> np.ndarray:
-    """Vectorized clique-guided recolor order (Section V.B).
+    """Vectorized clique order (:func:`repro.core.orderings.clique_order`).
 
     Blocks by non-increasing weight sum (stable), vertices within a block by
-    increasing current start (stable), first occurrence kept, block-less
-    vertices appended in id order — identical to the reference Python loop.
+    increasing ``key`` (stable), first occurrence kept, block-less vertices
+    in id order — identical to the reference Python loop.
     ``block_weight_sums`` are the sums of the grid's ``shape`` in block-id
-    order (C order over block corners); ``starts`` are flat.
+    order (C order over block corners); ``key`` is flat: the current starts
+    for BDP's sweep, ``-weights`` for SGK-ws, zeros for GKF.
 
     No block table is read.  A vertex is kept at the first block, by rank,
     that holds it, and its block columns list ids in increasing order, so
     the reference order is the vertices sorted by (rank of their first
-    block, start, id).  Every vertex lies in one of the ``2**D`` blocks at
+    block, key, id).  Every vertex lies in one of the ``2**D`` blocks at
     its corner, so that rank is a minimum over ``2**D`` shifted windows
     of the block-rank grid; a grid with an axis below 2 has no blocks and
     keeps id order.  The three keys are one ``int64`` when they fit, sorted
@@ -97,13 +98,13 @@ def bdp_recolor_order_fast(
     n = int(np.prod(shape))
     if min(shape) < 2:
         return np.arange(n, dtype=np.int64)
-    starts = np.asarray(starts, dtype=np.int64)
-    key = -np.asarray(block_weight_sums)
-    if -(1 << 15) < key.min() and key.max() <= 0:
-        key = key.astype(np.int16)
-    blocks = len(key)
+    key = np.asarray(key, dtype=np.int64)
+    neg_sums = -np.asarray(block_weight_sums)
+    if -(1 << 15) < neg_sums.min() and neg_sums.max() <= 0:
+        neg_sums = neg_sums.astype(np.int16)
+    blocks = len(neg_sums)
     rank = np.empty(blocks, dtype=np.int32 if blocks < 1 << 31 else np.int64)
-    rank[np.argsort(key, kind="stable")] = np.arange(blocks, dtype=rank.dtype)
+    rank[np.argsort(neg_sums, kind="stable")] = np.arange(blocks, dtype=rank.dtype)
     # The rank grid with a border of ``blocks`` (after every rank); vertex
     # ``v``'s blocks are the window cells at ``v`` plus a corner in {0, 1}^D.
     grid = np.full(tuple(d + 1 for d in shape), blocks, dtype=rank.dtype)
@@ -113,13 +114,13 @@ def bdp_recolor_order_fast(
     for window in windows:
         np.minimum(first, window, out=first)
     first = first.ravel()
-    low = int(starts.min())
-    span = int(starts.max()) - low + 1
+    low = int(key.min())
+    span = int(key.max()) - low + 1
     if blocks * span * n >= 1 << 63:
-        return np.lexsort((starts, first))
+        return np.lexsort((key, first))
     order = first.astype(np.int64)
     order *= span
-    order += starts
+    order += key
     order -= low
     order *= n
     order += np.arange(n, dtype=np.int64)

@@ -15,6 +15,7 @@ from repro.core.algorithms.bipartite_decomposition import bd_with_bound
 from repro.core.coloring import Coloring
 from repro.core.greedy_engine import greedy_color, greedy_recolor_pass
 from repro.core.orderings import (
+    clique_order,
     largest_first_order,
     line_by_line_order,
     smallest_last_order,
@@ -63,9 +64,7 @@ def bd_fast(instance: IVCInstance) -> Coloring:
 
 def bdp_fast(instance: IVCInstance) -> Coloring:
     """BDP: chain-kernel BD + vectorized order + first-fit recolor pass."""
-    from repro.core.algorithms.post_opt import bdp_recolor_order
-
     coloring, _bound = bd_with_bound(instance, fast=True)
-    order = bdp_recolor_order(instance, coloring.starts, fast=True)
+    order = clique_order(instance, coloring.starts, fast=True)
     starts = greedy_recolor_pass(instance, coloring.starts, order, fast=True)
     return Coloring(instance=instance, starts=starts, algorithm="BDP")

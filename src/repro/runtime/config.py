@@ -27,7 +27,6 @@ variable                        field                     values
 ``REPRO_WAVEFRONT_CACHE_SIZE``  ``wavefront_cache_size``  int (orders/shape)
 ``REPRO_FAULTS``                ``fault_spec``            fault spec string
 ``REPRO_MAX_CELL_RETRIES``      ``max_cell_retries``      int
-``REPRO_SEED``                  ``seed``                  int
 ``REPRO_SERVICE_WORKERS``       ``service_workers``       int (server processes)
 ``REPRO_TILING``                ``tiling.mode``           ``off``/``auto``/``on``
 ``REPRO_TILE_SHAPE``            ``tiling.tile_shape``     ``512x512`` style
@@ -330,9 +329,6 @@ class RuntimeConfig:
         :meth:`repro.runtime.context.ExecutionContext.install_faults`.
     max_cell_retries:
         Per-cell retry budget of the supervised engine pool.
-    seed:
-        Base seed for seeded subsystems (fault plans default to their spec's
-        own ``seed=`` segment; this is the fallback for future consumers).
     service_workers:
         Default worker-process count for ``stencil-ivc serve`` — ``1`` runs
         the classic single-process server, ``>= 2`` a routed
@@ -356,7 +352,6 @@ class RuntimeConfig:
     wavefront_cache_size: int = 8
     fault_spec: str = ""
     max_cell_retries: int = 3
-    seed: int = 0
     service_workers: int = 1
     tiling: TilingConfig = field(default_factory=TilingConfig)
     incremental: IncrementalConfig = field(default_factory=IncrementalConfig)
@@ -409,7 +404,6 @@ class RuntimeConfig:
             "wavefront_cache_size": env_int("REPRO_WAVEFRONT_CACHE_SIZE", 8),
             "fault_spec": env_str("REPRO_FAULTS", ""),
             "max_cell_retries": env_int("REPRO_MAX_CELL_RETRIES", 3),
-            "seed": env_int("REPRO_SEED", 0),
             "service_workers": env_int("REPRO_SERVICE_WORKERS", 1),
             "tiling": TilingConfig.from_env(),
             "incremental": IncrementalConfig.from_env(),

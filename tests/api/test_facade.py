@@ -54,7 +54,7 @@ class TestFacadeIdentity:
     def test_kernel_request_without_a_kernel_reports_reference(self):
         ctx = ExecutionContext()
         with use_context(ctx):
-            result = color(_weights((12, 12)), "GKF", runtime="kernels")
+            result = color(_weights((12, 12)), "SGK", runtime="kernels")
         assert result.provenance["fast"] is False
         counters = ctx.metrics.snapshot()["counters"]
         assert counters["registry.dispatch_reference"] == 1

@@ -152,11 +152,11 @@ def test_spec_runtime_overrides_flow_into_context(tmp_path):
     spec = load_spec(
         write_spec(
             tmp_path,
-            TINY_SPEC + "\n[runtime]\nfast_paths = false\nseed = 7\n",
+            TINY_SPEC + "\n[runtime]\nfast_paths = false\nmax_cell_retries = 7\n",
             "rt.toml",
         )
     )
     out = tmp_path / "rt"
     run_campaign(spec, out_dir=out)
     manifest = read_manifest(out)
-    assert manifest["spec"]["runtime"] == {"fast_paths": False, "seed": 7}
+    assert manifest["spec"]["runtime"] == {"fast_paths": False, "max_cell_retries": 7}

@@ -40,7 +40,9 @@ def _counters(ctx):
 
 
 def test_specs_without_kernels_are_the_clique_stackers():
-    assert REFERENCE_SPECS == ["GKF", "SGK", "SGK-ws"]
+    """Only 2D SGK's 4! search per block has no kernel; GKF and SGK-ws are
+    first fit in the clique order."""
+    assert REFERENCE_SPECS == ["SGK"]
 
 
 #: Grids below every crossover the size rule used to apply (8 vertices, 16
@@ -54,8 +56,8 @@ DEGENERATE = [(1, 1), (1, 3), (2, 2), (1, 1, 1), (2, 2, 1)]
 )
 def test_degenerate_grids_run_the_kernels_by_default(shape, name):
     """Under the default config, with no ``fast=``, every spec with kernels
-    reports ``provenance["fast"]`` and matches the reference starts; the
-    clique stackers report the reference loops."""
+    reports ``provenance["fast"]`` and matches the reference starts; SGK
+    reports the reference loops."""
     weights = np.random.default_rng(sum(shape)).integers(0, 30, size=shape)
     make = IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d
     spec = REGISTRY.get(name)

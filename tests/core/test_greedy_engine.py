@@ -8,7 +8,6 @@ from repro.core.greedy_engine import (
     first_fit_start,
     first_fit_start_naive,
     greedy_color,
-    greedy_color_partial,
     greedy_recolor_pass,
 )
 from repro.core.problem import IVCInstance
@@ -115,22 +114,6 @@ class TestGreedyColor:
     def test_algorithm_label(self, small_2d):
         c = greedy_color(small_2d, np.arange(small_2d.num_vertices), algorithm="lbl")
         assert c.algorithm == "lbl"
-
-
-class TestGreedyColorPartial:
-    def test_respects_existing_colors(self):
-        inst = IVCInstance.from_graph(path_graph(3), [2, 2, 2])
-        starts = np.array([0, UNCOLORED, UNCOLORED], dtype=np.int64)
-        greedy_color_partial(inst, starts, [1, 2])
-        assert starts[0] == 0  # untouched
-        assert starts[1] == 2
-        assert starts[2] == 0
-
-    def test_skips_already_colored(self):
-        inst = IVCInstance.from_graph(path_graph(2), [1, 1])
-        starts = np.array([5, UNCOLORED], dtype=np.int64)
-        greedy_color_partial(inst, starts, [0, 1])
-        assert starts[0] == 5
 
 
 class TestRecolorPass:

@@ -174,8 +174,10 @@ class TestSubstrateCounters:
             (128, "GLL", None, "registry.dispatch_fast"),
             (2, "GLL", None, "registry.dispatch_fast"),
             (2, "GLL", False, "registry.dispatch_reference"),
-            # GKF has no kernel: a kernel request still runs the reference.
-            (12, "GKF", True, "registry.dispatch_reference"),
+            # GKF is first fit in the clique order: it runs the kernels.
+            (12, "GKF", True, "registry.dispatch_fast"),
+            # SGK has no kernel: a kernel request still runs the reference.
+            (12, "SGK", True, "registry.dispatch_reference"),
         ],
     )
     def test_dispatch_counter_names_the_path_that_ran(

@@ -3,9 +3,10 @@
 Hypothesis drives random grid shapes, weights (including zeros), and vertex
 orders through both code paths and requires bit-identical starts; the
 compiled first-fit loop also runs from ``UNCOLORED`` and stale starts with
-weights up to ``2**40``.  The layout's stencil validation, the vectorized BDP order and the slice block
-sums are held to the same standard against the CSR edge list, the
-reference loop and the block table.  The SGK
+weights up to ``2**40``.  The layout's stencil validation, the vectorized
+clique order and the slice block sums are held to the same standard against
+the CSR edge list, the reference loop and the block table; GKF, SGK-ws and
+3D SGK against a block-by-block loop of Section V.A.  The SGK
 block-fill optimization is checked against a naive re-implementation that
 rebuilds every neighbor snapshot inside the permutation loop — the exact
 semantics the hoisted version must preserve.
@@ -17,8 +18,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.algorithms.clique_first import _best_permutation_fill, _sorted_blocks
-from repro.core.algorithms.post_opt import bdp_recolor_order
+from repro.core.algorithms.clique_first import (
+    _best_permutation_fill,
+    _sorted_blocks,
+    greedy_largest_clique_first,
+    smart_greedy_largest_clique_first,
+    smart_greedy_weight_sorted,
+)
 from repro.core.algorithms.registry import EXTENDED_ALGORITHMS, color_with
 from repro.core.coloring import Coloring
 from repro.core.greedy_engine import (
@@ -28,10 +34,13 @@ from repro.core.greedy_engine import (
     greedy_recolor_pass,
 )
 from repro.core.interval import edge_overlaps
+from repro.core.orderings import clique_order
 from repro.core.problem import IVCInstance
 from repro.kernels.chains import bdp_recolor_order_fast
 from repro.kernels.substrate import StencilLayout
 from repro.kernels.wavefront import wavefront_greedy_color, wavefront_recolor_pass
+from repro.runtime.config import RuntimeConfig
+from repro.runtime.context import ExecutionContext, use_context
 
 grids_2d = st.tuples(st.integers(1, 6), st.integers(1, 6))
 grids_3d = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))
@@ -147,15 +156,48 @@ def test_layout_conflicts_match_csr_edge_scan(shape, seed, span):
     assert np.array_equal(Coloring(inst, starts).violations(), expected)
 
 
-# Thin shapes (2×N, N×2, 2×2×N, 1×N) put every vertex in one or two blocks,
-# or in none.
+# Thin shapes (2×N, N×2, 2×2×N, 1×N, N×1×M) put every vertex in one or two
+# blocks, or in none; 2×2 and 2×2×2 are one block.
 bdp_grids = st.one_of(
     grids,
     st.tuples(st.just(2), st.integers(1, 9)),
     st.tuples(st.integers(1, 9), st.just(2)),
     st.tuples(st.just(2), st.just(2), st.integers(1, 6)),
     st.tuples(st.just(1), st.integers(1, 9)),
+    st.tuples(st.integers(1, 4), st.just(1), st.integers(1, 4)),
+    st.sampled_from([(2, 2), (2, 2, 2)]),
 )
+
+
+def _clique_first_oracle(inst, within):
+    """Section V.A block by block: blocks by non-increasing weight sum
+    (stable, summed from the block table), each block's still-uncolored
+    vertices first-fit in ``within`` order, then the vertices in no block
+    in id order."""
+    geo = inst.geometry
+    weights = inst.weights
+    blocks = geo.k4_blocks if inst.is_2d else geo.k8_blocks
+    starts = np.full(inst.num_vertices, UNCOLORED, dtype=np.int64)
+
+    def fit(v):
+        colored = [
+            int(u) for u in inst.graph.neighbors(v)
+            if starts[u] != UNCOLORED and weights[u] > 0
+        ]
+        starts[v] = first_fit_start(
+            [starts[u] for u in colored],
+            [starts[u] + weights[u] for u in colored],
+            int(weights[v]),
+        )
+
+    sums = weights[blocks].sum(axis=1)
+    for b in np.argsort(-sums, kind="stable"):
+        for v in sorted((int(v) for v in blocks[b] if starts[v] == UNCOLORED), key=within):
+            fit(v)
+    for v in range(inst.num_vertices):
+        if starts[v] == UNCOLORED:
+            fit(v)
+    return starts
 
 
 @given(
@@ -169,18 +211,30 @@ def test_bdp_order_kernel_matches_reference_loop(shape, seed, top, span):
     # Weights up to ``top`` make equal block sums common (all equal at 0);
     # a small ``span`` ties starts inside blocks (the stable tie-break) and
     # zero-weight cells sit at 0 as in a real coloring.  A ``span`` of
-    # 2**60 overflows the one-key sort on all but the smallest grids.
+    # 2**60 overflows the one-key sort on all but the smallest grids.  The
+    # clique order is keyed by zeros (GKF), -weights (SGK-ws, 3D SGK) and
+    # starts (BDP); first fit in it is the block-by-block loop.
     rng = np.random.default_rng(seed)
     weights = rng.integers(0, top + 1, size=shape)
     inst = _instance_of(weights)
     starts = rng.integers(0, span, size=inst.num_vertices)
     starts[(inst.weights == 0) & (rng.random(inst.num_vertices) < 0.5)] = 0
-    ref = bdp_recolor_order(inst, starts, fast=False)
     sums = inst.geometry.block_weight_sums(inst.weights)
-    got = bdp_recolor_order_fast(shape, sums, starts)
-    assert got.dtype == ref.dtype == np.int64
-    assert np.array_equal(got, ref)
-    assert np.array_equal(bdp_recolor_order(inst, starts, fast=True), ref)
+    for key in (np.zeros_like(starts), -inst.weights, starts):
+        ref = clique_order(inst, key, fast=False)
+        got = bdp_recolor_order_fast(shape, sums, key)
+        assert got.dtype == ref.dtype == np.int64
+        assert np.array_equal(got, ref)
+        assert np.array_equal(clique_order(inst, key, fast=True), ref)
+    by_id = _clique_first_oracle(inst, lambda v: v)
+    by_weight = _clique_first_oracle(inst, lambda v: (-int(inst.weights[v]), v))
+    for fast in (True, False):
+        with use_context(ExecutionContext(RuntimeConfig(fast_paths=fast))):
+            assert np.array_equal(greedy_largest_clique_first(inst).starts, by_id)
+            assert np.array_equal(smart_greedy_weight_sorted(inst).starts, by_weight)
+            if len(shape) == 3:
+                sgk = smart_greedy_largest_clique_first(inst)
+                assert np.array_equal(sgk.starts, by_weight)
 
 
 @given(shape=bdp_grids, seed=seeds)

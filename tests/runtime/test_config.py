@@ -23,7 +23,6 @@ class TestDefaults:
         assert config.wavefront_cache_size == 8
         assert config.fault_spec == ""
         assert config.max_cell_retries == 3
-        assert config.seed == 0
 
     def test_direct_construction_ignores_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAST_PATHS", "0")
@@ -35,7 +34,7 @@ class TestDefaults:
     def test_picklable(self):
         import pickle
 
-        config = RuntimeConfig(fast_paths=False, seed=7)
+        config = RuntimeConfig(fast_paths=False, max_cell_retries=7)
         assert pickle.loads(pickle.dumps(config)) == config
 
 
@@ -63,14 +62,12 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_WAVEFRONT_CACHE_SIZE", "3")
         monkeypatch.setenv("REPRO_FAULTS", "seed=1;engine.cell:crash=0.5,max=1")
         monkeypatch.setenv("REPRO_MAX_CELL_RETRIES", "9")
-        monkeypatch.setenv("REPRO_SEED", "42")
         config = RuntimeConfig.from_env()
         assert config.fast_paths is False
         assert config.substrate_cache_size == 5
         assert config.wavefront_cache_size == 3
         assert config.fault_spec == "seed=1;engine.cell:crash=0.5,max=1"
         assert config.max_cell_retries == 9
-        assert config.seed == 42
 
     @pytest.mark.parametrize(
         "raw,enabled",
@@ -91,14 +88,14 @@ class TestFromEnv:
 
     def test_explicit_override_beats_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAST_PATHS", "0")
-        monkeypatch.setenv("REPRO_SEED", "42")
-        config = RuntimeConfig.from_env(fast_paths=True, seed=7)
+        monkeypatch.setenv("REPRO_MAX_CELL_RETRIES", "42")
+        config = RuntimeConfig.from_env(fast_paths=True, max_cell_retries=7)
         assert config.fast_paths is True
-        assert config.seed == 7
+        assert config.max_cell_retries == 7
 
     def test_none_override_falls_through_to_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEED", "42")
-        assert RuntimeConfig.from_env(seed=None).seed == 42
+        monkeypatch.setenv("REPRO_MAX_CELL_RETRIES", "42")
+        assert RuntimeConfig.from_env(max_cell_retries=None).max_cell_retries == 42
 
     def test_unknown_override_rejected(self):
         with pytest.raises(TypeError, match="wavefronts"):
@@ -132,7 +129,7 @@ class TestFromEnv:
         for name in (
             "REPRO_FAST_PATHS", "REPRO_SUBSTRATE_CACHE_SIZE",
             "REPRO_WAVEFRONT_CACHE_SIZE",
-            "REPRO_FAULTS", "REPRO_MAX_CELL_RETRIES", "REPRO_SEED",
+            "REPRO_FAULTS", "REPRO_MAX_CELL_RETRIES",
         ):
             monkeypatch.delenv(name, raising=False)
         assert RuntimeConfig.from_env() == RuntimeConfig()
@@ -140,15 +137,15 @@ class TestFromEnv:
 
 class TestWithOverrides:
     def test_applies_changes_and_keeps_rest(self):
-        base = RuntimeConfig(seed=1)
+        base = RuntimeConfig(max_cell_retries=1)
         derived = base.with_overrides(wavefront_cache_size=2)
         assert derived.wavefront_cache_size == 2
-        assert derived.seed == 1
+        assert derived.max_cell_retries == 1
         assert base.wavefront_cache_size == 8  # frozen original untouched
 
     def test_none_values_are_skipped(self):
-        base = RuntimeConfig(seed=5)
-        assert base.with_overrides(seed=None) is base
+        base = RuntimeConfig(max_cell_retries=5)
+        assert base.with_overrides(max_cell_retries=None) is base
 
 
 class TestEnvHelpers:

@@ -30,7 +30,7 @@ class TestAmbientResolution:
         assert get_context() is first
 
     def test_use_context_wins_over_default(self):
-        ctx = ExecutionContext(RuntimeConfig(seed=7))
+        ctx = ExecutionContext(RuntimeConfig(max_cell_retries=7))
         with use_context(ctx):
             assert get_context() is ctx
         assert get_context() is not ctx
@@ -82,7 +82,7 @@ class TestChild:
         assert child.scoped("k", lambda: object()) is sentinel
 
     def test_child_swaps_metrics_keeps_config(self):
-        parent = ExecutionContext(RuntimeConfig(seed=3))
+        parent = ExecutionContext(RuntimeConfig(max_cell_retries=3))
         metrics = MetricsRegistry()
         child = parent.child(metrics=metrics)
         assert child.metrics is metrics
