@@ -33,7 +33,6 @@ from repro.incremental.engine import recolor_grid
 from repro.kernels import native
 from repro.runtime.config import RUNTIME_MODES, RuntimeConfig
 from repro.runtime.context import ExecutionContext, get_context
-from repro.runtime.fingerprint import config_fingerprint
 from repro.tiling.stitch import TiledColoring, color_tiled
 
 __all__ = ["ColoringResult", "color", "recolor"]
@@ -188,7 +187,7 @@ def color(
         provenance = {
             "algorithm": "GLL",
             "mode": "tiled",
-            "runtime": config_fingerprint(ctx.config),
+            "runtime": ctx.config.fingerprint,
             "first_fit": native.path(),
             "tiles": tiled.plan.num_tiles,
             "tile_shape": tiled.plan.tile_shape,
@@ -222,7 +221,7 @@ def color(
     provenance = {
         "algorithm": algorithm,
         "mode": "monolithic",
-        "runtime": config_fingerprint(ctx.config),
+        "runtime": ctx.config.fingerprint,
         "fast": ran_kernel,
         "first_fit": native.path() if ran_kernel else "reference",
         "shape": shape,
@@ -342,7 +341,7 @@ def recolor(
     provenance = {
         "algorithm": algorithm,
         "mode": mode,
-        "runtime": config_fingerprint(ctx.config),
+        "runtime": ctx.config.fingerprint,
         "shape": tuple(outcome.starts.shape),
         "recolor": outcome.stats(),
     }

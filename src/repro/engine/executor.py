@@ -200,8 +200,15 @@ def _init_worker(
     appends through its own ``O_APPEND`` descriptor, line-buffered, so the
     short marks interleave whole).  ``None`` — the serial path — disables
     journalling.
+
+    It also loads the compiled first-fit loop (building it on a cold
+    cache), so that one-time cost lands here and not in the first cell's
+    timing.
     """
+    from repro.kernels import native
+
     global _STATE
+    native.path()
     if context is None:
         if config is not None:
             context = ExecutionContext(config)

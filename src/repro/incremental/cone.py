@@ -80,4 +80,4 @@ def propagate_cone(
         return None
     placed, changed, keys, last = stats
     top = weights.size - 1 if ranking is not None else -int(weights.min())
-    return ConeResult(starts[layout.interior], placed, changed, keys, last < top)
+    return ConeResult(layout.inside(starts).flatten(), placed, changed, keys, last < top)

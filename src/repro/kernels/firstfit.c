@@ -9,14 +9,16 @@
  * neighbours, which is greedy_engine.first_fit_start's answer.  A
  * zero-weight cell lands at 0.  Everything is int64.
  *
- * No sort: sweep the neighbour intervals from ``cur = 0``, the gather
- * being the first sweep.  An interval with ``hi <= cur`` is dropped; one
- * that overlaps ``[cur, cur + w)`` blocks every start in ``[cur, hi)``, so
- * ``cur = hi`` and it is dropped too; any other is kept for the next
- * sweep.  Repeat until a sweep moves nothing.  ``cur`` only rises and
- * skips only blocked starts, so the fixed point is the lowest feasible
- * start; a sweep that moves drops an interval, so there are at most
- * ``m + 1`` sweeps.  ``lo - cur < w`` cannot overflow (``0 <= lo, cur``).
+ * No sort: gather the live neighbour intervals, then sweep them from
+ * ``cur = 0`` with a compare-and-move and no data-dependent branch
+ * (place), moving ``cur`` to ``hi`` past every interval that overlaps
+ * ``[cur, cur + w)`` (it blocks every start in ``[cur, hi)``), and repeat
+ * until a sweep leaves ``cur`` where it was.  ``cur`` only rises and
+ * skips only blocked starts, and a sweep that moves nothing proves ``cur``
+ * feasible, so the fixed point is the lowest feasible start.  An interval
+ * once passed has ``hi <= cur`` for good, and a sweep that moves passes
+ * one, so there are at most ``m + 1`` sweeps.  ``lo - cur < w`` cannot
+ * overflow (``0 <= lo, cur``).
  *
  * The visit order may jump around the grid (largest first, BDP blocks),
  * so the loop prefetches the stencil rows of the cell ``AHEAD`` places on.
@@ -42,6 +44,19 @@ static int64_t stencil_rows(const int64_t *deltas, int64_t d,
     return r;
 }
 
+/* The lowest start ``cur >= 0`` whose ``[cur, cur + w)`` misses every
+ * ``[lo[j], hi[j])``, for ``w > 0`` and ``0 <= lo[j] < hi[j]``. */
+static inline int64_t place(const int64_t *lo, const int64_t *hi, int m, int64_t w)
+{
+    int64_t cur = 0, prev;
+    do {
+        prev = cur;
+        for (int j = 0; j < m; j++)
+            cur = ((hi[j] > cur) & (lo[j] - cur < w)) ? hi[j] : cur;
+    } while (cur != prev);
+    return cur;
+}
+
 void ivc_first_fit(int64_t *starts, const int64_t *weights,
                    const int64_t *cells, int64_t n,
                    const int64_t *deltas, int64_t d)
@@ -62,38 +77,17 @@ void ivc_first_fit(int64_t *starts, const int64_t *weights,
         const int64_t w = weights[p];
         int64_t cur = 0;
         if (w > 0) {
-            int m = 0, moved = 0;
+            int m = 0;
             for (int64_t k = 0; k < d; k++) {
                 const int64_t q = p + deltas[k];
                 const int64_t s = starts[q], wq = weights[q];
-                if (s == UNCOLORED || wq <= 0 || s + wq <= cur)
+                if (s == UNCOLORED || wq <= 0)
                     continue;
-                if (s - cur < w) {
-                    cur = s + wq;
-                    moved = 1;
-                    continue;
-                }
                 lo[m] = s;
                 hi[m] = s + wq;
                 m++;
             }
-            while (moved) {
-                int kept = 0;
-                moved = 0;
-                for (int j = 0; j < m; j++) {
-                    if (hi[j] <= cur)
-                        continue;
-                    if (lo[j] - cur < w) {
-                        cur = hi[j];
-                        moved = 1;
-                        continue;
-                    }
-                    lo[kept] = lo[j];
-                    hi[kept] = hi[j];
-                    kept++;
-                }
-                m = kept;
-            }
+            cur = place(lo, hi, m, w);
         }
         starts[p] = cur;
     }
@@ -234,40 +228,19 @@ int ivc_cone_walk(int64_t *starts, const int64_t *weights,
         const int64_t p = e.id, w = weights[p];
         int64_t cur = 0;
         if (w > 0) {
-            int m = 0, moved = 0;
+            int m = 0;
             for (int64_t k = 0; k < d; k++) {
                 const int64_t n = p + deltas[k];
                 const int64_t s = starts[n], wn = weights[n];
-                if (s == UNCOLORED || wn <= 0 || s + wn <= cur)
+                if (s == UNCOLORED || wn <= 0)
                     continue;
                 if (!before(entry_of(&q, n), e))
                     continue; /* a successor: its start is not final */
-                if (s - cur < w) {
-                    cur = s + wn;
-                    moved = 1;
-                    continue;
-                }
                 lo[m] = s;
                 hi[m] = s + wn;
                 m++;
             }
-            while (moved) {
-                int kept = 0;
-                moved = 0;
-                for (int j = 0; j < m; j++) {
-                    if (hi[j] <= cur)
-                        continue;
-                    if (lo[j] - cur < w) {
-                        cur = hi[j];
-                        moved = 1;
-                        continue;
-                    }
-                    lo[kept] = lo[j];
-                    hi[kept] = hi[j];
-                    kept++;
-                }
-                m = kept;
-            }
+            cur = place(lo, hi, m, w);
         }
         const int shifted = cur != starts[p];
         changed += shifted;

@@ -3,15 +3,17 @@
 Every first-fit pass of the kernel tier runs :func:`first_fit`: one
 sequential pass over the padded grid of a
 :class:`~repro.kernels.substrate.StencilLayout`, in any visit order.  Per
-cell it sweeps the neighbour intervals without sorting them, jumping the
-candidate start past each one that blocks it until a sweep moves nothing,
-which is the lowest feasible start that the sort-and-scan of
-:func:`~repro.core.greedy_engine.first_fit_start` returns; it prefetches
+cell it gathers the live neighbour intervals and sweeps them without
+sorting and without a data-dependent branch, moving the candidate start
+past each one that blocks it until a sweep leaves it unchanged: the lowest
+feasible start, which the sort-and-scan of
+:func:`~repro.core.greedy_engine.first_fit_start` returns.  It prefetches
 the stencil rows of the cell 16 places on in the order.  Recolor deltas
-run :func:`cone_walk`, the same sweep over only the cells a delta can
-reach (:mod:`repro.incremental.cone`).  Both are ~300 lines of C, so they
-are compiled from the package's own source rather than shipped as a
-binary:
+run :func:`cone_walk` over only the cells a delta can reach
+(:mod:`repro.incremental.cone`); it gathers each cell's live predecessors
+and places the cell with the same sweep, one routine in the source.  Both
+are ~260 lines of C, so they are compiled from the package's own source
+rather than shipped as a binary:
 
 * **Compile.** On the first call in a process, with the C compiler Python
   was built with (``sysconfig``'s ``CC``; the ``CC`` environment variable

@@ -136,10 +136,19 @@ class StencilLayout:
         cells.flags.writeable = False
         return rank, cells
 
+    def inside(self, padded: np.ndarray) -> np.ndarray:
+        """The interior of a padded per-cell array, as a view shaped like
+        the grid: its C order is the flat cell order.  Strided slices, so
+        writing or copying it out costs no index array."""
+        return padded.reshape(self.padded)[(slice(1, -1),) * len(self.padded)]
+
     def pad(self, values, fill: int) -> np.ndarray:
-        """Flat per-cell ``values`` as padded ``int64``, ``fill`` on the border."""
+        """Flat per-cell ``values`` (or one scalar) as padded ``int64``,
+        ``fill`` on the border."""
         out = np.full(len(self.unpad), fill, dtype=np.int64)
-        out[self.interior] = values
+        view = self.inside(out)
+        values = np.asarray(values)
+        view[...] = values if values.ndim == 0 else values.reshape(view.shape)
         return out
 
     def conflicts(self, starts, weights) -> np.ndarray:

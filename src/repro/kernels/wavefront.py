@@ -7,8 +7,9 @@ regular, so every pass here hands its whole visit order to one call of the
 compiled loop (:func:`repro.kernels.native.first_fit`): per cell, read the
 neighbours at ``p + deltas`` in the shape's padded
 :class:`~repro.kernels.substrate.StencilLayout` (no table, no bounds
-mask), sort their intervals by lower end and scan once — the paper's
-sort-and-scan, in C.  The visit is sequential, so the result is
+mask), and place it at the lowest start that misses their intervals —
+the paper's sort-and-scan answer, found in C by a branch-free sweep with
+no sort.  The visit is sequential, so the result is
 *bit-identical* to the reference for every permutation, which the
 differential tests assert; empty (zero-weight) intervals land at 0.
 
@@ -66,7 +67,7 @@ def first_fit_pass(
     native.first_fit(
         starts_pad, weights_pad, cells, layout.deltas if deltas is None else deltas
     )
-    return starts_pad[layout.interior]
+    return layout.inside(starts_pad).flatten()
 
 
 def _is_line_by_line(order: np.ndarray, shape: tuple[int, ...]) -> bool:

@@ -52,7 +52,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Optional
+
+from repro.runtime.fingerprint import config_fingerprint
 
 __all__ = [
     "RUNTIME_MODES",
@@ -416,6 +419,12 @@ class RuntimeConfig:
             if value is not None:
                 values[name] = value
         return cls(**values)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """:func:`~repro.runtime.fingerprint.config_fingerprint` of this
+        config, computed once per object (the config is frozen)."""
+        return config_fingerprint(self)
 
     def with_overrides(self, **overrides) -> "RuntimeConfig":
         """A copy with ``overrides`` applied (``None`` values are skipped)."""

@@ -202,3 +202,18 @@ class TestSuiteIntegration:
         sub = result.subset([2])
         assert [r.instance_index for r in sub.records] == [0]
         assert sub.records[0].instance == instances[2].name
+
+
+def test_worker_initializer_loads_the_compiled_loop():
+    # The library is built and loaded before any cell is timed, in every
+    # worker and on the serial path (which runs the same initializer).
+    from repro.engine import executor
+    from repro.kernels import native
+    from repro.runtime.context import ExecutionContext
+
+    native._library.cache_clear()
+    try:
+        executor._init_worker([], False, None, False, context=ExecutionContext())
+        assert native._library.cache_info().currsize == 1
+    finally:
+        executor._STATE = None

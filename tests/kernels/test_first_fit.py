@@ -1,11 +1,12 @@
 """The first-fit primitives, directly and at the hazards of their passes.
 
-One cell of the compiled loop is checked against a test-local copy of the
-sequential sort-and-scan, slot by slot, and the loop's sort-free sweeps are checked
-against ``first_fit_start`` on one stencil cell at their hazards:
-staircases that take every sweep, exact gaps, tied lower ends, all
-neighbours live, zero weights, ``UNCOLORED`` neighbours and starts near
-``2**40``.  The pass tests diff the cases a pass treats
+One cell of the compiled loop, and of the recolor walk placing it dirty
+after all its neighbours, is checked against a test-local copy of the
+sequential sort-and-scan, slot by slot, and the branch-free sweep both
+share is checked through both against ``first_fit_start`` on one stencil
+cell at its hazards: staircases that take every sweep, exact gaps, tied
+lower ends, all neighbours live, zero weights, ``UNCOLORED`` neighbours
+and starts near ``2**40``.  The pass tests diff the cases a pass treats
 specially against the reference loops or monolithic GLL: recolor passes
 whose zero-weight cells enter with stale or ``UNCOLORED`` starts, weights
 and starts on either side of ``2**29`` (where 32-bit arithmetic would
@@ -84,32 +85,54 @@ def test_native_fit_matches_sequential_scan(batch, shift):
     s, wn, w = batch
     d = s.shape[1]
     s = np.where(s == UNCOLORED, s, s + shift)
+    ids = np.arange(d + 1, dtype=np.int64)  # a static order: slots, then the cell
+    border = np.zeros(d + 1, dtype=bool)
     for r in range(len(w)):
         starts = np.append(s[r], UNCOLORED)
         weights = np.append(wn[r], w[r])
+        walked = starts.copy()
         native.first_fit(starts, weights, np.array([d]), np.arange(-d, 0))
         assert starts[:d].tolist() == s[r].tolist()
         assert starts[d] == _scan(s[r], wn[r], int(w[r]))
+        if _walk(walked, weights, d, np.arange(-d, 0), border, (ids, ids)):
+            assert walked.tolist() == starts.tolist()
 
 
-# -- the sort-free scan at its hazards --------------------------------------
+def _walk(starts, weights, cell, deltas, border, ranking):
+    """Place the dirty ``cell`` alone through the compiled walk, in a static
+    ``ranking`` where all its neighbours precede it; ``False`` (nothing
+    placed) without the compiled library."""
+    if native.path() != "native":
+        return False
+    stats = native.cone_walk(starts, weights, np.array([cell]), deltas, border, 1, ranking)
+    assert stats is not None and stats[0] == 1
+    return True
+
+
+# -- the branch-free sweep at its hazards -----------------------------------
 
 
 def _place(dim, s, wn, w):
     """The compiled loop's start for the centre of a 3×3(×3) grid whose
     ``k``-th stencil neighbour holds start ``s[k]`` and weight ``wn[k]``,
-    checked against ``first_fit_start`` over the live neighbours."""
+    checked against ``first_fit_start`` over the live neighbours.  The
+    walk places the centre too, dirty and last in a static order."""
     layout = StencilLayout.of((3,) * dim)
-    centre = int(layout.interior[len(layout.interior) // 2])
+    flat = 3**dim // 2
+    centre = int(layout.interior[flat])
     starts = layout.pad(np.full(3**dim, UNCOLORED), UNCOLORED)
     weights = layout.pad(np.zeros(3**dim), 0)
     starts[centre + layout.deltas] = s
     weights[centre + layout.deltas] = wn
     weights[centre] = w
+    walked = starts.copy()
     native.first_fit(starts, weights, np.array([centre]), layout.deltas)
     live = [(a, a + b) for a, b in zip(s, wn) if a != UNCOLORED and b > 0]
     want = first_fit_start([a for a, _ in live], [b for _, b in live], w)
     assert starts[centre] == want
+    ranking = layout.ranking(np.append(np.delete(np.arange(3**dim), flat), flat))
+    if _walk(walked, weights, centre, layout.deltas, layout.border, ranking):
+        assert walked[centre] == want
     return int(starts[centre])
 
 

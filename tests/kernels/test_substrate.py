@@ -155,3 +155,23 @@ def test_engine_pool_with_fast_paths_matches_serial_reference():
         assert (r.instance, r.algorithm) == (p.instance, p.algorithm)
         assert r.maxcolor == p.maxcolor
         assert r.starts == p.starts
+
+
+@pytest.mark.parametrize("shape", LAYOUT_SHAPES)
+def test_pad_and_inside_match_the_index_scatter_and_gather(shape):
+    # ``pad`` writes and ``inside`` reads the interior through strided
+    # views; both equal the fancy-index form over ``interior``.
+    layout = StencilLayout.of(shape)
+    n = int(np.prod(shape))
+    values = np.random.default_rng(n).integers(-5, 2**40, size=n)
+    for fill in (0, -1, 7):
+        for given in (values, values.tolist(), 3, np.int64(-1)):
+            want = np.full(len(layout.unpad), fill, dtype=np.int64)
+            want[layout.interior] = given
+            got = layout.pad(given, fill)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        padded = layout.pad(values, fill)
+        flat = layout.inside(padded).flatten()
+        assert np.array_equal(flat, padded[layout.interior])
+        assert not np.shares_memory(flat, padded)
+        assert layout.inside(padded).shape == shape

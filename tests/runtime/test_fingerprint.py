@@ -83,3 +83,21 @@ class TestArrayDigest:
         b = a.copy()
         b[0] = 99
         assert array_digest(a) != array_digest(b)
+
+
+class TestConfigFingerprint:
+    def test_cached_once_per_config_and_equal_to_the_digest(self):
+        from repro.runtime.config import RuntimeConfig
+        from repro.runtime.fingerprint import config_fingerprint
+
+        default = RuntimeConfig()
+        overridden = default.with_overrides(
+            fast_paths=False, max_cell_retries=7, tiling={"tile_shape": (8, 8)}
+        )
+        for config in (default, overridden):
+            assert config.fingerprint == config_fingerprint(config)
+            assert config.fingerprint is config.fingerprint  # computed once
+        assert default.fingerprint != overridden.fingerprint
+        # The cache is not a field: equality and hashing ignore it.
+        fresh = RuntimeConfig()
+        assert fresh == default and hash(fresh) == hash(default)
