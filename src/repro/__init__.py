@@ -46,7 +46,7 @@ from repro.core import (
 )
 from repro.engine import RunRecord
 from repro.experiments import SuiteExecutionError, SuiteResult, run_suite
-from repro.stencil import StencilGrid2D, StencilGrid3D
+from repro.stencil import StencilGrid
 from repro import api
 from repro.api import ColoringResult, color
 
@@ -62,8 +62,7 @@ __all__ = [
     "REGISTRY",
     "Registry",
     "RunRecord",
-    "StencilGrid2D",
-    "StencilGrid3D",
+    "StencilGrid",
     "SuiteExecutionError",
     "SuiteResult",
     "UnknownAlgorithmError",

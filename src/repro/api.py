@@ -206,8 +206,7 @@ def color(
         )
 
     if instance is None:
-        make = IVCInstance.from_grid_2d if grid.ndim == 2 else IVCInstance.from_grid_3d
-        instance = make(grid)
+        instance = IVCInstance.from_grid(grid)
     coloring = color_with(instance, algorithm, fast=fast, context=ctx)
     if validate:
         coloring.check()

@@ -58,18 +58,24 @@ def _load_weights(path: str) -> np.ndarray:
     return np.loadtxt(path, dtype=np.int64)
 
 
+def _grid_instance(weights: np.ndarray, name: str):
+    """The stencil instance of a 2D or 3D weight grid, or ``None`` after
+    printing why there is none."""
+    from repro.core.problem import IVCInstance
+
+    if weights.ndim not in (2, 3):
+        print(f"error: expected a 2D or 3D weight grid, got shape {weights.shape}")
+        return None
+    return IVCInstance.from_grid(weights, name=name)
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     from repro.core.bounds import lower_bound
-    from repro.core.problem import IVCInstance
     from repro.core.algorithms.registry import color_with
 
     weights = _load_weights(args.file)
-    if weights.ndim == 2:
-        instance = IVCInstance.from_grid_2d(weights, name=args.file)
-    elif weights.ndim == 3:
-        instance = IVCInstance.from_grid_3d(weights, name=args.file)
-    else:
-        print(f"error: expected a 2D or 3D weight grid, got shape {weights.shape}")
+    instance = _grid_instance(weights, args.file)
+    if instance is None:
         return 2
     coloring = color_with(instance, args.algorithm).check()
     lb = lower_bound(instance)
@@ -92,15 +98,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         maxpair_bound,
         odd_cycle_bound,
     )
-    from repro.core.problem import IVCInstance
 
     weights = _load_weights(args.file)
-    if weights.ndim == 2:
-        instance = IVCInstance.from_grid_2d(weights, name=args.file)
-    elif weights.ndim == 3:
-        instance = IVCInstance.from_grid_3d(weights, name=args.file)
-    else:
-        print(f"error: expected a 2D or 3D weight grid, got shape {weights.shape}")
+    instance = _grid_instance(weights, args.file)
+    if instance is None:
         return 2
     print(f"instance        : {instance.name} {weights.shape}")
     print(f"max weight      : {max_weight_bound(instance)}")
@@ -117,15 +118,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_exact(args: argparse.Namespace) -> int:
     from repro.core.bounds import lower_bound
     from repro.core.exact.milp import solve_milp
-    from repro.core.problem import IVCInstance
 
     weights = _load_weights(args.file)
-    if weights.ndim == 2:
-        instance = IVCInstance.from_grid_2d(weights, name=args.file)
-    elif weights.ndim == 3:
-        instance = IVCInstance.from_grid_3d(weights, name=args.file)
-    else:
-        print(f"error: expected a 2D or 3D weight grid, got shape {weights.shape}")
+    instance = _grid_instance(weights, args.file)
+    if instance is None:
         return 2
     result = solve_milp(instance, time_limit=args.time_limit)
     print(f"instance : {instance.name} {weights.shape}")
@@ -334,17 +330,12 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 def cmd_gantt(args: argparse.Namespace) -> int:
     from repro.core.algorithms.registry import color_with
-    from repro.core.problem import IVCInstance
     from repro.stkde.gantt import gantt_svg
     from repro.stkde.runtime import simulate_schedule
 
     weights = _load_weights(args.file)
-    if weights.ndim == 2:
-        instance = IVCInstance.from_grid_2d(weights, name=args.file)
-    elif weights.ndim == 3:
-        instance = IVCInstance.from_grid_3d(weights, name=args.file)
-    else:
-        print(f"error: expected a 2D or 3D weight grid, got shape {weights.shape}")
+    instance = _grid_instance(weights, args.file)
+    if instance is None:
         return 2
     coloring = color_with(instance, args.algorithm).check()
     trace = simulate_schedule(coloring, num_workers=args.workers)
@@ -439,11 +430,7 @@ def cmd_tile(args: argparse.Namespace) -> int:
 
         full_box = tuple((0, d) for d in source.shape)
         weights = source.region(full_box)
-        if weights.ndim == 2:
-            instance = IVCInstance.from_grid_2d(weights, name="tile-verify")
-        else:
-            instance = IVCInstance.from_grid_3d(weights, name="tile-verify")
-        mono = color_with(instance, "GLL")
+        mono = color_with(IVCInstance.from_grid(weights, name="tile-verify"), "GLL")
         identical = bool(
             np.array_equal(np.asarray(tiled.starts).ravel(),
                            np.asarray(mono.starts).ravel())

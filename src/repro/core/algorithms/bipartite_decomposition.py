@@ -100,7 +100,7 @@ def bd_with_bound(
     vectorized chain kernel of :mod:`repro.kernels.chains` — identical
     starts, differentially tested.
     """
-    if not (instance.is_2d or instance.is_3d):
+    if instance.geometry is None:
         raise ValueError("Bipartite Decomposition requires a stencil geometry")
     if resolve_fast(fast):
         from repro.kernels.chains import bd_starts_2d, bd_starts_3d

@@ -37,7 +37,7 @@ def _sorted_blocks(instance: IVCInstance) -> np.ndarray:
     (stable)."""
     geo = instance.geometry
     sums = geo.block_weight_sums(instance.weights)
-    return geo.k4_blocks[np.argsort(-sums, kind="stable")]
+    return geo.blocks[np.argsort(-sums, kind="stable")]
 
 
 def greedy_largest_clique_first(instance: IVCInstance) -> Coloring:

@@ -123,11 +123,7 @@ class AlgorithmSpec:
         """Whether this heuristic can run on ``instance``."""
         if instance.geometry is None:
             return not self.needs_geometry
-        if instance.is_2d:
-            return 2 in self.supported_dims
-        if instance.is_3d:
-            return 3 in self.supported_dims
-        return not self.needs_geometry  # pragma: no cover - unknown geometry
+        return instance.geometry.ndim in self.supported_dims
 
     def runs_kernel(
         self,

@@ -111,10 +111,13 @@ def color_odd_cycle(instance: IVCInstance) -> Coloring:
     return Coloring(instance=instance, starts=starts, algorithm="exact-odd-cycle")
 
 
-def _parity_relaxation(instance: IVCInstance, relaxed_graph, parity: np.ndarray, label: str) -> Coloring:
-    """Optimal bipartite coloring of a stencil relaxation by grid parity."""
-    relaxed = IVCInstance(graph=relaxed_graph, weights=instance.weights)
-    edges = relaxed_graph.edges()
+def _parity_relaxation(instance: IVCInstance, label: str) -> Coloring:
+    """Optimal coloring of a stencil's axis-neighbour relaxation, bipartite
+    by the parity of the coordinate sum."""
+    geo = instance.geometry
+    relaxed = IVCInstance(graph=geo.csr_axis, weights=instance.weights)
+    parity = sum(geo.coords(np.arange(instance.num_vertices))) % 2
+    edges = relaxed.graph.edges()
     w = instance.weights
     if len(edges):
         m = int((w[edges[:, 0]] + w[edges[:, 1]]).max())
@@ -135,9 +138,7 @@ def color_relaxation_5pt(instance: IVCInstance) -> Coloring:
     """
     if not instance.is_2d:
         raise ValueError("5-pt relaxation requires a 2DS-IVC instance")
-    geo = instance.geometry
-    i, j = geo.coords(np.arange(instance.num_vertices))
-    return _parity_relaxation(instance, geo.csr_5pt, (i + j) % 2, "exact-5pt")
+    return _parity_relaxation(instance, "exact-5pt")
 
 
 def color_relaxation_7pt(instance: IVCInstance) -> Coloring:
@@ -147,6 +148,4 @@ def color_relaxation_7pt(instance: IVCInstance) -> Coloring:
     """
     if not instance.is_3d:
         raise ValueError("7-pt relaxation requires a 3DS-IVC instance")
-    geo = instance.geometry
-    i, j, k = geo.coords(np.arange(instance.num_vertices))
-    return _parity_relaxation(instance, geo.csr_7pt, (i + j + k) % 2, "exact-7pt")
+    return _parity_relaxation(instance, "exact-7pt")

@@ -92,7 +92,7 @@ def clique_order(
         from repro.kernels.chains import bdp_recolor_order_fast
 
         return bdp_recolor_order_fast(geo.shape, sums, key)
-    blocks = geo.k4_blocks if instance.is_2d else geo.k8_blocks
+    blocks = geo.blocks
     seen = np.zeros(n, dtype=bool)
     order = []
     for block in blocks[np.argsort(-sums, kind="stable")]:

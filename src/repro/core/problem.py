@@ -5,9 +5,9 @@ An :class:`IVCInstance` binds together
 * an undirected conflict graph in CSR form (built lazily, on first read, for
   stencil instances),
 * non-negative integer vertex weights, and
-* optionally a stencil geometry (:class:`~repro.stencil.grid2d.StencilGrid2D`
-  or :class:`~repro.stencil.grid3d.StencilGrid3D`) that structure-aware
-  algorithms (Bipartite Decomposition, clique-first orderings, GZO) exploit.
+* optionally a 2D or 3D stencil geometry
+  (:class:`~repro.stencil.grid.StencilGrid`) that structure-aware algorithms
+  (Bipartite Decomposition, clique-first orderings, GZO) exploit.
 
 Instances built from weight grids are 2DS-IVC / 3DS-IVC instances in the
 paper's terminology; instances built from a bare graph are general IVC.
@@ -16,15 +16,12 @@ paper's terminology; instances built from a bare graph are general IVC.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.stencil.generic import CSRGraph, from_edges
-from repro.stencil.grid2d import StencilGrid2D
-from repro.stencil.grid3d import StencilGrid3D
-
-Geometry = Union[StencilGrid2D, StencilGrid3D]
+from repro.stencil.grid import StencilGrid
 
 
 def _check_finite(arr) -> None:
@@ -89,7 +86,7 @@ class IVCInstance:
 
     graph: Optional[CSRGraph] = _Graph()
     weights: np.ndarray
-    geometry: Optional[Geometry] = None
+    geometry: Optional[StencilGrid] = None
     name: str = ""
     metadata: dict = field(default_factory=dict, repr=False)
 
@@ -123,12 +120,12 @@ class IVCInstance:
     @property
     def is_2d(self) -> bool:
         """Whether the instance is a 2DS-IVC (9-pt stencil) instance."""
-        return isinstance(self.geometry, StencilGrid2D)
+        return self.geometry is not None and self.geometry.ndim == 2
 
     @property
     def is_3d(self) -> bool:
         """Whether the instance is a 3DS-IVC (27-pt stencil) instance."""
-        return isinstance(self.geometry, StencilGrid3D)
+        return self.geometry is not None and self.geometry.ndim == 3
 
     def weight_grid(self) -> np.ndarray:
         """Weights reshaped to the stencil grid (stencil instances only)."""
@@ -143,35 +140,45 @@ class IVCInstance:
 
     # ------------------------------------------------------------ constructors
     @classmethod
+    def from_grid(cls, weight_grid, name: str = "", metadata: dict | None = None) -> "IVCInstance":
+        """Build a 2DS-IVC or 3DS-IVC instance from a 2D or 3D weight array.
+
+        Goes through :meth:`from_grid_2d` or :meth:`from_grid_3d`, looked
+        up on the class at call time.
+        """
+        ndim = np.ndim(weight_grid)
+        if ndim not in (2, 3):
+            raise ValueError(
+                f"expected a 2D or 3D weight grid, got shape {np.shape(weight_grid)}"
+            )
+        build = cls.from_grid_2d if ndim == 2 else cls.from_grid_3d
+        return build(weight_grid, name=name, metadata=metadata)
+
+    @classmethod
     def from_grid_2d(cls, weight_grid, name: str = "", metadata: dict | None = None) -> "IVCInstance":
         """Build a 2DS-IVC instance from an ``(X, Y)`` weight array."""
         from repro.kernels.substrate import shared_geometry_2d
 
-        _check_finite(weight_grid)
-        grid_arr = np.ascontiguousarray(weight_grid, dtype=np.int64)
-        if grid_arr.ndim != 2:
-            raise ValueError(f"expected a 2D weight grid, got shape {grid_arr.shape}")
-        geo = shared_geometry_2d(*grid_arr.shape)
-        return cls(
-            weights=grid_arr.ravel(),
-            geometry=geo,
-            name=name,
-            metadata=metadata or {},
-        )
+        return cls._on_grid(weight_grid, 2, shared_geometry_2d, name, metadata)
 
     @classmethod
     def from_grid_3d(cls, weight_grid, name: str = "", metadata: dict | None = None) -> "IVCInstance":
         """Build a 3DS-IVC instance from an ``(X, Y, Z)`` weight array."""
         from repro.kernels.substrate import shared_geometry_3d
 
+        return cls._on_grid(weight_grid, 3, shared_geometry_3d, name, metadata)
+
+    @classmethod
+    def _on_grid(cls, weight_grid, ndim: int, shared, name: str, metadata) -> "IVCInstance":
+        """An instance over the context-shared geometry ``shared(*shape)``
+        of an ``ndim``-D weight array."""
         _check_finite(weight_grid)
         grid_arr = np.ascontiguousarray(weight_grid, dtype=np.int64)
-        if grid_arr.ndim != 3:
-            raise ValueError(f"expected a 3D weight grid, got shape {grid_arr.shape}")
-        geo = shared_geometry_3d(*grid_arr.shape)
+        if grid_arr.ndim != ndim:
+            raise ValueError(f"expected a {ndim}D weight grid, got shape {grid_arr.shape}")
         return cls(
             weights=grid_arr.ravel(),
-            geometry=geo,
+            geometry=shared(*grid_arr.shape),
             name=name,
             metadata=metadata or {},
         )

@@ -39,12 +39,7 @@ def load_instance(path) -> IVCInstance:
         name = str(data["name"])
         metadata = json.loads(str(data["metadata"]))
         if "weight_grid" in data:
-            grid = data["weight_grid"]
-            if grid.ndim == 2:
-                return IVCInstance.from_grid_2d(grid, name=name, metadata=metadata)
-            if grid.ndim == 3:
-                return IVCInstance.from_grid_3d(grid, name=name, metadata=metadata)
-            raise ValueError(f"unsupported grid rank {grid.ndim}")
+            return IVCInstance.from_grid(data["weight_grid"], name=name, metadata=metadata)
         instance = IVCInstance.from_edges(
             int(data["num_vertices"]),
             [tuple(e) for e in data["edges"]],

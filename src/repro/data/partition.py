@@ -163,9 +163,7 @@ def balanced_rectilinear_instance(
         "axes": tuple(int(a) for a in axes),
         "cut_edges": [e.tolist() for e in edges_per_axis],
     }
-    if len(axes) == 2:
-        return IVCInstance.from_grid_2d(grid, name=label, metadata=metadata)
-    return IVCInstance.from_grid_3d(grid, name=label, metadata=metadata)
+    return IVCInstance.from_grid(grid, name=label, metadata=metadata)
 
 
 def uniform_rectilinear_instance(
@@ -184,6 +182,4 @@ def uniform_rectilinear_instance(
     grid, _ = np.histogramdd(np.column_stack(coords), bins=edges_per_axis)
     grid = grid.astype(np.int64)
     label = name or f"{dataset.name}-uniform-{'x'.join(map(str, parts))}"
-    if len(axes) == 2:
-        return IVCInstance.from_grid_2d(grid, name=label)
-    return IVCInstance.from_grid_3d(grid, name=label)
+    return IVCInstance.from_grid(grid, name=label)

@@ -123,8 +123,8 @@ def full_recolor(weights: np.ndarray, algorithm: str, context=None) -> np.ndarra
     from repro.core.problem import IVCInstance
 
     weights = _as_grid("weights", weights)
-    make = IVCInstance.from_grid_2d if weights.ndim == 2 else IVCInstance.from_grid_3d
-    coloring = color_with(make(weights, name="recolor"), algorithm, context=context)
+    instance = IVCInstance.from_grid(weights, name="recolor")
+    coloring = color_with(instance, algorithm, context=context)
     return np.asarray(coloring.starts, dtype=np.int64).reshape(weights.shape)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.stencil.grid2d import corner_windows
+from repro.stencil.grid import corner_windows
 
 
 def bd_starts_2d(grid: np.ndarray) -> tuple[np.ndarray, int]:

@@ -2,17 +2,17 @@
 
 Stencil instances of the same shape share everything except their weights:
 the padded-offset :class:`StencilLayout` every kernel reads neighbours
-through, and the geometry with its :math:`K_4`/:math:`K_8` block tables
+through, and the geometry with its :math:`K_4`/:math:`K_8` block table
 (for the reference loops).  Benchmark suites construct hundreds of
 instances over a handful of shapes, and the batch engine replays the same shapes in every worker
 process — so this module memoizes all of it behind two small LRU caches,
-keyed by ``(stencil type, grid shape)``:
+keyed by grid shape (its length tells 2D from 3D):
 
-* :func:`shared_geometry` — one :class:`~repro.stencil.grid2d.StencilGrid2D` /
-  :class:`~repro.stencil.grid3d.StencilGrid3D` per shape, so the block
-  tables — and the ``cached_property`` CSR, for the reference paths that
-  walk it — are built at most once and shared by every instance of that
-  shape (``IVCInstance.from_grid_2d/3d`` call this);
+* :func:`shared_geometry` — one :class:`~repro.stencil.grid.StencilGrid`
+  per shape, so the block table — and the ``cached_property`` CSR, for the
+  reference paths that walk it — are built at most once and shared by every
+  instance of that shape (``IVCInstance.from_grid_2d/3d`` call it through
+  :func:`shared_geometry_2d` / :func:`shared_geometry_3d`);
 * :func:`get_substrate` — the kernel-facing :class:`Substrate` bundling the
   shape's :class:`StencilLayout` and a per-order cache of wavefront
   schedules.  The schedules (:meth:`Substrate.wavefront_for`, the Kahn
@@ -45,7 +45,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -53,10 +53,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.context import ExecutionContext, get_context
 from repro.runtime.fingerprint import array_digest
-from repro.stencil.grid2d import OFFSETS_9PT, StencilGrid2D
-from repro.stencil.grid3d import OFFSETS_27PT, StencilGrid3D
-
-Geometry = Union[StencilGrid2D, StencilGrid3D]
+from repro.stencil.grid import StencilGrid, moore_offsets
 
 #: A wavefront schedule: ``verts[ptr[b]:ptr[b + 1]]`` is batch ``b``.
 Wavefront = tuple[np.ndarray, np.ndarray]
@@ -90,7 +87,7 @@ class StencilLayout:
     earlier_deltas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        offsets = np.asarray(OFFSETS_9PT if len(self.padded) == 2 else OFFSETS_27PT)
+        offsets = np.asarray(moore_offsets(len(self.padded)))
         steps = offsets @ np.array([1, 2, 4])[: len(self.padded)]
         object.__setattr__(self, "earlier_deltas", self.deltas[steps < 0])
 
@@ -102,8 +99,7 @@ class StencilLayout:
             raise ValueError(f"stencil shapes are 2D or 3D, got {shape}")
         padded = tuple(d + 2 for d in shape)
         strides = np.cumprod((1,) + padded[:0:-1])[::-1]
-        offsets = OFFSETS_9PT if len(shape) == 2 else OFFSETS_27PT
-        deltas = np.asarray(offsets, dtype=np.int64) @ strides.astype(np.int64)
+        deltas = np.asarray(moore_offsets(len(shape)), dtype=np.int64) @ strides.astype(np.int64)
         size = int(np.prod(padded))
         inner = (slice(1, -1),) * len(shape)
         interior = np.arange(size, dtype=np.int64).reshape(padded)[inner].ravel()
@@ -304,7 +300,7 @@ class Substrate:
         :class:`~repro.runtime.config.RuntimeConfig`).
     """
 
-    geometry: Geometry
+    geometry: StencilGrid
     layout: StencilLayout
     wavefront_cache_size: int
     _wavefronts: OrderedDict = field(default_factory=OrderedDict, repr=False)
@@ -353,7 +349,7 @@ class Substrate:
 
 
 class _ShapeCache:
-    """A tiny thread-safe LRU keyed by ``(stencil type, shape)``.
+    """A tiny thread-safe LRU keyed by grid shape.
 
     Tracks hit/miss/eviction counters (monotonic over the cache lifetime,
     surviving :meth:`clear`) so the service ``/metrics`` snapshot can
@@ -445,53 +441,48 @@ def _state(context: Optional[ExecutionContext] = None) -> _SubstrateState:
     )
 
 
-def _key(kind: str, shape: tuple[int, ...]) -> tuple:
-    return (kind, tuple(int(d) for d in shape))
+def shared_geometry(
+    *dims: int, context: Optional[ExecutionContext] = None
+) -> StencilGrid:
+    """The context-shared stencil geometry for a 2D or 3D grid shape."""
+    shape = tuple(int(d) for d in dims)
+    return _state(context).geometries.get_or_build(shape, lambda: StencilGrid(*shape))
 
 
 def shared_geometry_2d(
     X: int, Y: int, *, context: Optional[ExecutionContext] = None
-) -> StencilGrid2D:
+) -> StencilGrid:
     """The context-shared 9-pt geometry for an ``X×Y`` grid."""
-    return _state(context).geometries.get_or_build(
-        _key("2d", (X, Y)), lambda: StencilGrid2D(X, Y)
-    )
+    return shared_geometry(X, Y, context=context)
 
 
 def shared_geometry_3d(
     X: int, Y: int, Z: int, *, context: Optional[ExecutionContext] = None
-) -> StencilGrid3D:
+) -> StencilGrid:
     """The context-shared 27-pt geometry for an ``X×Y×Z`` grid."""
-    return _state(context).geometries.get_or_build(
-        _key("3d", (X, Y, Z)), lambda: StencilGrid3D(X, Y, Z)
-    )
+    return shared_geometry(X, Y, Z, context=context)
 
 
 def get_substrate(
-    geometry: Geometry, *, context: Optional[ExecutionContext] = None
+    geometry: StencilGrid, *, context: Optional[ExecutionContext] = None
 ) -> Substrate:
     """The shared :class:`Substrate` for a stencil geometry.
 
-    Two geometries of equal type and shape map to the same substrate, so the
+    Two geometries of equal shape map to the same substrate, so the
     layout and wavefront schedules are built once per shape no matter how
     many instances (or benchmark cells) run over it.
     """
     state = _state(context)
-    kind = "2d" if isinstance(geometry, StencilGrid2D) else "3d"
 
     def build() -> Substrate:
-        shared = (
-            shared_geometry_2d(*geometry.shape, context=context)
-            if kind == "2d"
-            else shared_geometry_3d(*geometry.shape, context=context)
-        )
+        shared = shared_geometry(*geometry.shape, context=context)
         return Substrate(
             geometry=shared,
             layout=StencilLayout.of(shared.shape),
             wavefront_cache_size=state.wavefront_cache_size,
         )
 
-    return state.substrates.get_or_build(_key(kind, geometry.shape), build)
+    return state.substrates.get_or_build(geometry.shape, build)
 
 
 def clear_caches(context: Optional[ExecutionContext] = None) -> None:

@@ -306,12 +306,8 @@ class ComputeQueue:
                     context=self.context,
                 )
             else:
-                if request.weights.ndim == 2:
-                    instance = IVCInstance.from_grid_2d(request.weights)
-                else:
-                    instance = IVCInstance.from_grid_3d(request.weights)
                 coloring = color_with(
-                    instance, request.algorithm, fast=request.fast,
+                    IVCInstance.from_grid(request.weights), request.algorithm, fast=request.fast,
                     context=self.context,
                 )
                 if request.validate:

@@ -153,11 +153,7 @@ def _direct_starts(item: WorkItem) -> np.ndarray:
     from repro.core.algorithms.registry import color_with
     from repro.core.problem import IVCInstance
 
-    if item.weights.ndim == 2:
-        instance = IVCInstance.from_grid_2d(item.weights)
-    else:
-        instance = IVCInstance.from_grid_3d(item.weights)
-    coloring = color_with(instance, item.algorithm)
+    coloring = color_with(IVCInstance.from_grid(item.weights), item.algorithm)
     return np.asarray(coloring.starts, dtype=np.int64).reshape(item.weights.shape)
 
 

@@ -3,11 +3,10 @@
 This subpackage provides the graph machinery that the interval-coloring
 algorithms operate on:
 
-* :class:`~repro.stencil.grid2d.StencilGrid2D` — the 9-pt (Moore) 2D stencil
-  used by 2DS-IVC, with its 5-pt (von Neumann) bipartite relaxation and its
-  :math:`K_4` block structure.
-* :class:`~repro.stencil.grid3d.StencilGrid3D` — the 27-pt 3D stencil used by
-  3DS-IVC, with its 7-pt relaxation and :math:`K_8` blocks.
+* :class:`~repro.stencil.grid.StencilGrid` — the 9-pt (Moore) 2D stencil of
+  2DS-IVC and the 27-pt 3D stencil of 3DS-IVC, one class for both: their
+  5-pt / 7-pt bipartite relaxations and their :math:`K_4` / :math:`K_8`
+  blocks.
 * :mod:`~repro.stencil.zorder` — Morton (Z-order) indexing used by the
   Greedy Z-Order heuristic.
 * :mod:`~repro.stencil.generic` — CSR adjacency for arbitrary graphs (paths,
@@ -27,20 +26,17 @@ from repro.stencil.generic import (
     star_graph,
     to_networkx,
 )
-from repro.stencil.grid2d import StencilGrid2D
-from repro.stencil.grid3d import StencilGrid3D
-from repro.stencil.zorder import morton_argsort_2d, morton_argsort_3d, morton_key_2d, morton_key_3d
+from repro.stencil.grid import StencilGrid
+from repro.stencil.zorder import morton_argsort, morton_key_2d, morton_key_3d
 
 __all__ = [
     "CSRGraph",
-    "StencilGrid2D",
-    "StencilGrid3D",
+    "StencilGrid",
     "clique_graph",
     "cycle_graph",
     "from_edges",
     "from_networkx",
-    "morton_argsort_2d",
-    "morton_argsort_3d",
+    "morton_argsort",
     "morton_key_2d",
     "morton_key_3d",
     "path_graph",

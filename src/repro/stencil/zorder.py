@@ -68,21 +68,16 @@ def morton_key_3d(i, j, k) -> np.ndarray:
     return _dilate_3(i) | (_dilate_3(j) << np.uint64(1)) | (_dilate_3(k) << np.uint64(2))
 
 
-def morton_argsort_2d(shape: tuple[int, int]) -> np.ndarray:
-    """Z-order permutation of the row-major vertex ids of an ``X×Y`` grid.
+#: The key function of each supported dimension.
+_KEYS = {2: morton_key_2d, 3: morton_key_3d}
 
-    ``result[r]`` is the flat id (``i * Y + j``) of the ``r``-th vertex in
-    Z-order traversal.
+
+def morton_argsort(shape: tuple[int, ...]) -> np.ndarray:
+    """Z-order permutation of the row-major vertex ids of a 2D or 3D grid.
+
+    ``result[r]`` is the flat C-order id of the ``r``-th vertex in Z-order
+    traversal.
     """
-    X, Y = shape
-    i, j = np.meshgrid(np.arange(X), np.arange(Y), indexing="ij")
-    keys = morton_key_2d(i.ravel(), j.ravel())
-    return np.argsort(keys, kind="stable").astype(np.int64)
-
-
-def morton_argsort_3d(shape: tuple[int, int, int]) -> np.ndarray:
-    """Z-order permutation of the row-major vertex ids of an ``X×Y×Z`` grid."""
-    X, Y, Z = shape
-    i, j, k = np.meshgrid(np.arange(X), np.arange(Y), np.arange(Z), indexing="ij")
-    keys = morton_key_3d(i.ravel(), j.ravel(), k.ravel())
+    coords = np.indices(shape, dtype=np.int64).reshape(len(shape), -1)
+    keys = _KEYS[len(shape)](*coords)
     return np.argsort(keys, kind="stable").astype(np.int64)

@@ -34,10 +34,12 @@ __all__ = [
 Box = tuple[tuple[int, int], ...]
 
 #: Per-cell ``int64`` working arrays of the band kernel in the tiler's memory
-#: model (weights, initial and padded starts, padded weights, schedule verts
-#: and their padded ids; ``docs/tiling.md``).  Transients lift the traced
-#: peak to ~9 per cell; the constant stays, as it sets the tile shapes
-#: derived from a memory budget.
+#: model (``docs/tiling.md``): ``color_region`` -> ``first_fit_pass`` holds
+#: the band's weights and the carry's initial starts, their padded copies,
+#: and the layout's ``interior`` and ``unpad`` ids.  The visit order and the
+#: flat copy of the result lift the traced peak to ~8 per cell; the constant
+#: stays, as it sets the tile shapes derived from a memory budget (and so
+#: plan fingerprints and tiled digests).
 WORKING_ARRAYS = 6
 
 

@@ -190,14 +190,12 @@ class TestBDP:
 class TestNoCSR:
     def test_reference_3d_bd_builds_no_csr(self, monkeypatch):
         # The per-layer instances used to be built over ``layer_grid.csr``.
-        from repro.stencil.grid2d import StencilGrid2D
-        from repro.stencil.grid3d import StencilGrid3D
+        from repro.stencil.grid import StencilGrid
 
         def refuse(self, offsets):
             raise AssertionError(f"{self!r} built a CSR")
 
-        monkeypatch.setattr(StencilGrid2D, "_build_csr", refuse)
-        monkeypatch.setattr(StencilGrid3D, "_build_csr", refuse)
+        monkeypatch.setattr(StencilGrid, "_build_csr", refuse)
         grid = np.random.default_rng(4).integers(0, 9, size=(4, 5, 3))
         inst = IVCInstance.from_grid_3d(grid)
         coloring, bound = bd_with_bound(inst, fast=False)

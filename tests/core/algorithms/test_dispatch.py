@@ -31,8 +31,7 @@ REFERENCE_SPECS = [spec.name for spec in REGISTRY.specs() if not spec.kernels]
 def _grid(shape, seed=0):
     rng = np.random.default_rng(seed)
     weights = rng.integers(0, 50, size=shape)
-    make = IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d
-    return make(weights)
+    return IVCInstance.from_grid(weights)
 
 
 def _counters(ctx):
@@ -59,14 +58,13 @@ def test_degenerate_grids_run_the_kernels_by_default(shape, name):
     reports ``provenance["fast"]`` and matches the reference starts; SGK
     reports the reference loops."""
     weights = np.random.default_rng(sum(shape)).integers(0, 30, size=shape)
-    make = IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d
     spec = REGISTRY.get(name)
     ctx = ExecutionContext(RuntimeConfig())
     result = color(weights, name, runtime=ctx)
     assert result.provenance["fast"] is spec.kernels
     counted = "registry.dispatch_fast" if spec.kernels else "registry.dispatch_reference"
     assert _counters(ctx)[counted] == 1
-    reference = color_with(make(weights), name, fast=False)
+    reference = color_with(IVCInstance.from_grid(weights), name, fast=False)
     assert np.array_equal(result.starts.ravel(), reference.starts)
 
 

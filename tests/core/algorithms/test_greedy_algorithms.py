@@ -72,7 +72,7 @@ class TestGLLStructure:
         grid[:, 1] = 1
         inst = IVCInstance.from_grid_2d(grid)
         c = greedy_line_by_line(inst)
-        row = inst.geometry.row_ids(0)
+        row = inst.geometry.layer_ids(0)
         # First fit along the chain: [0,3), then [3,7); the 5-wide interval
         # does not fit under [3,7) so it goes to [7,12); the 6-wide one fits
         # at 0 against its single colored neighbor [7,12).

@@ -131,7 +131,7 @@ class TestRelaxations:
     def test_5pt_valid_and_optimal_for_relaxed_graph(self, small_2d):
         c = color_relaxation_5pt(small_2d)
         assert c.is_valid()  # valid w.r.t. the 5-pt graph it carries
-        edges = small_2d.geometry.csr_5pt.edges()
+        edges = small_2d.geometry.csr_axis.edges()
         w = small_2d.weights
         expected = max(int(w.max()), int((w[edges[:, 0]] + w[edges[:, 1]]).max()))
         assert c.maxcolor == expected
@@ -153,7 +153,7 @@ class TestRelaxations:
     def test_7pt_valid_and_optimal(self, small_3d):
         c = color_relaxation_7pt(small_3d)
         assert c.is_valid()
-        edges = small_3d.geometry.csr_7pt.edges()
+        edges = small_3d.geometry.csr_axis.edges()
         w = small_3d.weights
         expected = max(int(w.max()), int((w[edges[:, 0]] + w[edges[:, 1]]).max()))
         assert c.maxcolor == expected

@@ -36,9 +36,8 @@ class TestOrders:
         # Instances of one shape share a geometry, so they share the order;
         # a caller writing into it would corrupt every later GZO call.
         for shape in ((5, 7), (3, 4, 2)):
-            make = IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d
-            first = zorder_order(make(np.ones(shape, dtype=np.int64)))
-            again = zorder_order(make(np.full(shape, 3, dtype=np.int64)))
+            first = zorder_order(IVCInstance.from_grid(np.ones(shape, dtype=np.int64)))
+            again = zorder_order(IVCInstance.from_grid(np.full(shape, 3, dtype=np.int64)))
             assert again is first
             assert not first.flags.writeable
             with pytest.raises(ValueError):
@@ -67,8 +66,7 @@ class TestOrders:
         rng = np.random.default_rng(top % 97 + len(shape))
         values = np.array([0, 1, top // 2, max(top - 1, 0), top], dtype=np.int64)
         weights = rng.choice(values, size=shape)
-        make = IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d
-        order = largest_first_order(make(weights))
+        order = largest_first_order(IVCInstance.from_grid(weights))
         assert order.dtype == np.int64
         assert order.tolist() == np.argsort(-weights.ravel(), kind="stable").tolist()
 

@@ -6,7 +6,7 @@ import pytest
 from repro.core.problem import IVCInstance
 from repro.runtime.context import ExecutionContext, use_context
 from repro.stencil.generic import cycle_graph, path_graph
-from repro.stencil.grid2d import StencilGrid2D
+from repro.stencil.grid import StencilGrid
 
 
 class TestConstruction:
@@ -28,6 +28,31 @@ class TestConstruction:
     def test_from_grid_3d_wrong_ndim(self):
         with pytest.raises(ValueError, match="3D weight grid"):
             IVCInstance.from_grid_3d(np.ones((4, 4)))
+
+    def test_from_grid_picks_the_stencil_by_rank(self):
+        flat = IVCInstance.from_grid([[1, 2], [3, 4]], name="a", metadata={"k": 1})
+        assert flat.is_2d and flat.name == "a" and flat.metadata == {"k": 1}
+        assert flat.geometry is IVCInstance.from_grid_2d(np.ones((2, 2))).geometry
+        cube = IVCInstance.from_grid(np.ones((2, 3, 4), dtype=int))
+        assert cube.is_3d and cube.geometry.shape == (2, 3, 4)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 1, 1, 1)])
+    def test_from_grid_rejects_other_ranks(self, shape):
+        with pytest.raises(ValueError, match="2D or 3D weight grid"):
+            IVCInstance.from_grid(np.ones(shape))
+
+    def test_from_grid_looks_up_the_ranked_constructor_per_call(self, monkeypatch):
+        # A wrapper installed on the class (as a tracer does) sees the call.
+        seen = []
+        original = IVCInstance.from_grid_3d.__func__
+
+        def spy(cls, *args, **kwargs):
+            seen.append(args[0].shape)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(IVCInstance, "from_grid_3d", classmethod(spy))
+        IVCInstance.from_grid(np.ones((2, 2, 2)))
+        assert seen == [(2, 2, 2)]
 
     def test_from_graph(self):
         inst = IVCInstance.from_graph(path_graph(3), [1, 2, 3])
@@ -52,7 +77,7 @@ class TestConstruction:
             IVCInstance(
                 graph=cycle_graph(5),
                 weights=np.ones(5, dtype=int),
-                geometry=StencilGrid2D(2, 2),
+                geometry=StencilGrid(2, 2),
             )
 
     def test_weights_coerced_to_int64(self):

@@ -217,9 +217,8 @@ class TestRecolorGrid:
 
         weights = _grid(shape, seed=5)
         weights.ravel()[::4] = 0
-        make = IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d
         pick = line_by_line_order if algorithm == "GLL" else zorder_order
-        order = np.asarray(pick(make(weights)))
+        order = np.asarray(pick(IVCInstance.from_grid(weights)))
         base = full_recolor(weights, algorithm)
         for pos, cell in enumerate(order.tolist()):
             new_weights = _delta(weights, [cell], seed=pos, high=9)

@@ -106,7 +106,7 @@ def test_gll_suffix_never_reads_the_cells_it_recolors(shape, seed, data):
 def test_gll_suffix_from_every_position_matches_a_full_pass(shape):
     weights = _weights(shape, seed=4)
     truth = _gll(weights).ravel()
-    inst = (IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d)(weights)
+    inst = IVCInstance.from_grid(weights)
     order = np.asarray(line_by_line_order(inst))
     assert _gll_positions(order, shape).tolist() == list(range(weights.size))
     layout = StencilLayout.of(shape)

@@ -28,8 +28,7 @@ from repro.core.problem import IVCInstance
 from repro.kernels import native
 from repro.kernels.substrate import StencilLayout
 from repro.kernels.wavefront import wavefront_greedy_color
-from repro.stencil.grid2d import OFFSETS_9PT
-from repro.stencil.grid3d import OFFSETS_27PT
+from repro.stencil.grid import moore_offsets
 
 #: The compiler Python was built with, ignoring any ``CC`` override (the
 #: no-compiler CI step sets ``CC=false``).
@@ -211,7 +210,7 @@ def test_prefetch_reads_the_stencil_rows_ahead(tmp_path, shape, half):
         cache_dir=tmp_path / "cache", compiler=[*COMPILER, "-include", str(probe)],
     )))
     layout = StencilLayout.of(shape)
-    offsets = np.asarray(OFFSETS_9PT if len(shape) == 2 else OFFSETS_27PT)
+    offsets = np.asarray(moore_offsets(len(shape)))
     strides = np.cumprod((1,) + layout.padded[:0:-1])[::-1]
     if half:
         offsets = offsets[np.isin(offsets @ strides, layout.earlier_deltas)]

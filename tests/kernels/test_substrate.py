@@ -10,14 +10,14 @@ from repro.kernels.substrate import (
     cache_sizes,
     clear_caches,
     get_substrate,
+    shared_geometry,
     shared_geometry_2d,
     shared_geometry_3d,
     substrate_stats,
 )
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.context import ExecutionContext
-from repro.stencil.grid2d import StencilGrid2D
-from repro.stencil.grid3d import StencilGrid3D
+from repro.stencil.grid import StencilGrid
 
 #: Shapes per LRU under the default configuration (the contexts below are
 #: built from it, so the ambient environment cannot move the bound).
@@ -32,16 +32,18 @@ def test_shared_geometry_is_one_object_per_shape():
     assert shared_geometry_2d(4, 5) is shared_geometry_2d(4, 5)
     assert shared_geometry_3d(2, 3, 4) is shared_geometry_3d(2, 3, 4)
     assert shared_geometry_2d(4, 5) is not shared_geometry_2d(5, 4)
+    assert shared_geometry(4, 5) is shared_geometry_2d(4, 5)
+    assert shared_geometry(2, 3, 4) is shared_geometry_3d(2, 3, 4)
 
 
 def test_get_substrate_shared_across_equal_shapes():
     # Two *distinct* geometry objects of equal shape map to the same
     # substrate (and hence the same layout and schedule memory).
-    a = get_substrate(StencilGrid2D(3, 6))
-    b = get_substrate(StencilGrid2D(3, 6))
+    a = get_substrate(StencilGrid(3, 6))
+    b = get_substrate(StencilGrid(3, 6))
     assert a is b
-    assert get_substrate(StencilGrid3D(2, 2, 3)) is get_substrate(StencilGrid3D(2, 2, 3))
-    assert a is not get_substrate(StencilGrid2D(6, 3))
+    assert get_substrate(StencilGrid(2, 2, 3)) is get_substrate(StencilGrid(2, 2, 3))
+    assert a is not get_substrate(StencilGrid(6, 3))
 
 
 def test_from_grid_constructors_use_shared_geometry():
@@ -90,7 +92,7 @@ def test_substrate_stats_track_hits_misses_evictions():
 
 def test_substrate_sizes_come_from_the_building_context():
     config = RuntimeConfig(wavefront_cache_size=3)
-    substrate = get_substrate(StencilGrid2D(4, 4), context=ExecutionContext(config))
+    substrate = get_substrate(StencilGrid(4, 4), context=ExecutionContext(config))
     assert substrate.wavefront_cache_size == 3
 
 
@@ -101,15 +103,11 @@ LAYOUT_SHAPES = [
 ]
 
 
-def _geometry(shape):
-    return StencilGrid2D(*shape) if len(shape) == 2 else StencilGrid3D(*shape)
-
-
 def test_layout_neighbors_match_csr():
     # The layout's neighbour set of every cell, unpad[interior[v] + deltas]
     # minus the off-grid id n, is exactly its CSR row.
     for shape in LAYOUT_SHAPES:
-        csr = _geometry(shape).csr
+        csr = StencilGrid(*shape).csr
         layout = StencilLayout.of(shape)
         n = csr.num_vertices
         assert len(layout.deltas) == (8 if len(shape) == 2 else 26)
@@ -134,7 +132,7 @@ def test_layout_interior_and_unpad_are_inverse(shape):
     border[layout.interior] = False
     assert np.all(layout.unpad[border] == n)
     # The substrate caches the same layout for its shape.
-    cached = get_substrate(_geometry(shape)).layout
+    cached = get_substrate(StencilGrid(*shape)).layout
     assert np.array_equal(cached.interior, layout.interior)
     assert np.array_equal(cached.deltas, layout.deltas)
 

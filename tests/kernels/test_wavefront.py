@@ -205,7 +205,7 @@ def test_int64_body_identical_past_the_guard(shape, algorithm, monkeypatch):
     rng = np.random.default_rng(len(shape) + len(algorithm))
     weights = rng.integers(1, 1 << 40, size=shape)
     weights[rng.random(size=shape) < 0.2] = 0
-    inst = (IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d)(weights)
+    inst = IVCInstance.from_grid(weights)
     dtypes = set()
     loop = native.first_fit
 
@@ -229,9 +229,8 @@ def test_kernel_bdp_builds_no_block_table(shape):
     result = api.color(weights, "BDP", runtime=ctx)
     assert result.provenance["fast"]
     geometry = result.coloring.instance.geometry
-    assert "k4_blocks" not in geometry.__dict__
-    assert "k8_blocks" not in geometry.__dict__
-    inst = (IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d)(weights)
+    assert "blocks" not in geometry.__dict__
+    inst = IVCInstance.from_grid(weights)
     assert np.array_equal(result.coloring.starts, color_with(inst, "BDP", fast=False).starts)
 
 

@@ -5,7 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.algorithms.registry import ALGORITHMS, color_with
-from repro.core.bounds import lower_bound, odd_cycle_optimum
+from repro.core.bounds import (
+    clique_block_bound,
+    lower_bound,
+    maxpair_bound,
+    odd_cycle_optimum,
+)
 from repro.core.problem import IVCInstance
 
 grids_2d = st.tuples(st.integers(2, 5), st.integers(2, 5))
@@ -34,6 +39,25 @@ def test_all_algorithms_valid_and_bounded_3d(shape, seed):
         coloring = color_with(inst, name)
         assert coloring.is_valid(), name
         assert coloring.maxcolor >= lb, name
+
+
+@given(
+    shape=st.one_of(grids_2d, grids_3d),
+    seed=st.integers(0, 100_000),
+    top=st.integers(0, 20),
+    zeros=st.floats(0, 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_clique_block_bound_is_the_cheap_lower_bound(shape, seed, top, zeros):
+    # With every axis at least 2, each stencil edge lies in a unit block
+    # and weights are non-negative, so no pair outweighs its block: the
+    # cheap lower bound is the clique-block bound alone.
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(0, top + 1, size=shape)
+    weights[rng.random(size=shape) < zeros] = 0
+    inst = IVCInstance.from_grid(weights)
+    assert maxpair_bound(inst) <= clique_block_bound(inst)
+    assert lower_bound(inst) == clique_block_bound(inst)
 
 
 @given(shape=grids_2d, seed=st.integers(0, 100_000))

@@ -109,11 +109,8 @@ def _walk(algorithm, old_weights, new_weights, dirty):
     layout = StencilLayout.of(old_weights.shape)
     ranking = None
     if algorithm != "GLF":
-        make = (
-            IVCInstance.from_grid_2d if old_weights.ndim == 2 else IVCInstance.from_grid_3d
-        )
         pick = line_by_line_order if algorithm == "GLL" else zorder_order
-        ranking = layout.ranking(np.asarray(pick(make(old_weights))))
+        ranking = layout.ranking(np.asarray(pick(IVCInstance.from_grid(old_weights))))
     cone = propagate_cone(
         layout, new_weights.ravel(), base.ravel(),
         np.unique(np.asarray(dirty, dtype=np.int64)), new_weights.size, ranking,
@@ -173,12 +170,11 @@ def test_walk_matches_full_recolor(shape, seed, delta_seed, algorithm, regime, d
     else:
         weights = _weights(shape, seed)
     n = weights.size
-    make = IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d
     if dirty_kind == "every":
         dirty = np.arange(n, dtype=np.int64)
     elif dirty_kind == "first":
         pick = {"GLF": largest_first_order, "GLL": line_by_line_order, "GZO": zorder_order}
-        dirty = np.asarray(pick[algorithm](make(weights)))[:1]
+        dirty = np.asarray(pick[algorithm](IVCInstance.from_grid(weights)))[:1]
     else:
         pick = np.random.default_rng(delta_seed)
         dirty = pick.choice(n, size=int(pick.integers(1, n + 1)), replace=False)
@@ -252,8 +248,7 @@ def test_gll_band_pass_matches_full_recolor(shape, seed, delta_seed, placement):
     assert outcome.mode == "incremental"
     # The walk starts at the first dirty cell of the line-by-line order,
     # and every cell is its own key.
-    make = IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d
-    order = np.asarray(line_by_line_order(make(weights)))
+    order = np.asarray(line_by_line_order(IVCInstance.from_grid(weights)))
     pos = int(np.flatnonzero(np.isin(order, dirty))[0])
     assert outcome.cells_recomputed <= weights.size - pos
     assert outcome.levels_touched == outcome.cells_recomputed
@@ -283,8 +278,7 @@ def test_gzo_suffix_pass_matches_full_recolor(shape, seed, delta_seed, placement
     assert outcome.mode == "incremental"
     # Every cell before the first dirty cell of the Morton order keeps its
     # base start; the walk places only cells from there on.
-    make = IVCInstance.from_grid_2d if len(shape) == 2 else IVCInstance.from_grid_3d
-    order = np.asarray(zorder_order(make(weights)))
+    order = np.asarray(zorder_order(IVCInstance.from_grid(weights)))
     pos = int(np.flatnonzero(np.isin(order, dirty))[0])
     assert outcome.cells_recomputed <= weights.size - pos
     assert outcome.levels_touched == outcome.cells_recomputed

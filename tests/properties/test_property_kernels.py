@@ -15,7 +15,7 @@ semantics the hoisted version must preserve.
 from itertools import permutations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.algorithms.clique_first import (
@@ -49,9 +49,7 @@ seeds = st.integers(0, 100_000)
 
 
 def _instance_of(weights):
-    if weights.ndim == 2:
-        return IVCInstance.from_grid_2d(weights)
-    return IVCInstance.from_grid_3d(weights)
+    return IVCInstance.from_grid(weights)
 
 
 def _instance(shape, seed):
@@ -176,7 +174,7 @@ def _clique_first_oracle(inst, within):
     in id order."""
     geo = inst.geometry
     weights = inst.weights
-    blocks = geo.k4_blocks if inst.is_2d else geo.k8_blocks
+    blocks = geo.blocks
     starts = np.full(inst.num_vertices, UNCOLORED, dtype=np.int64)
 
     def fit(v):
@@ -246,7 +244,7 @@ def test_bdp_order_kernel_appends_blockless_vertices(shape, seed):
     # in id order.
     rng = np.random.default_rng(seed)
     geo = _instance_of(np.ones(shape, dtype=np.int64)).geometry
-    blocks = geo.k4_blocks if len(shape) == 2 else geo.k8_blocks
+    blocks = geo.blocks
     sums = rng.integers(0, 5, size=len(blocks))
     n = geo.num_vertices
     starts = rng.integers(0, 4, size=n)
@@ -268,10 +266,22 @@ def test_bdp_order_kernel_appends_blockless_vertices(shape, seed):
     dtype=st.sampled_from([np.int64, np.int32, np.bool_]),
 )
 @settings(max_examples=60, deadline=None)
+@example(shape=(5, 4), seed=0, dtype=np.int64)
+@example(shape=(1, 5), seed=0, dtype=np.int64)
+@example(shape=(3, 4, 5), seed=0, dtype=np.int64)
+@example(shape=(3, 1, 4), seed=0, dtype=np.int64)
 def test_block_sums_from_slices_match_the_block_table(shape, seed, dtype):
     weights = np.random.default_rng(seed).integers(0, 1000, size=shape).astype(dtype)
     geo = _instance_of(np.ones(shape, dtype=np.int64)).geometry
-    blocks = geo.k4_blocks if len(shape) == 2 else geo.k8_blocks
+    blocks = geo.blocks
+    # The layout bdp_recolor_order_fast relies on: one row per block, its
+    # corners in np.ndindex order, so the ids increase strictly.
+    corners = list(np.ndindex(*(2,) * len(shape)))
+    assert blocks.shape == (int(np.prod([d - 1 for d in shape])), len(corners))
+    for row, lowest in zip(blocks, np.ndindex(*(d - 1 for d in shape))):
+        want_row = [geo.vertex_id(*np.add(lowest, c)) for c in corners]
+        assert row.tolist() == want_row
+        assert (np.diff(row) > 0).all()
     got = geo.block_weight_sums(weights.ravel())
     want = weights.ravel()[blocks].sum(axis=1)
     assert got.dtype == want.dtype

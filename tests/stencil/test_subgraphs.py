@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.stencil.generic import clique_graph, cycle_graph, path_graph
-from repro.stencil.grid2d import StencilGrid2D
+from repro.stencil.grid import StencilGrid
 from repro.stencil.subgraphs import (
     count_cycles_by_length,
     enumerate_odd_cycles,
@@ -55,7 +55,7 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("max_len", [3, 4, 5])
     def test_matches_networkx_on_stencil(self, max_len):
-        graph = StencilGrid2D(3, 3).csr
+        graph = StencilGrid(3, 3).csr
         ours = sum(1 for _ in enumerate_simple_cycles(graph, max_len))
         assert ours == nx_cycle_count(graph, max_len)
 
@@ -74,7 +74,7 @@ class TestEnumeration:
         assert ours == nx_cycle_count(graph, 6)
 
     def test_cycles_are_actual_cycles(self):
-        graph = StencilGrid2D(3, 3).csr
+        graph = StencilGrid(3, 3).csr
         for cycle in enumerate_simple_cycles(graph, max_len=5):
             assert len(set(cycle)) == len(cycle)
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
@@ -83,7 +83,7 @@ class TestEnumeration:
 
 class TestOddCycles:
     def test_only_odd_lengths(self):
-        graph = StencilGrid2D(3, 3).csr
+        graph = StencilGrid(3, 3).csr
         lengths = {len(c) for c in enumerate_odd_cycles(graph, max_len=5)}
         assert lengths and all(length % 2 == 1 for length in lengths)
 

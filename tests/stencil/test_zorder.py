@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.stencil.zorder import (
-    morton_argsort_2d,
-    morton_argsort_3d,
+    morton_argsort,
     morton_key_2d,
     morton_key_3d,
 )
@@ -74,20 +73,20 @@ class TestKeys3D:
 
 class TestArgsort:
     def test_2d_is_permutation(self):
-        order = morton_argsort_2d((5, 7))
+        order = morton_argsort((5, 7))
         assert sorted(order.tolist()) == list(range(35))
 
     def test_3d_is_permutation(self):
-        order = morton_argsort_3d((3, 4, 5))
+        order = morton_argsort((3, 4, 5))
         assert sorted(order.tolist()) == list(range(60))
 
     def test_2d_first_quad(self):
         # On a 4x4 grid the first four visited cells are the lower 2x2 block.
-        order = morton_argsort_2d((4, 4))
+        order = morton_argsort((4, 4))
         firsts = {(int(v) // 4, int(v) % 4) for v in order[:4]}
         assert firsts == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
     def test_non_power_of_two_shapes(self):
-        order = morton_argsort_2d((3, 5))
+        order = morton_argsort((3, 5))
         assert len(order) == 15
         assert order[0] == 0

@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 from repro.stencil.zorder import (
     MAX_BITS_2D,
     MAX_BITS_3D,
-    morton_argsort_2d,
-    morton_argsort_3d,
+    morton_argsort,
     morton_key_2d,
     morton_key_3d,
 )
@@ -122,24 +121,24 @@ class TestArgsortMatchesRecursiveTraversal:
     @given(shapes_2d)
     @settings(max_examples=40, deadline=None)
     def test_2d_any_shape(self, shape):
-        assert morton_argsort_2d(shape).tolist() == ref_zorder_traversal(shape)
+        assert morton_argsort(shape).tolist() == ref_zorder_traversal(shape)
 
     @given(shapes_3d)
     @settings(max_examples=25, deadline=None)
     def test_3d_any_shape(self, shape):
-        assert morton_argsort_3d(shape).tolist() == ref_zorder_traversal(shape)
+        assert morton_argsort(shape).tolist() == ref_zorder_traversal(shape)
 
     @pytest.mark.parametrize(
         "shape", [(1, 1), (1, 9), (9, 1), (3, 5), (7, 11), (1, 2**10)]
     )
     def test_2d_degenerate_and_non_power_of_two(self, shape):
-        assert morton_argsort_2d(shape).tolist() == ref_zorder_traversal(shape)
+        assert morton_argsort(shape).tolist() == ref_zorder_traversal(shape)
 
     @pytest.mark.parametrize(
         "shape", [(1, 1, 1), (1, 1, 8), (1, 7, 1), (5, 1, 5), (3, 5, 7)]
     )
     def test_3d_degenerate_and_non_power_of_two(self, shape):
-        assert morton_argsort_3d(shape).tolist() == ref_zorder_traversal(shape)
+        assert morton_argsort(shape).tolist() == ref_zorder_traversal(shape)
 
 
 class TestMaxBitsBoundary:
